@@ -9,11 +9,15 @@ small models and statistically at scale.
 from .bounds import (
     BoundReport,
     EstimatorMoments,
+    ExactSummary,
     conditional_expectation_interval,
+    count_law,
+    count_posterior,
     default_eps_grid,
     estimator_moments_by_counts,
     estimator_moments_enumerated,
     estimator_y,
+    exact_pooled_summary,
     k_statistic,
     learning_bounds,
     qn_bound,
@@ -47,13 +51,11 @@ from .harness import (
     POOLED,
     RNG_VERSION,
     Check,
-    ExactSummary,
     SweepTable,
     TrialSummary,
     VerificationReport,
     binary_noise_to_signal_exact,
     default_verification_suite,
-    exact_pooled_summary,
     run_monte_carlo,
     senate_exact_summary,
     sweep_n,
@@ -67,7 +69,6 @@ from .knowledge import (
     DEFAULT_ENUMERATION_BUDGET,
     OutcomeSpace,
     Partition,
-    build_outcome_space,
     dump_partitions,
     is_common_knowledge,
     optimal_action_set,

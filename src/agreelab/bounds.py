@@ -3,7 +3,9 @@
 Everything here is a pure function of a signal model and an agent count: the
 normalized mean-log-likelihood estimator of the state, the variance and
 action bounds it implies, the low-belief fraction statistic with its tail
-bound, and a conditional version of Chebyshev's inequality.
+bound, a conditional version of Chebyshev's inequality, and the exact law of
+the symbol counts (:func:`count_law`) behind the pooled action's law and the
+estimator's moments.
 """
 
 from __future__ import annotations
@@ -12,7 +14,7 @@ import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 from .errors import (
     BoundedBeliefsError,
@@ -81,15 +83,12 @@ def default_eps_grid(lo: float = 1e-6, hi: float = 0.5, points: int = 512) -> tu
 def qn_bound(
     n: int,
     cdf_given_s0: Callable[[float], object],
-    cdf_marginal: Callable[[float], object] | None = None,
     eps_grid: Iterable[float] | None = None,
 ) -> float:
     """min over grid eps of max{ 2 eps / (1 - eps), 4 / (n P(B < eps | S=0)) }.
 
-    ``cdf_marginal`` is accepted for interface symmetry and sanity checks but
-    the bound itself only consumes the conditional lower tail.  When that
-    tail vanishes on the whole grid the hypothesis of the learning theorem
-    fails and :class:`BoundedBeliefsError` is raised.
+    When the conditional lower tail vanishes on the whole grid the hypothesis
+    of the learning theorem fails and :class:`BoundedBeliefsError` is raised.
     """
     if n < 1:
         raise ValueError("agent count must be at least 1")
@@ -103,10 +102,6 @@ def qn_bound(
         tail = cdf_given_s0(eps)
         if not 0 <= tail <= 1:
             raise ValueError("cdf values must lie in [0, 1]")
-        if cdf_marginal is not None:
-            marginal = cdf_marginal(eps)
-            if not 0 <= marginal <= 1:
-                raise ValueError("cdf values must lie in [0, 1]")
         if tail == 0:
             continue
         value = max(2.0 * eps / (1.0 - eps), 4.0 / (n * float(tail)))
@@ -158,35 +153,42 @@ def _standardized_terms(model: SignalModel) -> dict:
     }
 
 
+def _moments(n: int, points: Iterable[tuple[float, int, float]]) -> EstimatorMoments:
+    """Estimator moments from (probability, state, Y) points of the law."""
+    e_y = e_y2 = e_sy = e_dev2 = 0.0
+    for wf, state, y in points:
+        e_y += wf * y
+        e_y2 += wf * y * y
+        e_sy += wf * state * y
+        e_dev2 += wf * (y - state) ** 2
+    var_y = e_y2 - e_y * e_y
+    cov = e_sy - 0.5 * e_y
+    return EstimatorMoments(
+        n=n, mean=e_y, var_y_minus_s=e_dev2 - (e_y - 0.5) ** 2, cov_s_y=cov, var_y=var_y
+    )
+
+
 def estimator_moments_enumerated(model: SignalModel, n: int, budget: int = 2**22) -> EstimatorMoments:
     """Estimator moments by brute-force enumeration of all signal profiles.
 
     Exact rational outcome weights, float values.  Independent of the
-    closed-form route, so the two can be compared as a check.
+    count-vector route, so the two can be compared as a check.
     """
     size = 2 * len(model.support) ** n
     if size > budget:
         raise ValueError(f"enumeration of {size} outcomes is too large; use counts")
     terms = _standardized_terms(model)
     weights = {0: dict(zip(model.alphabet, model.mu0)), 1: dict(zip(model.alphabet, model.mu1))}
-    e_y = e_y2 = e_sy = e_dev2 = 0.0
-    for state in (0, 1):
-        mu = weights[state]
-        for profile in itertools.product(model.support, repeat=n):
-            w = Fraction(1, 2)
-            for symbol in profile:
-                w *= mu[symbol]
-            wf = float(w)
-            y = sum(terms[s] for s in profile) / n
-            e_y += wf * y
-            e_y2 += wf * y * y
-            e_sy += wf * state * y
-            e_dev2 += wf * (y - state) ** 2
-    var_y = e_y2 - e_y * e_y
-    cov = e_sy - 0.5 * e_y
-    return EstimatorMoments(
-        n=n, mean=e_y, var_y_minus_s=e_dev2 - (e_y - 0.5) ** 2, cov_s_y=cov, var_y=var_y
-    )
+
+    def points():
+        for state in (0, 1):
+            for profile in itertools.product(model.support, repeat=n):
+                w = Fraction(1, 2)
+                for symbol in profile:
+                    w *= weights[state][symbol]
+                yield float(w), state, sum(terms[s] for s in profile) / n
+
+    return _moments(n, points())
 
 
 def _count_vectors(total: int, bins: int):
@@ -207,32 +209,107 @@ def _multinomial_coefficient(counts: Sequence[int]) -> int:
     return out
 
 
+def _integer_weights(model: SignalModel) -> tuple[int, list[tuple[int, int]]]:
+    """``(den, [(a0, a1) per support symbol])`` with ``mu_s = a_s / den`` and
+    ``den`` the lcm of the weights' denominators."""
+    pairs = [(w0, w1) for w0, w1 in zip(model.mu0, model.mu1) if w0]
+    den = math.lcm(*(w.denominator for pair in pairs for w in pair))
+    return den, [tuple(w.numerator * (den // w.denominator) for w in pair) for pair in pairs]
+
+
+def count_law(model: SignalModel, n: int) -> tuple[int, Iterator[tuple]]:
+    """Exact joint law of the state and the symbol counts of n i.i.d. signals.
+
+    Returns ``(denominator, rows)``.  ``rows`` yields ``(counts, w0, w1)``
+    for every vector of counts over ``model.support``; ``w_s`` is the integer
+    mass of (counts, S=s) over ``denominator = 2 * den**n``.  The posterior
+    of a count vector is ``Fraction(w1, w0 + w1)``, a tie iff ``w0 == w1``.
+    """
+    den, pairs = _integer_weights(model)
+    powers = [[[a**c for c in range(n + 1)] for a in pair] for pair in pairs]
+
+    def rows():
+        for counts in _count_vectors(n, len(pairs)):
+            w0 = w1 = _multinomial_coefficient(counts)
+            for (p0, p1), c in zip(powers, counts):
+                w0 *= p0[c]
+                w1 *= p1[c]
+            yield counts, w0, w1
+
+    return 2 * den**n, rows()
+
+
+def count_posterior(model: SignalModel, counts: Sequence[int]) -> Fraction:
+    """P(S=1 | symbol counts over ``model.support``): ``Fraction(w1, w0 + w1)``
+    of :func:`count_law`, less the factors the two masses share (each
+    symbol's ``gcd(a0, a1)**c`` too), so it stays cheap at any count."""
+    o0 = o1 = 1
+    for (a0, a1), c in zip(_integer_weights(model)[1], counts):
+        g = math.gcd(a0, a1)
+        o0 *= (a0 // g) ** int(c)
+        o1 *= (a1 // g) ** int(c)
+    return Fraction(o1, o0 + o1)
+
+
+@dataclass(frozen=True)
+class ExactSummary:
+    """Exact outcome law of a fixed-point action, no sampling involved."""
+
+    success: Fraction
+    tie: Fraction
+    failure: Fraction
+    msbe: Fraction
+
+    @property
+    def not_learned(self) -> Fraction:
+        """Probability that the action set is not {S}, ties included."""
+        return self.tie + self.failure
+
+
+def exact_pooled_summary(model: SignalModel, n: int) -> ExactSummary:
+    """Exact law of the pooled-posterior action for n i.i.d. signals.
+
+    On each count vector the action is right on the heavier state's mass,
+    wrong on the lighter one and a tie when they are equal.  With
+    x = w1 / (w0 + w1), the belief error (x - S)^2 weighs
+    w0 x^2 + w1 (1 - x)^2 = w0 w1 / (w0 + w1).
+    """
+    denominator, rows = count_law(model, n)
+    success = tie = failure = 0
+    errors = []
+    for _counts, w0, w1 in rows:
+        if w0 == w1:
+            tie += w0 + w1
+        else:
+            success += max(w0, w1)
+            failure += min(w0, w1)
+        errors.append(Fraction(w0 * w1, w0 + w1))
+    # Pairwise summation keeps the partial sums' denominators, and so their
+    # gcds, small; a running sum would carry the full lcm through every step.
+    while len(errors) > 1:
+        errors = [sum(errors[i : i + 2]) for i in range(0, len(errors), 2)]
+    return ExactSummary(
+        success=Fraction(success, denominator),
+        tie=Fraction(tie, denominator),
+        failure=Fraction(failure, denominator),
+        msbe=errors[0] / denominator,
+    )
+
+
 def estimator_moments_by_counts(model: SignalModel, n: int) -> EstimatorMoments:
     """Estimator moments via the multinomial distribution of symbol counts.
 
-    Collapsing profiles to their symbol counts keeps the computation
-    polynomial in n, which covers the agent counts the enumeration route
-    cannot reach.
+    Reaches the agent counts the enumeration route cannot.  Each mass is an
+    integer ratio, whose true division is correctly rounded.
     """
     terms = _standardized_terms(model)
-    support = model.support
-    mu = {0: [model.weight(0, s) for s in support], 1: [model.weight(1, s) for s in support]}
-    values = [terms[s] for s in support]
-    e_y = e_y2 = e_sy = e_dev2 = 0.0
-    for counts in _count_vectors(n, len(support)):
-        coeff = _multinomial_coefficient(counts)
-        y = sum(c * v for c, v in zip(counts, values)) / n
-        for state in (0, 1):
-            w = Fraction(coeff, 2)
-            for c, p in zip(counts, mu[state]):
-                w *= p**c
-            wf = float(w)
-            e_y += wf * y
-            e_y2 += wf * y * y
-            e_sy += wf * state * y
-            e_dev2 += wf * (y - state) ** 2
-    var_y = e_y2 - e_y * e_y
-    cov = e_sy - 0.5 * e_y
-    return EstimatorMoments(
-        n=n, mean=e_y, var_y_minus_s=e_dev2 - (e_y - 0.5) ** 2, cov_s_y=cov, var_y=var_y
-    )
+    values = [terms[s] for s in model.support]
+    denominator, rows = count_law(model, n)
+
+    def points():
+        for counts, w0, w1 in rows:
+            y = sum(c * v for c, v in zip(counts, values)) / n
+            yield w0 / denominator, 0, y
+            yield w1 / denominator, 1, y
+
+    return _moments(n, points())

@@ -17,10 +17,10 @@ import numpy as np
 
 from .bounds import (
     BoundReport,
-    _count_vectors,
-    _multinomial_coefficient,
+    ExactSummary,
     estimator_moments_by_counts,
     estimator_moments_enumerated,
+    exact_pooled_summary,
     learning_bounds,
     qn_bound,
 )
@@ -100,21 +100,6 @@ class TrialSummary:
 
     def to_dict(self) -> dict:
         return asdict(self)
-
-
-@dataclass(frozen=True)
-class ExactSummary:
-    """Exact outcome law of a fixed-point action, no sampling involved."""
-
-    success: Fraction
-    tie: Fraction
-    failure: Fraction
-    msbe: Fraction
-
-    @property
-    def not_learned(self) -> Fraction:
-        """Probability that the action set is not {S}, ties included."""
-        return self.tie + self.failure
 
 
 def _classify(label: frozenset, state: int, rng) -> tuple[str, bool]:
@@ -244,69 +229,23 @@ def run_monte_carlo(
 
 
 # ---------------------------------------------------------------------------
-# exact (sampling-free) evaluations
+# exact (sampling-free) evaluations; the count-vector laws live in bounds
 # ---------------------------------------------------------------------------
-
-
-def exact_pooled_summary(model: SignalModel, n: int) -> ExactSummary:
-    """Exact law of the pooled-posterior action for n i.i.d. signals.
-
-    Enumerates symbol-count vectors, so the cost is polynomial in n; all
-    arithmetic is rational, including the posterior itself.
-    """
-    support = model.support
-    mu = {s: [model.weight(s, sym) for sym in support] for s in (0, 1)}
-    ratios = [model.weight(1, sym) / model.weight(0, sym) for sym in support]
-    success = tie = failure = Fraction(0)
-    msbe = Fraction(0)
-    for counts in _count_vectors(n, len(support)):
-        coeff = _multinomial_coefficient(counts)
-        odds = Fraction(1)
-        for c, r in zip(counts, ratios):
-            odds *= r**c
-        x = odds / (1 + odds)
-        action = optimal_action_set(x)
-        for state in (0, 1):
-            w = Fraction(coeff, 2)
-            for c, p in zip(counts, mu[state]):
-                w *= p**c
-            if action == ACTION_BOTH:
-                tie += w
-            elif action == (ACTION_ONE if state == 1 else ACTION_ZERO):
-                success += w
-            else:
-                failure += w
-            msbe += w * (x - state) ** 2
-    return ExactSummary(success=success, tie=tie, failure=failure, msbe=msbe)
 
 
 def senate_exact_summary(scenario: Scenario) -> ExactSummary:
     """Exact law of the committee's fixed-point action, any agent count.
 
-    The belief summary X is the committee's pooled posterior given its
-    tally, which every agent ends up adopting.
+    The committee's action is the pooled action of its members' i.i.d. bits,
+    and every agent ends up adopting the committee's pooled belief, so the
+    law is the pooled law of ``senate_size`` signals.
     """
     structure = scenario.structure
     if not isinstance(structure, SenateStaged):
         raise TypeError("scenario is not a staged committee scenario")
     if not structure.deference_is_exact():
         raise AgreementLabError("agents would not defer to the committee")
-    m, acc = structure.senate_size, structure.accuracy
-    success = tie = failure = Fraction(0)
-    msbe = Fraction(0)
-    half = Fraction(m, 2)
-    for k in range(m + 1):
-        pmf = math.comb(m, k) * acc**k * (1 - acc) ** (m - k)
-        x = structure.tally_posterior(k)
-        # by state symmetry it suffices to condition on S=1
-        msbe += pmf * (x - 1) ** 2
-        if k > half:
-            success += pmf
-        elif k < half:
-            failure += pmf
-        else:
-            tie += pmf
-    return ExactSummary(success=success, tie=tie, failure=failure, msbe=msbe)
+    return exact_pooled_summary(structure.model, structure.senate_size)
 
 
 def binary_noise_to_signal_exact(accuracy) -> Fraction:
@@ -686,7 +625,7 @@ def tail_bound_checks(
     return checks
 
 
-def example_invariant_checks(seed: int, trials: int) -> list[Check]:
+def example_invariant_checks() -> list[Check]:
     """Structural invariants of the example scenarios, mostly exact."""
     from .dynamics import run_protocol
     from .scenarios import parity, senate, uncorrelated_tight
@@ -775,5 +714,5 @@ def default_verification_suite(
         trials=max(trials // 4, 1000),
         seed=seed,
     )
-    checks += example_invariant_checks(seed=seed, trials=trials)
+    checks += example_invariant_checks()
     return verify_report(checks)

@@ -116,15 +116,6 @@ def outcome_space_iid(
     return OutcomeSpace(n, weights)
 
 
-def build_outcome_space(scenario, budget: int = DEFAULT_ENUMERATION_BUDGET) -> OutcomeSpace:
-    """Materialize a scenario's joint distribution as an OutcomeSpace.
-
-    Raises :class:`EnumerationBudgetError` when the scenario is too large for
-    the exact engine; callers must then fall back to the Monte Carlo path.
-    """
-    return scenario.outcome_space(budget=budget)
-
-
 class Partition:
     """A partition of the positive-weight profiles, canonically ordered."""
 

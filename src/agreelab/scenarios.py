@@ -16,6 +16,7 @@ from typing import Callable
 
 import numpy as np
 
+from .bounds import count_posterior, exact_pooled_summary
 from .errors import EnumerationBudgetError, ScenarioParameterError
 from .knowledge import (
     ACTION_BOTH,
@@ -36,10 +37,6 @@ from .signals import (
 )
 
 ZERO_COV_TOLERANCE = 1e-12
-
-
-def _binomial_pmf(m: int, k: int, p: Fraction) -> Fraction:
-    return math.comb(m, k) * p**k * (1 - p) ** (m - k)
 
 
 @dataclass(frozen=True)
@@ -118,32 +115,34 @@ class IidSignals:
         """Sample symbol counts and decide the pooled outcome from them.
 
         The sign of the summed log-likelihood ratio is taken in floats and
-        re-checked exactly (big-integer odds) whenever the float margin is
-        too small to be trusted, so ties are exact.
+        re-checked exactly whenever the float margin is too small to be
+        trusted, so ties are exact.
         """
-        support = self.model.support
+        model = self.model
+        support = model.support
         p_by_state = [
-            np.array([float(self.model.weight(state, s)) for s in support])
+            np.array([float(model.weight(state, s)) for s in support])
             for state in (0, 1)
         ]
         for p in p_by_state:
             p /= p.sum()
-        z = np.array([log_likelihood_ratio(self.model, s) for s in support])
-        ratios = [
-            self.model.weight(1, s) / self.model.weight(0, s) for s in support
-        ]
+        z = np.array([log_likelihood_ratio(model, s) for s in support])
+        # Each z_i is log(num) - log(den) of the symbol's odds ratio, each log
+        # within an ulp, and the dot product adds about an ulp per term; this
+        # per-count scale bounds the float llr's error with room to spare.
+        ratios = [model.weight(1, s) / model.weight(0, s) for s in support]
+        error_scale = (len(support) + 2) * np.finfo(float).eps * np.array(
+            [abs(math.log(r.numerator)) + abs(math.log(r.denominator)) for r in ratios]
+        )
 
         def draw(rng, force_state=None):
             state = int(rng.integers(0, 2)) if force_state is None else force_state
             counts = rng.multinomial(n, p_by_state[state])
             llr = float(np.dot(counts, z))
-            if abs(llr) > 1e-9:
+            if abs(llr) > max(1e-9, float(np.dot(counts, error_scale))):
                 action = ACTION_ONE if llr > 0 else ACTION_ZERO
                 return state, belief_from_llr(llr), action
-            odds = Fraction(1)
-            for c, r in zip(counts, ratios):
-                odds *= r ** int(c)
-            posterior = odds / (1 + odds)
+            posterior = count_posterior(model, counts)
             return state, float(posterior), optimal_action_set(posterior)
 
         return draw
@@ -238,7 +237,8 @@ class ExchangeableFlip:
         out = {}
         for ones, match in ((high, 1), (n - high, 0)):
             for positions in itertools.combinations(range(n), ones):
-                profile = tuple(1 if i in set(positions) else 0 for i in range(n))
+                inside = set(positions)
+                profile = tuple(1 if i in inside else 0 for i in range(n))
                 for state in (0, 1):
                     agree = self.q if (match == state) else 1 - self.q
                     w = Fraction(1, 2) * agree / count
@@ -336,7 +336,8 @@ class TwoBitCombo:
         second_classes = []
         for ones, match in ((high, 1), (n - high, 0)):
             for positions in itertools.combinations(range(n), ones):
-                b2 = tuple(1 if i in set(positions) else 0 for i in range(n))
+                inside = set(positions)
+                b2 = tuple(1 if i in inside else 0 for i in range(n))
                 second_classes.append((b2, match))
         for b1 in itertools.product((0, 1), repeat=n):
             state = sum(b1) % 2
@@ -393,16 +394,19 @@ class SenateStaged:
 
     senate_size: int
     accuracy: Fraction
+    model: SignalModel = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "model", SignalModel.binary(self.accuracy))
 
     def pair_count(self, n: int) -> int:
         return 2 ** (n + 1)
 
     def weights(self, n: int) -> dict:
-        model = SignalModel.binary(self.accuracy)
-        return outcome_space_iid(model, n, budget=2**63).weights
+        return outcome_space_iid(self.model, n, budget=2**63).weights
 
     def marginal_model(self, n: int) -> SignalModel:
-        return SignalModel.binary(self.accuracy)
+        return self.model
 
     def senate_action(self, senate_bits) -> frozenset:
         tally = sum(senate_bits)
@@ -427,37 +431,19 @@ class SenateStaged:
 
     # -- exact committee arithmetic -------------------------------------
 
-    def committee_majority_distribution(self) -> dict[frozenset, Fraction]:
-        """Law of the committee's action conditioned on the true state being 1."""
-        m, acc = self.senate_size, self.accuracy
-        out = {ACTION_ZERO: Fraction(0), ACTION_ONE: Fraction(0), ACTION_BOTH: Fraction(0)}
-        for k in range(m + 1):
-            out[self.senate_action([1] * k + [0] * (m - k))] += _binomial_pmf(m, k, acc)
-        return out
-
-    def exact_failure_probability(self) -> Fraction:
-        """P(committee action is the wrong singleton); state-symmetric."""
-        return self.committee_majority_distribution()[ACTION_ZERO]
-
-    def exact_tie_probability(self) -> Fraction:
-        return self.committee_majority_distribution()[ACTION_BOTH]
-
     def deference_is_exact(self) -> bool:
         """True when a lone opposing signal can never flip the committee's
         verdict: the posterior given (committee action, worst own bit) stays
-        strictly on the committee's side.  Exact rational arithmetic."""
-        dist1 = self.committee_majority_distribution()
-        maj1_given_s1 = dist1[ACTION_ONE]
-        # by symmetry P(majority 1 | S=0) = P(majority 0 | S=1)
-        maj1_given_s0 = dist1[ACTION_ZERO]
+        strictly on the committee's side.  By state symmetry P(verdict 1 |
+        S=1) and P(verdict 1 | S=0) are the committee's exact success and
+        failure probabilities."""
+        law = exact_pooled_summary(self.model, self.senate_size)
         acc = self.accuracy
-        return maj1_given_s1 * (1 - acc) > maj1_given_s0 * acc
+        return law.success * (1 - acc) > law.failure * acc
 
     def tally_posterior(self, ones: int) -> Fraction:
         """Exact P(S=1 | committee tally), the committee's pooled belief."""
-        odds_base = self.accuracy / (1 - self.accuracy)
-        odds = odds_base ** (2 * ones - self.senate_size)
-        return odds / (1 + odds)
+        return count_posterior(self.model, (self.senate_size - ones, ones))
 
     def trial_label(self, profile, common_action) -> frozenset:
         """Trials are bucketed by the committee's own verdict: a split
@@ -514,7 +500,7 @@ class SenateStaged:
         return draw
 
     def pooled_sampler(self, n: int) -> Callable:
-        return IidSignals(SignalModel.binary(self.accuracy)).pooled_sampler(n)
+        return IidSignals(self.model).pooled_sampler(n)
 
 
 # ---------------------------------------------------------------------------

@@ -5,20 +5,31 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from agreelab.bounds import (
     conditional_expectation_interval,
+    count_law,
+    count_posterior,
     default_eps_grid,
     estimator_moments_by_counts,
     estimator_moments_enumerated,
     estimator_y,
+    exact_pooled_summary,
     k_statistic,
     learning_bounds,
     qn_bound,
 )
 from agreelab.errors import BoundedBeliefsError
+from agreelab.knowledge import (
+    ACTION_BOTH,
+    ACTION_ONE,
+    ACTION_ZERO,
+    optimal_action_set,
+    outcome_space_iid,
+    pooled_posterior,
+)
 from agreelab.signals import SignalModel, belief_from_llr, noise_to_signal_ratio
 
 BINARY_23 = SignalModel.binary(Fraction(2, 3))
@@ -126,14 +137,6 @@ class TestQnBound:
         with pytest.raises(BoundedBeliefsError):
             qn_bound(100, cdf, eps_grid=default_eps_grid(1e-6, 0.3, 64))
 
-    def test_marginal_cdf_is_accepted_and_validated(self):
-        value = qn_bound(
-            100, lambda eps: 0.2, cdf_marginal=lambda eps: 0.4, eps_grid=(0.1,)
-        )
-        assert value == pytest.approx(0.2222222222, abs=1e-9)
-        with pytest.raises(ValueError):
-            qn_bound(100, lambda eps: 0.2, cdf_marginal=lambda eps: 1.4, eps_grid=(0.1,))
-
 
 class TestConditionalExpectationInterval:
     def test_standardized_case(self):
@@ -218,6 +221,75 @@ class TestEstimatorMoments:
         d = noise_to_signal_ratio(model)
         moments = estimator_moments_enumerated(model, 5)
         assert moments.var_y_minus_s == pytest.approx(d / 20, abs=1e-10)
+
+
+@st.composite
+def rational_models(draw):
+    """2-4 symbol models with small rational weights; a symbol may carry
+    zero weight under both states."""
+    size = draw(st.integers(2, 4))
+    pairs = draw(
+        st.lists(
+            st.one_of(st.just((0, 0)), st.tuples(st.integers(1, 9), st.integers(1, 9))),
+            min_size=size,
+            max_size=size,
+        )
+    )
+    raw0, raw1 = zip(*pairs)
+    assume(sum(raw0) > 0)
+    mu0 = tuple(Fraction(r, sum(raw0)) for r in raw0)
+    mu1 = tuple(Fraction(r, sum(raw1)) for r in raw1)
+    assume(mu0 != mu1)
+    return SignalModel(alphabet=tuple(range(size)), mu0=mu0, mu1=mu1)
+
+
+class TestCountLaw:
+    """The count-vector kernel against brute force over every profile."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(model=rational_models(), n=st.integers(1, 4))
+    def test_pooled_summary_matches_profile_enumeration(self, model, n):
+        space = outcome_space_iid(model, n)
+        success = tie = failure = msbe = Fraction(0)
+        for (state, profile), w in space.weights.items():
+            x = pooled_posterior(space, profile)
+            action = optimal_action_set(x)
+            if action == ACTION_BOTH:
+                tie += w
+            elif action == (ACTION_ONE if state == 1 else ACTION_ZERO):
+                success += w
+            else:
+                failure += w
+            msbe += w * (x - state) ** 2
+        summary = exact_pooled_summary(model, n)
+        assert (summary.success, summary.tie, summary.failure, summary.msbe) == (
+            success,
+            tie,
+            failure,
+            msbe,
+        )
+
+    @settings(max_examples=60, deadline=None)
+    @given(model=rational_models(), n=st.integers(1, 4))
+    def test_moments_match_profile_enumeration(self, model, n):
+        a = estimator_moments_enumerated(model, n)
+        b = estimator_moments_by_counts(model, n)
+        # Nearly uninformative models give Y large values, so rounding is
+        # measured against E[Y^2].
+        tolerance = 1e-12 * (1.0 + a.var_y + a.mean**2)
+        for field in ("mean", "var_y_minus_s", "cov_s_y", "var_y"):
+            assert getattr(b, field) == pytest.approx(getattr(a, field), abs=tolerance)
+
+    @settings(max_examples=30, deadline=None)
+    @given(model=rational_models(), n=st.integers(1, 6))
+    def test_masses_total_one_and_give_the_posterior(self, model, n):
+        denominator, rows = count_law(model, n)
+        total = 0
+        for counts, w0, w1 in rows:
+            assert sum(counts) == n
+            total += w0 + w1
+            assert count_posterior(model, counts) == Fraction(w1, w0 + w1)
+        assert total == denominator
 
 
 class TestMonotoneCorrelationStep:

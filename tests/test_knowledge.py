@@ -18,7 +18,6 @@ from agreelab.knowledge import (
     OutcomeSpace,
     Partition,
     belief_function,
-    build_outcome_space,
     dump_partitions,
     is_common_knowledge,
     optimal_action_set,
@@ -66,7 +65,7 @@ class TestOutcomeSpaces:
 
     def test_budget_refusal_via_scenario(self):
         with pytest.raises(EnumerationBudgetError):
-            build_outcome_space(iid_binary(25, Fraction(2, 3)))
+            iid_binary(25, Fraction(2, 3)).outcome_space()
 
     def test_state_marginals_enforced(self):
         with pytest.raises(ValueError):

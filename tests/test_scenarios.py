@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from agreelab.errors import ScenarioParameterError
+from agreelab.harness import senate_exact_summary
 from agreelab.knowledge import (
     ACTION_BOTH,
     ACTION_ONE,
@@ -23,12 +24,14 @@ from agreelab.scenarios import (
     geometric_tail,
     geometric_tail_model,
     iid_binary,
+    iid_custom,
     parity,
     senate,
     two_bit,
     uncorrelated_tight,
 )
 from agreelab.signals import (
+    SignalModel,
     belief_range,
     log_likelihood_ratio,
     private_belief,
@@ -191,7 +194,7 @@ class TestSenate:
         assert all(p.block_count == 6 for p in partitions[2:])
 
     def test_exact_error_is_n_independent(self):
-        failures = {n: senate(n).structure.exact_failure_probability() for n in (200, 400, 800)}
+        failures = {n: senate_exact_summary(senate(n)).failure for n in (200, 400, 800)}
         assert len(set(failures.values())) == 1
 
     def test_exact_error_matches_direct_binomial_tail(self):
@@ -200,12 +203,12 @@ class TestSenate:
         tail = sum(
             math.comb(100, k) * acc**k * (1 - acc) ** (100 - k) for k in range(50)
         )
-        assert senate(200).structure.exact_failure_probability() == tail
+        assert senate_exact_summary(senate(200)).failure == tail
 
     def test_tie_probability(self):
         acc = Fraction(2, 3)
         expected = math.comb(100, 50) * acc**50 * (1 - acc) ** 50
-        assert senate(200).structure.exact_tie_probability() == expected
+        assert senate_exact_summary(senate(200)).tie == expected
 
     def test_deference_holds_for_the_default_committee(self):
         assert senate(200).structure.deference_is_exact()
@@ -272,6 +275,35 @@ class TestIidBinary:
     def test_marginal_model(self):
         scenario = iid_binary(3, Fraction(2, 3))
         assert scenario.marginal_model.weight(1, 1) == Fraction(2, 3)
+
+
+class _FixedDraws:
+    """Stands in for a generator: state 1, then the given symbol counts."""
+
+    def __init__(self, counts):
+        self.counts = np.array(counts, dtype=np.int64)
+
+    def integers(self, low, high):
+        return 1
+
+    def multinomial(self, n, pvals):
+        return self.counts
+
+
+class TestPooledSamplerTies:
+    def test_exact_tie_at_large_counts(self):
+        """Odds ratios 2, 4 and 1/8 cancel on counts (k, k, k).  At k = 3e7
+        the float llr is about 2e-9, so a fixed 1e-9 guard would trust its
+        sign and report {1} with belief 0.5000000005."""
+        model = SignalModel(
+            alphabet=("a", "b", "c"),
+            mu0=(Fraction(1, 4), Fraction(13, 124), Fraction(20, 31)),
+            mu1=(Fraction(1, 2), Fraction(13, 31), Fraction(5, 62)),
+        )
+        k = 30_000_000
+        draw = iid_custom(3 * k, model).pooled_sampler()
+        state, x, action = draw(_FixedDraws((k, k, k)))
+        assert (state, x, action) == (1, 0.5, ACTION_BOTH)
 
 
 class TestRegistry:
