@@ -209,7 +209,7 @@ def _multinomial_coefficient(counts: Sequence[int]) -> int:
     return out
 
 
-def _integer_weights(model: SignalModel) -> tuple[int, list[tuple[int, int]]]:
+def integer_weights(model: SignalModel) -> tuple[int, list[tuple[int, int]]]:
     """``(den, [(a0, a1) per support symbol])`` with ``mu_s = a_s / den`` and
     ``den`` the lcm of the weights' denominators."""
     pairs = [(w0, w1) for w0, w1 in zip(model.mu0, model.mu1) if w0]
@@ -225,7 +225,7 @@ def count_law(model: SignalModel, n: int) -> tuple[int, Iterator[tuple]]:
     mass of (counts, S=s) over ``denominator = 2 * den**n``.  The posterior
     of a count vector is ``Fraction(w1, w0 + w1)``, a tie iff ``w0 == w1``.
     """
-    den, pairs = _integer_weights(model)
+    den, pairs = integer_weights(model)
     powers = [[[a**c for c in range(n + 1)] for a in pair] for pair in pairs]
 
     def rows():
@@ -244,7 +244,7 @@ def count_posterior(model: SignalModel, counts: Sequence[int]) -> Fraction:
     of :func:`count_law`, less the factors the two masses share (each
     symbol's ``gcd(a0, a1)**c`` too), so it stays cheap at any count."""
     o0 = o1 = 1
-    for (a0, a1), c in zip(_integer_weights(model)[1], counts):
+    for (a0, a1), c in zip(integer_weights(model)[1], counts):
         g = math.gcd(a0, a1)
         o0 *= (a0 // g) ** int(c)
         o1 *= (a1 // g) ** int(c)

@@ -8,19 +8,26 @@ equality, never on value coincidence.
 
 from __future__ import annotations
 
+import itertools
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Sequence
+from typing import Iterable, Sequence
+
+import numpy as np
 
 from .errors import ConnectivityError
 from .knowledge import (
+    ACTION_BOTH,
+    ACTION_ONE,
+    ACTION_ZERO,
+    INT64_LIMIT,
     OutcomeSpace,
     Partition,
-    action_function,
-    belief_function,
-    is_common_knowledge,
+    block_beliefs,
+    dense_codes,
+    joint_codes,
     optimal_action_set,
-    posterior_belief,
     validate_partitions,
 )
 
@@ -30,6 +37,8 @@ PUBLIC_STATISTIC = "public-statistic"
 NETWORK_BELIEF = "network-belief"
 
 PROTOCOL_KINDS = (PUBLIC_BELIEF, PUBLIC_ACTION, PUBLIC_STATISTIC, NETWORK_BELIEF)
+
+ACTIONS = (ACTION_ZERO, ACTION_BOTH, ACTION_ONE)
 
 
 @dataclass(frozen=True)
@@ -127,14 +136,47 @@ class ProtocolResult:
         return values.pop()
 
 
-def _public_round(space, partitions, value_fns):
-    """One simultaneous announce-and-refine step; returns new partitions."""
-    fns = list(value_fns.values())
+def announced_codes(kind: str, space: OutcomeSpace, partition: Partition):
+    """What one agent announces, per profile: its belief (or, in public-action,
+    its optimal action set) as integer codes, and the values they stand for."""
+    codes, values = block_beliefs(space, partition)
+    if kind == PUBLIC_ACTION:
+        codes = np.array([ACTIONS.index(optimal_action_set(v)) for v in values])[codes]
+        values = ACTIONS
+    return codes[partition.labels], values
 
-    def heard(profile):
-        return tuple(fn(profile) for fn in fns)
 
-    return [p.refine_by_key(heard) for p in partitions]
+def mean_beliefs(columns: Iterable[np.ndarray], values: Sequence[list]) -> tuple[np.ndarray, list]:
+    """Exact mean of the agents' beliefs at every profile.
+
+    The u-th of ``columns`` codes agent u's belief per profile into
+    ``values[u]``.  Returns ``(codes, means)``: the mean at profile i is
+    ``means[codes[i]]``.  When the beliefs share a denominator small enough
+    for ``int64``, the means are summed as integer numerators over it;
+    otherwise each distinct combination of beliefs is averaged once.
+    """
+    n = len(values)
+    den = 1
+    for b in itertools.chain.from_iterable(values):
+        den = math.lcm(den, b.denominator)
+        if den * n >= INT64_LIMIT:
+            break
+    else:
+        total = 0
+        for codes, vals in zip(columns, values):
+            total = total + np.array([b.numerator * (den // b.denominator) for b in vals])[codes]
+        codes, first = dense_codes(total)
+        return codes, [Fraction(int(total[i]), den * n) for i in first.tolist()]
+    columns = list(columns)
+    joint, first = joint_codes(columns)
+    means: dict[Fraction, int] = {}
+    mean_codes = []
+    for combination in np.stack([c[first] for c in columns], axis=1).tolist():
+        beliefs = [vals[c] for vals, c in zip(values, combination)]
+        den = math.lcm(*(b.denominator for b in beliefs))
+        total = sum(b.numerator * (den // b.denominator) for b in beliefs)
+        mean_codes.append(means.setdefault(Fraction(total, den * n), len(means)))
+    return np.array(mean_codes)[joint], list(means)
 
 
 def fixed_point_partitions(
@@ -149,6 +191,10 @@ def fixed_point_partitions(
 
     Partitions over a finite profile set can only refine finitely often, so
     termination is guaranteed; ``max_rounds`` is an internal safety valve.
+    With a realized ``profile`` the trace records what was announced there:
+    each agent's value (the public statistic's value for all) in the public
+    protocols, and in the network protocol the value each agent announced on
+    its first out-edge of the round.
     """
     if kind not in PROTOCOL_KINDS:
         raise ValueError(f"unknown protocol kind {kind!r}")
@@ -160,39 +206,40 @@ def fixed_point_partitions(
             raise ValueError("digraph size must match the agent count")
         if not network.is_strongly_connected():
             raise ConnectivityError("network protocol needs a strongly connected digraph")
+    where = None if profile is None else space.profiles.index[profile]
     partitions = list(partitions)
     trace = ProtocolTrace(kind=kind)
     limit = max_rounds if max_rounds is not None else space.n * len(space.profiles) + 1
     for _ in range(limit):
-        announced: list[tuple[str, object]] = []
-        if kind in (PUBLIC_BELIEF, PUBLIC_ACTION):
-            make = belief_function if kind == PUBLIC_BELIEF else action_function
-            fns = {u: make(space, partitions[u]) for u in range(space.n)}
-            new_partitions = _public_round(space, partitions, fns)
-            if profile is not None:
-                announced = [(str(u), fns[u](profile)) for u in range(space.n)]
-        elif kind == PUBLIC_STATISTIC:
-            beliefs = [belief_function(space, p) for p in partitions]
-
-            def mean_belief(prof):
-                return sum(b(prof) for b in beliefs) / space.n
-
-            new_partitions = _public_round(space, partitions, {"public": mean_belief})
-            if profile is not None:
-                announced = [("public", mean_belief(profile))]
-        else:
+        said: dict[str, object] = {}
+        if kind == NETWORK_BELIEF:
             new_partitions = list(partitions)
             for u, w in network.edges:
-                fn = belief_function(space, new_partitions[u])
-                new_partitions[w] = new_partitions[w].refine_by_key(fn)
-            if profile is not None:
-                announced = [
-                    (str(u), posterior_belief(space, new_partitions[u].block_of(profile)))
-                    for u in range(space.n)
-                ]
+                codes, values = announced_codes(kind, space, new_partitions[u])
+                new_partitions[w] = new_partitions[w].refine(codes)
+                if where is not None:
+                    said.setdefault(str(u), values[codes[where]])
+        else:
+            if kind == PUBLIC_STATISTIC:
+                heard, means = mean_beliefs(
+                    *zip(*(announced_codes(kind, space, p) for p in partitions))
+                )
+                if where is not None:
+                    said["public"] = means[heard[where]]
+            else:
+                # One agent's per-profile codes at a time, folded as they come.
+                def announcements():
+                    for u, partition in enumerate(partitions):
+                        codes, values = announced_codes(kind, space, partition)
+                        if where is not None:
+                            said[str(u)] = values[codes[where]]
+                        yield codes
+
+                heard = joint_codes(announcements())[0]
+            new_partitions = [p.refine(heard) for p in partitions]
         trace.rounds.append(
             ProtocolRound(
-                announced=tuple(announced),
+                announced=tuple(said.items()),
                 block_counts=tuple(p.block_count for p in new_partitions),
             )
         )
@@ -219,20 +266,19 @@ def run_protocol(
     if space.profile_weight(profile) == 0:
         raise ValueError(f"realized profile {profile!r} has zero weight")
     final, trace = fixed_point_partitions(kind, space, partitions, profile, network)
-    beliefs = tuple(posterior_belief(space, p.block_of(profile)) for p in final)
-    actions = tuple(optimal_action_set(b) for b in beliefs)
-    belief_vars = [
-        lambda block, s=space: posterior_belief(s, block) for _ in range(space.n)
-    ]
-    action_vars = [
-        lambda block, s=space: optimal_action_set(posterior_belief(s, block))
-        for _ in range(space.n)
-    ]
+    where = space.profiles.index[profile]
+    beliefs = [announced_codes(PUBLIC_BELIEF, space, p) for p in final]
+    actions = [announced_codes(PUBLIC_ACTION, space, p) for p in final]
+
+    def common_knowledge(announced) -> bool:
+        # Every agent's value is constant on every agent's blocks.
+        return all(p.refine(codes) is p for p in final for codes, _ in announced)
+
     return ProtocolResult(
         partitions=final,
         trace=trace,
-        beliefs=beliefs,
-        actions=actions,
-        beliefs_common_knowledge=is_common_knowledge(space, final, belief_vars),
-        actions_common_knowledge=is_common_knowledge(space, final, action_vars),
+        beliefs=tuple(values[codes[where]] for codes, values in beliefs),
+        actions=tuple(values[codes[where]] for codes, values in actions),
+        beliefs_common_knowledge=common_knowledge(beliefs),
+        actions_common_knowledge=common_knowledge(actions),
     )

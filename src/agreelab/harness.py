@@ -24,7 +24,13 @@ from .bounds import (
     learning_bounds,
     qn_bound,
 )
-from .dynamics import PROTOCOL_KINDS, PUBLIC_ACTION, PUBLIC_BELIEF, fixed_point_partitions
+from .dynamics import (
+    PROTOCOL_KINDS,
+    PUBLIC_ACTION,
+    PUBLIC_BELIEF,
+    fixed_point_partitions,
+    mean_beliefs,
+)
 from .errors import (
     AgreementLabError,
     BoundedBeliefsError,
@@ -36,7 +42,9 @@ from .knowledge import (
     ACTION_ZERO,
     DEFAULT_ENUMERATION_BUDGET,
     belief_function,
+    block_beliefs,
     is_common_knowledge,
+    joint_codes,
     optimal_action_set,
     pooled_posterior,
     posterior_belief,
@@ -117,35 +125,50 @@ def _protocol_outcome_table(scenario: Scenario, kind: str, budget: int) -> dict:
 
     Refinement does not depend on the realized profile, so one run covers
     every trial; the table maps profile -> (reported action set, belief X).
+    Each distinct combination of the agents' final beliefs is judged once.
     """
     space = scenario.outcome_space(budget=budget)
-    partitions = scenario.initial_partitions(space)
-    final, _ = fixed_point_partitions(kind, space, partitions)
-    belief_fns = [belief_function(space, p) for p in final]
-    relabel = getattr(scenario.structure, "trial_label", None)
-    table = {}
-    for profile in space.profiles:
-        beliefs = [fn(profile) for fn in belief_fns]
-        actions = {optimal_action_set(b) for b in beliefs}
-        if len(actions) != 1:
+    final, _ = fixed_point_partitions(kind, space, scenario.initial_partitions(space))
+    beliefs = [block_beliefs(space, p) for p in final]
+
+    def columns():
+        # Each agent's beliefs per profile, built on demand rather than held
+        # for every agent at once.
+        return (codes[p.labels] for p, (codes, _) in zip(final, beliefs))
+
+    values = [vals for _, vals in beliefs]
+    actions = [[optimal_action_set(b) for b in vals] for vals in values]
+    if kind == PUBLIC_ACTION:
+        mean_codes, means = mean_beliefs(columns(), values)
+    combination_of, first = joint_codes(columns())
+    combinations = np.stack([codes[p.labels[first]] for p, (codes, _) in zip(final, beliefs)])
+    outcomes = []
+    for i, combination in zip(first.tolist(), combinations.T.tolist()):
+        common = {acts[c] for acts, c in zip(actions, combination)}
+        if len(common) != 1:
             raise AgreementLabError(
                 f"{scenario.name}: fixed point of {kind} left actions unequal "
-                f"on profile {profile!r}"
+                f"on profile {space.profiles[i]!r}"
             )
-        common_action = actions.pop()
         if kind == PUBLIC_ACTION:
-            x = sum(beliefs) / len(beliefs)
+            x = means[mean_codes[i]]
         else:
-            unique = set(beliefs)
+            unique = {vals[c] for vals, c in zip(values, combination)}
             if len(unique) != 1:
                 raise AgreementLabError(
                     f"{scenario.name}: fixed point of {kind} left beliefs "
-                    f"unequal on profile {profile!r}"
+                    f"unequal on profile {space.profiles[i]!r}"
                 )
             x = unique.pop()
-        label = relabel(profile, common_action) if relabel else common_action
-        table[profile] = (label, float(x))
-    return table
+        outcomes.append((common.pop(), float(x)))
+    per_profile = [outcomes[j] for j in combination_of.tolist()]
+    relabel = getattr(scenario.structure, "trial_label", None)
+    if relabel is not None:
+        per_profile = [
+            (relabel(profile, action), x)
+            for profile, (action, x) in zip(space.profiles, per_profile)
+        ]
+    return dict(zip(space.profiles, per_profile))
 
 
 def run_monte_carlo(
@@ -243,9 +266,10 @@ def senate_exact_summary(scenario: Scenario) -> ExactSummary:
     structure = scenario.structure
     if not isinstance(structure, SenateStaged):
         raise TypeError("scenario is not a staged committee scenario")
-    if not structure.deference_is_exact():
+    law = exact_pooled_summary(structure.model, structure.senate_size)
+    if not structure.deference_is_exact(law):
         raise AgreementLabError("agents would not defer to the committee")
-    return exact_pooled_summary(structure.model, structure.senate_size)
+    return law
 
 
 def binary_noise_to_signal_exact(accuracy) -> Fraction:

@@ -4,14 +4,29 @@ The state space is the set of (state, signal-profile) pairs with exact
 rational prior weights.  Sigma-algebras are represented as partitions of the
 positive-weight profiles, which is lossless on finite spaces; every
 "almost surely" clause becomes "on every positive-weight block".
+
+The engine runs on integers.  A space keeps its profiles in sorted order,
+each agent's symbol as an integer code, and the two states' weights as
+integer numerators over one common denominator.  A partition is a vector of
+block labels over those profiles, numbered by first occurrence, so equal
+partitions have equal label vectors.  An announcement becomes one integer
+code per block, read off exact block sums, and every refinement relabels the
+(label, code) pairs (:func:`dense_codes`).  Sums are ``int64`` when the
+common denominator fits in it, since no block sum exceeds the total mass,
+and Python ints otherwise.  Beliefs leave the engine as exact Fractions.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 from fractions import Fraction
+from functools import cached_property
 from typing import Callable, Hashable, Iterable, Mapping, Sequence
 
+import numpy as np
+
+from .bounds import integer_weights
 from .errors import (
     EnumerationBudgetError,
     MeasurabilityError,
@@ -23,11 +38,15 @@ Profile = tuple
 PUBLIC = "public"
 
 #: Exact engine refusal threshold on the number of (state, profile) pairs.
-DEFAULT_ENUMERATION_BUDGET = 2**24
+#: At 2**22 pairs (iid_binary(21)) the slowest protocol's ``simulate`` took
+#: 24 s and 1.7 GB on a 2-core Xeon VM; one more agent doubles both.
+DEFAULT_ENUMERATION_BUDGET = 2**22
 
 ACTION_ZERO = frozenset({0})
 ACTION_ONE = frozenset({1})
 ACTION_BOTH = frozenset({0, 1})
+
+INT64_LIMIT = 2**63
 
 
 def optimal_action_set(belief) -> frozenset:
@@ -44,21 +63,81 @@ def optimal_action_set(belief) -> frozenset:
     return ACTION_BOTH
 
 
+def dense_codes(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Relabel ``keys`` 0, 1, ... in order of first occurrence.
+
+    Returns the new labels and, per label, the position of its first
+    occurrence (so those positions increase with the label).
+    """
+    distinct, inverse = np.unique(keys, return_inverse=True)
+    first = np.full(len(distinct), len(keys), dtype=np.int64)
+    np.minimum.at(first, inverse, np.arange(len(keys)))
+    order = np.argsort(first)
+    rank = np.empty(len(distinct), dtype=np.int64)
+    rank[order] = np.arange(len(distinct))
+    return rank[inverse], first[order]
+
+
+def joint_codes(columns: Iterable[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
+    """:func:`dense_codes` of the per-profile tuples of several code columns.
+
+    Each column holds non-negative integers; columns are folded into one
+    key, and the key and the next column are replaced by their ranks among
+    their distinct values whenever the fold could overflow ``int64``.
+    """
+    joint, count = None, 1
+    for codes in columns:
+        width = int(codes.max(initial=0)) + 1
+        if joint is None:
+            joint, count = codes, width
+            continue
+        if count * width >= INT64_LIMIT:
+            joint = np.unique(joint, return_inverse=True)[1]
+            count = int(joint.max(initial=0)) + 1
+        if count * width >= INT64_LIMIT:
+            codes = np.unique(codes, return_inverse=True)[1]
+            width = int(codes.max(initial=0)) + 1
+        joint = joint * width + codes
+        count *= width
+    return dense_codes(joint)
+
+
+class Profiles(tuple):
+    """Profiles in sorted order; ``index`` maps each to its position."""
+
+    @cached_property
+    def index(self) -> dict:
+        return {profile: i for i, profile in enumerate(self)}
+
+
+def _same_profiles(a, b) -> bool:
+    """Whether two spaces or partitions range over the same profiles."""
+    return a.profiles is b.profiles or a.profiles == b.profiles
+
+
+def _weight_dtype(den: int):
+    """``int64`` when every sum of masses over ``den`` fits in it."""
+    return np.int64 if den < INT64_LIMIT else object
+
+
 class OutcomeSpace:
     """Weighted enumeration of (state, profile) outcomes.
 
     ``weights`` maps (state, profile) to a positive Fraction; pairs that are
     absent carry zero weight.  Weights must total exactly one with exactly
-    one half on each state.
+    one half on each state.  The engine reads the integer form:
+    ``profiles`` (the positive-weight profiles, sorted), ``symbols`` (an
+    integer code of each agent's symbol, one row per profile) and ``w0`` /
+    ``w1`` (per profile, the numerators of the two states' weights over
+    ``den``).  ``weights`` is built on first use when the space was built
+    straight into that form.
     """
 
-    __slots__ = ("n", "profiles", "weights", "_profile_weight", "_state1_weight")
+    __slots__ = ("n", "profiles", "symbols", "den", "w0", "w1", "_weights")
 
     def __init__(self, n: int, weights: Mapping[tuple[int, Profile], Fraction]):
         cleaned: dict[tuple[int, Profile], Fraction] = {}
-        profile_weight: dict[Profile, Fraction] = {}
-        state1_weight: dict[Profile, Fraction] = {}
-        state_totals = {0: Fraction(0), 1: Fraction(0)}
+        state_totals = [Fraction(0), Fraction(0)]
         for (state, profile), w in weights.items():
             w = Fraction(w)
             if w < 0:
@@ -70,28 +149,79 @@ class OutcomeSpace:
             if len(profile) != n:
                 raise ValueError("profile length must equal the agent count")
             cleaned[(state, profile)] = w
-            profile_weight[profile] = profile_weight.get(profile, Fraction(0)) + w
-            if state == 1:
-                state1_weight[profile] = state1_weight.get(profile, Fraction(0)) + w
             state_totals[state] += w
         if state_totals[0] + state_totals[1] != 1:
             raise ValueError("outcome weights must sum to exactly 1")
         if state_totals[0] != Fraction(1, 2) or state_totals[1] != Fraction(1, 2):
             raise ValueError("each state must carry prior weight exactly 1/2")
+        profiles = Profiles(sorted({profile for _, profile in cleaned}))
+        den = math.lcm(*(w.denominator for w in cleaned.values()))
+        masses = ([0] * len(profiles), [0] * len(profiles))
+        for (state, profile), w in cleaned.items():
+            masses[state][profiles.index[profile]] = w.numerator * (den // w.denominator)
+        codes: list[dict] = [{} for _ in range(n)]
+        symbols = np.array(
+            [[codes[u].setdefault(p[u], len(codes[u])) for u in range(n)] for p in profiles],
+            dtype=np.int64,
+        ).reshape(len(profiles), n)
+        symbols = symbols.astype(np.min_scalar_type(symbols.max(initial=0)))
+        self._fill(n, profiles, symbols, den, *masses)
+        self._weights = cleaned
+
+    @classmethod
+    def iid(cls, model: SignalModel, n: int) -> "OutcomeSpace":
+        """Product space of n conditionally i.i.d. signals, weight
+        1/2 * prod mu_s, built straight into the integer form."""
+        den, pairs = integer_weights(model)
+        order = sorted(range(len(pairs)), key=lambda i: model.support[i])
+        total = 2 * den**n
+        dtype = _weight_dtype(total)
+        masses = []
+        for state in (0, 1):
+            per_symbol = np.array([pairs[i][state] for i in order], dtype=dtype)
+            w = np.ones(1, dtype=dtype)
+            for _ in range(n):
+                w = np.multiply.outer(w, per_symbol).ravel()
+            masses.append(w)
+        symbols = np.indices((len(order),) * n, dtype=np.min_scalar_type(len(order)))
+        symbols = symbols.reshape(n, -1).T
+        support = [model.support[i] for i in order]
+        space = cls.__new__(cls)
+        space._fill(n, Profiles(itertools.product(support, repeat=n)), symbols, total, *masses)
+        space._weights = None
+        return space
+
+    def _fill(self, n, profiles, symbols, den, w0, w1) -> None:
         self.n = n
-        self.weights = cleaned
-        self.profiles = tuple(sorted(profile_weight))
-        self._profile_weight = profile_weight
-        self._state1_weight = state1_weight
+        self.profiles = profiles
+        self.symbols = symbols
+        self.den = den
+        self.w0 = np.asarray(w0, dtype=_weight_dtype(den))
+        self.w1 = np.asarray(w1, dtype=_weight_dtype(den))
+
+    @property
+    def weights(self) -> dict[tuple[int, Profile], Fraction]:
+        if self._weights is None:
+            self._weights = {
+                (state, profile): Fraction(w, self.den)
+                for state, masses in ((0, self.w0), (1, self.w1))
+                for profile, w in zip(self.profiles, masses.tolist())
+                if w
+            }
+        return self._weights
 
     def profile_weight(self, profile: Profile) -> Fraction:
-        return self._profile_weight.get(profile, Fraction(0))
+        i = self.profiles.index.get(profile)
+        if i is None:
+            return Fraction(0)
+        return Fraction(int(self.w0[i]) + int(self.w1[i]), self.den)
 
     def state1_weight(self, profile: Profile) -> Fraction:
-        return self._state1_weight.get(profile, Fraction(0))
+        i = self.profiles.index.get(profile)
+        return Fraction(0) if i is None else Fraction(int(self.w1[i]), self.den)
 
     def __len__(self) -> int:
-        return len(self.weights)
+        return int(np.count_nonzero(self.w0)) + int(np.count_nonzero(self.w1))
 
 
 def outcome_space_iid(
@@ -103,83 +233,122 @@ def outcome_space_iid(
         raise EnumerationBudgetError(
             f"{size} (state, profile) pairs exceed the exact-engine budget {budget}"
         )
-    weights: dict[tuple[int, Profile], Fraction] = {}
-    half = Fraction(1, 2)
-    for state, mu in ((0, model.mu0), (1, model.mu1)):
-        per_symbol = dict(zip(model.alphabet, mu))
-        for profile in itertools.product(model.support, repeat=n):
-            w = half
-            for symbol in profile:
-                w *= per_symbol[symbol]
-            if w > 0:
-                weights[(state, profile)] = w
-    return OutcomeSpace(n, weights)
+    return OutcomeSpace.iid(model, n)
 
 
 class Partition:
-    """A partition of the positive-weight profiles, canonically ordered."""
+    """A partition of the positive-weight profiles, canonically ordered.
 
-    __slots__ = ("blocks", "_block_of")
+    ``labels[i]`` is the block of ``profiles[i]``.  Blocks are numbered by
+    first occurrence, which orders them by their least profile; ``blocks``
+    holds them as frozensets, built on first use.
+    """
+
+    __slots__ = ("profiles", "labels", "block_count", "_blocks")
 
     def __init__(self, blocks: Iterable[frozenset]):
         blocks = [frozenset(b) for b in blocks if b]
-        blocks.sort(key=min)
-        self.blocks = tuple(blocks)
-        block_of: dict[Profile, int] = {}
-        for i, block in enumerate(self.blocks):
-            for profile in block:
-                if profile in block_of:
-                    raise ValueError("partition blocks must be disjoint")
-                block_of[profile] = i
-        self._block_of = block_of
+        profiles = Profiles(sorted(set().union(*blocks)))
+        if sum(len(b) for b in blocks) != len(profiles):
+            raise ValueError("partition blocks must be disjoint")
+        keys = np.empty(len(profiles), dtype=np.int64)
+        for i, block in enumerate(blocks):
+            keys[[profiles.index[p] for p in block]] = i
+        self._set(profiles, dense_codes(keys)[0])
+
+    @classmethod
+    def of_labels(cls, profiles: Profiles, labels: np.ndarray) -> "Partition":
+        """The partition of ``profiles`` with first-occurrence ``labels``."""
+        partition = cls.__new__(cls)
+        partition._set(profiles, labels)
+        return partition
+
+    def _set(self, profiles: Profiles, labels: np.ndarray) -> None:
+        self.profiles = profiles
+        self.labels = labels
+        self.block_count = int(labels.max(initial=-1)) + 1
+        self._blocks = None
 
     @property
-    def block_count(self) -> int:
-        return len(self.blocks)
+    def blocks(self) -> tuple[frozenset, ...]:
+        if self._blocks is None:
+            members: list[list] = [[] for _ in range(self.block_count)]
+            for profile, label in zip(self.profiles, self.labels.tolist()):
+                members[label].append(profile)
+            self._blocks = tuple(frozenset(m) for m in members)
+        return self._blocks
 
     def block_of(self, profile: Profile) -> frozenset:
         try:
-            return self.blocks[self._block_of[profile]]
+            return self.blocks[self.labels[self.profiles.index[profile]]]
         except KeyError:
             raise KeyError(f"profile {profile!r} not covered by the partition") from None
 
     def covers(self, profiles: Iterable[Profile]) -> bool:
-        return all(p in self._block_of for p in profiles)
+        index = self.profiles.index
+        return all(p in index for p in profiles)
+
+    def refine(self, codes: np.ndarray) -> "Partition":
+        """Coarsest common refinement with the partition into equal ``codes``
+        (one non-negative integer per profile); ``self`` when nothing splits."""
+        width = int(codes.max(initial=0)) + 1
+        labels, first = dense_codes(self.labels * width + codes)
+        if len(first) == self.block_count:
+            return self
+        return Partition.of_labels(self.profiles, labels)
 
     def refine_by_key(self, key: Callable[[Profile], Hashable]) -> "Partition":
         """Coarsest common refinement with the preimage partition of ``key``."""
-        pieces: dict[tuple[int, Hashable], set] = {}
-        for profile, i in self._block_of.items():
-            pieces.setdefault((i, key(profile)), set()).add(profile)
-        if len(pieces) == len(self.blocks):
-            return self
-        return Partition(pieces.values())
+        seen: dict = {}
+        codes = np.fromiter(
+            (seen.setdefault(key(p), len(seen)) for p in self.profiles),
+            dtype=np.int64,
+            count=len(self.profiles),
+        )
+        return self.refine(codes)
 
     def refines(self, other: "Partition") -> bool:
         """True when every block of self sits inside one block of other."""
-        for block in self.blocks:
-            targets = {other._block_of.get(p) for p in block}
-            if len(targets) != 1 or None in targets:
+        if _same_profiles(self, other):
+            theirs = other.labels
+        else:
+            index = other.profiles.index
+            if not all(p in index for p in self.profiles):
                 return False
-        return True
+            theirs = other.labels[[index[p] for p in self.profiles]]
+        return self.refine(theirs) is self
 
     def __eq__(self, other) -> bool:
-        return isinstance(other, Partition) and self.blocks == other.blocks
+        return (
+            isinstance(other, Partition)
+            and self.block_count == other.block_count
+            and _same_profiles(self, other)
+            and np.array_equal(self.labels, other.labels)
+        )
 
     def __hash__(self) -> int:
-        return hash(self.blocks)
+        return hash((self.block_count, self.labels.tobytes()))
 
     def __repr__(self) -> str:
         return f"Partition({self.block_count} blocks)"
 
 
+def _labels_on(space: OutcomeSpace, partition: Partition) -> np.ndarray:
+    """The partition's labels, checked to be over the space's profiles."""
+    if not _same_profiles(partition, space):
+        raise ValueError("partition is not over the space's positive-weight profiles")
+    return partition.labels
+
+
+def trivial_partition(space: OutcomeSpace) -> Partition:
+    """The one-block partition of the space's profiles."""
+    return Partition.of_labels(space.profiles, np.zeros(len(space.profiles), dtype=np.int64))
+
+
 def own_signal_partitions(space: OutcomeSpace) -> list[Partition]:
     """Default initial information: each agent observes exactly its own signal."""
-    everything = Partition([frozenset(space.profiles)])
-    return [
-        everything.refine_by_key(lambda profile, u=u: profile[u])
-        for u in range(space.n)
-    ]
+    everything = trivial_partition(space)
+    return [everything.refine(space.symbols[:, u]) for u in range(space.n)]
 
 
 def validate_partitions(space: OutcomeSpace, partitions: Sequence[Partition]) -> None:
@@ -191,61 +360,77 @@ def validate_partitions(space: OutcomeSpace, partitions: Sequence[Partition]) ->
     """
     if len(partitions) != space.n:
         raise ValueError("need one partition per agent")
-    profile_set = set(space.profiles)
     for u, partition in enumerate(partitions):
-        covered = set().union(*partition.blocks) if partition.blocks else set()
-        if covered != profile_set:
+        if not _same_profiles(partition, space):
             raise ValueError(
                 f"agent {u} partition does not cover the positive-weight profiles"
             )
-        for block in partition.blocks:
-            if len({profile[u] for profile in block}) != 1:
-                raise ValueError(
-                    f"agent {u} partition is coarser than its own signal"
-                )
+        if partition.refine(space.symbols[:, u]) is not partition:
+            raise ValueError(f"agent {u} partition is coarser than its own signal")
+
+
+def block_beliefs(space: OutcomeSpace, partition: Partition) -> tuple[np.ndarray, list[Fraction]]:
+    """Exact posteriors of a partition's blocks, as codes into distinct values.
+
+    Returns ``(codes, values)``: block ``b`` has belief ``values[codes[b]]``.
+    Blocks share a code iff their beliefs are equal, since the codes number
+    the gcd-reduced (numerator, denominator) pairs of the blocks' integer
+    masses.
+    """
+    labels = _labels_on(space, partition)
+    zeros = np.zeros(partition.block_count, dtype=space.w0.dtype)
+    ones = np.zeros(partition.block_count, dtype=space.w1.dtype)
+    np.add.at(zeros, labels, space.w0)
+    np.add.at(ones, labels, space.w1)
+    total = zeros + ones
+    common = np.gcd(ones, total)
+    num, den = ones // common, total // common
+    codes, first = joint_codes((num, den))
+    values = [Fraction(int(num[b]), int(den[b])) for b in first.tolist()]
+    return codes, values
 
 
 def posterior_belief(space: OutcomeSpace, block: Iterable[Profile]) -> Fraction:
     """Exact P(S=1 | block) = weight(S=1, block) / weight(block)."""
-    total = Fraction(0)
-    ones = Fraction(0)
-    for profile in block:
-        total += space.profile_weight(profile)
-        ones += space.state1_weight(profile)
+    index = space.profiles.index
+    rows = [index[p] for p in block if p in index]
+    ones = int(space.w1[rows].sum())
+    total = ones + int(space.w0[rows].sum())
     if total == 0:
         raise NullConditioningError("cannot condition on a zero-weight block")
-    return ones / total
+    return Fraction(ones, total)
 
 
 def pooled_posterior(space: OutcomeSpace, profile: Profile) -> Fraction:
     """Exact P(S=1 | the full signal profile)."""
-    total = space.profile_weight(profile)
-    if total == 0:
+    i = space.profiles.index.get(profile)
+    if i is None:
         raise NullConditioningError(f"profile {profile!r} has zero weight")
-    return space.state1_weight(profile) / total
+    ones = int(space.w1[i])
+    return Fraction(ones, ones + int(space.w0[i]))
+
+
+def _profile_function(partition: Partition, block_values: list) -> Callable:
+    index, labels = partition.profiles.index, partition.labels.tolist()
+
+    def value(profile: Profile):
+        return block_values[labels[index[profile]]]
+
+    return value
 
 
 def belief_function(space: OutcomeSpace, partition: Partition) -> Callable[[Profile], Fraction]:
     """Profile-indexed posterior of one agent, constant on each block."""
-    values = {block: posterior_belief(space, block) for block in partition.blocks}
-
-    def belief(profile: Profile) -> Fraction:
-        return values[partition.block_of(profile)]
-
-    return belief
+    codes, values = block_beliefs(space, partition)
+    return _profile_function(partition, [values[c] for c in codes.tolist()])
 
 
 def action_function(space: OutcomeSpace, partition: Partition) -> Callable[[Profile], frozenset]:
-    """Profile-indexed optimal action set of one agent."""
-    values = {
-        block: optimal_action_set(posterior_belief(space, block))
-        for block in partition.blocks
-    }
-
-    def action(profile: Profile) -> frozenset:
-        return values[partition.block_of(profile)]
-
-    return action
+    """Profile-indexed optimal action set of one agent: its block beliefs
+    mapped through :func:`optimal_action_set`."""
+    codes, values = block_beliefs(space, partition)
+    actions = [optimal_action_set(v) for v in values]
+    return _profile_function(partition, [actions[c] for c in codes.tolist()])
 
 
 def refine_by_announcement(
@@ -262,12 +447,10 @@ def refine_by_announcement(
     ``PUBLIC`` or a set of listening agents.  Refinement never coarsens.
     """
     for announcer, fn in announcements.items():
-        for block in partitions[announcer].blocks:
-            values = {fn(p) for p in block}
-            if len(values) > 1:
-                raise MeasurabilityError(
-                    f"agent {announcer} announcement is not constant on a block"
-                )
+        if partitions[announcer].refine_by_key(fn) is not partitions[announcer]:
+            raise MeasurabilityError(
+                f"agent {announcer} announcement is not constant on a block"
+            )
     fns = list(announcements.values())
 
     def heard(profile: Profile) -> tuple:
@@ -291,21 +474,19 @@ def is_common_knowledge(
     The predicate checks that for every ordered pair (u, w) the profile
     function of u's variable is constant on each block of w's partition.
     """
-    profile_values = []
+    value_codes = []
     for u in range(space.n):
-        values = {block: variables[u](block) for block in partitions[u].blocks}
-        by_profile = {}
-        for block, v in values.items():
-            for profile in block:
-                by_profile[profile] = v
-        profile_values.append(by_profile)
-    for w in range(space.n):
-        for block in partitions[w].blocks:
-            for u in range(space.n):
-                seen = {profile_values[u][p] for p in block}
-                if len(seen) > 1:
-                    return False
-    return True
+        seen: dict = {}
+        per_block = np.array(
+            [seen.setdefault(variables[u](block), len(seen)) for block in partitions[u].blocks],
+            dtype=np.int64,
+        )
+        value_codes.append(per_block[_labels_on(space, partitions[u])])
+    return all(
+        partitions[w].refine(codes) is partitions[w]
+        for w in range(space.n)
+        for codes in value_codes
+    )
 
 
 def dump_partitions(space: OutcomeSpace, partitions: Sequence[Partition]) -> str:

@@ -16,7 +16,7 @@ from typing import Callable
 
 import numpy as np
 
-from .bounds import count_posterior, exact_pooled_summary
+from .bounds import ExactSummary, count_posterior, exact_pooled_summary
 from .errors import EnumerationBudgetError, ScenarioParameterError
 from .knowledge import (
     ACTION_BOTH,
@@ -26,8 +26,8 @@ from .knowledge import (
     OutcomeSpace,
     Partition,
     optimal_action_set,
-    outcome_space_iid,
     own_signal_partitions,
+    trivial_partition,
 )
 from .signals import (
     SignalModel,
@@ -55,6 +55,9 @@ class Scenario:
                 f"{self.name}: {size} (state, profile) pairs exceed the "
                 f"exact-engine budget {budget}"
             )
+        build = getattr(self.structure, "outcome_space", None)
+        if build is not None:
+            return build(self.n)
         return OutcomeSpace(self.n, self.structure.weights(self.n))
 
     def initial_partitions(self, space: OutcomeSpace) -> list[Partition]:
@@ -88,8 +91,8 @@ class IidSignals:
     def pair_count(self, n: int) -> int:
         return 2 * len(self.model.support) ** n
 
-    def weights(self, n: int) -> dict:
-        return outcome_space_iid(self.model, n, budget=2**63).weights
+    def outcome_space(self, n: int) -> OutcomeSpace:
+        return OutcomeSpace.iid(self.model, n)
 
     def marginal_model(self, n: int) -> SignalModel:
         return self.model
@@ -402,8 +405,8 @@ class SenateStaged:
     def pair_count(self, n: int) -> int:
         return 2 ** (n + 1)
 
-    def weights(self, n: int) -> dict:
-        return outcome_space_iid(self.model, n, budget=2**63).weights
+    def outcome_space(self, n: int) -> OutcomeSpace:
+        return OutcomeSpace.iid(self.model, n)
 
     def marginal_model(self, n: int) -> SignalModel:
         return self.model
@@ -418,26 +421,28 @@ class SenateStaged:
         return ACTION_BOTH
 
     def initial_partitions(self, space: OutcomeSpace) -> list[Partition]:
+        """Members know the committee's signals, everyone else their own
+        signal and the committee's verdict."""
         m = self.senate_size
-        everything = Partition([frozenset(space.profiles)])
-        partitions = []
-        for u in range(space.n):
-            if u < m:
-                key = lambda profile: profile[:m]
-            else:
-                key = lambda profile, u=u: (profile[u], self.senate_action(profile[:m]))
-            partitions.append(everything.refine_by_key(key))
-        return partitions
+        everything = trivial_partition(space)
+        committee = everything.refine_by_key(lambda profile: profile[:m])
+        verdict = everything.refine_by_key(lambda profile: self.senate_action(profile[:m]))
+        return [committee] * m + [
+            p.refine(verdict.labels) for p in own_signal_partitions(space)[m:]
+        ]
 
     # -- exact committee arithmetic -------------------------------------
 
-    def deference_is_exact(self) -> bool:
+    def deference_is_exact(self, law: ExactSummary | None = None) -> bool:
         """True when a lone opposing signal can never flip the committee's
         verdict: the posterior given (committee action, worst own bit) stays
         strictly on the committee's side.  By state symmetry P(verdict 1 |
         S=1) and P(verdict 1 | S=0) are the committee's exact success and
-        failure probabilities."""
-        law = exact_pooled_summary(self.model, self.senate_size)
+        failure probabilities.  ``law`` is the committee's pooled law
+        (``exact_pooled_summary`` of its ``senate_size`` signals), computed
+        here when the caller does not already hold it."""
+        if law is None:
+            law = exact_pooled_summary(self.model, self.senate_size)
         acc = self.accuracy
         return law.success * (1 - acc) > law.failure * acc
 

@@ -1,10 +1,13 @@
 """Command-line surface: subcommands, config files, exit codes, outputs."""
 
 import json
+from fractions import Fraction
 
 import pytest
 
 from agreelab.cli import main
+from agreelab.knowledge import DEFAULT_ENUMERATION_BUDGET
+from agreelab.scenarios import iid_binary
 
 
 def run_cli(*argv):
@@ -74,6 +77,19 @@ class TestSimulate:
             "--n", "40", "--protocol", "public-belief", "--trials", "10",
         )
         assert code == 3
+
+    def test_first_size_over_the_budget_exits_3(self, capsys):
+        """The budget admits iid_binary(21), 2**22 pairs, and refuses the
+        next size before building anything."""
+        assert DEFAULT_ENUMERATION_BUDGET == 2**22
+        largest = iid_binary(21, Fraction(2, 3))
+        assert largest.structure.pair_count(21) == DEFAULT_ENUMERATION_BUDGET
+        code = run_cli(
+            "simulate", "--scenario", "iid_binary", "--param", "p=2/3",
+            "--n", "22", "--protocol", "public-belief", "--trials", "10",
+        )
+        assert code == 3
+        assert "exceed the exact-engine budget 4194304" in capsys.readouterr().err
 
     def test_missing_scenario_is_usage_error(self):
         assert run_cli("simulate", "--trials", "10") == 1

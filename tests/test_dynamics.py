@@ -152,6 +152,18 @@ class TestNetworkProtocol:
         if result.beliefs_common_knowledge:
             assert result.common_belief == pooled_posterior(space, (1, 0, 1))
 
+    def test_trace_records_what_each_agent_announced(self):
+        """On a ring each agent announces once per round, after hearing its
+        predecessor: in round 0 agent 0 says its private belief 2/3, although
+        agent 2's announcement later in the round moves it to the pooled 8/9."""
+        space = outcome_space_iid(BINARY_23, 3)
+        final, trace = fixed_point_partitions(
+            NETWORK_BELIEF, space, own_signal_partitions(space), (1, 1, 1), Digraph.ring(3)
+        )
+        first = dict(trace.rounds[0].announced)
+        assert first == {"0": Fraction(2, 3), "1": Fraction(4, 5), "2": Fraction(8, 9)}
+        assert belief_function(space, final[0])((1, 1, 1)) == Fraction(8, 9)
+
     def test_disconnected_digraph_rejected(self):
         space = outcome_space_iid(BINARY_23, 3)
         lopsided = Digraph(3, ((0, 1), (1, 0)))

@@ -63,6 +63,20 @@ class TestRunMonteCarlo:
         with pytest.raises(EnumerationBudgetError):
             run_monte_carlo(iid_binary(40, Fraction(2, 3)), PUBLIC_BELIEF, 10, seed=0)
 
+    def test_senate_summary_builds_the_committee_law_once(self, monkeypatch):
+        from agreelab import harness, scenarios
+
+        calls = []
+
+        def counted(model, n):
+            calls.append(n)
+            return exact_pooled_summary(model, n)
+
+        monkeypatch.setattr(harness, "exact_pooled_summary", counted)
+        monkeypatch.setattr(scenarios, "exact_pooled_summary", counted)
+        assert senate_exact_summary(senate(400)) == exact_pooled_summary(BINARY_23, 100)
+        assert calls == [100]
+
     def test_senate_large_runs_analytically(self):
         summary = run_monte_carlo(senate(400), PUBLIC_ACTION, 3000, seed=11)
         exact = senate_exact_summary(senate(400))
