@@ -48,6 +48,7 @@ from .errors import (
     UnknownSymbolError,
 )
 from .harness import (
+    CHUNK_TRIALS,
     POOLED,
     RNG_VERSION,
     Check,
@@ -55,6 +56,7 @@ from .harness import (
     TrialSummary,
     VerificationReport,
     binary_noise_to_signal_exact,
+    chunk_streams,
     default_verification_suite,
     run_monte_carlo,
     senate_exact_summary,
@@ -65,8 +67,10 @@ from .harness import (
 from .knowledge import (
     ACTION_BOTH,
     ACTION_ONE,
+    ACTION_SETS,
     ACTION_ZERO,
     DEFAULT_ENUMERATION_BUDGET,
+    TIE,
     OutcomeSpace,
     Partition,
     dump_partitions,

@@ -239,16 +239,31 @@ def count_law(model: SignalModel, n: int) -> tuple[int, Iterator[tuple]]:
     return 2 * den**n, rows()
 
 
+def reduced_odds(model: SignalModel) -> list[tuple[int, int]]:
+    """Each support symbol's ``(a0, a1)`` of :func:`integer_weights` over
+    their gcd: the symbol's likelihood ratio ``a1/a0`` in lowest terms."""
+    return [
+        (a0 // g, a1 // g)
+        for a0, a1 in integer_weights(model)[1]
+        for g in (math.gcd(a0, a1),)
+    ]
+
+
+def odds_posterior(odds: Sequence[tuple[int, int]], counts: Sequence[int]) -> Fraction:
+    """:func:`count_posterior` from the model's :func:`reduced_odds`, for
+    callers that decide many count vectors of one model."""
+    o0 = o1 = 1
+    for (a0, a1), c in zip(odds, counts):
+        o0 *= a0 ** int(c)
+        o1 *= a1 ** int(c)
+    return Fraction(o1, o0 + o1)
+
+
 def count_posterior(model: SignalModel, counts: Sequence[int]) -> Fraction:
     """P(S=1 | symbol counts over ``model.support``): ``Fraction(w1, w0 + w1)``
     of :func:`count_law`, less the factors the two masses share (each
     symbol's ``gcd(a0, a1)**c`` too), so it stays cheap at any count."""
-    o0 = o1 = 1
-    for (a0, a1), c in zip(integer_weights(model)[1], counts):
-        g = math.gcd(a0, a1)
-        o0 *= (a0 // g) ** int(c)
-        o1 *= (a1 // g) ** int(c)
-    return Fraction(o1, o0 + o1)
+    return odds_posterior(reduced_odds(model), counts)
 
 
 @dataclass(frozen=True)

@@ -1,9 +1,13 @@
 """Monte Carlo engine, exact evaluations, n-sweeps and verification reports.
 
-Reproducibility contract: every trial draws from its own counter-based
-stream, keyed by (seed, row, trial) through numpy's SeedSequence/Philox
-machinery, so results do not depend on execution order or parallelism and
-identical (config, seed) pairs produce byte-identical output files.
+Reproducibility contract: trials run in chunks of ``CHUNK_TRIALS``, and
+chunk c of a run with n agents draws from its own counter-based stream,
+keyed by (seed, n, c) through numpy's SeedSequence/Philox machinery.  A
+row's numbers depend only on its content (seed, n, trials), not on its
+position in a sweep or on execution order, and identical (config, seed)
+pairs produce byte-identical output files.  Each chunk is drawn with a few
+vectorised calls and tallied in numpy, so memory is bounded by the chunk
+size, not by the trial count.
 """
 
 from __future__ import annotations
@@ -37,10 +41,12 @@ from .errors import (
     NonInformativeModelError,
 )
 from .knowledge import (
-    ACTION_BOTH,
     ACTION_ONE,
+    ACTION_SETS,
     ACTION_ZERO,
     DEFAULT_ENUMERATION_BUDGET,
+    TIE,
+    OutcomeSpace,
     belief_function,
     block_beliefs,
     is_common_knowledge,
@@ -52,16 +58,26 @@ from .knowledge import (
 from .scenarios import Scenario, SenateStaged, build_scenario
 from .signals import SignalModel, belief_tail_cdf, noise_to_signal_ratio
 
-RNG_VERSION = f"philox4x64/seedseq/numpy-{np.__version__}"
+#: Trials per stream; a run of T trials draws ceil(T / CHUNK_TRIALS) chunks.
+CHUNK_TRIALS = 2**14
+
+RNG_VERSION = f"philox4x64/seedseq/seed-n-chunk{CHUNK_TRIALS}/numpy-{np.__version__}"
 
 POOLED = "pooled"
 MODES = (POOLED,) + PROTOCOL_KINDS
 
 
-def trial_rng(seed: int, *path: int) -> np.random.Generator:
-    """Counter-based per-trial generator, split by (seed, *path)."""
-    ss = np.random.SeedSequence(entropy=seed, spawn_key=tuple(path))
+def trial_rng(seed: int, *key: int) -> np.random.Generator:
+    """Counter-based generator, split by (seed, *key)."""
+    ss = np.random.SeedSequence(entropy=seed, spawn_key=tuple(key))
     return np.random.Generator(np.random.Philox(seed=ss))
+
+
+def chunk_streams(seed: int, n: int, trials: int):
+    """``(generator, size)`` per chunk of ``trials`` at agent count ``n``;
+    chunk c draws from ``trial_rng(seed, n, c)``."""
+    for chunk, start in enumerate(range(0, trials, CHUNK_TRIALS)):
+        yield trial_rng(seed, n, chunk), min(CHUNK_TRIALS, trials - start)
 
 
 def csv_cell(value: str) -> str:
@@ -78,7 +94,8 @@ class TrialSummary:
     ``successes`` counts trials whose reported action set was exactly the
     true state's singleton, ``ties`` the undecided {0,1} outcomes,
     ``failures`` the wrong singletons.  ``success_rate`` resolves ties with
-    a fair coin from the trial's own stream, which is the operational
+    a fair coin from the trial's chunk stream, drawn for every trial of the
+    chunk after its draws, which is the operational
     "action equals the state" rate; ``msbe`` is the trial mean of
     (X - S)^2 where X is the run's belief summary (the common belief for
     belief protocols and the pooled shortcut, the mean agent belief for
@@ -110,24 +127,16 @@ class TrialSummary:
         return asdict(self)
 
 
-def _classify(label: frozenset, state: int, rng) -> tuple[str, bool]:
-    """Bucket one trial; ties are resolved by a fair coin for the rate only."""
-    if label == ACTION_BOTH:
-        resolved = int(rng.integers(0, 2)) == state
-        return "tie", resolved
-    if label == (ACTION_ONE if state == 1 else ACTION_ZERO):
-        return "success", True
-    return "failure", False
-
-
-def _protocol_outcome_table(scenario: Scenario, kind: str, budget: int) -> dict:
+def _protocol_outcome_table(
+    scenario: Scenario, kind: str, space: OutcomeSpace
+) -> tuple[np.ndarray, np.ndarray]:
     """Run the exact engine once and tabulate the fixed point per profile.
 
     Refinement does not depend on the realized profile, so one run covers
-    every trial; the table maps profile -> (reported action set, belief X).
+    every trial.  Returns, per profile of ``space``, the reported action's
+    code in :data:`ACTION_SETS` (``int8``) and the belief X (``float64``).
     Each distinct combination of the agents' final beliefs is judged once.
     """
-    space = scenario.outcome_space(budget=budget)
     final, _ = fixed_point_partitions(kind, space, scenario.initial_partitions(space))
     beliefs = [block_beliefs(space, p) for p in final]
 
@@ -142,7 +151,7 @@ def _protocol_outcome_table(scenario: Scenario, kind: str, budget: int) -> dict:
         mean_codes, means = mean_beliefs(columns(), values)
     combination_of, first = joint_codes(columns())
     combinations = np.stack([codes[p.labels[first]] for p, (codes, _) in zip(final, beliefs)])
-    outcomes = []
+    action_codes, xs = [], []
     for i, combination in zip(first.tolist(), combinations.T.tolist()):
         common = {acts[c] for acts, c in zip(actions, combination)}
         if len(common) != 1:
@@ -160,15 +169,14 @@ def _protocol_outcome_table(scenario: Scenario, kind: str, budget: int) -> dict:
                     f"unequal on profile {space.profiles[i]!r}"
                 )
             x = unique.pop()
-        outcomes.append((common.pop(), float(x)))
-    per_profile = [outcomes[j] for j in combination_of.tolist()]
-    relabel = getattr(scenario.structure, "trial_label", None)
+        action_codes.append(ACTION_SETS.index(common.pop()))
+        xs.append(float(x))
+    relabel = getattr(scenario.structure, "trial_labels", None)
     if relabel is not None:
-        per_profile = [
-            (relabel(profile, action), x)
-            for profile, (action, x) in zip(space.profiles, per_profile)
-        ]
-    return dict(zip(space.profiles, per_profile))
+        per_profile = relabel(space)
+    else:
+        per_profile = np.array(action_codes, dtype=np.int8)[combination_of]
+    return per_profile, np.array(xs)[combination_of]
 
 
 def run_monte_carlo(
@@ -176,7 +184,6 @@ def run_monte_carlo(
     mode: str,
     trials: int,
     seed: int,
-    row_key: tuple[int, ...] = (),
     budget: int = DEFAULT_ENUMERATION_BUDGET,
 ) -> TrialSummary:
     """Sample (state, signals) from the prior and tally fixed-point actions.
@@ -186,7 +193,8 @@ def run_monte_carlo(
     reach for conditionally independent signals) or a protocol kind, which
     runs the exact engine when the space is within budget.  The staged
     committee scenario additionally supports public-action at any size
-    through its analytic fixed point.  Deterministic given the seed.
+    through its analytic fixed point.  Deterministic given the seed; trials
+    are drawn in chunks keyed by (seed, n, chunk).
     """
     if trials < 1:
         raise ValueError("need at least one trial")
@@ -194,12 +202,7 @@ def run_monte_carlo(
         raise ValueError(f"unknown mode {mode!r}; choices: {MODES}")
 
     if mode == POOLED:
-        sampler = scenario.pooled_sampler()
-
-        def outcome(rng):
-            state, x, action = sampler(rng)
-            return state, action, x
-
+        draw = scenario.pooled_sampler()
     elif (
         mode == PUBLIC_ACTION
         and isinstance(scenario.structure, SenateStaged)
@@ -208,33 +211,32 @@ def run_monte_carlo(
         committee = scenario.structure
         analytic = committee.action_trial_sampler(scenario.n)
 
-        def outcome(rng):
-            state, committee_action, _common, tally = analytic(rng)
-            return state, committee_action, float(committee.tally_posterior(tally))
+        def draw(rng, size):
+            states, verdicts, _common, tallies = analytic(rng, size)
+            distinct, inverse = np.unique(tallies, return_inverse=True)
+            beliefs = [float(committee.tally_posterior(t)) for t in distinct.tolist()]
+            return states, verdicts, np.array(beliefs)[inverse]
 
     else:
-        table = _protocol_outcome_table(scenario, mode, budget)
-        profile_sampler = scenario.profile_sampler()
+        space = scenario.outcome_space(budget=budget)
+        action_codes, xs = _protocol_outcome_table(scenario, mode, space)
+        profile_draw = scenario.profile_sampler(space)
 
-        def outcome(rng):
-            state, profile = profile_sampler(rng)
-            label, x = table[profile]
-            return state, label, x
+        def draw(rng, size):
+            states, index = profile_draw(rng, size)
+            return states, action_codes[index], xs[index]
 
-    successes = ties = failures = resolved_hits = 0
+    successes = ties = resolved_hits = 0
     msbe_total = 0.0
-    for t in range(trials):
-        rng = trial_rng(seed, *row_key, t)
-        state, label, x = outcome(rng)
-        bucket, hit = _classify(label, state, rng)
-        if bucket == "success":
-            successes += 1
-        elif bucket == "tie":
-            ties += 1
-        else:
-            failures += 1
-        resolved_hits += 1 if hit else 0
-        msbe_total += (float(x) - state) ** 2
+    for rng, size in chunk_streams(seed, scenario.n, trials):
+        states, actions, x = draw(rng, size)
+        coins = rng.integers(0, 2, size=size)
+        right = actions == states
+        tied = actions == TIE
+        successes += int(np.count_nonzero(right))
+        ties += int(np.count_nonzero(tied))
+        resolved_hits += int(np.count_nonzero(right | (tied & (coins == states))))
+        msbe_total += float(np.sum((x - states) ** 2))
     rate = resolved_hits / trials
     return TrialSummary(
         scenario=scenario.name,
@@ -243,7 +245,7 @@ def run_monte_carlo(
         trials=trials,
         successes=successes,
         ties=ties,
-        failures=failures,
+        failures=trials - successes - ties,
         success_rate=rate,
         stderr=math.sqrt(rate * (1.0 - rate) / trials),
         msbe=msbe_total / trials,
@@ -363,17 +365,16 @@ def sweep_n(
 ) -> SweepTable:
     """One Monte Carlo row per agent count, with bound columns attached.
 
-    Rows draw from independent seed streams; the qn column is filled for
-    families whose private beliefs have a lower tail on the grid and left
-    blank otherwise.
+    Each row draws from the streams of its own agent count, so a row does
+    not depend on the other n values; the qn column is filled for families
+    whose private beliefs have a lower tail on the grid and left blank
+    otherwise.
     """
     params = dict(params or {})
     table = SweepTable(family=family, mode=mode, trials=trials, seed=seed)
-    for i, n in enumerate(sorted(n_values)):
+    for n in sorted(n_values):
         scenario = build_scenario(family, n, **params)
-        summary = run_monte_carlo(
-            scenario, mode, trials, seed, row_key=(i,), budget=budget
-        )
+        summary = run_monte_carlo(scenario, mode, trials, seed, budget=budget)
         model = scenario.marginal_model
         bound_report = None
         qn = None
@@ -603,24 +604,23 @@ def tail_bound_checks(
 ) -> list[Check]:
     """Empirical wrong-action rate given S=0 against the lower-tail bound.
 
-    Trials are conditioned on state 0; the empirical rate must stay below
-    the bound plus three binomial standard errors, and must not increase
-    with n beyond the same allowance.
+    Trials are conditioned on state 0 and drawn from the (seed, n, chunk)
+    streams; the empirical rate must stay below the bound plus three
+    binomial standard errors, and must not increase with n beyond the same
+    allowance.
     """
     from .scenarios import geometric_tail
 
     checks = []
     rates = []
-    for i, n in enumerate(n_values):
+    for n in n_values:
         scenario = geometric_tail(n, depth=depth, ratio=ratio)
         model = scenario.marginal_model
-        sampler = scenario.pooled_sampler()
+        draw = scenario.pooled_sampler()
         wrong = 0
-        for t in range(trials):
-            rng = trial_rng(seed, i, t)
-            _state, _x, action = sampler(rng, force_state=0)
-            if action != ACTION_ZERO:
-                wrong += 1
+        for rng, size in chunk_streams(seed, n, trials):
+            _states, actions, _x = draw(rng, size, force_state=0)
+            wrong += int(np.count_nonzero(actions != 0))
         rate = wrong / trials
         sigma = math.sqrt(max(rate * (1 - rate), 1.0 / trials) / trials)
         bound = qn_bound(n, belief_tail_cdf(model, 0), eps_grid=eps_grid)

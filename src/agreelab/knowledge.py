@@ -28,6 +28,7 @@ import numpy as np
 
 from .bounds import integer_weights
 from .errors import (
+    AgreementLabError,
     EnumerationBudgetError,
     MeasurabilityError,
     NullConditioningError,
@@ -45,6 +46,10 @@ DEFAULT_ENUMERATION_BUDGET = 2**22
 ACTION_ZERO = frozenset({0})
 ACTION_ONE = frozenset({1})
 ACTION_BOTH = frozenset({0, 1})
+#: Action sets by the integer code the Monte Carlo arrays hold: a
+#: singleton's code is its state, the undecided {0,1} is ``TIE``.
+ACTION_SETS = (ACTION_ZERO, ACTION_ONE, ACTION_BOTH)
+TIE = 2
 
 INT64_LIMIT = 2**63
 
@@ -61,6 +66,11 @@ def optimal_action_set(belief) -> frozenset:
     if belief > half:
         return ACTION_ONE
     return ACTION_BOTH
+
+
+def action_code(belief) -> int:
+    """The code in :data:`ACTION_SETS` of :func:`optimal_action_set`."""
+    return ACTION_SETS.index(optimal_action_set(belief))
 
 
 def dense_codes(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -126,8 +136,9 @@ class OutcomeSpace:
     ``weights`` maps (state, profile) to a positive Fraction; pairs that are
     absent carry zero weight.  Weights must total exactly one with exactly
     one half on each state.  The engine reads the integer form:
-    ``profiles`` (the positive-weight profiles, sorted), ``symbols`` (an
-    integer code of each agent's symbol, one row per profile) and ``w0`` /
+    ``profiles`` (the positive-weight profiles, sorted), ``symbols`` (each
+    agent's symbol as its rank among that agent's symbols, one row per
+    profile, so the rows sort like the profiles) and ``w0`` /
     ``w1`` (per profile, the numerators of the two states' weights over
     ``den``).  ``weights`` is built on first use when the space was built
     straight into that form.
@@ -159,10 +170,11 @@ class OutcomeSpace:
         masses = ([0] * len(profiles), [0] * len(profiles))
         for (state, profile), w in cleaned.items():
             masses[state][profiles.index[profile]] = w.numerator * (den // w.denominator)
-        codes: list[dict] = [{} for _ in range(n)]
+        ranks = [
+            {s: r for r, s in enumerate(sorted({p[u] for p in profiles}))} for u in range(n)
+        ]
         symbols = np.array(
-            [[codes[u].setdefault(p[u], len(codes[u])) for u in range(n)] for p in profiles],
-            dtype=np.int64,
+            [[ranks[u][p[u]] for u in range(n)] for p in profiles], dtype=np.int64
         ).reshape(len(profiles), n)
         symbols = symbols.astype(np.min_scalar_type(symbols.max(initial=0)))
         self._fill(n, profiles, symbols, den, *masses)
@@ -222,6 +234,28 @@ class OutcomeSpace:
 
     def __len__(self) -> int:
         return int(np.count_nonzero(self.w0)) + int(np.count_nonzero(self.w1))
+
+
+def profile_indexer(space: OutcomeSpace) -> Callable[[np.ndarray], np.ndarray]:
+    """Map rows of symbol ranks, as in ``space.symbols``, to profile positions.
+
+    Rows fold into mixed-radix integer keys.  The space's keys increase
+    along its sorted profiles, so a batch of rows is one ``searchsorted``.
+    """
+    widths = [int(w) for w in space.symbols.max(axis=0, initial=0) + 1]
+    if math.prod(widths) >= INT64_LIMIT:
+        raise EnumerationBudgetError("profile keys of this space do not fit in int64")
+    place = np.array([math.prod(widths[u + 1 :]) for u in range(space.n)], dtype=np.int64)
+    keys = space.symbols.astype(np.int64) @ place
+
+    def index(rows: np.ndarray) -> np.ndarray:
+        wanted = rows.astype(np.int64) @ place
+        found = np.minimum(np.searchsorted(keys, wanted), len(keys) - 1)
+        if not np.array_equal(keys[found], wanted):
+            raise AgreementLabError("a sampled profile has zero weight in the space")
+        return found
+
+    return index
 
 
 def outcome_space_iid(

@@ -2,8 +2,14 @@
 
 A scenario bundles an agent count with a joint signal structure and the
 agents' initial information.  Structures expose enumeration for the exact
-engine, per-trial samplers for the Monte Carlo path and, where it exists,
-the per-agent marginal signal model used by the aggregate bounds.
+engine, batch samplers for the Monte Carlo path and, where it exists, the
+per-agent marginal signal model used by the aggregate bounds.
+
+Every sampler returns a draw ``draw(rng, size, force_state=None)`` that
+makes ``size`` trials with a few vectorised calls.  A pooled draw returns
+arrays of states, action codes (:data:`~agreelab.knowledge.ACTION_SETS`)
+and float beliefs; a profile draw returns states and indices into the
+space's sorted ``profiles``.
 """
 
 from __future__ import annotations
@@ -16,17 +22,23 @@ from typing import Callable
 
 import numpy as np
 
-from .bounds import ExactSummary, count_posterior, exact_pooled_summary
+from .bounds import (
+    ExactSummary,
+    count_posterior,
+    exact_pooled_summary,
+    odds_posterior,
+    reduced_odds,
+)
 from .errors import EnumerationBudgetError, ScenarioParameterError
 from .knowledge import (
-    ACTION_BOTH,
-    ACTION_ONE,
-    ACTION_ZERO,
+    ACTION_SETS,
     DEFAULT_ENUMERATION_BUDGET,
+    TIE,
     OutcomeSpace,
     Partition,
-    optimal_action_set,
+    action_code,
     own_signal_partitions,
+    profile_indexer,
     trivial_partition,
 )
 from .signals import (
@@ -70,11 +82,39 @@ class Scenario:
     def marginal_model(self) -> SignalModel | None:
         return self.structure.marginal_model(self.n)
 
-    def profile_sampler(self) -> Callable:
-        return self.structure.profile_sampler(self.n)
+    def profile_sampler(self, space: OutcomeSpace) -> Callable:
+        """Batch draw of (states, indices into ``space.profiles``)."""
+        return self.structure.profile_sampler(space)
 
     def pooled_sampler(self) -> Callable:
+        """Batch draw of (states, pooled action codes, pooled beliefs)."""
         return self.structure.pooled_sampler(self.n)
+
+
+def _draw_states(rng, size: int, force_state) -> np.ndarray:
+    """``size`` fair states, or ``force_state`` repeated."""
+    if force_state is None:
+        return rng.integers(0, 2, size=size)
+    return np.full(size, force_state, dtype=np.int64)
+
+
+def _known_state_draw(rng, size: int, force_state=None):
+    """Pooled draw of a structure whose full profile reveals the state."""
+    states = _draw_states(rng, size, force_state)
+    return states, states.astype(np.int8), states.astype(float)
+
+
+def _majority_codes(ones, total: int) -> np.ndarray:
+    """Action code of a majority vote of ``total`` bits with ``ones`` ones."""
+    twice = 2 * np.asarray(ones, dtype=np.int64)
+    return np.where(twice > total, 1, np.where(twice < total, 0, TIE)).astype(np.int8)
+
+
+def _parity_bits(rng, states: np.ndarray, n: int) -> np.ndarray:
+    """Rows of n uniform bits conditioned on their parity being the state."""
+    head = rng.integers(0, 2, size=(len(states), n - 1))
+    last = (states + head.sum(axis=1)) % 2
+    return np.column_stack([head, last])
 
 
 # ---------------------------------------------------------------------------
@@ -97,20 +137,31 @@ class IidSignals:
     def marginal_model(self, n: int) -> SignalModel:
         return self.model
 
-    def profile_sampler(self, n: int) -> Callable:
-        support = self.model.support
-        p_by_state = [
-            np.array([float(self.model.weight(state, s)) for s in support])
-            for state in (0, 1)
-        ]
-        for p in p_by_state:
-            p /= p.sum()
-        index = np.arange(len(support))
+    def _probabilities(self) -> np.ndarray:
+        """Per state (row), each support symbol's probability as a float."""
+        p = np.array(
+            [[float(self.model.weight(state, s)) for s in self.model.support] for state in (0, 1)]
+        )
+        return p / p.sum(axis=1, keepdims=True)
 
-        def draw(rng):
-            state = int(rng.integers(0, 2))
-            picks = rng.choice(index, size=n, p=p_by_state[state])
-            return state, tuple(support[i] for i in picks)
+    def profile_sampler(self, space: OutcomeSpace) -> Callable:
+        """Profile indices are mixed-radix numbers over the sorted support,
+        which is the order of :meth:`OutcomeSpace.iid`."""
+        n, p = space.n, self._probabilities()
+        support = self.model.support
+        k = len(support)
+        rank = np.empty(k, dtype=np.int64)
+        rank[sorted(range(k), key=lambda i: support[i])] = np.arange(k)
+        place = k ** np.arange(n - 1, -1, -1, dtype=np.int64)
+
+        def draw(rng, size, force_state=None):
+            states = _draw_states(rng, size, force_state)
+            ranks = np.empty((size, n), dtype=np.int64)
+            for state in (0, 1):
+                rows = states == state
+                picks = rng.choice(k, size=(int(rows.sum()), n), p=p[state])
+                ranks[rows] = rank[picks]
+            return states, ranks @ place
 
         return draw
 
@@ -119,34 +170,38 @@ class IidSignals:
 
         The sign of the summed log-likelihood ratio is taken in floats and
         re-checked exactly whenever the float margin is too small to be
-        trusted, so ties are exact.
+        trusted, once per distinct count vector of the batch, so ties are
+        exact.
         """
         model = self.model
         support = model.support
-        p_by_state = [
-            np.array([float(model.weight(state, s)) for s in support])
-            for state in (0, 1)
-        ]
-        for p in p_by_state:
-            p /= p.sum()
+        p = self._probabilities()
         z = np.array([log_likelihood_ratio(model, s) for s in support])
         # Each z_i is log(num) - log(den) of the symbol's odds ratio, each log
         # within an ulp, and the dot product adds about an ulp per term; this
         # per-count scale bounds the float llr's error with room to spare.
-        ratios = [model.weight(1, s) / model.weight(0, s) for s in support]
+        odds = reduced_odds(model)
         error_scale = (len(support) + 2) * np.finfo(float).eps * np.array(
-            [abs(math.log(r.numerator)) + abs(math.log(r.denominator)) for r in ratios]
+            [abs(math.log(a0)) + abs(math.log(a1)) for a0, a1 in odds]
         )
 
-        def draw(rng, force_state=None):
-            state = int(rng.integers(0, 2)) if force_state is None else force_state
-            counts = rng.multinomial(n, p_by_state[state])
-            llr = float(np.dot(counts, z))
-            if abs(llr) > max(1e-9, float(np.dot(counts, error_scale))):
-                action = ACTION_ONE if llr > 0 else ACTION_ZERO
-                return state, belief_from_llr(llr), action
-            posterior = count_posterior(model, counts)
-            return state, float(posterior), optimal_action_set(posterior)
+        def draw(rng, size, force_state=None):
+            states = _draw_states(rng, size, force_state)
+            counts = np.empty((size, len(support)), dtype=np.int64)
+            for state in (0, 1):
+                rows = states == state
+                counts[rows] = rng.multinomial(n, p[state], size=int(rows.sum()))
+            llr = (counts * z).sum(axis=1)
+            beliefs = belief_from_llr(llr)
+            actions = (llr > 0).astype(np.int8)
+            flagged = np.abs(llr) <= np.maximum(1e-9, (counts * error_scale).sum(axis=1))
+            if flagged.any():
+                distinct, inverse = np.unique(counts[flagged], axis=0, return_inverse=True)
+                exact = [odds_posterior(odds, row) for row in distinct.tolist()]
+                inverse = inverse.reshape(-1)
+                beliefs[flagged] = np.array([float(x) for x in exact])[inverse]
+                actions[flagged] = np.array([action_code(x) for x in exact], dtype=np.int8)[inverse]
+            return states, actions, beliefs
 
         return draw
 
@@ -173,23 +228,17 @@ class ParityBits:
     def marginal_model(self, n: int) -> None:
         return None
 
-    def profile_sampler(self, n: int) -> Callable:
-        def draw(rng):
-            bits = rng.integers(0, 2, size=n)
-            return int(bits.sum() % 2), tuple(int(b) for b in bits)
+    def profile_sampler(self, space: OutcomeSpace) -> Callable:
+        index = profile_indexer(space)
+
+        def draw(rng, size, force_state=None):
+            states = _draw_states(rng, size, force_state)
+            return states, index(_parity_bits(rng, states, space.n))
 
         return draw
 
     def pooled_sampler(self, n: int) -> Callable:
-        def draw(rng, force_state=None):
-            if force_state is None:
-                ones = int(rng.binomial(n, 0.5))
-                state = ones % 2
-            else:
-                state = force_state
-            return state, float(state), (ACTION_ONE if state else ACTION_ZERO)
-
-        return draw
+        return _known_state_draw
 
 
 # ---------------------------------------------------------------------------
@@ -284,35 +333,40 @@ class ExchangeableFlip:
             )
         return worst
 
-    def profile_sampler(self, n: int) -> Callable:
-        high = int(n * self.subset_fraction)
-        q = float(self.q)
+    def draw_proxies(self, rng, states: np.ndarray) -> np.ndarray:
+        """The hidden proxy bit of each trial: the state w.p. q."""
+        return np.where(rng.random(len(states)) < float(self.q), states, 1 - states)
 
-        def draw(rng):
-            state = int(rng.integers(0, 2))
-            proxy = state if rng.random() < q else 1 - state
-            inside = rng.choice(n, size=high, replace=False)
-            profile = np.full(n, 1 - proxy, dtype=np.int64)
-            profile[inside] = proxy
-            return state, tuple(int(b) for b in profile)
+    def draw_bits(self, rng, proxies: np.ndarray, n: int) -> np.ndarray:
+        """Rows of signals: each proxy on a uniformly random subset of
+        ``ones_count(n, 1)`` agents, its complement on the others."""
+        subset = np.arange(n) < self.ones_count(n, 1)
+        inside = rng.permuted(np.tile(subset, (len(proxies), 1)), axis=1)
+        column = proxies[:, None]
+        return np.where(inside, column, 1 - column)
+
+    def profile_sampler(self, space: OutcomeSpace) -> Callable:
+        index = profile_indexer(space)
+
+        def draw(rng, size, force_state=None):
+            states = _draw_states(rng, size, force_state)
+            return states, index(self.draw_bits(rng, self.draw_proxies(rng, states), space.n))
 
         return draw
 
     def pooled_sampler(self, n: int) -> Callable:
         """The pooled posterior depends on the profile only through the
-        decoded proxy bit, so the trial decodes the sampled profile's
-        one-count and reports q or 1 - q."""
-        q = float(self.q)
-        posterior = {1: self.q, 0: 1 - self.q}
+        decoded proxy bit, so each trial decodes its profile's one-count
+        and reports q or 1 - q."""
         high = int(n * self.subset_fraction)
+        beliefs = np.array([float(1 - self.q), float(self.q)])
+        codes = np.array([action_code(1 - self.q), action_code(self.q)], dtype=np.int8)
 
-        def draw(rng, force_state=None):
-            state = int(rng.integers(0, 2)) if force_state is None else force_state
-            proxy = state if rng.random() < q else 1 - state
-            ones = self.ones_count(n, proxy)
-            decoded = 1 if ones == high else 0
-            x = posterior[decoded]
-            return state, float(x), optimal_action_set(x)
+        def draw(rng, size, force_state=None):
+            states = _draw_states(rng, size, force_state)
+            ones = np.where(self.draw_proxies(rng, states) == 1, high, n - high)
+            decoded = (ones == high).astype(np.int64)
+            return states, codes[decoded], beliefs[decoded]
 
         return draw
 
@@ -362,26 +416,20 @@ class TwoBitCombo:
         mu0 = (half * a1, half * (1 - a1), half * a1, half * (1 - a1))
         return SignalModel(alphabet=alphabet, mu0=mu0, mu1=mu1)
 
-    def profile_sampler(self, n: int) -> Callable:
-        def draw(rng):
-            state = int(rng.integers(0, 2))
-            head = rng.integers(0, 2, size=n - 1)
-            last = (state + int(head.sum())) % 2
-            b1 = tuple(int(b) for b in head) + (last,)
-            proxy = state if rng.random() < float(self.flip.q) else 1 - state
-            subset_size = self.flip.ones_count(n, 1)
-            inside = set(int(i) for i in rng.choice(n, size=subset_size, replace=False))
-            b2 = tuple(proxy if i in inside else 1 - proxy for i in range(n))
-            return state, tuple(zip(b1, b2))
+    def profile_sampler(self, space: OutcomeSpace) -> Callable:
+        """A signal (b1, b2) has rank 2*b1 + b2 among the four pairs."""
+        index = profile_indexer(space)
+
+        def draw(rng, size, force_state=None):
+            states = _draw_states(rng, size, force_state)
+            first = _parity_bits(rng, states, space.n)
+            second = self.flip.draw_bits(rng, self.flip.draw_proxies(rng, states), space.n)
+            return states, index(2 * first + second)
 
         return draw
 
     def pooled_sampler(self, n: int) -> Callable:
-        def draw(rng, force_state=None):
-            state = int(rng.integers(0, 2)) if force_state is None else force_state
-            return state, float(state), (ACTION_ONE if state else ACTION_ZERO)
-
-        return draw
+        return _known_state_draw
 
 
 # ---------------------------------------------------------------------------
@@ -412,13 +460,7 @@ class SenateStaged:
         return self.model
 
     def senate_action(self, senate_bits) -> frozenset:
-        tally = sum(senate_bits)
-        half = Fraction(self.senate_size, 2)
-        if tally > half:
-            return ACTION_ONE
-        if tally < half:
-            return ACTION_ZERO
-        return ACTION_BOTH
+        return ACTION_SETS[int(_majority_codes(sum(senate_bits), self.senate_size))]
 
     def initial_partitions(self, space: OutcomeSpace) -> list[Partition]:
         """Members know the committee's signals, everyone else their own
@@ -450,20 +492,21 @@ class SenateStaged:
         """Exact P(S=1 | committee tally), the committee's pooled belief."""
         return count_posterior(self.model, (self.senate_size - ones, ones))
 
-    def trial_label(self, profile, common_action) -> frozenset:
+    def trial_labels(self, space: OutcomeSpace) -> np.ndarray:
         """Trials are bucketed by the committee's own verdict: a split
         committee counts as a tie even though the continued announcements
-        settle on some action."""
-        return self.senate_action(profile[: self.senate_size])
+        settle on some action.  One action code per profile of ``space``."""
+        return _majority_codes(space.symbols[:, : self.senate_size].sum(axis=1), self.senate_size)
 
     def action_trial_sampler(self, n: int) -> Callable:
-        """Sample the public-action fixed point via the staged structure.
+        """Batch draw of the public-action fixed point via the staged structure.
 
         The committee's action is already measurable for every agent, so on
         non-split committees the fixed point is immediate and common; a split
         committee is uninformative and the continued announcements aggregate
-        the remaining signals instead.  Returns
-        (state, committee action, common fixed-point action, committee tally).
+        the remaining signals instead.  Returns arrays of
+        (state, committee action code, common fixed-point action code,
+        committee tally).
         """
         if not self.deference_is_exact():
             raise ScenarioParameterError(
@@ -473,36 +516,19 @@ class SenateStaged:
         m = self.senate_size
         acc = float(self.accuracy)
 
-        def draw(rng, force_state=None):
-            state = int(rng.integers(0, 2)) if force_state is None else force_state
-            p_one = acc if state == 1 else 1.0 - acc
-            senate_ones = int(rng.binomial(m, p_one))
-            rest_ones = int(rng.binomial(n - m, p_one))
-            committee = self.senate_action([1] * senate_ones + [0] * (m - senate_ones))
-            if committee != ACTION_BOTH:
-                common = committee
-            else:
-                rest = n - m
-                if 2 * rest_ones > rest:
-                    common = ACTION_ONE
-                elif 2 * rest_ones < rest:
-                    common = ACTION_ZERO
-                else:
-                    common = ACTION_BOTH
-            return state, committee, common, senate_ones
+        def draw(rng, size, force_state=None):
+            states = _draw_states(rng, size, force_state)
+            p_one = np.where(states == 1, acc, 1.0 - acc)
+            senate_ones = rng.binomial(m, p_one)
+            rest_ones = rng.binomial(n - m, p_one)
+            committee = _majority_codes(senate_ones, m)
+            common = np.where(committee == TIE, _majority_codes(rest_ones, n - m), committee)
+            return states, committee, common, senate_ones
 
         return draw
 
-    def profile_sampler(self, n: int) -> Callable:
-        acc = float(self.accuracy)
-
-        def draw(rng):
-            state = int(rng.integers(0, 2))
-            p_one = acc if state == 1 else 1.0 - acc
-            bits = (rng.random(n) < p_one).astype(np.int64)
-            return state, tuple(int(b) for b in bits)
-
-        return draw
+    def profile_sampler(self, space: OutcomeSpace) -> Callable:
+        return IidSignals(self.model).profile_sampler(space)
 
     def pooled_sampler(self, n: int) -> Callable:
         return IidSignals(self.model).pooled_sampler(n)

@@ -9,9 +9,12 @@ rounding; log-likelihood ratios and divergences are ordinary floats.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Sequence
+
+import numpy as np
 
 from .errors import (
     AbsoluteContinuityError,
@@ -135,16 +138,16 @@ def log_likelihood_ratio(model: SignalModel, symbol) -> float:
     return math.log(ratio.numerator) - math.log(ratio.denominator)
 
 
-def belief_from_llr(z: float) -> float:
+def belief_from_llr(z):
     """Posterior probability of state 1 under a uniform prior, e^z / (1 + e^z).
 
     Strictly increasing, maps 0 to exactly one half and satisfies
-    belief_from_llr(z) + belief_from_llr(-z) == 1.
+    belief_from_llr(z) + belief_from_llr(-z) == 1.  Elementwise on arrays;
+    a scalar gives a float.
     """
-    if z >= 0:
-        return 1.0 / (1.0 + math.exp(-z))
-    e = math.exp(z)
-    return e / (1.0 + e)
+    e = np.exp(-np.abs(z))
+    belief = np.where(np.asarray(z) >= 0, 1.0, e) / (1.0 + e)
+    return float(belief) if np.ndim(belief) == 0 else belief
 
 
 def private_belief(model: SignalModel, symbol) -> Fraction:
@@ -276,18 +279,28 @@ def belief_range(model: SignalModel) -> tuple[Fraction, Fraction]:
 
 
 def belief_tail_cdf(model: SignalModel, state: int) -> Callable[[float], Fraction]:
-    """P(private belief < eps | S = state) as a function of eps."""
+    """P(private belief < eps | S = state) as a function of eps.
+
+    The running sums of the weights, in ascending belief order, are formed
+    once; each call bisects the sorted beliefs with exact ``<`` comparisons.
+    """
     pairs = sorted(
         (private_belief(model, s), model.weight(state, s)) for s in model.support
     )
+    beliefs = [belief for belief, _ in pairs]
+    rounded = [float(belief) for belief in beliefs]
+    totals = [Fraction(0)]
+    for _, w in pairs:
+        totals.append(totals[-1] + w)
 
     def cdf(eps) -> Fraction:
-        total = Fraction(0)
-        for belief, w in pairs:
-            if belief < eps:
-                total += w
-            else:
-                break
-        return total
+        lo, hi = 0, len(beliefs)
+        if isinstance(eps, float):
+            # A belief's correctly rounded float is on the same side of a
+            # float eps as the belief itself unless it equals eps, so only
+            # the beliefs that round to eps need the exact comparison.
+            lo = bisect_left(rounded, eps)
+            hi = bisect_right(rounded, eps, lo)
+        return totals[bisect_left(beliefs, eps, lo, hi)]
 
     return cdf

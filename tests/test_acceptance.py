@@ -22,14 +22,15 @@ from agreelab.cli import main as cli_main
 from agreelab.dynamics import PUBLIC_ACTION, PUBLIC_BELIEF, fixed_point_partitions
 from agreelab.harness import (
     POOLED,
+    chunk_streams,
     exact_pooled_summary,
     run_monte_carlo,
     senate_exact_summary,
-    trial_rng,
 )
 from agreelab.knowledge import (
     ACTION_BOTH,
     ACTION_ONE,
+    ACTION_SETS,
     ACTION_ZERO,
     belief_function,
     is_common_knowledge,
@@ -309,11 +310,9 @@ def test_criterion_8_unbounded_beliefs_learn_at_the_tail_rate():
         scenario = geometric_tail(n, depth=depth, ratio=ratio)
         sampler = scenario.pooled_sampler()
         wrong = 0
-        for t in range(trials):
-            rng = trial_rng(8_800 + i, t)
-            _state, _x, action = sampler(rng, force_state=0)
-            if action != ACTION_ZERO:
-                wrong += 1
+        for rng, size in chunk_streams(8_800 + i, n, trials):
+            _states, actions, _x = sampler(rng, size, force_state=0)
+            wrong += int(np.count_nonzero(actions != ACTION_SETS.index(ACTION_ZERO)))
         rate = wrong / trials
         sigma = math.sqrt(max(rate * (1 - rate), 1.0 / trials) / trials)
         bound = qn_bound(n, belief_tail_cdf(scenario.marginal_model, 0))

@@ -7,6 +7,7 @@ The engine must match it block for block, round by round, with identical
 announced Fractions.
 """
 
+import hashlib
 import itertools
 from fractions import Fraction
 
@@ -26,7 +27,9 @@ from agreelab.dynamics import (
     fixed_point_partitions,
     run_protocol,
 )
+from agreelab.harness import RNG_VERSION, _protocol_outcome_table
 from agreelab.knowledge import (
+    ACTION_SETS,
     Partition,
     belief_function,
     is_common_knowledge,
@@ -262,16 +265,56 @@ class TestPartitionLabels:
 
 
 # ---------------------------------------------------------------------------
-# golden outputs: the CSVs the frozenset engine printed
+# golden outputs
 # ---------------------------------------------------------------------------
 
+# sha256 of the per-profile outcome tables (profile, reported action set,
+# belief X), one line per profile, as the frozenset engine tabulated them.
+# They do not depend on the random streams.
+OUTCOME_TABLES = {
+    ("iid_binary(8)", PUBLIC_BELIEF): "618b5d602fcfb1578649b933f69e16d7368f5a8d13f7be8992ae64406f25d3a9",
+    ("iid_binary(8)", PUBLIC_ACTION): "618b5d602fcfb1578649b933f69e16d7368f5a8d13f7be8992ae64406f25d3a9",
+    ("iid_binary(8)", PUBLIC_STATISTIC): "618b5d602fcfb1578649b933f69e16d7368f5a8d13f7be8992ae64406f25d3a9",
+    ("iid_binary(8)", NETWORK_BELIEF): "618b5d602fcfb1578649b933f69e16d7368f5a8d13f7be8992ae64406f25d3a9",
+    ("geometric_tail(2)", PUBLIC_ACTION): "c06d3f55f569ed2ee01a62a318b5777d560a4770abf71b80caca6441294d5941",
+    ("senate(5, 2)", PUBLIC_ACTION): "457cb142aa68cca590a43eb0880abd82df5295fc9ce4a2222f663419c2d53dd9",
+    ("senate(5, 3)", PUBLIC_BELIEF): "0f8b1e079cff7a25d005257f8f179ad26d40cb93dafaf6da87099bb02705a7a5",
+    ("parity(3)", PUBLIC_BELIEF): "536483d5088670f3e488d58c3b365a3d6e37ccbd5d4035861e1c7880e34aa193",
+    ("two_bit(4)", PUBLIC_BELIEF): "dae7bf8b38744161d1fa4e14be6a84ced0cd6f8d0fcf35cc3762322acb7bc613",
+    ("uncorrelated_tight(8)", PUBLIC_ACTION): "d7807b4716d1af0aad8de5f33bdd764217c2f1048ef9ea804b57939c3154b0a1",
+}
+TABLE_SCENARIOS = {
+    "iid_binary(8)": lambda: iid_binary(8, Fraction(2, 3)),
+    "geometric_tail(2)": lambda: geometric_tail(2),
+    "senate(5, 2)": lambda: senate(5, 2),
+    "senate(5, 3)": lambda: senate(5, 3),
+    "parity(3)": lambda: parity(3),
+    "two_bit(4)": lambda: two_bit(4),
+    "uncorrelated_tight(8)": lambda: uncorrelated_tight(8),
+}
+
+
+@pytest.mark.parametrize("name,kind", list(OUTCOME_TABLES))
+def test_outcome_tables_are_unchanged(name, kind):
+    scenario = TABLE_SCENARIOS[name]()
+    space = scenario.outcome_space()
+    codes, beliefs = _protocol_outcome_table(scenario, kind, space)
+    assert codes.dtype == np.int8 and beliefs.dtype == np.float64
+    text = "\n".join(
+        f"{profile!r} {sorted(ACTION_SETS[code])} {x!r}"
+        for profile, code, x in zip(space.profiles, codes.tolist(), beliefs.tolist())
+    )
+    assert hashlib.sha256(text.encode()).hexdigest() == OUTCOME_TABLES[(name, kind)]
+
+
+# The CSVs ``simulate`` prints under the current RNG_VERSION.
 HEADER = (
-    "# generator=philox4x64/seedseq/numpy-{}\n"
+    "# generator={}\n"
     "scenario,n,mode,trials,successes,ties,failures,success_rate,stderr,msbe,seed\n"
 )
 IID8_ROW = (
-    '"iid_binary(8, 2/3)",8,{},1000,714,194,92,0.805,0.012528966437819202,'
-    "0.12471905041492728,7\n"
+    '"iid_binary(8, 2/3)",8,{},1000,743,158,99,0.82,0.012149074038789953,'
+    "0.1219279762543443,7\n"
 )
 GOLDEN = {
     ("iid_binary", "8", "public-belief"): IID8_ROW.format("public-belief"),
@@ -279,8 +322,8 @@ GOLDEN = {
     ("iid_binary", "8", "statistic"): IID8_ROW.format("public-statistic"),
     ("iid_binary", "8", "network"): IID8_ROW.format("network-belief"),
     ("geometric_tail", "2", "public-action"): (
-        '"geometric_tail(2, K=8)",2,public-action,1000,991,3,6,0.993,'
-        "0.002636474919281427,0.0061086504947408665,7\n"
+        '"geometric_tail(2, K=8)",2,public-action,1000,988,4,8,0.991,'
+        "0.0029864694875387575,0.008549721743540706,7\n"
     ),
 }
 
@@ -292,4 +335,4 @@ def test_simulate_csv_is_unchanged(family, n, protocol, capsys):
     if family == "iid_binary":
         argv += ["--param", "p=2/3"]
     assert main(argv) == 0
-    assert capsys.readouterr().out == HEADER.format(np.__version__) + GOLDEN[(family, n, protocol)]
+    assert capsys.readouterr().out == HEADER.format(RNG_VERSION) + GOLDEN[(family, n, protocol)]

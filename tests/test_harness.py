@@ -1,12 +1,16 @@
 """Monte Carlo engine, exact summaries, sweeps, verification reports."""
 
+import csv
+import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from agreelab.dynamics import PUBLIC_ACTION, PUBLIC_BELIEF
 from agreelab.errors import EnumerationBudgetError
 from agreelab.harness import (
+    CHUNK_TRIALS,
     POOLED,
     TrialSummary,
     _protocol_outcome_table,
@@ -19,13 +23,35 @@ from agreelab.harness import (
     run_monte_carlo,
     senate_exact_summary,
     sweep_n,
+    trial_rng,
     verify_report,
 )
-from agreelab.knowledge import ACTION_BOTH, ACTION_ONE, ACTION_ZERO, optimal_action_set
-from agreelab.scenarios import iid_binary, parity, senate
+from agreelab.knowledge import (
+    ACTION_BOTH,
+    ACTION_ONE,
+    ACTION_SETS,
+    ACTION_ZERO,
+    optimal_action_set,
+)
+from agreelab.scenarios import iid_binary, iid_custom, parity, senate, uncorrelated_tight
 from agreelab.signals import SignalModel
 
 BINARY_23 = SignalModel.binary(Fraction(2, 3))
+
+
+@pytest.fixture
+def stream_keys(monkeypatch):
+    """The (seed, *key) of every stream the harness opens, in order."""
+    from agreelab import harness
+
+    keys = []
+
+    def recorded(seed, *key):
+        keys.append((seed, *key))
+        return trial_rng(seed, *key)
+
+    monkeypatch.setattr(harness, "trial_rng", recorded)
+    return keys
 
 
 class TestDeterminism:
@@ -41,11 +67,107 @@ class TestDeterminism:
         b = run_monte_carlo(scenario, POOLED, 2000, seed=2)
         assert a.successes != b.successes or a.msbe != b.msbe
 
-    def test_row_streams_are_independent(self):
+    def test_row_streams_are_independent(self, stream_keys):
+        """Rows are keyed by their agent count: n = 20 and n = 21 draw from
+        different streams under one seed."""
+        run_monte_carlo(iid_binary(20, Fraction(2, 3)), POOLED, 2000, seed=7)
+        run_monte_carlo(iid_binary(21, Fraction(2, 3)), POOLED, 2000, seed=7)
+        assert stream_keys == [(7, 20, 0), (7, 21, 0)]
+        a, b = (trial_rng(*key).integers(0, 2**62, size=4) for key in stream_keys)
+        assert not np.array_equal(a, b)
+
+
+class TestChunkStreams:
+    """Rows are keyed by content: (seed, n, chunk), never by position."""
+
+    P = {"p": Fraction(2, 3)}
+
+    @staticmethod
+    def rows(table) -> dict:
+        return {line.split(",")[0]: line for line in table.to_csv().splitlines()[2:]}
+
+    def test_adding_an_n_leaves_the_other_rows_byte_identical(self):
+        short = sweep_n("iid_binary", (10, 50), 3000, seed=5, params=self.P)
+        longer = sweep_n("iid_binary", (10, 20, 50), 3000, seed=5, params=self.P)
+        added = self.rows(longer)
+        del added["20"]
+        assert self.rows(short) == added
+
+    def test_simulate_prints_the_tallies_of_its_sweep_row(self, capsys):
+        from agreelab.cli import main
+
+        argv = ["--scenario", "iid_binary", "--param", "p=2/3", "--trials", "3000",
+                "--seed", "5", "--format", "csv"]
+        assert main(["simulate", "--n", "20", *argv]) == 0
+        simulated = capsys.readouterr().out
+        assert main(["sweep", "--n", "10,20,50", *argv]) == 0
+        swept = capsys.readouterr().out
+
+        def read(text):
+            return list(csv.DictReader(l for l in text.splitlines() if not l.startswith("#")))
+
+        row = {r["n"]: r for r in read(swept)}["20"]
+        fields = ("trials", "successes", "ties", "failures", "success_rate", "stderr", "msbe", "seed")
+        assert [read(simulated)[0][f] for f in fields] == [row[f] for f in fields]
+
+    def test_one_trial_past_a_chunk_uses_two_streams(self, stream_keys):
         scenario = iid_binary(20, Fraction(2, 3))
-        a = run_monte_carlo(scenario, POOLED, 2000, seed=7, row_key=(0,))
-        b = run_monte_carlo(scenario, POOLED, 2000, seed=7, row_key=(1,))
-        assert (a.successes, a.ties, a.failures) != (b.successes, b.ties, b.failures)
+        first = run_monte_carlo(scenario, POOLED, CHUNK_TRIALS + 1, seed=3)
+        assert stream_keys == [(3, 20, 0), (3, 20, 1)]
+        assert run_monte_carlo(scenario, POOLED, CHUNK_TRIALS + 1, seed=3) == first
+        assert first.trials == CHUNK_TRIALS + 1
+
+
+class TestBatchedAgainstExactLaws:
+    """Batched estimates within 4 binomial standard errors of exact laws."""
+
+    TRIALS = 20_000
+    SIGMAS = 4
+
+    def near(self, observed: float, p, trials: int) -> None:
+        sigma = math.sqrt(float(p * (1 - p)) / trials)
+        assert abs(observed - float(p)) <= self.SIGMAS * sigma, (observed, float(p), sigma)
+
+    def against(self, summary, exact) -> None:
+        trials = summary.trials
+        self.near(summary.success_rate, exact.success + exact.tie / 2, trials)
+        self.near(summary.tie_rate, exact.tie, trials)
+        self.near(summary.failure_rate, exact.failure, trials)
+
+    @pytest.mark.parametrize("n", [10, 20, 50, 100])
+    def test_iid_binary_pooled(self, n):
+        summary = run_monte_carlo(iid_binary(n, Fraction(2, 3)), POOLED, self.TRIALS, seed=41)
+        self.against(summary, exact_pooled_summary(BINARY_23, n))
+
+    def test_iid_binary_protocol(self):
+        summary = run_monte_carlo(iid_binary(10, Fraction(2, 3)), PUBLIC_BELIEF, self.TRIALS, seed=42)
+        self.against(summary, exact_pooled_summary(BINARY_23, 10))
+
+    def test_ternary_pooled(self):
+        model = SignalModel(
+            ("a", "b", "c"),
+            (Fraction(1, 2), Fraction(1, 3), Fraction(1, 6)),
+            (Fraction(1, 6), Fraction(1, 3), Fraction(1, 2)),
+        )
+        summary = run_monte_carlo(iid_custom(12, model), POOLED, self.TRIALS, seed=43)
+        exact = exact_pooled_summary(model, 12)
+        assert exact.tie > 0
+        self.against(summary, exact)
+
+    def test_senate_public_action(self):
+        scenario = senate(200)
+        summary = run_monte_carlo(scenario, PUBLIC_ACTION, self.TRIALS, seed=44)
+        self.against(summary, senate_exact_summary(scenario))
+
+    def test_uncorrelated_tight_failure_rate(self):
+        scenario = uncorrelated_tight(16)
+        summary = run_monte_carlo(scenario, POOLED, self.TRIALS, seed=45)
+        self.near(summary.failure_rate, 1 - scenario.metadata["q"], self.TRIALS)
+
+    def test_parity_success_rate(self):
+        summary = run_monte_carlo(parity(3), PUBLIC_BELIEF, self.TRIALS, seed=46)
+        assert summary.ties == self.TRIALS
+        self.near(summary.success_rate, Fraction(1, 2), self.TRIALS)
 
 
 class TestRunMonteCarlo:
@@ -90,11 +212,11 @@ class TestRunMonteCarlo:
         and the exact pooled law must classify identically."""
         for n in (2, 3, 4):
             scenario = iid_binary(n, Fraction(2, 3))
-            table = _protocol_outcome_table(scenario, PUBLIC_BELIEF, 2**24)
             space = scenario.outcome_space()
+            codes, _x = _protocol_outcome_table(scenario, PUBLIC_BELIEF, space)
             success = Fraction(0)
             for (state, profile), w in space.weights.items():
-                label, _x = table[profile]
+                label = ACTION_SETS[codes[space.profiles.index[profile]]]
                 if label == (ACTION_ONE if state == 1 else ACTION_ZERO):
                     success += w
             exact = exact_pooled_summary(BINARY_23, n)

@@ -2,11 +2,13 @@
 
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 from agreelab.errors import (
+    AgreementLabError,
     EnumerationBudgetError,
     MeasurabilityError,
     NullConditioningError,
@@ -25,9 +27,10 @@ from agreelab.knowledge import (
     own_signal_partitions,
     pooled_posterior,
     posterior_belief,
+    profile_indexer,
     refine_by_announcement,
 )
-from agreelab.scenarios import iid_binary, parity
+from agreelab.scenarios import iid_binary, parity, two_bit, uncorrelated_tight
 from agreelab.signals import SignalModel, belief_from_llr, log_likelihood_ratio
 
 BINARY_23 = SignalModel.binary(Fraction(2, 3))
@@ -285,3 +288,38 @@ class TestPartitionMechanics:
         lines = text.strip().split("\n")
         assert len(lines) == 4
         assert lines[0].startswith("agent 0:")
+
+
+class TestProfileIndexer:
+    """Symbols are per-agent ranks, so rows sort like the profiles and a
+    batch of rows maps to profile positions by one searchsorted."""
+
+    def test_symbols_are_ranks_of_each_agents_symbols(self):
+        space = uncorrelated_tight(8).outcome_space()
+        assert np.array_equal(space.symbols, np.array(space.profiles))
+        space = two_bit(4).outcome_space()
+        ranks = np.array([[2 * b1 + b2 for b1, b2 in p] for p in space.profiles])
+        assert np.array_equal(space.symbols, ranks)
+
+    def test_rows_map_to_their_positions(self):
+        ternary = SignalModel(
+            ("c", "a", "b"),
+            (Fraction(1, 2), Fraction(1, 3), Fraction(1, 6)),
+            (Fraction(1, 6), Fraction(1, 3), Fraction(1, 2)),
+        )
+        spaces = (
+            uncorrelated_tight(8).outcome_space(),
+            two_bit(4).outcome_space(),
+            parity(4).outcome_space(),
+            outcome_space_iid(ternary, 3),
+        )
+        for space in spaces:
+            index = profile_indexer(space)
+            assert index(space.symbols).tolist() == list(range(len(space.profiles)))
+            reversed_rows = space.symbols[::-1]
+            assert index(reversed_rows).tolist() == list(range(len(space.profiles)))[::-1]
+
+    def test_a_row_outside_the_space_is_an_error(self):
+        space = uncorrelated_tight(8).outcome_space()
+        with pytest.raises(AgreementLabError):
+            profile_indexer(space)(np.ones((1, 8), dtype=np.int64))

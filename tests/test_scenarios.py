@@ -6,12 +6,15 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from agreelab.bounds import odds_posterior
 from agreelab.errors import ScenarioParameterError
 from agreelab.harness import senate_exact_summary
 from agreelab.knowledge import (
     ACTION_BOTH,
     ACTION_ONE,
+    ACTION_SETS,
     ACTION_ZERO,
+    TIE,
     belief_function,
     optimal_action_set,
     pooled_posterior,
@@ -138,10 +141,12 @@ class TestUncorrelatedTight:
 
     def test_profile_sampler_hits_the_two_classes(self):
         scenario = uncorrelated_tight(8)
-        draw = scenario.profile_sampler()
+        space = scenario.outcome_space()
+        draw = scenario.profile_sampler(space)
         rng = np.random.default_rng(0)
-        for _ in range(50):
-            _state, profile = draw(rng)
+        _states, index = draw(rng, 50)
+        for i in index.tolist():
+            profile = space.profiles[i]
             assert sum(profile) in (2, 6)
 
 
@@ -220,8 +225,8 @@ class TestSenate:
         scenario = senate(6, senate_size=2, accuracy=Fraction(2, 3))
         draw = scenario.structure.action_trial_sampler(6)
         rng = np.random.default_rng(1)
-        for _ in range(200):
-            state, committee, common, tally = draw(rng)
+        for state, committee, common, tally in zip(*(a.tolist() for a in draw(rng, 200))):
+            committee, common = ACTION_SETS[committee], ACTION_SETS[common]
             assert committee == scenario.structure.senate_action([1] * tally + [0] * (2 - tally))
             if committee != ACTION_BOTH:
                 assert common == committee
@@ -278,32 +283,51 @@ class TestIidBinary:
 
 
 class _FixedDraws:
-    """Stands in for a generator: state 1, then the given symbol counts."""
+    """Stands in for a generator: state 1, then the given symbol counts,
+    for every trial of a batch."""
 
     def __init__(self, counts):
         self.counts = np.array(counts, dtype=np.int64)
 
-    def integers(self, low, high):
-        return 1
+    def integers(self, low, high, size):
+        return np.ones(size, dtype=np.int64)
 
-    def multinomial(self, n, pvals):
-        return self.counts
+    def multinomial(self, n, pvals, size):
+        return np.tile(self.counts, (size, 1))
 
 
 class TestPooledSamplerTies:
+    # Odds ratios 2, 4 and 1/8: counts (k, k, k) are an exact tie.
+    MODEL = SignalModel(
+        alphabet=("a", "b", "c"),
+        mu0=(Fraction(1, 4), Fraction(13, 124), Fraction(20, 31)),
+        mu1=(Fraction(1, 2), Fraction(13, 31), Fraction(5, 62)),
+    )
+
     def test_exact_tie_at_large_counts(self):
         """Odds ratios 2, 4 and 1/8 cancel on counts (k, k, k).  At k = 3e7
         the float llr is about 2e-9, so a fixed 1e-9 guard would trust its
         sign and report {1} with belief 0.5000000005."""
-        model = SignalModel(
-            alphabet=("a", "b", "c"),
-            mu0=(Fraction(1, 4), Fraction(13, 124), Fraction(20, 31)),
-            mu1=(Fraction(1, 2), Fraction(13, 31), Fraction(5, 62)),
-        )
         k = 30_000_000
-        draw = iid_custom(3 * k, model).pooled_sampler()
-        state, x, action = draw(_FixedDraws((k, k, k)))
+        draw = iid_custom(3 * k, self.MODEL).pooled_sampler()
+        states, actions, beliefs = draw(_FixedDraws((k, k, k)), 1)
+        state, x, action = int(states[0]), float(beliefs[0]), ACTION_SETS[actions[0]]
         assert (state, x, action) == (1, 0.5, ACTION_BOTH)
+
+    def test_ties_are_rechecked_once_per_distinct_count_vector(self, monkeypatch):
+        from agreelab import scenarios
+
+        rechecked = []
+
+        def counted(odds, counts):
+            rechecked.append(tuple(counts))
+            return odds_posterior(odds, counts)
+
+        monkeypatch.setattr(scenarios, "odds_posterior", counted)
+        draw = iid_custom(3000, self.MODEL).pooled_sampler()
+        states, actions, beliefs = draw(_FixedDraws((1000, 1000, 1000)), 5)
+        assert rechecked == [(1000, 1000, 1000)]
+        assert actions.tolist() == [TIE] * 5 and beliefs.tolist() == [0.5] * 5
 
 
 class TestRegistry:

@@ -272,3 +272,43 @@ class TestBeliefSummaries:
         assert values[-1] <= 1
         # mass below one half under state 0 dominates for a mirrored model
         assert cdf(0.5) > Fraction(1, 2)
+
+    def test_tail_cdf_equals_the_running_sum_loop(self):
+        """Bisection returns the very Fractions the loop over sorted beliefs
+        summed: at every attained belief, below all, above all, between."""
+        from agreelab.bounds import default_eps_grid
+        from agreelab.scenarios import geometric_tail_model
+
+        def by_loop(model, state):
+            pairs = sorted((private_belief(model, s), model.weight(state, s)) for s in model.support)
+
+            def cdf(eps):
+                total = Fraction(0)
+                for belief, w in pairs:
+                    if belief < eps:
+                        total += w
+                    else:
+                        break
+                return total
+
+            return cdf
+
+        # two symbols share the belief 3/4 with different weights
+        repeated = SignalModel(
+            ("a", "b", "c", "d"),
+            (Fraction(1, 8), Fraction(1, 16), Fraction(1, 2), Fraction(5, 16)),
+            (Fraction(3, 8), Fraction(3, 16), Fraction(3, 16), Fraction(1, 4)),
+        )
+        for model in (geometric_tail_model(12, Fraction(7, 10)), BINARY_23, repeated):
+            beliefs = sorted({private_belief(model, s) for s in model.support})
+            grid = list(default_eps_grid(1e-6, 0.5, 64)) + [0.0, 1e-300, 0.999999, 1.0, 2.0]
+            grid += [math.nan, math.inf, -math.inf, Fraction(0), Fraction(3, 2)]
+            grid += [math.nextafter(float(b), side) for b in beliefs for side in (0.0, 1.0)]
+            grid += beliefs + [float(b) for b in beliefs]
+            grid += [(a + b) / 2 for a, b in zip(beliefs, beliefs[1:])]
+            for state in (0, 1):
+                new, old = belief_tail_cdf(model, state), by_loop(model, state)
+                for eps in grid:
+                    got, want = new(eps), old(eps)
+                    assert type(got) is Fraction
+                    assert (got.numerator, got.denominator) == (want.numerator, want.denominator)
