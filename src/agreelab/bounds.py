@@ -171,22 +171,23 @@ def _moments(n: int, points: Iterable[tuple[float, int, float]]) -> EstimatorMom
 def estimator_moments_enumerated(model: SignalModel, n: int, budget: int = 2**22) -> EstimatorMoments:
     """Estimator moments by brute-force enumeration of all signal profiles.
 
-    Exact rational outcome weights, float values.  Independent of the
+    Weights are integer numerators over ``2 * den**n``, divided as Python
+    ints (correctly rounded); values are floats.  Independent of the
     count-vector route, so the two can be compared as a check.
     """
     size = 2 * len(model.support) ** n
     if size > budget:
         raise ValueError(f"enumeration of {size} outcomes is too large; use counts")
     terms = _standardized_terms(model)
-    weights = {0: dict(zip(model.alphabet, model.mu0)), 1: dict(zip(model.alphabet, model.mu1))}
+    den, pairs = integer_weights(model)
+    total = 2 * den**n
+    symbols = list(zip(model.support, pairs))
 
     def points():
         for state in (0, 1):
-            for profile in itertools.product(model.support, repeat=n):
-                w = Fraction(1, 2)
-                for symbol in profile:
-                    w *= weights[state][symbol]
-                yield float(w), state, sum(terms[s] for s in profile) / n
+            for profile in itertools.product(symbols, repeat=n):
+                w = math.prod(pair[state] for _, pair in profile)
+                yield w / total, state, sum(terms[s] for s, _ in profile) / n
 
     return _moments(n, points())
 

@@ -3,7 +3,9 @@
 Refinement is a function of the information structure alone, so protocols run
 over all profiles simultaneously; a realized profile only selects which
 block's values get reported.  The fixed point is detected on partition
-equality, never on value coincidence.
+equality, never on value coincidence.  Action sets are decided by the signs
+of block masses, and means beyond ``int64`` are folded in Python-int object
+arrays, :data:`MEAN_BLOCK` belief combinations at a time.
 """
 
 from __future__ import annotations
@@ -18,16 +20,15 @@ import numpy as np
 
 from .errors import ConnectivityError
 from .knowledge import (
-    ACTION_BOTH,
-    ACTION_ONE,
-    ACTION_ZERO,
+    ACTION_SETS,
     INT64_LIMIT,
     OutcomeSpace,
     Partition,
+    action_codes,
     block_beliefs,
+    block_masses,
     dense_codes,
     joint_codes,
-    optimal_action_set,
     validate_partitions,
 )
 
@@ -38,7 +39,9 @@ NETWORK_BELIEF = "network-belief"
 
 PROTOCOL_KINDS = (PUBLIC_BELIEF, PUBLIC_ACTION, PUBLIC_STATISTIC, NETWORK_BELIEF)
 
-ACTIONS = (ACTION_ZERO, ACTION_BOTH, ACTION_ONE)
+#: Belief combinations averaged per batch on the Python-int path, which
+#: bounds the object-array temporaries.
+MEAN_BLOCK = 2**14
 
 
 @dataclass(frozen=True)
@@ -138,12 +141,33 @@ class ProtocolResult:
 
 def announced_codes(kind: str, space: OutcomeSpace, partition: Partition):
     """What one agent announces, per profile: its belief (or, in public-action,
-    its optimal action set) as integer codes, and the values they stand for."""
-    codes, values = block_beliefs(space, partition)
+    its optimal action set, from :func:`~agreelab.knowledge.action_codes`)
+    as integer codes, and the values they stand for."""
     if kind == PUBLIC_ACTION:
-        codes = np.array([ACTIONS.index(optimal_action_set(v)) for v in values])[codes]
-        values = ACTIONS
+        return action_codes(*block_masses(space, partition))[partition.labels], ACTION_SETS
+    codes, values = block_beliefs(space, partition)
     return codes[partition.labels], values
+
+
+def exact_means(combinations: Sequence[np.ndarray], values: Sequence[list]):
+    """Exact means of combinations of the agents' beliefs, in blocks.
+
+    ``combinations[u][k]`` codes agent u's belief in the k-th combination
+    into ``values[u]``.  Yields, per block of :data:`MEAN_BLOCK`
+    combinations in order, object arrays of the means' numerators and
+    denominators, not reduced.
+    """
+    n = len(values)
+    pairs = [np.array([(b.numerator, b.denominator) for b in v], dtype=object).T for v in values]
+    for lo in range(0, len(combinations[0]), MEAN_BLOCK):
+        terms = [
+            (nums[codes[lo : lo + MEAN_BLOCK]], dens[codes[lo : lo + MEAN_BLOCK]])
+            for codes, (nums, dens) in zip(combinations, pairs)
+        ]
+        num, den = terms[0]
+        for a, b in terms[1:]:
+            num, den = num * b + a * den, den * b
+        yield num, den * n
 
 
 def mean_beliefs(columns: Iterable[np.ndarray], values: Sequence[list]) -> tuple[np.ndarray, list]:
@@ -151,9 +175,11 @@ def mean_beliefs(columns: Iterable[np.ndarray], values: Sequence[list]) -> tuple
 
     The u-th of ``columns`` codes agent u's belief per profile into
     ``values[u]``.  Returns ``(codes, means)``: the mean at profile i is
-    ``means[codes[i]]``.  When the beliefs share a denominator small enough
-    for ``int64``, the means are summed as integer numerators over it;
-    otherwise each distinct combination of beliefs is averaged once.
+    ``means[codes[i]]``, numbered by first occurrence.  When the beliefs
+    share a denominator small enough for ``int64``, the means are summed as
+    integer numerators over it; otherwise each distinct combination of
+    beliefs is averaged by :func:`exact_means` and coded by its gcd-reduced
+    pair.
     """
     n = len(values)
     den = 1
@@ -169,14 +195,13 @@ def mean_beliefs(columns: Iterable[np.ndarray], values: Sequence[list]) -> tuple
         return codes, [Fraction(int(total[i]), den * n) for i in first.tolist()]
     columns = list(columns)
     joint, first = joint_codes(columns)
-    means: dict[Fraction, int] = {}
+    means: dict[tuple[int, int], int] = {}
     mean_codes = []
-    for combination in np.stack([c[first] for c in columns], axis=1).tolist():
-        beliefs = [vals[c] for vals, c in zip(values, combination)]
-        den = math.lcm(*(b.denominator for b in beliefs))
-        total = sum(b.numerator * (den // b.denominator) for b in beliefs)
-        mean_codes.append(means.setdefault(Fraction(total, den * n), len(means)))
-    return np.array(mean_codes)[joint], list(means)
+    for num, den in exact_means([c[first] for c in columns], values):
+        common = np.gcd(num, den)
+        reduced = zip((num // common).tolist(), (den // common).tolist())
+        mean_codes += [means.setdefault(pair, len(means)) for pair in reduced]
+    return np.array(mean_codes, dtype=np.int64)[joint], [Fraction(*pair) for pair in means]
 
 
 def fixed_point_partitions(

@@ -32,8 +32,8 @@ from .dynamics import (
     PROTOCOL_KINDS,
     PUBLIC_ACTION,
     PUBLIC_BELIEF,
+    exact_means,
     fixed_point_partitions,
-    mean_beliefs,
 )
 from .errors import (
     AgreementLabError,
@@ -42,11 +42,11 @@ from .errors import (
 )
 from .knowledge import (
     ACTION_ONE,
-    ACTION_SETS,
     ACTION_ZERO,
     DEFAULT_ENUMERATION_BUDGET,
     TIE,
     OutcomeSpace,
+    action_codes,
     belief_function,
     block_beliefs,
     is_common_knowledge,
@@ -134,49 +134,49 @@ def _protocol_outcome_table(
 
     Refinement does not depend on the realized profile, so one run covers
     every trial.  Returns, per profile of ``space``, the reported action's
-    code in :data:`ACTION_SETS` (``int8``) and the belief X (``float64``).
-    Each distinct combination of the agents' final beliefs is judged once.
+    code in :data:`~agreelab.knowledge.ACTION_SETS` (``int8``) and the
+    belief X (``float64``).  Each distinct combination of the agents' final
+    beliefs is judged once, in arrays; public-action's X, the mean belief,
+    is a Python-int true division, which rounds its exact value correctly.
     """
     final, _ = fixed_point_partitions(kind, space, scenario.initial_partitions(space))
     beliefs = [block_beliefs(space, p) for p in final]
-
-    def columns():
-        # Each agent's beliefs per profile, built on demand rather than held
-        # for every agent at once.
-        return (codes[p.labels] for p, (codes, _) in zip(final, beliefs))
-
+    combination_of, first = joint_codes(codes[p.labels] for p, (codes, _) in zip(final, beliefs))
+    # Per agent and combination: the code of its belief, and its action, read
+    # off the belief's reduced masses (zeros, ones) = (den - num, num).
+    combinations = [codes[p.labels[first]] for p, (codes, _) in zip(final, beliefs)]
     values = [vals for _, vals in beliefs]
-    actions = [[optimal_action_set(b) for b in vals] for vals in values]
+    actions = []
+    for vals, at in zip(values, combinations):
+        ones, total = np.array([(b.numerator, b.denominator) for b in vals], dtype=object).T
+        actions.append(action_codes(total - ones, ones)[at])
     if kind == PUBLIC_ACTION:
-        mean_codes, means = mean_beliefs(columns(), values)
-    combination_of, first = joint_codes(columns())
-    combinations = np.stack([codes[p.labels[first]] for p, (codes, _) in zip(final, beliefs)])
-    action_codes, xs = [], []
-    for i, combination in zip(first.tolist(), combinations.T.tolist()):
-        common = {acts[c] for acts, c in zip(actions, combination)}
-        if len(common) != 1:
-            raise AgreementLabError(
-                f"{scenario.name}: fixed point of {kind} left actions unequal "
-                f"on profile {space.profiles[i]!r}"
-            )
-        if kind == PUBLIC_ACTION:
-            x = means[mean_codes[i]]
-        else:
-            unique = {vals[c] for vals, c in zip(values, combination)}
-            if len(unique) != 1:
-                raise AgreementLabError(
-                    f"{scenario.name}: fixed point of {kind} left beliefs "
-                    f"unequal on profile {space.profiles[i]!r}"
-                )
-            x = unique.pop()
-        action_codes.append(ACTION_SETS.index(common.pop()))
-        xs.append(float(x))
+        checked = actions
+        means = exact_means(combinations, values)
+        xs = np.concatenate([(num / den).astype(np.float64) for num, den in means])
+    else:
+        shared: dict[Fraction, int] = {}
+        checked = [
+            np.array([shared.setdefault(b, len(shared)) for b in vals])[at]
+            for vals, at in zip(values, combinations)
+        ]
+        xs = np.array([float(b) for b in values[0]])[combinations[0]]
+    unequal = np.zeros(len(first), dtype=bool)
+    for column in checked[1:]:
+        unequal |= column != checked[0]
+    if unequal.any():
+        k = int(np.argmax(unequal))
+        what = "actions" if len({int(a[k]) for a in actions}) > 1 else "beliefs"
+        raise AgreementLabError(
+            f"{scenario.name}: fixed point of {kind} left {what} unequal "
+            f"on profile {space.profiles[first[k]]!r}"
+        )
     relabel = getattr(scenario.structure, "trial_labels", None)
     if relabel is not None:
         per_profile = relabel(space)
     else:
-        per_profile = np.array(action_codes, dtype=np.int8)[combination_of]
-    return per_profile, np.array(xs)[combination_of]
+        per_profile = actions[0].astype(np.int8)[combination_of]
+    return per_profile, xs[combination_of]
 
 
 def run_monte_carlo(

@@ -10,10 +10,12 @@ each agent's symbol as an integer code, and the two states' weights as
 integer numerators over one common denominator.  A partition is a vector of
 block labels over those profiles, numbered by first occurrence, so equal
 partitions have equal label vectors.  An announcement becomes one integer
-code per block, read off exact block sums, and every refinement relabels the
-(label, code) pairs (:func:`dense_codes`).  Sums are ``int64`` when the
-common denominator fits in it, since no block sum exceeds the total mass,
-and Python ints otherwise.  Beliefs leave the engine as exact Fractions.
+code per block, read off the block's exact masses: a belief codes their
+gcd-reduced ratio, an action set the sign of ``ones - zeros``.  Every
+refinement relabels the (label, code) pairs (:func:`dense_codes`).  Sums are
+``int64`` when the common denominator fits in it, since no block sum exceeds
+the total mass, and Python ints otherwise.  Beliefs leave the engine as
+exact Fractions.
 """
 
 from __future__ import annotations
@@ -403,6 +405,22 @@ def validate_partitions(space: OutcomeSpace, partitions: Sequence[Partition]) ->
             raise ValueError(f"agent {u} partition is coarser than its own signal")
 
 
+def block_masses(space: OutcomeSpace, partition: Partition) -> tuple[np.ndarray, np.ndarray]:
+    """Per block, the integer masses of state 0 and of state 1 over ``space.den``."""
+    labels = _labels_on(space, partition)
+    zeros = np.zeros(partition.block_count, dtype=space.w0.dtype)
+    ones = np.zeros(partition.block_count, dtype=space.w1.dtype)
+    np.add.at(zeros, labels, space.w0)
+    np.add.at(ones, labels, space.w1)
+    return zeros, ones
+
+
+def action_codes(zeros: np.ndarray, ones: np.ndarray) -> np.ndarray:
+    """Codes in :data:`ACTION_SETS` of the optimal actions given the states'
+    masses: belief ``ones / (zeros + ones)`` exceeds 1/2 iff ``ones > zeros``."""
+    return np.where(ones > zeros, 1, np.where(ones < zeros, 0, TIE))
+
+
 def block_beliefs(space: OutcomeSpace, partition: Partition) -> tuple[np.ndarray, list[Fraction]]:
     """Exact posteriors of a partition's blocks, as codes into distinct values.
 
@@ -411,11 +429,7 @@ def block_beliefs(space: OutcomeSpace, partition: Partition) -> tuple[np.ndarray
     the gcd-reduced (numerator, denominator) pairs of the blocks' integer
     masses.
     """
-    labels = _labels_on(space, partition)
-    zeros = np.zeros(partition.block_count, dtype=space.w0.dtype)
-    ones = np.zeros(partition.block_count, dtype=space.w1.dtype)
-    np.add.at(zeros, labels, space.w0)
-    np.add.at(ones, labels, space.w1)
+    zeros, ones = block_masses(space, partition)
     total = zeros + ones
     common = np.gcd(ones, total)
     num, den = ones // common, total // common
@@ -460,11 +474,10 @@ def belief_function(space: OutcomeSpace, partition: Partition) -> Callable[[Prof
 
 
 def action_function(space: OutcomeSpace, partition: Partition) -> Callable[[Profile], frozenset]:
-    """Profile-indexed optimal action set of one agent: its block beliefs
-    mapped through :func:`optimal_action_set`."""
-    codes, values = block_beliefs(space, partition)
-    actions = [optimal_action_set(v) for v in values]
-    return _profile_function(partition, [actions[c] for c in codes.tolist()])
+    """Profile-indexed optimal action set of one agent, read off the signs of
+    its blocks' masses (:func:`action_codes`)."""
+    codes = action_codes(*block_masses(space, partition))
+    return _profile_function(partition, [ACTION_SETS[c] for c in codes.tolist()])
 
 
 def refine_by_announcement(

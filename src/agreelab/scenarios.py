@@ -37,6 +37,7 @@ from .knowledge import (
     OutcomeSpace,
     Partition,
     action_code,
+    action_codes,
     own_signal_partitions,
     profile_indexer,
     trivial_partition,
@@ -106,8 +107,8 @@ def _known_state_draw(rng, size: int, force_state=None):
 
 def _majority_codes(ones, total: int) -> np.ndarray:
     """Action code of a majority vote of ``total`` bits with ``ones`` ones."""
-    twice = 2 * np.asarray(ones, dtype=np.int64)
-    return np.where(twice > total, 1, np.where(twice < total, 0, TIE)).astype(np.int8)
+    ones = np.asarray(ones, dtype=np.int64)
+    return action_codes(total - ones, ones).astype(np.int8)
 
 
 def _parity_bits(rng, states: np.ndarray, n: int) -> np.ndarray:

@@ -1,5 +1,6 @@
 """Estimator identities, aggregate bounds, tail bounds, Chebyshev tools."""
 
+import itertools
 import math
 from fractions import Fraction
 
@@ -9,6 +10,8 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from agreelab.bounds import (
+    _moments,
+    _standardized_terms,
     conditional_expectation_interval,
     count_law,
     count_posterior,
@@ -279,6 +282,23 @@ class TestCountLaw:
         tolerance = 1e-12 * (1.0 + a.var_y + a.mean**2)
         for field in ("mean", "var_y_minus_s", "cov_s_y", "var_y"):
             assert getattr(b, field) == pytest.approx(getattr(a, field), abs=tolerance)
+
+    @settings(max_examples=40, deadline=None)
+    @given(model=rational_models(), n=st.integers(1, 4))
+    def test_enumerated_moments_equal_the_fraction_route(self, model, n):
+        """Integer numerators over 2*den**n give the very floats, in the very
+        order, of each outcome's weight built as a product of Fractions."""
+        terms = _standardized_terms(model)
+
+        def points():
+            for state in (0, 1):
+                for profile in itertools.product(model.support, repeat=n):
+                    w = Fraction(1, 2)
+                    for symbol in profile:
+                        w *= model.weight(state, symbol)
+                    yield float(w), state, sum(terms[s] for s in profile) / n
+
+        assert estimator_moments_enumerated(model, n) == _moments(n, points())
 
     @settings(max_examples=30, deadline=None)
     @given(model=rational_models(), n=st.integers(1, 6))

@@ -9,6 +9,7 @@ announced Fractions.
 
 import hashlib
 import itertools
+import re
 from fractions import Fraction
 
 import numpy as np
@@ -16,6 +17,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from agreelab import dynamics, harness
 from agreelab.cli import main
 from agreelab.dynamics import (
     NETWORK_BELIEF,
@@ -24,14 +26,19 @@ from agreelab.dynamics import (
     PUBLIC_BELIEF,
     PUBLIC_STATISTIC,
     Digraph,
+    exact_means,
     fixed_point_partitions,
+    mean_beliefs,
     run_protocol,
 )
+from agreelab.errors import AgreementLabError
 from agreelab.harness import RNG_VERSION, _protocol_outcome_table
 from agreelab.knowledge import (
     ACTION_SETS,
     Partition,
+    action_function,
     belief_function,
+    dense_codes,
     is_common_knowledge,
     optimal_action_set,
     own_signal_partitions,
@@ -201,6 +208,9 @@ class TestAgainstReference:
         final, _ = fixed_point_partitions(PUBLIC_ACTION, space, own_signal_partitions(space))
         action = [lambda block: optimal_action_set(posterior_belief(space, block))] * n
         assert is_common_knowledge(space, final, action)
+        for p in final:
+            acts, belief = action_function(space, p), belief_function(space, p)
+            assert all(acts(q) == optimal_action_set(belief(q)) for q in space.profiles)
 
     @pytest.mark.parametrize(
         "scenario",
@@ -277,6 +287,8 @@ OUTCOME_TABLES = {
     ("iid_binary(8)", PUBLIC_STATISTIC): "618b5d602fcfb1578649b933f69e16d7368f5a8d13f7be8992ae64406f25d3a9",
     ("iid_binary(8)", NETWORK_BELIEF): "618b5d602fcfb1578649b933f69e16d7368f5a8d13f7be8992ae64406f25d3a9",
     ("geometric_tail(2)", PUBLIC_ACTION): "c06d3f55f569ed2ee01a62a318b5777d560a4770abf71b80caca6441294d5941",
+    ("geometric_tail(3)", PUBLIC_ACTION): "82563d264cd699f4493e3dc911bd8c376461a6a0d9f3c7aa80edc891b1ef0971",
+    ("geometric_tail(3)", PUBLIC_STATISTIC): "68f983c00ec388d1d51776626cc447bfc67a7c53c29409a702e9eed6f50d5052",
     ("senate(5, 2)", PUBLIC_ACTION): "457cb142aa68cca590a43eb0880abd82df5295fc9ce4a2222f663419c2d53dd9",
     ("senate(5, 3)", PUBLIC_BELIEF): "0f8b1e079cff7a25d005257f8f179ad26d40cb93dafaf6da87099bb02705a7a5",
     ("parity(3)", PUBLIC_BELIEF): "536483d5088670f3e488d58c3b365a3d6e37ccbd5d4035861e1c7880e34aa193",
@@ -286,6 +298,7 @@ OUTCOME_TABLES = {
 TABLE_SCENARIOS = {
     "iid_binary(8)": lambda: iid_binary(8, Fraction(2, 3)),
     "geometric_tail(2)": lambda: geometric_tail(2),
+    "geometric_tail(3)": lambda: geometric_tail(3),
     "senate(5, 2)": lambda: senate(5, 2),
     "senate(5, 3)": lambda: senate(5, 3),
     "parity(3)": lambda: parity(3),
@@ -325,6 +338,10 @@ GOLDEN = {
         '"geometric_tail(2, K=8)",2,public-action,1000,988,4,8,0.991,'
         "0.0029864694875387575,0.008549721743540706,7\n"
     ),
+    ("geometric_tail", "3", "statistic"): (
+        '"geometric_tail(3, K=8)",3,public-statistic,1000,996,0,4,0.996,'
+        "0.0019959959919799443,0.0027087518985563865,7\n"
+    ),
 }
 
 
@@ -336,3 +353,130 @@ def test_simulate_csv_is_unchanged(family, n, protocol, capsys):
         argv += ["--param", "p=2/3"]
     assert main(argv) == 0
     assert capsys.readouterr().out == HEADER.format(RNG_VERSION) + GOLDEN[(family, n, protocol)]
+
+
+# ---------------------------------------------------------------------------
+# the exact-mean and outcome-table kernels
+# ---------------------------------------------------------------------------
+
+
+@st.composite
+def belief_columns(draw):
+    """2-5 agents' beliefs per profile, as codes into per-agent value lists.
+
+    Every agent's values are a permutation of one shared pool, so different
+    combinations often share a mean.  Pool values ``(j/12 + offset) / 2``
+    reduce to different denominators, so equal means also arise from
+    different unreduced sums.  Denominators stay small (the ``int64`` path)
+    or reach far above 2**63 (the Python-int path).
+    """
+    n = draw(st.integers(2, 5))
+    bound = draw(st.sampled_from([50, 2**200]))
+    fraction = st.integers(1, bound).flatmap(
+        lambda d: st.integers(0, d).map(lambda k: Fraction(k, d))
+    )
+    offset = draw(fraction)
+    twelfths = st.integers(0, 12).map(lambda j: (Fraction(j, 12) + offset) / 2)
+    pool = draw(st.lists(st.one_of(fraction, twelfths), min_size=1, max_size=5, unique=True))
+    values = [draw(st.permutations(pool)) for _ in range(n)]
+    size = draw(st.integers(1, 30))
+    code = st.integers(0, len(pool) - 1)
+    columns = [
+        np.array(draw(st.lists(code, min_size=size, max_size=size)), dtype=np.int64)
+        for _ in range(n)
+    ]
+    return columns, values
+
+
+class TestMeanKernels:
+    @settings(max_examples=80, deadline=None)
+    @given(data=belief_columns())
+    def test_mean_beliefs_against_fractions(self, data):
+        columns, values = data
+        exact = [
+            sum(vals[c] for vals, c in zip(values, combination)) / len(values)
+            for combination in zip(*(c.tolist() for c in columns))
+        ]
+        codes, means = mean_beliefs(columns, values)
+        codes = codes.tolist()
+        for i, j in itertools.product(range(len(exact)), repeat=2):
+            assert (codes[i] == codes[j]) == (exact[i] == exact[j])
+        assert [means[c] for c in codes] == exact
+        assert all(type(m) is Fraction for m in means)
+        assert codes == dense_codes(np.array(codes))[0].tolist()
+        blocks = list(exact_means(columns, values))
+        assert [
+            Fraction(int(a), int(b)) for num, den in blocks for a, b in zip(num, den)
+        ] == exact
+        floats = np.concatenate([(num / den).astype(np.float64) for num, den in blocks])
+        assert floats.tolist() == [float(m) for m in exact]
+
+    @pytest.mark.parametrize(
+        "scenario", [geometric_tail(3), iid_binary(6, Fraction(3, 5))], ids=lambda s: s.name
+    )
+    def test_public_action_table_holds_the_rounded_exact_mean(self, scenario):
+        space = scenario.outcome_space()
+        final, _ = fixed_point_partitions(PUBLIC_ACTION, space, scenario.initial_partitions(space))
+        beliefs = [belief_function(space, p) for p in final]
+        _, xs = _protocol_outcome_table(scenario, PUBLIC_ACTION, space)
+        assert xs.tolist() == [
+            float(sum(b(p) for b in beliefs) / scenario.n) for p in space.profiles
+        ]
+
+    def test_block_size_does_not_change_results(self, monkeypatch):
+        """geometric_tail(3) averages 3,980 distinct belief combinations on the
+        Python-int path; blocks of 7 must give the same tables and trace."""
+        scenario = geometric_tail(3)
+        space = scenario.outcome_space()
+        realized = space.profiles[100]
+
+        def run():
+            tables = [
+                _protocol_outcome_table(scenario, kind, space)
+                for kind in (PUBLIC_ACTION, PUBLIC_STATISTIC)
+            ]
+            final, trace = fixed_point_partitions(
+                PUBLIC_STATISTIC, space, scenario.initial_partitions(space), realized
+            )
+            return tables, final, trace
+
+        want_tables, want_final, want_trace = run()
+        monkeypatch.setattr(dynamics, "MEAN_BLOCK", 7)
+        got_tables, got_final, got_trace = run()
+        for (want_codes, want_xs), (got_codes, got_xs) in zip(want_tables, got_tables):
+            assert np.array_equal(want_codes, got_codes)
+            assert want_xs.tobytes() == got_xs.tobytes()
+        assert got_final == want_final
+        assert got_trace.rounds == want_trace.rounds
+
+
+SKEWED = SignalModel(
+    ("a", "b", "c"),
+    (Fraction(1, 2), Fraction(1, 3), Fraction(1, 6)),
+    (Fraction(1, 6), Fraction(1, 4), Fraction(7, 12)),
+)
+
+
+class TestOutcomeTableErrors:
+    """With the fixed point replaced by the initial partitions, the agents
+    disagree, and the table names the first profile where they do."""
+
+    @pytest.mark.parametrize(
+        "scenario", [iid_custom(3, SKEWED), geometric_tail(2)], ids=lambda s: s.name
+    )
+    @pytest.mark.parametrize("kind", PROTOCOL_KINDS)
+    def test_first_offending_profile_is_named(self, scenario, kind, monkeypatch):
+        space = scenario.outcome_space()
+        beliefs = [belief_function(space, p) for p in scenario.initial_partitions(space)]
+        for profile in space.profiles:
+            values = {b(profile) for b in beliefs}
+            actions = {optimal_action_set(v) for v in values}
+            if len(actions) > 1 or (kind != PUBLIC_ACTION and len(values) > 1):
+                what = "actions" if len(actions) > 1 else "beliefs"
+                break
+        monkeypatch.setattr(
+            harness, "fixed_point_partitions", lambda kind, space, initial: (initial, None)
+        )
+        message = f"fixed point of {kind} left {what} unequal on profile {profile!r}"
+        with pytest.raises(AgreementLabError, match=re.escape(message)):
+            _protocol_outcome_table(scenario, kind, space)
