@@ -4,8 +4,10 @@ Everything here is a pure function of a signal model and an agent count: the
 normalized mean-log-likelihood estimator of the state, the variance and
 action bounds it implies, the low-belief fraction statistic with its tail
 bound, a conditional version of Chebyshev's inequality, and the exact law of
-the symbol counts (:func:`count_law`) behind the pooled action's law and the
-estimator's moments.
+the symbol counts (:func:`count_law`).  The estimator's moments read its rows;
+the pooled action's law reads them summed per likelihood class
+(:func:`likelihood_classes`), since a count vector's action and belief depend
+on it only through its likelihood ratio.
 """
 
 from __future__ import annotations
@@ -192,24 +194,6 @@ def estimator_moments_enumerated(model: SignalModel, n: int, budget: int = 2**22
     return _moments(n, points())
 
 
-def _count_vectors(total: int, bins: int):
-    if bins == 1:
-        yield (total,)
-        return
-    for first in range(total + 1):
-        for rest in _count_vectors(total - first, bins - 1):
-            yield (first,) + rest
-
-
-def _multinomial_coefficient(counts: Sequence[int]) -> int:
-    out = 1
-    remaining = sum(counts)
-    for c in counts:
-        out *= math.comb(remaining, c)
-        remaining -= c
-    return out
-
-
 def integer_weights(model: SignalModel) -> tuple[int, list[tuple[int, int]]]:
     """``(den, [(a0, a1) per support symbol])`` with ``mu_s = a_s / den`` and
     ``den`` the lcm of the weights' denominators."""
@@ -222,22 +206,59 @@ def count_law(model: SignalModel, n: int) -> tuple[int, Iterator[tuple]]:
     """Exact joint law of the state and the symbol counts of n i.i.d. signals.
 
     Returns ``(denominator, rows)``.  ``rows`` yields ``(counts, w0, w1)``
-    for every vector of counts over ``model.support``; ``w_s`` is the integer
-    mass of (counts, S=s) over ``denominator = 2 * den**n``.  The posterior
-    of a count vector is ``Fraction(w1, w0 + w1)``, a tie iff ``w0 == w1``.
+    for every vector of counts over ``model.support``, in lexicographic
+    order; ``w_s`` is the integer mass of (counts, S=s) over
+    ``denominator = 2 * den**n``.  The posterior of a count vector is
+    ``Fraction(w1, w0 + w1)``, a tie iff ``w0 == w1``.  Rows are generated
+    depth first, each prefix of counts carrying its multinomial factor and
+    its two mass products down to the rows below it.
     """
     den, pairs = integer_weights(model)
     powers = [[[a**c for c in range(n + 1)] for a in pair] for pair in pairs]
+    last = len(pairs) - 1
 
-    def rows():
-        for counts in _count_vectors(n, len(pairs)):
-            w0 = w1 = _multinomial_coefficient(counts)
-            for (p0, p1), c in zip(powers, counts):
-                w0 *= p0[c]
-                w1 *= p1[c]
-            yield counts, w0, w1
+    def rows(i, left, prefix, w0, w1):
+        p0, p1 = powers[i]
+        if i == last:
+            yield prefix + (left,), w0 * p0[left], w1 * p1[left]
+            return
+        for c in range(left + 1):
+            comb = math.comb(left, c)
+            yield from rows(i + 1, left - c, prefix + (c,), w0 * comb * p0[c], w1 * comb * p1[c])
 
-    return 2 * den**n, rows()
+    return 2 * den**n, rows(0, n, (), 1, 1)
+
+
+def likelihood_classes(model: SignalModel, n: int) -> tuple[int, dict[tuple[int, int], int]]:
+    """:func:`count_law`'s rows summed per likelihood class.
+
+    Returns ``(denominator, {(o0, o1): K})``.  A row's class is its
+    likelihood ratio ``w1/w0`` in lowest terms ``o1/o0``, so the row's masses
+    are ``w_s = k * o_s`` with ``k = gcd(w0, w1)``; ``K`` sums the rows'
+    ``k``.  A row's pooled action and belief depend on it only through its
+    class.
+    """
+    denominator, rows = count_law(model, n)
+    classes: dict[tuple[int, int], int] = {}
+    for _counts, w0, w1 in rows:
+        k = math.gcd(w0, w1)
+        key = (w0 // k, w1 // k)
+        classes[key] = classes.get(key, 0) + k
+    return denominator, classes
+
+
+def pooled_action_law(denominator: int, classes: dict) -> tuple[Fraction, Fraction, Fraction]:
+    """``(success, tie, failure)`` of the pooled action from
+    :func:`likelihood_classes`: each class is right on its heavier state's
+    mass, wrong on the lighter one and a tie when the two are equal."""
+    success = tie = failure = 0
+    for (o0, o1), k in classes.items():
+        if o0 == o1:
+            tie += k * (o0 + o1)
+        else:
+            success += k * max(o0, o1)
+            failure += k * min(o0, o1)
+    return tuple(Fraction(t, denominator) for t in (success, tie, failure))
 
 
 def reduced_odds(model: SignalModel) -> list[tuple[int, int]]:
@@ -285,31 +306,23 @@ class ExactSummary:
 def exact_pooled_summary(model: SignalModel, n: int) -> ExactSummary:
     """Exact law of the pooled-posterior action for n i.i.d. signals.
 
-    On each count vector the action is right on the heavier state's mass,
-    wrong on the lighter one and a tie when they are equal.  With
-    x = w1 / (w0 + w1), the belief error (x - S)^2 weighs
-    w0 x^2 + w1 (1 - x)^2 = w0 w1 / (w0 + w1).
+    The law is decided once per likelihood class (:func:`likelihood_classes`),
+    not per count vector; :func:`pooled_action_law` gives the action's law.
+    With x = w1 / (w0 + w1), a row's belief error (x - S)^2 weighs
+    w0 x^2 + w1 (1 - x)^2 = w0 w1 / (w0 + w1), which is k o0 o1 / (o0 + o1)
+    on its class; classes are summed over each denominator o0 + o1 first.
     """
-    denominator, rows = count_law(model, n)
-    success = tie = failure = 0
-    errors = []
-    for _counts, w0, w1 in rows:
-        if w0 == w1:
-            tie += w0 + w1
-        else:
-            success += max(w0, w1)
-            failure += min(w0, w1)
-        errors.append(Fraction(w0 * w1, w0 + w1))
+    denominator, classes = likelihood_classes(model, n)
+    success, tie, failure = pooled_action_law(denominator, classes)
+    by_sum: dict[int, int] = {}
+    for (o0, o1), k in classes.items():
+        by_sum[o0 + o1] = by_sum.get(o0 + o1, 0) + k * o0 * o1
+    errors = [Fraction(num, d) for d, num in by_sum.items()]
     # Pairwise summation keeps the partial sums' denominators, and so their
     # gcds, small; a running sum would carry the full lcm through every step.
     while len(errors) > 1:
         errors = [sum(errors[i : i + 2]) for i in range(0, len(errors), 2)]
-    return ExactSummary(
-        success=Fraction(success, denominator),
-        tie=Fraction(tie, denominator),
-        failure=Fraction(failure, denominator),
-        msbe=errors[0] / denominator,
-    )
+    return ExactSummary(success=success, tie=tie, failure=failure, msbe=errors[0] / denominator)
 
 
 def estimator_moments_by_counts(model: SignalModel, n: int) -> EstimatorMoments:

@@ -1,7 +1,9 @@
 """Command-line interface: simulate, sweep, verify, bound, scenario list.
 
-Exit codes: 0 success, 1 usage error, 2 verification failures present,
-3 outcome space exceeds the exact-engine budget.
+Exit codes: 0 success, 1 usage error (a flag, parameter or config file
+that cannot be parsed or is out of range, or a file that cannot be read or
+written), 2 verification failures present, 3 outcome space exceeds the
+exact-engine budget.  Any other exception is a bug and propagates.
 """
 
 from __future__ import annotations
@@ -44,13 +46,13 @@ class _Parser(argparse.ArgumentParser):
         self.exit(1, f"{self.prog}: error: {message}\n")
 
 
-def _parse_scalar(text: str):
+def _parse_scalar(key: str, text: str):
     for caster in (int, Fraction, float):
         try:
             return caster(text)
         except ValueError:
             continue
-    return text
+    raise AgreementLabError(f"--param {key} expects a number, got {text!r}")
 
 
 def _parse_params(pairs) -> dict:
@@ -59,30 +61,44 @@ def _parse_params(pairs) -> dict:
         if "=" not in pair:
             raise AgreementLabError(f"--param expects key=value, got {pair!r}")
         key, text = pair.split("=", 1)
-        out[key.strip()] = _parse_scalar(text.strip())
+        out[key.strip()] = _parse_scalar(key.strip(), text.strip())
     return out
 
 
 def _parse_n_list(text) -> list[int]:
-    if isinstance(text, (list, tuple)):
-        return [int(v) for v in text]
-    return [int(piece) for piece in str(text).split(",") if piece.strip()]
+    pieces = text if isinstance(text, (list, tuple)) else str(text).split(",")
+    try:
+        values = [int(piece) for piece in pieces if str(piece).strip()]
+    except (TypeError, ValueError):
+        values = []
+    if not values or min(values) < 1:
+        raise AgreementLabError(f"--n expects positive integers, got {text!r}")
+    return values
 
 
 def _parse_eps_grid(text):
     if text is None:
         return None
-    if isinstance(text, (list, tuple)):
-        return tuple(float(v) for v in text)
-    lo, hi, points = str(text).split(":")
-    return default_eps_grid(float(lo), float(hi), int(points))
+    try:
+        if isinstance(text, (list, tuple)):
+            return tuple(float(v) for v in text)
+        lo, hi, points = str(text).split(":")
+        return default_eps_grid(float(lo), float(hi), int(points))
+    except (TypeError, ValueError) as exc:
+        raise AgreementLabError(f"--eps-grid expects LO:HI:POINTS, got {text!r}: {exc}") from None
 
 
 def _load_config(path) -> dict:
     if not path:
         return {}
     with open(path, "r", encoding="utf-8") as fh:
-        return json.load(fh)
+        try:
+            config = json.load(fh)
+        except ValueError as exc:
+            raise AgreementLabError(f"config {path}: {exc}") from None
+    if not isinstance(config, dict):
+        raise AgreementLabError(f"config {path}: expected a JSON object")
+    return config
 
 
 def _setting(args, config, key, default=None):
@@ -92,6 +108,23 @@ def _setting(args, config, key, default=None):
     if key in config:
         return config[key]
     return default
+
+
+def _int_setting(args, config, key, default, minimum) -> int:
+    value = _setting(args, config, key, default)
+    try:
+        if int(value) >= minimum:
+            return int(value)
+    except (TypeError, ValueError):
+        pass
+    raise AgreementLabError(f"{key} expects an integer >= {minimum}, got {value!r}")
+
+
+def _protocol(args, config) -> str:
+    name = _setting(args, config, "protocol", "pooled")
+    if name not in PROTOCOL_ALIASES:
+        raise AgreementLabError(f"unknown protocol {name!r}; choices: {sorted(PROTOCOL_ALIASES)}")
+    return PROTOCOL_ALIASES[name]
 
 
 def _write_output(text: str, out_path):
@@ -153,9 +186,9 @@ def _cmd_simulate(args) -> int:
     params = dict(config.get("params", {}))
     params.update(_parse_params(args.param))
     n_list = _parse_n_list(_setting(args, config, "n", 2))
-    protocol = PROTOCOL_ALIASES[_setting(args, config, "protocol", "pooled")]
-    trials = int(_setting(args, config, "trials", 1000))
-    seed = int(_setting(args, config, "seed", 0))
+    protocol = _protocol(args, config)
+    trials = _int_setting(args, config, "trials", 1000, 1)
+    seed = _int_setting(args, config, "seed", 0, 0)
     scenario = build_scenario(name, n_list[0], **params)
     summary = run_monte_carlo(scenario, protocol, trials, seed)
     fmt = _setting(args, config, "fmt", None) or config.get("format")
@@ -185,9 +218,9 @@ def _cmd_sweep(args) -> int:
     params = dict(config.get("params", {}))
     params.update(_parse_params(args.param))
     n_values = _parse_n_list(_setting(args, config, "n", "2,3,4"))
-    protocol = PROTOCOL_ALIASES[_setting(args, config, "protocol", "pooled")]
-    trials = int(_setting(args, config, "trials", 1000))
-    seed = int(_setting(args, config, "seed", 0))
+    protocol = _protocol(args, config)
+    trials = _int_setting(args, config, "trials", 1000, 1)
+    seed = _int_setting(args, config, "seed", 0, 0)
     eps_grid = _parse_eps_grid(_setting(args, config, "eps_grid"))
     table = sweep_n(
         name, n_values, trials, seed, mode=protocol, params=params, eps_grid=eps_grid
@@ -203,8 +236,8 @@ def _cmd_sweep(args) -> int:
 
 def _cmd_verify(args) -> int:
     config = _load_config(args.config)
-    seed = int(_setting(args, config, "seed", 20240601))
-    trials = int(_setting(args, config, "trials", 20_000))
+    seed = _int_setting(args, config, "seed", 20240601, 0)
+    trials = _int_setting(args, config, "trials", 20_000, 1)
     report = default_verification_suite(seed=seed, trials=trials)
     fmt = _setting(args, config, "fmt", None) or config.get("format")
     out = _setting(args, config, "out")
@@ -237,9 +270,15 @@ def _cmd_bound(args) -> int:
         cdf = belief_tail_cdf(model, 0)
     if d is None:
         raise AgreementLabError("bound needs --param D=... or --scenario")
+    try:
+        d = float(d)
+    except (TypeError, ValueError):
+        raise AgreementLabError(f"D expects a number, got {d!r}") from None
+    if not d > 0:
+        raise AgreementLabError(f"D must be positive, got {d!r}")
     lines.append("n,D,var_bound,action_bound,qn_bound")
     for n in n_values:
-        report = learning_bounds(n, float(d))
+        report = learning_bounds(n, d)
         qn = ""
         if cdf is not None:
             qn = repr(qn_bound(n, cdf, eps_grid=eps_grid))
@@ -273,7 +312,7 @@ def main(argv=None) -> int:
     except EnumerationBudgetError as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 3
-    except (AgreementLabError, OSError, KeyError, ValueError) as exc:
+    except (AgreementLabError, OSError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 1
 

@@ -219,7 +219,10 @@ def fixed_point_partitions(
     With a realized ``profile`` the trace records what was announced there:
     each agent's value (the public statistic's value for all) in the public
     protocols, and in the network protocol the value each agent announced on
-    its first out-edge of the round.
+    its first out-edge of the round.  Within a network round the edges are
+    heard one after another in ``network.edges`` order, each refinement
+    visible to the edges after it.  On strongly connected digraphs of up to
+    four agents the beliefs reached are checked not to depend on that order.
     """
     if kind not in PROTOCOL_KINDS:
         raise ValueError(f"unknown protocol kind {kind!r}")

@@ -25,11 +25,12 @@ import numpy as np
 from .bounds import (
     ExactSummary,
     count_posterior,
-    exact_pooled_summary,
+    likelihood_classes,
     odds_posterior,
+    pooled_action_law,
     reduced_odds,
 )
-from .errors import EnumerationBudgetError, ScenarioParameterError
+from .errors import AgreementLabError, EnumerationBudgetError, ScenarioParameterError
 from .knowledge import (
     ACTION_SETS,
     DEFAULT_ENUMERATION_BUDGET,
@@ -482,12 +483,15 @@ class SenateStaged:
         strictly on the committee's side.  By state symmetry P(verdict 1 |
         S=1) and P(verdict 1 | S=0) are the committee's exact success and
         failure probabilities.  ``law`` is the committee's pooled law
-        (``exact_pooled_summary`` of its ``senate_size`` signals), computed
-        here when the caller does not already hold it."""
+        (``exact_pooled_summary`` of its ``senate_size`` signals); without
+        it only the action's law is built, never the belief error."""
         if law is None:
-            law = exact_pooled_summary(self.model, self.senate_size)
+            classes = likelihood_classes(self.model, self.senate_size)
+            success, _tie, failure = pooled_action_law(*classes)
+        else:
+            success, failure = law.success, law.failure
         acc = self.accuracy
-        return law.success * (1 - acc) > law.failure * acc
+        return success * (1 - acc) > failure * acc
 
     def tally_posterior(self, ones: int) -> Fraction:
         """Exact P(S=1 | committee tally), the committee's pooled belief."""
@@ -698,4 +702,11 @@ def build_scenario(name: str, n: int, **params) -> Scenario:
             f"unknown scenario {name!r}; choices: {sorted(SCENARIO_FAMILIES)}"
         ) from None
     translated = {_PARAM_ALIASES.get(key, key): value for key, value in params.items()}
-    return family(n, **translated)
+    # Constructors only parse and check their parameters; the engine work
+    # happens later, outside these handlers.
+    try:
+        return family(n, **translated)
+    except AgreementLabError:
+        raise
+    except (KeyError, TypeError, ValueError) as exc:
+        raise ScenarioParameterError(f"{name}: {exc}; expected {FAMILY_SIGNATURES[name]}") from exc

@@ -6,10 +6,11 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from agreelab.bounds import (
+    ExactSummary,
     _moments,
     _standardized_terms,
     conditional_expectation_interval,
@@ -20,8 +21,11 @@ from agreelab.bounds import (
     estimator_moments_enumerated,
     estimator_y,
     exact_pooled_summary,
+    integer_weights,
     k_statistic,
     learning_bounds,
+    likelihood_classes,
+    pooled_action_law,
     qn_bound,
 )
 from agreelab.errors import BoundedBeliefsError
@@ -310,6 +314,147 @@ class TestCountLaw:
             total += w0 + w1
             assert count_posterior(model, counts) == Fraction(w1, w0 + w1)
         assert total == denominator
+
+
+def reference_count_law(model, n):
+    """The per-row count law: every count vector in lexicographic order, its
+    multinomial coefficient and mass products rebuilt over all symbols."""
+    den, pairs = integer_weights(model)
+
+    def count_vectors(total, bins):
+        if bins == 1:
+            yield (total,)
+            return
+        for first in range(total + 1):
+            for rest in count_vectors(total - first, bins - 1):
+                yield (first,) + rest
+
+    def multinomial_coefficient(counts):
+        out, remaining = 1, sum(counts)
+        for c in counts:
+            out *= math.comb(remaining, c)
+            remaining -= c
+        return out
+
+    def rows():
+        for counts in count_vectors(n, len(pairs)):
+            w0 = w1 = multinomial_coefficient(counts)
+            for (a0, a1), c in zip(pairs, counts):
+                w0 *= a0**c
+                w1 *= a1**c
+            yield counts, w0, w1
+
+    return 2 * den**n, rows()
+
+
+def reference_pooled_summary(model, n):
+    """The pooled law decided one count vector at a time."""
+    denominator, rows = reference_count_law(model, n)
+    success = tie = failure = 0
+    errors = []
+    for _counts, w0, w1 in rows:
+        if w0 == w1:
+            tie += w0 + w1
+        else:
+            success += max(w0, w1)
+            failure += min(w0, w1)
+        errors.append(Fraction(w0 * w1, w0 + w1))
+    while len(errors) > 1:
+        errors = [sum(errors[i : i + 2]) for i in range(0, len(errors), 2)]
+    return ExactSummary(
+        success=Fraction(success, denominator),
+        tie=Fraction(tie, denominator),
+        failure=Fraction(failure, denominator),
+        msbe=errors[0] / denominator,
+    )
+
+
+def raw_model(*pairs):
+    """Model whose symbol s has weights proportional to ``pairs[s]``."""
+    raw0, raw1 = zip(*pairs)
+    return SignalModel(
+        alphabet=tuple(range(len(pairs))),
+        mu0=tuple(Fraction(r, sum(raw0)) for r in raw0),
+        mu1=tuple(Fraction(r, sum(raw1)) for r in raw1),
+    )
+
+
+# Raw weight pairs whose likelihood classes collide across count vectors:
+# ratios 2 and 4, 3:1 beside 1:3 (so gcd(o0, o1) > 1), pairs that share a
+# factor (2:6, 4:6) and symbols with equal odds.
+COLLIDING_PAIRS = [(1, 2), (1, 4), (2, 1), (4, 1), (3, 1), (1, 3), (2, 6), (4, 6),
+                   (6, 2), (6, 4), (1, 1), (3, 3), (5, 7), (9, 2)]
+
+
+@st.composite
+def colliding_laws(draw):
+    """A model over 2-4 of the colliding pairs and an agent count up to 40
+    (20 for four symbols, whose per-row reference sums 12,341 Fractions at
+    n = 40)."""
+    pairs = draw(st.lists(st.sampled_from(COLLIDING_PAIRS), min_size=2, max_size=4))
+    raw0, raw1 = zip(*pairs)
+    assume(any(a * sum(raw1) != b * sum(raw0) for a, b in pairs))
+    return raw_model(*pairs), draw(st.integers(1, 40 if len(pairs) < 4 else 20))
+
+
+class TestLikelihoodClasses:
+    """Deciding the law once per likelihood class against the per-row law."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(law=colliding_laws())
+    @example(law=(raw_model((1, 2), (1, 4), (1, 1)), 40))
+    @example(law=(raw_model((3, 1), (1, 3)), 40))
+    @example(law=(raw_model((2, 6), (4, 6), (6, 2)), 40))
+    @example(law=(raw_model((1, 2), (2, 1), (3, 3)), 40))
+    def test_classes_equal_the_per_row_law(self, law):
+        model, n = law
+        denominator, rows = count_law(model, n)
+        want_denominator, want_rows = reference_count_law(model, n)
+        assert denominator == want_denominator
+        assert list(rows) == list(want_rows)
+        assert exact_pooled_summary(model, n) == reference_pooled_summary(model, n)
+
+    def test_collisions_are_summed(self):
+        """Counts (2, 0, 38) and (0, 1, 39) of ratios 2, 4 and 1 share one
+        class, and 3:1 beside 1:3 reduces its shared factor."""
+        denominator, classes = likelihood_classes(raw_model((1, 2), (1, 4), (1, 1)), 40)
+        assert len(classes) < math.comb(42, 2)
+        assert all(math.gcd(o0, o1) == 1 for o0, o1 in classes)
+        denominator, classes = likelihood_classes(raw_model((3, 1), (1, 3)), 4)
+        assert set(classes) == {(81, 1), (9, 1), (1, 1), (1, 9), (1, 81)}
+        success, tie, failure = pooled_action_law(denominator, classes)
+        assert tie == Fraction(2 * 6 * 3**2, 2 * 4**4)
+        assert success + tie + failure == 1
+
+    @pytest.mark.parametrize(
+        "model, n, recorded",
+        [
+            (
+                SignalModel(
+                    (0, 1, 2),
+                    (Fraction(1, 2), Fraction(1, 3), Fraction(1, 6)),
+                    (Fraction(1, 6), Fraction(1, 3), Fraction(1, 2)),
+                ),
+                150,
+                (0.4999999999999967, 0.008333333333333314, 0.25000000000000044, 0.2583333333333329),
+            ),
+            (BINARY_23, 300, (0.5000000000000002, 0.006666666666666673, 0.25, 0.2566666666666666)),
+            (
+                SignalModel(
+                    ("a", "b", "c", "d"),
+                    (Fraction(2, 5), Fraction(3, 10), Fraction(1, 5), Fraction(1, 10)),
+                    (Fraction(1, 10), Fraction(1, 5), Fraction(3, 10), Fraction(2, 5)),
+                ),
+                40,
+                (0.5000000000000014, 0.02504329864651198, 0.25000000000000094, 0.2750432986465008),
+            ),
+        ],
+    )
+    def test_estimator_moments_are_the_recorded_floats(self, model, n, recorded):
+        """Values recorded from the per-row count law; the rows, their order
+        and so every rounding step are unchanged."""
+        moments = estimator_moments_by_counts(model, n)
+        assert (moments.mean, moments.var_y_minus_s, moments.cov_s_y, moments.var_y) == recorded
 
 
 class TestMonotoneCorrelationStep:

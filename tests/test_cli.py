@@ -195,3 +195,54 @@ class TestCsvQuoting:
         body = out_file.read_text().split("\n", 1)[1]
         rows = list(csv.reader(body.splitlines()))
         assert rows[1][0] == "iid_binary(10, 2/3)"
+
+
+class TestExitCodes:
+    """0 ok, 1 usage error, 2 verification failures, 3 over budget; any
+    other exception is a bug and is not reported as a usage error.  Exits 0
+    and 3 are pinned above (``TestBound``, ``TestSimulate``)."""
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (("bound", "--n", "10,x", "--param", "D=8"), "--n expects"),
+            (("bound", "--n", "0", "--param", "D=8"), "--n expects"),
+            (("bound", "--n", "10", "--param", "D=8", "--eps-grid", "1e-3:0.5"), "--eps-grid"),
+            (("bound", "--n", "10", "--param", "D=-1"), "D must be positive"),
+            (("bound", "--n", "10", "--param", "D=abc"), "--param D expects a number"),
+            (("simulate", "--scenario", "nope", "--n", "3"), "unknown scenario"),
+            (("simulate", "--scenario", "iid_binary", "--param", "q=2/3"), "expected iid_binary(n, p)"),
+            (("simulate", "--scenario", "parity", "--trials", "0"), "trials expects"),
+            (("simulate", "--config", "{bad"), "config"),
+            (("simulate", "--config", "[1, 2]"), "expected a JSON object"),
+            (("simulate", "--config", '{"scenario": "parity", "protocol": "bogus"}'), "unknown protocol"),
+            (("simulate", "--config", '{"scenario": "iid_binary", "params": {"p": "abc"}}'), "iid_binary"),
+            (("simulate", "--config", "missing.json"), "No such file"),
+        ],
+    )
+    def test_unparseable_input_exits_1(self, argv, message, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        if "--config" in argv and argv[-1] != "missing.json":
+            (tmp_path / "config.json").write_text(argv[-1])
+            argv = argv[:-1] + ("config.json",)
+        assert run_cli(*argv) == 1
+        assert message in capsys.readouterr().err
+
+    def test_verification_failures_exit_2(self, monkeypatch):
+        from agreelab import cli
+        from agreelab.harness import FAIL, Check, verify_report
+
+        failed = Check("forced", FAIL, observed=1.0, bound=0.0, tolerance=0.0, margin=-1.0)
+        monkeypatch.setattr(cli, "default_verification_suite", lambda **kw: verify_report([failed]))
+        assert run_cli("verify", "--format", "csv") == 2
+
+    @pytest.mark.parametrize("error", [KeyError("internal"), ValueError("internal")])
+    def test_internal_errors_propagate(self, error, monkeypatch):
+        from agreelab import cli
+
+        def broken(*args, **kwargs):
+            raise error
+
+        monkeypatch.setattr(cli, "run_monte_carlo", broken)
+        with pytest.raises(type(error)):
+            run_cli("simulate", "--scenario", "iid_binary", "--param", "p=2/3", "--n", "3")

@@ -3,6 +3,8 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from agreelab.bounds import (
     conditional_expectation_interval,
@@ -11,8 +13,10 @@ from agreelab.bounds import (
 from agreelab.dynamics import (
     NETWORK_BELIEF,
     PUBLIC_ACTION,
+    PUBLIC_BELIEF,
     PUBLIC_STATISTIC,
     Digraph,
+    announced_codes,
     fixed_point_partitions,
     run_protocol,
 )
@@ -26,7 +30,7 @@ from agreelab.knowledge import (
     pooled_posterior,
     validate_partitions,
 )
-from agreelab.scenarios import iid_binary, senate
+from agreelab.scenarios import iid_binary, parity, senate, two_bit, uncorrelated_tight
 from agreelab.signals import SignalModel, noise_to_signal_ratio, truncated_model
 
 BINARY_23 = SignalModel.binary(Fraction(2, 3))
@@ -84,6 +88,41 @@ class TestNetworkVariants:
         fns = [belief_function(space, p) for p in final]
         for profile in space.profiles:
             assert len({fn(profile) for fn in fns}) == 1
+
+    @settings(max_examples=30, deadline=None)
+    @given(data=st.data())
+    def test_edge_order_does_not_change_the_outcome(self, data):
+        """Within a round the edges are heard one after another, each refinement
+        visible to the edges after it.  ``Digraph`` sorts its edges, and
+        hearing them in any other order reaches the same beliefs."""
+        scenario = data.draw(
+            st.sampled_from(
+                [iid_binary(2, Fraction(2, 3)), iid_binary(3, Fraction(3, 5)), parity(3),
+                 uncorrelated_tight(4), two_bit(4), senate(4, senate_size=2)]
+            ),
+            label="scenario",
+        )
+        n = scenario.n
+        pairs = [(u, w) for u in range(n) for w in range(n) if u != w]
+        edges = data.draw(st.lists(st.sampled_from(pairs), min_size=n, unique=True), label="edges")
+        network = Digraph(n, tuple(edges))
+        assume(network.is_strongly_connected())
+        order = data.draw(st.permutations(network.edges), label="order")
+        assert Digraph(n, tuple(order)) == network
+        reordered = Digraph(n, network.edges)
+        object.__setattr__(reordered, "edges", tuple(order))  # bypass the sort
+        space = scenario.outcome_space()
+
+        def beliefs(digraph):
+            final, _ = fixed_point_partitions(
+                NETWORK_BELIEF, space, scenario.initial_partitions(space), network=digraph
+            )
+            return [
+                [values[c] for c in codes.tolist()]
+                for codes, values in (announced_codes(PUBLIC_BELIEF, space, p) for p in final)
+            ]
+
+        assert beliefs(reordered) == beliefs(network)
 
     def test_network_mode_through_the_harness(self):
         summary = run_monte_carlo(

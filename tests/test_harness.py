@@ -186,18 +186,33 @@ class TestRunMonteCarlo:
             run_monte_carlo(iid_binary(40, Fraction(2, 3)), PUBLIC_BELIEF, 10, seed=0)
 
     def test_senate_summary_builds_the_committee_law_once(self, monkeypatch):
-        from agreelab import harness, scenarios
+        from agreelab import bounds, scenarios
 
+        expected = exact_pooled_summary(BINARY_23, 100)
         calls = []
+        classes = bounds.likelihood_classes
 
         def counted(model, n):
             calls.append(n)
-            return exact_pooled_summary(model, n)
+            return classes(model, n)
 
-        monkeypatch.setattr(harness, "exact_pooled_summary", counted)
-        monkeypatch.setattr(scenarios, "exact_pooled_summary", counted)
-        assert senate_exact_summary(senate(400)) == exact_pooled_summary(BINARY_23, 100)
+        monkeypatch.setattr(bounds, "likelihood_classes", counted)
+        monkeypatch.setattr(scenarios, "likelihood_classes", counted)
+        assert senate_exact_summary(senate(400)) == expected
         assert calls == [100]
+
+    def test_senate_analytic_sampler_builds_no_msbe(self, monkeypatch):
+        """Deference needs only the committee's success and failure, so the
+        analytic sampler never builds the pooled law's belief error."""
+        from agreelab import bounds, harness, scenarios
+
+        def refused(model, n):
+            raise AssertionError("the analytic sampler built an msbe")
+
+        for module in (bounds, harness, scenarios):
+            monkeypatch.setattr(module, "exact_pooled_summary", refused, raising=False)
+        summary = run_monte_carlo(senate(400), PUBLIC_ACTION, 200, seed=11)
+        assert summary.trials == 200
 
     def test_senate_large_runs_analytically(self):
         summary = run_monte_carlo(senate(400), PUBLIC_ACTION, 3000, seed=11)
