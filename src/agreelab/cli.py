@@ -3,12 +3,14 @@
 Exit codes: 0 success, 1 usage error (a flag, parameter or config file
 that cannot be parsed or is out of range, or a file that cannot be read or
 written), 2 verification failures present, 3 outcome space exceeds the
-exact-engine budget.  Any other exception is a bug and propagates.
+exact-engine budget, 4 any other exception: a bug, which :func:`main`
+lets propagate and :func:`entry` (the ``agreelab`` script) prints.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from fractions import Fraction
@@ -153,6 +155,7 @@ def _add_common(parser):
     parser.add_argument("--eps-grid", dest="eps_grid", metavar="LO:HI:POINTS")
 
 
+@functools.cache
 def build_parser() -> _Parser:
     parser = _Parser(prog="agreelab")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -317,5 +320,17 @@ def main(argv=None) -> int:
         return 1
 
 
+def entry(argv=None):
+    """Exit with :func:`main`'s status, or with 4 after printing the
+    traceback of an unexpected exception."""
+    try:
+        sys.exit(main(argv))
+    except Exception:
+        import traceback  # only on this path, so importing the CLI stays cheap
+
+        traceback.print_exc()
+        sys.exit(4)
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    entry()

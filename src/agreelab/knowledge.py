@@ -11,11 +11,13 @@ integer numerators over one common denominator.  A partition is a vector of
 block labels over those profiles, numbered by first occurrence, so equal
 partitions have equal label vectors.  An announcement becomes one integer
 code per block, read off the block's exact masses: a belief codes their
-gcd-reduced ratio, an action set the sign of ``ones - zeros``.  Every
-refinement relabels the (label, code) pairs (:func:`dense_codes`).  Sums are
-``int64`` when the common denominator fits in it, since no block sum exceeds
-the total mass, and Python ints otherwise.  Beliefs leave the engine as
-exact Fractions.
+gcd-reduced ratio, an action set the sign of ``ones - zeros``.  A
+refinement writes each profile's code to its block and reads it back: when
+every profile reads back its own, nothing splits; otherwise it relabels the
+(label, code) pairs (:func:`dense_codes`), counting when their range is
+narrow and sorting when it is wide.  Sums are ``int64`` when the common
+denominator fits in it, since no block sum exceeds the total mass, and
+Python ints otherwise.  Beliefs leave the engine as exact Fractions.
 """
 
 from __future__ import annotations
@@ -76,18 +78,26 @@ def action_code(belief) -> int:
 
 
 def dense_codes(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Relabel ``keys`` 0, 1, ... in order of first occurrence.
+    """Relabel ``keys``, non-negative integers, 0, 1, ... in order of first
+    occurrence.
 
     Returns the new labels and, per label, the position of its first
-    occurrence (so those positions increase with the label).
+    occurrence (so those positions increase with the label).  Keys whose
+    range is at most ``4 * len(keys) + 64`` are counted: each value's first
+    position is a minimum taken in a table over the range, and no key is
+    sorted.  Wider keys are first ranked among their distinct values
+    (``np.unique``).
     """
-    distinct, inverse = np.unique(keys, return_inverse=True)
-    first = np.full(len(distinct), len(keys), dtype=np.int64)
-    np.minimum.at(first, inverse, np.arange(len(keys)))
-    order = np.argsort(first)
-    rank = np.empty(len(distinct), dtype=np.int64)
-    rank[order] = np.arange(len(distinct))
-    return rank[inverse], first[order]
+    span = int(keys.max(initial=0)) + 1
+    if span > 4 * len(keys) + 64:
+        distinct, keys = np.unique(keys, return_inverse=True)
+        span = len(distinct)
+    first = np.full(span, len(keys), dtype=np.int64)
+    np.minimum.at(first, keys, np.arange(len(keys)))
+    first = np.sort(first[first < len(keys)])
+    rank = np.empty(span, dtype=np.int64)
+    rank[keys[first]] = np.arange(len(first))
+    return rank[keys], first
 
 
 def joint_codes(columns: Iterable[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
@@ -111,7 +121,8 @@ def joint_codes(columns: Iterable[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
             width = int(codes.max(initial=0)) + 1
         joint = joint * width + codes
         count *= width
-    return dense_codes(joint)
+    # Python-int columns fold into object arrays, but the fold fits in int64.
+    return dense_codes(joint.astype(np.int64, copy=False))
 
 
 class Profiles(tuple):
@@ -326,12 +337,15 @@ class Partition:
 
     def refine(self, codes: np.ndarray) -> "Partition":
         """Coarsest common refinement with the partition into equal ``codes``
-        (one non-negative integer per profile); ``self`` when nothing splits."""
-        width = int(codes.max(initial=0)) + 1
-        labels, first = dense_codes(self.labels * width + codes)
-        if len(first) == self.block_count:
+        (one non-negative integer per profile); ``self`` when nothing splits:
+        when each profile reads its code back from its block, whichever
+        profile's write to the block won."""
+        seen = np.empty(self.block_count, dtype=codes.dtype)
+        seen[self.labels] = codes
+        if np.array_equal(seen[self.labels], codes):
             return self
-        return Partition.of_labels(self.profiles, labels)
+        width = int(codes.max(initial=0)) + 1
+        return Partition.of_labels(self.profiles, dense_codes(self.labels * width + codes)[0])
 
     def refine_by_key(self, key: Callable[[Profile], Hashable]) -> "Partition":
         """Coarsest common refinement with the preimage partition of ``key``."""

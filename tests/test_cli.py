@@ -246,3 +246,15 @@ class TestExitCodes:
         monkeypatch.setattr(cli, "run_monte_carlo", broken)
         with pytest.raises(type(error)):
             run_cli("simulate", "--scenario", "iid_binary", "--param", "p=2/3", "--n", "3")
+
+    def test_internal_errors_exit_4_at_the_entry_point(self, monkeypatch, capsys):
+        from agreelab import cli
+
+        def broken(*args, **kwargs):
+            raise KeyError("internal")
+
+        monkeypatch.setattr(cli, "run_monte_carlo", broken)
+        with pytest.raises(SystemExit) as exit_:
+            cli.entry(["simulate", "--scenario", "iid_binary", "--param", "p=2/3", "--n", "3"])
+        assert exit_.value.code == 4
+        assert "KeyError: 'internal'" in capsys.readouterr().err

@@ -36,14 +36,17 @@ from agreelab.harness import RNG_VERSION, _protocol_outcome_table
 from agreelab.knowledge import (
     ACTION_SETS,
     Partition,
+    Profiles,
     action_function,
     belief_function,
+    block_beliefs,
     dense_codes,
     is_common_knowledge,
     optimal_action_set,
     own_signal_partitions,
     pooled_posterior,
     posterior_belief,
+    trivial_partition,
 )
 from agreelab.scenarios import (
     SenateStaged,
@@ -274,6 +277,85 @@ class TestPartitionLabels:
         assert own[0].refine_by_key(lambda profile: profile[0]) is own[0]
 
 
+def reference_dense_codes(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """:func:`dense_codes` by sorting every input with ``np.unique``."""
+    distinct, inverse = np.unique(keys, return_inverse=True)
+    first = np.full(len(distinct), len(keys), dtype=np.int64)
+    np.minimum.at(first, inverse, np.arange(len(keys)))
+    order = np.argsort(first)
+    rank = np.empty(len(distinct), dtype=np.int64)
+    rank[order] = np.arange(len(distinct))
+    return rank[inverse], first[order]
+
+
+@st.composite
+def key_columns(draw):
+    """Non-negative keys whose range (largest key + 1) is narrow, at the
+    counting relabel's limit ``4 * len + 64`` or one past it, or wide."""
+    size = draw(st.integers(0, 48))
+    dtype = draw(st.sampled_from([np.uint8, np.int64]))
+    top = 255 if dtype is np.uint8 else 2**62
+    limit = 4 * size + 64
+    span = draw(st.sampled_from([2, size + 1, limit, limit + 1, top + 1]))
+    span = draw(st.integers(1, min(span, top + 1)))
+    keys = draw(st.lists(st.integers(0, span - 1), min_size=size, max_size=size))
+    if keys:
+        keys[draw(st.integers(0, size - 1))] = span - 1
+    return np.array(keys, dtype=dtype)
+
+
+class TestDenseCodes:
+    @staticmethod
+    def assert_matches_reference(keys):
+        labels, first = dense_codes(keys)
+        expected_labels, expected_first = reference_dense_codes(keys)
+        assert labels.dtype == first.dtype == np.int64
+        assert np.array_equal(labels, expected_labels)
+        assert np.array_equal(first, expected_first)
+
+    @given(key_columns())
+    @settings(deadline=None)
+    def test_matches_the_sorting_relabel(self, keys):
+        self.assert_matches_reference(keys)
+
+    @pytest.mark.parametrize(
+        "keys,dtype",
+        [
+            (keys, dtype)
+            for keys in ([], [0], [7], [3, 3, 1, 0, 1], [75, 0, 75], [76, 5, 76], [2**62, 0])
+            for dtype in (np.uint8, np.int64)
+            if max(keys, default=0) <= np.iinfo(dtype).max
+        ],
+        ids=str,
+    )
+    def test_edge_cases(self, keys, dtype):
+        """Empty, single keys, and ranges of 4 * 3 + 64 and one more."""
+        self.assert_matches_reference(np.array(keys, dtype=dtype))
+
+    @given(st.data())
+    @settings(deadline=None)
+    def test_refine_returns_self_exactly_when_nothing_splits(self, data):
+        size = data.draw(st.integers(0, 30))
+        blocks = data.draw(st.lists(st.integers(0, 5), min_size=size, max_size=size))
+        labels = reference_dense_codes(np.array(blocks, dtype=np.int64))[0]
+        partition = Partition.of_labels(Profiles((i,) for i in range(size)), labels)
+        per_block = data.draw(st.lists(st.integers(0, 6), min_size=6, max_size=6))
+        codes = np.array(per_block)[labels]
+        if size and data.draw(st.booleans()):
+            codes[data.draw(st.integers(0, size - 1))] = data.draw(st.integers(0, 6))
+        codes = codes.astype(data.draw(st.sampled_from([np.uint8, np.int64])))
+        constant = all(
+            len({c for c, b in zip(codes.tolist(), labels.tolist()) if b == block}) <= 1
+            for block in range(partition.block_count)
+        )
+        refined = partition.refine(codes)
+        assert (refined is partition) == constant
+        width = int(codes.max(initial=0)) + 1
+        expected = reference_dense_codes(labels * width + codes)[0]
+        assert np.array_equal(refined.labels, expected)
+        assert refined.block_count == int(expected.max(initial=-1)) + 1
+
+
 # ---------------------------------------------------------------------------
 # golden outputs
 # ---------------------------------------------------------------------------
@@ -294,7 +376,18 @@ OUTCOME_TABLES = {
     ("parity(3)", PUBLIC_BELIEF): "536483d5088670f3e488d58c3b365a3d6e37ccbd5d4035861e1c7880e34aa193",
     ("two_bit(4)", PUBLIC_BELIEF): "dae7bf8b38744161d1fa4e14be6a84ced0cd6f8d0fcf35cc3762322acb7bc613",
     ("uncorrelated_tight(8)", PUBLIC_ACTION): "d7807b4716d1af0aad8de5f33bdd764217c2f1048ef9ea804b57939c3154b0a1",
+    # Python-int spaces whose beliefs reduce to small pairs (1/2 on the
+    # trivial partition), so the belief codes fold as object arrays.
+    **{
+        (f"iid_binary({n}, huge)", kind): digest
+        for n, digest in (
+            (2, "a2c4c3727547e7c76dd8fd53d41ea3a5d11f6993122e84c34cff7ee3c0e0c574"),
+            (3, "4950c96d603adc7b71991dedf9e2d7639bda9539fa5fbcf8cab4b53df6e5ae08"),
+        )
+        for kind in PROTOCOL_KINDS
+    },
 }
+HUGE_ACCURACY = Fraction(2**70 + 1, 2**71)
 TABLE_SCENARIOS = {
     "iid_binary(8)": lambda: iid_binary(8, Fraction(2, 3)),
     "geometric_tail(2)": lambda: geometric_tail(2),
@@ -304,7 +397,16 @@ TABLE_SCENARIOS = {
     "parity(3)": lambda: parity(3),
     "two_bit(4)": lambda: two_bit(4),
     "uncorrelated_tight(8)": lambda: uncorrelated_tight(8),
+    "iid_binary(2, huge)": lambda: iid_binary(2, HUGE_ACCURACY),
+    "iid_binary(3, huge)": lambda: iid_binary(3, HUGE_ACCURACY),
 }
+
+
+def test_python_int_space_with_a_half_belief():
+    space = iid_binary(2, HUGE_ACCURACY).outcome_space()
+    assert space.w0.dtype == object
+    codes, values = block_beliefs(space, trivial_partition(space))
+    assert codes.tolist() == [0] and values == [Fraction(1, 2)]
 
 
 @pytest.mark.parametrize("name,kind", list(OUTCOME_TABLES))
