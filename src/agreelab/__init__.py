@@ -40,7 +40,6 @@ from .errors import (
     BoundedBeliefsError,
     ConnectivityError,
     EnumerationBudgetError,
-    MeasurabilityError,
     NonInformativeModelError,
     NonInformativeTruncationError,
     NullConditioningError,
@@ -73,14 +72,11 @@ from .knowledge import (
     TIE,
     OutcomeSpace,
     Partition,
-    dump_partitions,
     is_common_knowledge,
     optimal_action_set,
     outcome_space_iid,
     own_signal_partitions,
     pooled_posterior,
-    posterior_belief,
-    refine_by_announcement,
     validate_partitions,
 )
 from .scenarios import (

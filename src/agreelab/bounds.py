@@ -20,10 +20,16 @@ from typing import Callable, Iterable, Iterator, Sequence
 
 from .errors import (
     BoundedBeliefsError,
+    EnumerationBudgetError,
     NonInformativeModelError,
     NullConditioningError,
 )
 from .signals import SignalModel, llr_conditional_moments, log_likelihood_ratio
+
+#: Exact engine refusal threshold on the number of (state, profile) pairs.
+#: At 2**22 pairs (iid_binary(21)) the slowest protocol's ``simulate`` took
+#: 24 s and 1.7 GB on a 2-core Xeon VM; one more agent doubles both.
+DEFAULT_ENUMERATION_BUDGET = 2**22
 
 
 @dataclass(frozen=True)
@@ -170,7 +176,7 @@ def _moments(n: int, points: Iterable[tuple[float, int, float]]) -> EstimatorMom
     )
 
 
-def estimator_moments_enumerated(model: SignalModel, n: int, budget: int = 2**22) -> EstimatorMoments:
+def estimator_moments_enumerated(model: SignalModel, n: int) -> EstimatorMoments:
     """Estimator moments by brute-force enumeration of all signal profiles.
 
     Weights are integer numerators over ``2 * den**n``, divided as Python
@@ -178,8 +184,8 @@ def estimator_moments_enumerated(model: SignalModel, n: int, budget: int = 2**22
     count-vector route, so the two can be compared as a check.
     """
     size = 2 * len(model.support) ** n
-    if size > budget:
-        raise ValueError(f"enumeration of {size} outcomes is too large; use counts")
+    if size > DEFAULT_ENUMERATION_BUDGET:
+        raise EnumerationBudgetError(f"enumeration of {size} outcomes is too large; use counts")
     terms = _standardized_terms(model)
     den, pairs = integer_weights(model)
     total = 2 * den**n

@@ -28,6 +28,7 @@ from .knowledge import (
     block_beliefs,
     block_masses,
     dense_codes,
+    is_common_knowledge,
     joint_codes,
     validate_partitions,
 )
@@ -291,22 +292,17 @@ def run_protocol(
     are common knowledge.  Both predicates are checked explicitly, never
     assumed.
     """
-    if space.profile_weight(profile) == 0:
+    where = space.profiles.index.get(profile)
+    if where is None:
         raise ValueError(f"realized profile {profile!r} has zero weight")
     final, trace = fixed_point_partitions(kind, space, partitions, profile, network)
-    where = space.profiles.index[profile]
     beliefs = [announced_codes(PUBLIC_BELIEF, space, p) for p in final]
     actions = [announced_codes(PUBLIC_ACTION, space, p) for p in final]
-
-    def common_knowledge(announced) -> bool:
-        # Every agent's value is constant on every agent's blocks.
-        return all(p.refine(codes) is p for p in final for codes, _ in announced)
-
     return ProtocolResult(
         partitions=final,
         trace=trace,
         beliefs=tuple(values[codes[where]] for codes, values in beliefs),
         actions=tuple(values[codes[where]] for codes, values in actions),
-        beliefs_common_knowledge=common_knowledge(beliefs),
-        actions_common_knowledge=common_knowledge(actions),
+        beliefs_common_knowledge=is_common_knowledge(final, (c for c, _ in beliefs)),
+        actions_common_knowledge=is_common_knowledge(final, (c for c, _ in actions)),
     )

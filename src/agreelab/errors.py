@@ -25,10 +25,6 @@ class NullConditioningError(AgreementLabError, ZeroDivisionError):
     """Conditioning on an event of probability zero."""
 
 
-class MeasurabilityError(AgreementLabError, ValueError):
-    """An announced value is not constant on the announcer's information blocks."""
-
-
 class EnumerationBudgetError(AgreementLabError, ValueError):
     """The outcome space is too large for the exact enumeration engine."""
 

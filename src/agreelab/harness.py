@@ -32,6 +32,7 @@ from .dynamics import (
     PROTOCOL_KINDS,
     PUBLIC_ACTION,
     PUBLIC_BELIEF,
+    announced_codes,
     exact_means,
     fixed_point_partitions,
 )
@@ -41,19 +42,14 @@ from .errors import (
     NonInformativeModelError,
 )
 from .knowledge import (
-    ACTION_ONE,
-    ACTION_ZERO,
     DEFAULT_ENUMERATION_BUDGET,
     TIE,
     OutcomeSpace,
     action_codes,
-    belief_function,
     block_beliefs,
     is_common_knowledge,
     joint_codes,
-    optimal_action_set,
     pooled_posterior,
-    posterior_belief,
 )
 from .scenarios import Scenario, SenateStaged, build_scenario
 from .signals import SignalModel, belief_tail_cdf, noise_to_signal_ratio
@@ -179,13 +175,7 @@ def _protocol_outcome_table(
     return per_profile, xs[combination_of]
 
 
-def run_monte_carlo(
-    scenario: Scenario,
-    mode: str,
-    trials: int,
-    seed: int,
-    budget: int = DEFAULT_ENUMERATION_BUDGET,
-) -> TrialSummary:
+def run_monte_carlo(scenario: Scenario, mode: str, trials: int, seed: int) -> TrialSummary:
     """Sample (state, signals) from the prior and tally fixed-point actions.
 
     ``mode`` is either ``pooled`` (the full-information posterior stands in
@@ -206,7 +196,7 @@ def run_monte_carlo(
     elif (
         mode == PUBLIC_ACTION
         and isinstance(scenario.structure, SenateStaged)
-        and scenario.structure.pair_count(scenario.n) > budget
+        and scenario.structure.pair_count(scenario.n) > DEFAULT_ENUMERATION_BUDGET
     ):
         committee = scenario.structure
         analytic = committee.action_trial_sampler(scenario.n)
@@ -218,7 +208,7 @@ def run_monte_carlo(
             return states, verdicts, np.array(beliefs)[inverse]
 
     else:
-        space = scenario.outcome_space(budget=budget)
+        space = scenario.outcome_space()
         action_codes, xs = _protocol_outcome_table(scenario, mode, space)
         profile_draw = scenario.profile_sampler(space)
 
@@ -360,7 +350,6 @@ def sweep_n(
     seed: int,
     mode: str = POOLED,
     params: dict | None = None,
-    budget: int = DEFAULT_ENUMERATION_BUDGET,
     eps_grid: Sequence[float] | None = None,
 ) -> SweepTable:
     """One Monte Carlo row per agent count, with bound columns attached.
@@ -374,7 +363,7 @@ def sweep_n(
     table = SweepTable(family=family, mode=mode, trials=trials, seed=seed)
     for n in sorted(n_values):
         scenario = build_scenario(family, n, **params)
-        summary = run_monte_carlo(scenario, mode, trials, seed, budget=budget)
+        summary = run_monte_carlo(scenario, mode, trials, seed)
         model = scenario.marginal_model
         bound_report = None
         qn = None
@@ -482,9 +471,7 @@ def _bounded_check(name, observed, bound, tolerance=0.0, detail="", vacuous=Fals
     )
 
 
-def agreement_identity_checks(
-    scenarios: Sequence[Scenario], budget: int = DEFAULT_ENUMERATION_BUDGET
-) -> list[Check]:
+def agreement_identity_checks(scenarios: Sequence[Scenario]) -> list[Check]:
     """Common-knowledge beliefs must equal the pooled posterior, exactly.
 
     Runs the public-belief protocol on each scenario's exact space and
@@ -494,20 +481,15 @@ def agreement_identity_checks(
     """
     checks = []
     for scenario in scenarios:
-        space = scenario.outcome_space(budget=budget)
+        space = scenario.outcome_space()
         partitions = scenario.initial_partitions(space)
         final, _ = fixed_point_partitions(PUBLIC_BELIEF, space, partitions)
-        belief_fns = [belief_function(space, p) for p in final]
-        mismatches = 0
-        for profile in space.profiles:
-            values = {fn(profile) for fn in belief_fns}
-            if len(values) != 1 or values.pop() != pooled_posterior(space, profile):
-                mismatches += 1
-        ck = is_common_knowledge(
-            space,
-            final,
-            [lambda block, s=space: posterior_belief(s, block)] * space.n,
+        beliefs = [announced_codes(PUBLIC_BELIEF, space, p) for p in final]
+        mismatches = sum(
+            {values[codes[i]] for codes, values in beliefs} != {pooled_posterior(space, profile)}
+            for i, profile in enumerate(space.profiles)
         )
+        ck = is_common_knowledge(final, (codes for codes, _ in beliefs))
         checks.append(
             _bounded_check(
                 name=f"belief-agreement-pools-signals[{scenario.name}]",
@@ -662,9 +644,7 @@ def example_invariant_checks() -> list[Check]:
     result = run_protocol(
         PUBLIC_BELIEF, space, scenario.initial_partitions(space), space.profiles[0]
     )
-    pooled_degenerate = all(
-        pooled_posterior(space, p) in (0, 1) for p in space.profiles
-    )
+    pooled_degenerate = not np.any((space.w0 != 0) & (space.w1 != 0))
     parity_bad = (
         result.trace.rounds_to_fixed_point
         + (0 if result.common_belief == Fraction(1, 2) else 1)
@@ -681,14 +661,8 @@ def example_invariant_checks() -> list[Check]:
     scenario = uncorrelated_tight(8)
     space = scenario.outcome_space()
     q = scenario.metadata["q"]
-    success = Fraction(0)
-    for profile in space.profiles:
-        x = pooled_posterior(space, profile)
-        action = optimal_action_set(x)
-        for state in (0, 1):
-            w = space.weights.get((state, profile), Fraction(0))
-            if action == (ACTION_ONE if state == 1 else ACTION_ZERO):
-                success += w
+    a = action_codes(space.w0, space.w1)
+    success = Fraction(int(space.w0[a == 0].sum()) + int(space.w1[a == 1].sum()), space.den)
     checks.append(
         _bounded_check(
             "flip-decode-law", abs(float(success - q)), 0.0, 1e-12,

@@ -7,15 +7,18 @@ positive-weight profiles, which is lossless on finite spaces; every
 
 The engine runs on integers.  A space keeps its profiles in sorted order,
 each agent's symbol as an integer code, and the two states' weights as
-integer numerators over one common denominator.  A partition is a vector of
-block labels over those profiles, numbered by first occurrence, so equal
-partitions have equal label vectors.  An announcement becomes one integer
-code per block, read off the block's exact masses: a belief codes their
-gcd-reduced ratio, an action set the sign of ``ones - zeros``.  A
+integer numerators over one common denominator.  A partition is nothing but
+a vector of block labels over those profiles, numbered by first occurrence,
+so equal partitions have equal label vectors.  Random variables are integer
+codes, one per profile: equal codes mean equal values.  An announcement
+becomes such codes, read off each block's exact masses: a belief codes
+their gcd-reduced ratio, an action set the sign of ``ones - zeros``.  A
 refinement writes each profile's code to its block and reads it back: when
 every profile reads back its own, nothing splits; otherwise it relabels the
 (label, code) pairs (:func:`dense_codes`), counting when their range is
-narrow and sorting when it is wide.  Sums are ``int64`` when the common
+narrow and sorting when it is wide.  Common knowledge of some variables is
+the same test: their codes split no agent's partition
+(:func:`is_common_knowledge`).  Sums are ``int64`` when the common
 denominator fits in it, since no block sum exceeds the total mass, and
 Python ints otherwise.  Beliefs leave the engine as exact Fractions.
 """
@@ -30,22 +33,11 @@ from typing import Callable, Hashable, Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .bounds import integer_weights
-from .errors import (
-    AgreementLabError,
-    EnumerationBudgetError,
-    MeasurabilityError,
-    NullConditioningError,
-)
+from .bounds import DEFAULT_ENUMERATION_BUDGET, integer_weights
+from .errors import AgreementLabError, EnumerationBudgetError, NullConditioningError
 from .signals import SignalModel
 
 Profile = tuple
-PUBLIC = "public"
-
-#: Exact engine refusal threshold on the number of (state, profile) pairs.
-#: At 2**22 pairs (iid_binary(21)) the slowest protocol's ``simulate`` took
-#: 24 s and 1.7 GB on a 2-core Xeon VM; one more agent doubles both.
-DEFAULT_ENUMERATION_BUDGET = 2**22
 
 ACTION_ZERO = frozenset({0})
 ACTION_ONE = frozenset({1})
@@ -104,14 +96,16 @@ def joint_codes(columns: Iterable[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
     """:func:`dense_codes` of the per-profile tuples of several code columns.
 
     Each column holds non-negative integers; columns are folded into one
-    key, and the key and the next column are replaced by their ranks among
-    their distinct values whenever the fold could overflow ``int64``.
+    key, in ``int64`` unless a column holds Python ints, and the key and the
+    next column are replaced by their ranks among their distinct values
+    whenever the fold could overflow ``int64``.
     """
     joint, count = None, 1
     for codes in columns:
         width = int(codes.max(initial=0)) + 1
         if joint is None:
-            joint, count = codes, width
+            joint = codes if codes.dtype == object else codes.astype(np.int64, copy=False)
+            count = width
             continue
         if count * width >= INT64_LIMIT:
             joint = np.unique(joint, return_inverse=True)[1]
@@ -154,7 +148,8 @@ class OutcomeSpace:
     profile, so the rows sort like the profiles) and ``w0`` /
     ``w1`` (per profile, the numerators of the two states' weights over
     ``den``).  ``weights`` is built on first use when the space was built
-    straight into that form.
+    straight into that form; the library reads only the integer form, and
+    the benchmark's exact laws read ``weights``.
     """
 
     __slots__ = ("n", "profiles", "symbols", "den", "w0", "w1", "_weights")
@@ -235,16 +230,6 @@ class OutcomeSpace:
             }
         return self._weights
 
-    def profile_weight(self, profile: Profile) -> Fraction:
-        i = self.profiles.index.get(profile)
-        if i is None:
-            return Fraction(0)
-        return Fraction(int(self.w0[i]) + int(self.w1[i]), self.den)
-
-    def state1_weight(self, profile: Profile) -> Fraction:
-        i = self.profiles.index.get(profile)
-        return Fraction(0) if i is None else Fraction(int(self.w1[i]), self.den)
-
     def __len__(self) -> int:
         return int(np.count_nonzero(self.w0)) + int(np.count_nonzero(self.w1))
 
@@ -271,14 +256,14 @@ def profile_indexer(space: OutcomeSpace) -> Callable[[np.ndarray], np.ndarray]:
     return index
 
 
-def outcome_space_iid(
-    model: SignalModel, n: int, budget: int = DEFAULT_ENUMERATION_BUDGET
-) -> OutcomeSpace:
-    """Product space for conditionally i.i.d. signals, weight = 1/2 * prod mu_s."""
-    size = 2 * len(model.alphabet) ** n
-    if size > budget:
+def outcome_space_iid(model: SignalModel, n: int) -> OutcomeSpace:
+    """Product space for conditionally i.i.d. signals, weight = 1/2 * prod mu_s,
+    over the model's support."""
+    size = 2 * len(model.support) ** n
+    if size > DEFAULT_ENUMERATION_BUDGET:
         raise EnumerationBudgetError(
-            f"{size} (state, profile) pairs exceed the exact-engine budget {budget}"
+            f"{size} (state, profile) pairs exceed the exact-engine budget "
+            f"{DEFAULT_ENUMERATION_BUDGET}"
         )
     return OutcomeSpace.iid(model, n)
 
@@ -286,54 +271,16 @@ def outcome_space_iid(
 class Partition:
     """A partition of the positive-weight profiles, canonically ordered.
 
-    ``labels[i]`` is the block of ``profiles[i]``.  Blocks are numbered by
-    first occurrence, which orders them by their least profile; ``blocks``
-    holds them as frozensets, built on first use.
+    ``labels[i]`` is the block of ``profiles[i]``, blocks numbered by first
+    occurrence (so by their least profile).
     """
 
-    __slots__ = ("profiles", "labels", "block_count", "_blocks")
+    __slots__ = ("profiles", "labels", "block_count")
 
-    def __init__(self, blocks: Iterable[frozenset]):
-        blocks = [frozenset(b) for b in blocks if b]
-        profiles = Profiles(sorted(set().union(*blocks)))
-        if sum(len(b) for b in blocks) != len(profiles):
-            raise ValueError("partition blocks must be disjoint")
-        keys = np.empty(len(profiles), dtype=np.int64)
-        for i, block in enumerate(blocks):
-            keys[[profiles.index[p] for p in block]] = i
-        self._set(profiles, dense_codes(keys)[0])
-
-    @classmethod
-    def of_labels(cls, profiles: Profiles, labels: np.ndarray) -> "Partition":
-        """The partition of ``profiles`` with first-occurrence ``labels``."""
-        partition = cls.__new__(cls)
-        partition._set(profiles, labels)
-        return partition
-
-    def _set(self, profiles: Profiles, labels: np.ndarray) -> None:
+    def __init__(self, profiles: Profiles, labels: np.ndarray):
         self.profiles = profiles
         self.labels = labels
         self.block_count = int(labels.max(initial=-1)) + 1
-        self._blocks = None
-
-    @property
-    def blocks(self) -> tuple[frozenset, ...]:
-        if self._blocks is None:
-            members: list[list] = [[] for _ in range(self.block_count)]
-            for profile, label in zip(self.profiles, self.labels.tolist()):
-                members[label].append(profile)
-            self._blocks = tuple(frozenset(m) for m in members)
-        return self._blocks
-
-    def block_of(self, profile: Profile) -> frozenset:
-        try:
-            return self.blocks[self.labels[self.profiles.index[profile]]]
-        except KeyError:
-            raise KeyError(f"profile {profile!r} not covered by the partition") from None
-
-    def covers(self, profiles: Iterable[Profile]) -> bool:
-        index = self.profiles.index
-        return all(p in index for p in profiles)
 
     def refine(self, codes: np.ndarray) -> "Partition":
         """Coarsest common refinement with the partition into equal ``codes``
@@ -345,10 +292,12 @@ class Partition:
         if np.array_equal(seen[self.labels], codes):
             return self
         width = int(codes.max(initial=0)) + 1
-        return Partition.of_labels(self.profiles, dense_codes(self.labels * width + codes)[0])
+        return Partition(self.profiles, dense_codes(self.labels * width + codes)[0])
 
     def refine_by_key(self, key: Callable[[Profile], Hashable]) -> "Partition":
-        """Coarsest common refinement with the preimage partition of ``key``."""
+        """Coarsest common refinement with the preimage partition of ``key``,
+        a function of the profile tuple.  The library refines on codes
+        (:meth:`refine`); the benchmark's tracer still reads this method."""
         seen: dict = {}
         codes = np.fromiter(
             (seen.setdefault(key(p), len(seen)) for p in self.profiles),
@@ -356,17 +305,6 @@ class Partition:
             count=len(self.profiles),
         )
         return self.refine(codes)
-
-    def refines(self, other: "Partition") -> bool:
-        """True when every block of self sits inside one block of other."""
-        if _same_profiles(self, other):
-            theirs = other.labels
-        else:
-            index = other.profiles.index
-            if not all(p in index for p in self.profiles):
-                return False
-            theirs = other.labels[[index[p] for p in self.profiles]]
-        return self.refine(theirs) is self
 
     def __eq__(self, other) -> bool:
         return (
@@ -392,7 +330,7 @@ def _labels_on(space: OutcomeSpace, partition: Partition) -> np.ndarray:
 
 def trivial_partition(space: OutcomeSpace) -> Partition:
     """The one-block partition of the space's profiles."""
-    return Partition.of_labels(space.profiles, np.zeros(len(space.profiles), dtype=np.int64))
+    return Partition(space.profiles, np.zeros(len(space.profiles), dtype=np.int64))
 
 
 def own_signal_partitions(space: OutcomeSpace) -> list[Partition]:
@@ -452,17 +390,6 @@ def block_beliefs(space: OutcomeSpace, partition: Partition) -> tuple[np.ndarray
     return codes, values
 
 
-def posterior_belief(space: OutcomeSpace, block: Iterable[Profile]) -> Fraction:
-    """Exact P(S=1 | block) = weight(S=1, block) / weight(block)."""
-    index = space.profiles.index
-    rows = [index[p] for p in block if p in index]
-    ones = int(space.w1[rows].sum())
-    total = ones + int(space.w0[rows].sum())
-    if total == 0:
-        raise NullConditioningError("cannot condition on a zero-weight block")
-    return Fraction(ones, total)
-
-
 def pooled_posterior(space: OutcomeSpace, profile: Profile) -> Fraction:
     """Exact P(S=1 | the full signal profile)."""
     i = space.profiles.index.get(profile)
@@ -482,79 +409,24 @@ def _profile_function(partition: Partition, block_values: list) -> Callable:
 
 
 def belief_function(space: OutcomeSpace, partition: Partition) -> Callable[[Profile], Fraction]:
-    """Profile-indexed posterior of one agent, constant on each block."""
+    """Profile-indexed posterior of one agent, constant on each block.
+
+    The library reads beliefs as codes (:func:`block_beliefs`); this
+    per-profile read-out is kept for the benchmark's exact laws."""
     codes, values = block_beliefs(space, partition)
     return _profile_function(partition, [values[c] for c in codes.tolist()])
 
 
 def action_function(space: OutcomeSpace, partition: Partition) -> Callable[[Profile], frozenset]:
     """Profile-indexed optimal action set of one agent, read off the signs of
-    its blocks' masses (:func:`action_codes`)."""
+    its blocks' masses (:func:`action_codes`).  The library reads actions
+    as codes; this per-profile read-out is kept for the benchmark's tracer."""
     codes = action_codes(*block_masses(space, partition))
     return _profile_function(partition, [ACTION_SETS[c] for c in codes.tolist()])
 
 
-def refine_by_announcement(
-    space: OutcomeSpace,
-    partitions: Sequence[Partition],
-    announcements: Mapping[int, Callable[[Profile], Hashable]],
-    audience=PUBLIC,
-) -> list[Partition]:
-    """Refine listeners' partitions by the preimages of announced values.
-
-    ``announcements`` maps announcing agents to profile-indexed value
-    functions, which must be constant on each announcer's blocks
-    (:class:`MeasurabilityError` otherwise).  ``audience`` is either
-    ``PUBLIC`` or a set of listening agents.  Refinement never coarsens.
-    """
-    for announcer, fn in announcements.items():
-        if partitions[announcer].refine_by_key(fn) is not partitions[announcer]:
-            raise MeasurabilityError(
-                f"agent {announcer} announcement is not constant on a block"
-            )
-    fns = list(announcements.values())
-
-    def heard(profile: Profile) -> tuple:
-        return tuple(fn(profile) for fn in fns)
-
-    listeners = range(space.n) if audience == PUBLIC else audience
-    refined = list(partitions)
-    for listener in listeners:
-        refined[listener] = refined[listener].refine_by_key(heard)
-    return refined
-
-
-def is_common_knowledge(
-    space: OutcomeSpace,
-    partitions: Sequence[Partition],
-    variables: Sequence[Callable[[frozenset], Hashable]],
-) -> bool:
-    """True iff every agent's variable is measurable in every agent's partition.
-
-    ``variables[u]`` maps a block of agent u's partition to u's value on it.
-    The predicate checks that for every ordered pair (u, w) the profile
-    function of u's variable is constant on each block of w's partition.
-    """
-    value_codes = []
-    for u in range(space.n):
-        seen: dict = {}
-        per_block = np.array(
-            [seen.setdefault(variables[u](block), len(seen)) for block in partitions[u].blocks],
-            dtype=np.int64,
-        )
-        value_codes.append(per_block[_labels_on(space, partitions[u])])
-    return all(
-        partitions[w].refine(codes) is partitions[w]
-        for w in range(space.n)
-        for codes in value_codes
-    )
-
-
-def dump_partitions(space: OutcomeSpace, partitions: Sequence[Partition]) -> str:
-    """Diagnostic text dump: one block per line, profiles as symbol strings."""
-    lines = []
-    for u, partition in enumerate(partitions):
-        for block in partition.blocks:
-            cells = sorted("".join(str(s) for s in profile) for profile in block)
-            lines.append(f"agent {u}: {' '.join(cells)}")
-    return "\n".join(lines) + "\n"
+def is_common_knowledge(partitions: Sequence[Partition], codes: Iterable[np.ndarray]) -> bool:
+    """True iff every variable is known to every agent: each per-profile
+    code array (equal codes for equal values) is constant on every block of
+    every partition, so refining by it splits nothing."""
+    return all(p.refine(c) is p for c in codes for p in partitions)

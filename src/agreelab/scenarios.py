@@ -32,13 +32,13 @@ from .bounds import (
 )
 from .errors import AgreementLabError, EnumerationBudgetError, ScenarioParameterError
 from .knowledge import (
-    ACTION_SETS,
     DEFAULT_ENUMERATION_BUDGET,
     TIE,
     OutcomeSpace,
     Partition,
     action_code,
     action_codes,
+    joint_codes,
     own_signal_partitions,
     profile_indexer,
     trivial_partition,
@@ -62,12 +62,12 @@ class Scenario:
     structure: object
     metadata: dict = field(default_factory=dict)
 
-    def outcome_space(self, budget: int = DEFAULT_ENUMERATION_BUDGET) -> OutcomeSpace:
+    def outcome_space(self) -> OutcomeSpace:
         size = self.structure.pair_count(self.n)
-        if size > budget:
+        if size > DEFAULT_ENUMERATION_BUDGET:
             raise EnumerationBudgetError(
                 f"{self.name}: {size} (state, profile) pairs exceed the "
-                f"exact-engine budget {budget}"
+                f"exact-engine budget {DEFAULT_ENUMERATION_BUDGET}"
             )
         build = getattr(self.structure, "outcome_space", None)
         if build is not None:
@@ -461,19 +461,13 @@ class SenateStaged:
     def marginal_model(self, n: int) -> SignalModel:
         return self.model
 
-    def senate_action(self, senate_bits) -> frozenset:
-        return ACTION_SETS[int(_majority_codes(sum(senate_bits), self.senate_size))]
-
     def initial_partitions(self, space: OutcomeSpace) -> list[Partition]:
         """Members know the committee's signals, everyone else their own
         signal and the committee's verdict."""
         m = self.senate_size
-        everything = trivial_partition(space)
-        committee = everything.refine_by_key(lambda profile: profile[:m])
-        verdict = everything.refine_by_key(lambda profile: self.senate_action(profile[:m]))
-        return [committee] * m + [
-            p.refine(verdict.labels) for p in own_signal_partitions(space)[m:]
-        ]
+        committee = trivial_partition(space).refine(joint_codes(space.symbols[:, :m].T)[0])
+        verdict = self.trial_labels(space)
+        return [committee] * m + [p.refine(verdict) for p in own_signal_partitions(space)[m:]]
 
     # -- exact committee arithmetic -------------------------------------
 

@@ -19,7 +19,12 @@ from agreelab.bounds import (
     qn_bound,
 )
 from agreelab.cli import main as cli_main
-from agreelab.dynamics import PUBLIC_ACTION, PUBLIC_BELIEF, fixed_point_partitions
+from agreelab.dynamics import (
+    PUBLIC_ACTION,
+    PUBLIC_BELIEF,
+    announced_codes,
+    fixed_point_partitions,
+)
 from agreelab.harness import (
     POOLED,
     chunk_streams,
@@ -36,7 +41,6 @@ from agreelab.knowledge import (
     is_common_knowledge,
     optimal_action_set,
     pooled_posterior,
-    posterior_belief,
 )
 from agreelab.scenarios import (
     geometric_tail,
@@ -90,9 +94,7 @@ def test_criterion_1_agreement_equals_pooled_exactly():
                 PUBLIC_BELIEF, space, own_signal_partitions(space)
             )
             ck = is_common_knowledge(
-                space,
-                final,
-                [lambda block, s=space: posterior_belief(s, block)] * n,
+                final, [announced_codes(PUBLIC_BELIEF, space, p)[0] for p in final]
             )
             fns = [belief_function(space, p) for p in final]
             exact = all(
@@ -257,11 +259,12 @@ def test_criterion_7_committee_blocks_learning():
         PUBLIC_ACTION, space, small.initial_partitions(space)
     )
     fns = [belief_function(space, p) for p in final]
-    for profile in space.profiles:
+    verdicts = small.structure.trial_labels(space)
+    for profile, verdict in zip(space.profiles, verdicts.tolist()):
         actions = {optimal_action_set(fn(profile)) for fn in fns}
         ok = ok and len(actions) == 1
         engine = actions.pop()
-        committee = small.structure.senate_action(profile[:2])
+        committee = ACTION_SETS[verdict]
         if committee != ACTION_BOTH:
             ok = ok and engine == committee
         else:
@@ -273,12 +276,7 @@ def test_criterion_7_committee_blocks_learning():
             )
             ok = ok and engine == expected
     ok = ok and is_common_knowledge(
-        space,
-        final,
-        [
-            lambda block, s=space: optimal_action_set(posterior_belief(s, block))
-            for _ in range(5)
-        ],
+        final, [announced_codes(PUBLIC_ACTION, space, p)[0] for p in final]
     )
 
     # full-size committees: deference is exact and the error law is flat in n

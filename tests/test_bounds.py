@@ -28,7 +28,7 @@ from agreelab.bounds import (
     pooled_action_law,
     qn_bound,
 )
-from agreelab.errors import BoundedBeliefsError
+from agreelab.errors import BoundedBeliefsError, EnumerationBudgetError
 from agreelab.knowledge import (
     ACTION_BOTH,
     ACTION_ONE,
@@ -202,6 +202,11 @@ class TestEstimatorMoments:
             assert moments.cov_s_y == pytest.approx(0.25, abs=1e-12)
             assert moments.var_y == pytest.approx(0.25 * (1 + d / n), abs=1e-10)
             assert moments.mean == pytest.approx(0.5, abs=1e-12)
+
+    def test_enumeration_refuses_beyond_the_budget(self):
+        """The same gate as the outcome spaces: 2 * 2**22 pairs are refused."""
+        with pytest.raises(EnumerationBudgetError):
+            estimator_moments_enumerated(BINARY_23, 22)
 
     def test_count_form_matches_enumeration(self):
         """The polynomial-in-n route must agree with brute force."""

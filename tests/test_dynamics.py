@@ -17,6 +17,7 @@ from agreelab.errors import ConnectivityError
 from agreelab.knowledge import (
     ACTION_BOTH,
     ACTION_ONE,
+    ACTION_SETS,
     ACTION_ZERO,
     belief_function,
     optimal_action_set,
@@ -100,11 +101,12 @@ class TestPublicAction:
             PUBLIC_ACTION, space, scenario.initial_partitions(space)
         )
         fns = [belief_function(space, p) for p in final]
-        for profile in space.profiles:
+        verdicts = structure.trial_labels(space)
+        for profile, verdict in zip(space.profiles, verdicts.tolist()):
             actions = {optimal_action_set(fn(profile)) for fn in fns}
             assert len(actions) == 1
             engine = actions.pop()
-            committee = structure.senate_action(profile[:2])
+            committee = ACTION_SETS[verdict]
             if committee != ACTION_BOTH:
                 assert engine == committee
             else:

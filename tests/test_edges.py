@@ -5,6 +5,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
+from reference import partition_of_blocks
 
 from agreelab.bounds import (
     conditional_expectation_interval,
@@ -23,11 +24,11 @@ from agreelab.dynamics import (
 from agreelab.errors import NullConditioningError, ScenarioParameterError
 from agreelab.harness import run_monte_carlo
 from agreelab.knowledge import (
-    Partition,
     belief_function,
     outcome_space_iid,
     own_signal_partitions,
     pooled_posterior,
+    trivial_partition,
     validate_partitions,
 )
 from agreelab.scenarios import iid_binary, parity, senate, two_bit, uncorrelated_tight
@@ -44,20 +45,20 @@ class TestPartitionValidation:
 
     def test_non_covering_rejected(self):
         space = outcome_space_iid(BINARY_23, 2)
-        partial = Partition([frozenset({(0, 0), (0, 1)})])
+        partial = partition_of_blocks([frozenset({(0, 0), (0, 1)})])
         with pytest.raises(ValueError):
             validate_partitions(space, [partial, partial])
 
     def test_coarser_than_own_signal_rejected(self):
         space = outcome_space_iid(BINARY_23, 2)
-        blind = Partition([frozenset(space.profiles)])
+        blind = trivial_partition(space)
         good = own_signal_partitions(space)
         with pytest.raises(ValueError):
             validate_partitions(space, [blind, good[1]])
 
     def test_protocols_validate_their_inputs(self):
         space = outcome_space_iid(BINARY_23, 2)
-        blind = Partition([frozenset(space.profiles)])
+        blind = trivial_partition(space)
         with pytest.raises(ValueError):
             fixed_point_partitions(PUBLIC_ACTION, space, [blind, blind])
 

@@ -16,6 +16,8 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
+from reference import blocks_of, partition_of_blocks, posterior_belief
+from reference import is_common_knowledge as reference_common_knowledge
 
 from agreelab import dynamics, harness
 from agreelab.cli import main
@@ -26,6 +28,7 @@ from agreelab.dynamics import (
     PUBLIC_BELIEF,
     PUBLIC_STATISTIC,
     Digraph,
+    announced_codes,
     exact_means,
     fixed_point_partitions,
     mean_beliefs,
@@ -42,10 +45,10 @@ from agreelab.knowledge import (
     block_beliefs,
     dense_codes,
     is_common_knowledge,
+    joint_codes,
     optimal_action_set,
     own_signal_partitions,
     pooled_posterior,
-    posterior_belief,
     trivial_partition,
 )
 from agreelab.scenarios import (
@@ -92,6 +95,11 @@ def refine(partition, key) -> set:
     return {piece for block in partition for piece in group(block, key)}
 
 
+def majority(bits) -> int:
+    """1, -1 or 0 as ones outnumber zeros, zeros outnumber ones, or neither."""
+    return (2 * sum(bits) > len(bits)) - (2 * sum(bits) < len(bits))
+
+
 def reference_initial(scenario, profiles) -> list:
     structure = scenario.structure
     if isinstance(structure, SenateStaged):
@@ -99,7 +107,7 @@ def reference_initial(scenario, profiles) -> list:
         return [
             set(group(profiles, lambda p: p[:m]))
             if u < m
-            else set(group(profiles, lambda p, u=u: (p[u], structure.senate_action(p[:m]))))
+            else set(group(profiles, lambda p, u=u: (p[u], majority(p[:m]))))
             for u in range(scenario.n)
         ]
     return [set(group(profiles, lambda p, u=u: p[u])) for u in range(scenario.n)]
@@ -163,7 +171,7 @@ def assert_matches_reference(kind, scenario, realized_profiles=None, network=Non
             kind, space, scenario.initial_partitions(space), realized, network
         )
         want_final, want_rounds = reference_fixed_point(kind, scenario, realized, edges)
-        assert [set(p.blocks) for p in final] == want_final
+        assert [set(blocks_of(p)) for p in final] == want_final
         got_rounds = [(r.announced, r.block_counts) for r in trace.rounds]
         assert got_rounds == want_rounds
         for (announced, _), (wanted, _) in zip(got_rounds, want_rounds):
@@ -207,10 +215,19 @@ class TestAgainstReference:
         for profile in space.profiles:
             assert {b(profile) for b in beliefs} == {pooled_posterior(space, profile)}
         belief = [lambda block: posterior_belief(space, block)] * n
-        assert is_common_knowledge(space, final, belief)
+        assert reference_common_knowledge(space, final, belief)
+        codes = [announced_codes(PUBLIC_BELIEF, space, p)[0] for p in final]
+        assert is_common_knowledge(final, codes)
+        initial = own_signal_partitions(space)
+        codes = [announced_codes(PUBLIC_BELIEF, space, p)[0] for p in initial]
+        assert is_common_knowledge(initial, codes) == reference_common_knowledge(
+            space, initial, belief
+        )
         final, _ = fixed_point_partitions(PUBLIC_ACTION, space, own_signal_partitions(space))
         action = [lambda block: optimal_action_set(posterior_belief(space, block))] * n
-        assert is_common_knowledge(space, final, action)
+        assert reference_common_knowledge(space, final, action)
+        codes = [announced_codes(PUBLIC_ACTION, space, p)[0] for p in final]
+        assert is_common_knowledge(final, codes)
         for p in final:
             acts, belief = action_function(space, p), belief_function(space, p)
             assert all(acts(q) == optimal_action_set(belief(q)) for q in space.profiles)
@@ -226,14 +243,15 @@ class TestAgainstReference:
         realized = space.profiles[-1]
         result = run_protocol(kind, space, scenario.initial_partitions(space), realized)
         assert result.beliefs == tuple(
-            posterior_belief(space, p.block_of(realized)) for p in result.partitions
+            posterior_belief(space, next(b for b in blocks_of(p) if realized in b))
+            for p in result.partitions
         )
         belief = [lambda block: posterior_belief(space, block)] * scenario.n
         action = [lambda block: optimal_action_set(posterior_belief(space, block))] * scenario.n
-        assert result.beliefs_common_knowledge == is_common_knowledge(
+        assert result.beliefs_common_knowledge == reference_common_knowledge(
             space, result.partitions, belief
         )
-        assert result.actions_common_knowledge == is_common_knowledge(
+        assert result.actions_common_knowledge == reference_common_knowledge(
             space, result.partitions, action
         )
 
@@ -263,7 +281,7 @@ class TestPartitionLabels:
     def test_equal_partitions_have_equal_labels(self):
         space = iid_binary(3, Fraction(2, 3)).outcome_space()
         own = own_signal_partitions(space)
-        rebuilt = Partition(own[1].blocks)
+        rebuilt = partition_of_blocks(blocks_of(own[1]))
         assert rebuilt == own[1]
         assert list(rebuilt.labels) == list(own[1].labels)
         assert list(own[1].labels) == [0, 0, 1, 1, 0, 0, 1, 1]
@@ -338,7 +356,7 @@ class TestDenseCodes:
         size = data.draw(st.integers(0, 30))
         blocks = data.draw(st.lists(st.integers(0, 5), min_size=size, max_size=size))
         labels = reference_dense_codes(np.array(blocks, dtype=np.int64))[0]
-        partition = Partition.of_labels(Profiles((i,) for i in range(size)), labels)
+        partition = Partition(Profiles((i,) for i in range(size)), labels)
         per_block = data.draw(st.lists(st.integers(0, 6), min_size=6, max_size=6))
         codes = np.array(per_block)[labels]
         if size and data.draw(st.booleans()):
@@ -354,6 +372,13 @@ class TestDenseCodes:
         expected = reference_dense_codes(labels * width + codes)[0]
         assert np.array_equal(refined.labels, expected)
         assert refined.block_count == int(expected.max(initial=-1)) + 1
+
+    def test_joint_codes_of_narrow_columns_do_not_overflow(self):
+        """Nine uint8 bit columns have 512 distinct rows, so 512 codes."""
+        rows = np.array(list(itertools.product((0, 1), repeat=9)), dtype=np.uint8)
+        codes, first = joint_codes(rows.T)
+        assert codes.tolist() == list(range(512))
+        assert first.tolist() == list(range(512))
 
 
 # ---------------------------------------------------------------------------
@@ -376,6 +401,11 @@ OUTCOME_TABLES = {
     ("parity(3)", PUBLIC_BELIEF): "536483d5088670f3e488d58c3b365a3d6e37ccbd5d4035861e1c7880e34aa193",
     ("two_bit(4)", PUBLIC_BELIEF): "dae7bf8b38744161d1fa4e14be6a84ced0cd6f8d0fcf35cc3762322acb7bc613",
     ("uncorrelated_tight(8)", PUBLIC_ACTION): "d7807b4716d1af0aad8de5f33bdd764217c2f1048ef9ea804b57939c3154b0a1",
+    # A committee of more than eight members: its uint8 symbol columns must
+    # fold into distinct codes (recorded while its partitions were still
+    # built from profile tuples).
+    ("senate(12, 9)", PUBLIC_BELIEF): "4d975c2b2fd43a6629ac0d2ae31861930e0008d9a60628a1770bf1933cd974b9",
+    ("senate(12, 9)", PUBLIC_ACTION): "40f20209d0a21c6c39ffdc48b323c44d8b1162faff088fb9e05a241eebbff72d",
     # Python-int spaces whose beliefs reduce to small pairs (1/2 on the
     # trivial partition), so the belief codes fold as object arrays.
     **{
@@ -394,6 +424,7 @@ TABLE_SCENARIOS = {
     "geometric_tail(3)": lambda: geometric_tail(3),
     "senate(5, 2)": lambda: senate(5, 2),
     "senate(5, 3)": lambda: senate(5, 3),
+    "senate(12, 9)": lambda: senate(12, 9),
     "parity(3)": lambda: parity(3),
     "two_bit(4)": lambda: two_bit(4),
     "uncorrelated_tight(8)": lambda: uncorrelated_tight(8),
@@ -447,7 +478,7 @@ GOLDEN = {
 }
 
 
-@pytest.mark.parametrize("family,n,protocol", list(GOLDEN), ids=" ".join)
+@pytest.mark.parametrize("family,n,protocol", list(GOLDEN), ids=["-".join(k) for k in GOLDEN])
 def test_simulate_csv_is_unchanged(family, n, protocol, capsys):
     argv = ["simulate", "--scenario", family, "--n", n, "--protocol", protocol,
             "--trials", "1000", "--seed", "7", "--format", "csv"]

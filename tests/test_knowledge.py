@@ -7,30 +7,25 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from agreelab.errors import (
-    AgreementLabError,
-    EnumerationBudgetError,
-    MeasurabilityError,
-    NullConditioningError,
-)
+from reference import blocks_of, partition_of_blocks, posterior_belief, refine_by_announcement
+
+from agreelab.dynamics import PUBLIC_BELIEF, announced_codes
+from agreelab.errors import AgreementLabError, EnumerationBudgetError, NullConditioningError
 from agreelab.knowledge import (
     ACTION_BOTH,
     ACTION_ONE,
     ACTION_ZERO,
     OutcomeSpace,
-    Partition,
     belief_function,
-    dump_partitions,
+    block_beliefs,
     is_common_knowledge,
     optimal_action_set,
     outcome_space_iid,
     own_signal_partitions,
     pooled_posterior,
-    posterior_belief,
     profile_indexer,
-    refine_by_announcement,
 )
-from agreelab.scenarios import iid_binary, parity, two_bit, uncorrelated_tight
+from agreelab.scenarios import iid_binary, iid_custom, parity, two_bit, uncorrelated_tight
 from agreelab.signals import SignalModel, belief_from_llr, log_likelihood_ratio
 
 BINARY_23 = SignalModel.binary(Fraction(2, 3))
@@ -70,23 +65,40 @@ class TestOutcomeSpaces:
         with pytest.raises(EnumerationBudgetError):
             iid_binary(25, Fraction(2, 3)).outcome_space()
 
+    def test_budget_counts_the_support(self):
+        """A zero-weight symbol adds no profiles: 2 * 2**14 pairs, not 2 * 3**14."""
+        model = SignalModel(
+            ("a", "b", "c"),
+            (Fraction(2, 3), Fraction(0), Fraction(1, 3)),
+            (Fraction(1, 3), Fraction(0), Fraction(2, 3)),
+        )
+        space = outcome_space_iid(model, 14)
+        assert len(space.profiles) == 2**14
+        assert space.profiles == iid_custom(14, model).outcome_space().profiles
+
     def test_state_marginals_enforced(self):
         with pytest.raises(ValueError):
             OutcomeSpace(1, {(1, (0,)): Fraction(3, 4), (0, (0,)): Fraction(1, 4)})
 
 
+def block_belief(space, partition, profile) -> Fraction:
+    """The engine's exact posterior of the block holding ``profile``."""
+    codes, values = block_beliefs(space, partition)
+    return values[codes[partition.labels[space.profiles.index[profile]]]]
+
+
 class TestPosteriorBelief:
     def test_own_signal_block(self):
         space = outcome_space_iid(BINARY_23, 2)
-        block = [p for p in space.profiles if p[0] == 1]
-        assert posterior_belief(space, block) == Fraction(2, 3)
+        assert block_belief(space, own_signal_partitions(space)[0], (1, 0)) == Fraction(2, 3)
 
     def test_parity_own_signal_block_is_half(self):
         space = parity(3).outcome_space()
+        partitions = own_signal_partitions(space)
         for u in range(3):
             for bit in (0, 1):
-                block = [p for p in space.profiles if p[u] == bit]
-                assert posterior_belief(space, block) == Fraction(1, 2)
+                profile = next(p for p in space.profiles if p[u] == bit)
+                assert block_belief(space, partitions[u], profile) == Fraction(1, 2)
 
     def test_singleton_block(self):
         space = outcome_space_iid(BINARY_23, 2)
@@ -154,15 +166,18 @@ class TestTowerProperty:
         space = outcome_space_iid(ternary_model(), 3)
         coarse = own_signal_partitions(space)[0]
         fine = coarse.refine_by_key(lambda profile: profile[1])
-        for block in coarse.blocks:
+        def weight(block):
+            return sum((space.weights.get((s, p), 0) for s in (0, 1) for p in block), Fraction(0))
+
+        for block in blocks_of(coarse):
             num = Fraction(0)
             den = Fraction(0)
-            for sub in fine.blocks:
+            for sub in blocks_of(fine):
                 if sub <= block:
-                    w = sum((space.profile_weight(p) for p in sub), Fraction(0))
+                    w = weight(sub)
                     num += w * posterior_belief(space, sub)
                     den += w
-            assert den == sum((space.profile_weight(p) for p in block), Fraction(0))
+            assert den == weight(block)
             assert num / den == posterior_belief(space, block)
 
 
@@ -182,7 +197,7 @@ class TestRefinement:
         refined = refine_by_announcement(space, partitions, fns)
         # belief 2/3 vs 1/3 reveals the announcing agent's bit exactly
         assert all(p.block_count == 4 for p in refined)
-        assert all(len(b) == 1 for p in refined for b in p.blocks)
+        assert all(len(b) == 1 for p in refined for b in blocks_of(p))
 
     def test_parity_beliefs_announce_nothing(self):
         space = parity(3).outcome_space()
@@ -197,7 +212,7 @@ class TestRefinement:
         fns = {0: belief_function(space, partitions[0])}
         refined = refine_by_announcement(space, partitions, fns)
         for old, new in zip(partitions, refined):
-            assert new.refines(old)
+            assert new.refine(old.labels) is new
 
     def test_private_audience(self):
         space = outcome_space_iid(BINARY_23, 3)
@@ -207,39 +222,33 @@ class TestRefinement:
         assert refined[1].block_count == 4
         assert refined[2] == partitions[2]
 
-    def test_non_measurable_announcement_rejected(self):
-        space = outcome_space_iid(BINARY_23, 2)
-        partitions = own_signal_partitions(space)
-        with pytest.raises(MeasurabilityError):
-            # agent 0 cannot announce agent 1's signal
-            refine_by_announcement(space, partitions, {0: lambda profile: profile[1]})
+
+def belief_codes(space, partitions) -> list:
+    """Each agent's posterior as per-profile codes."""
+    return [announced_codes(PUBLIC_BELIEF, space, p)[0] for p in partitions]
 
 
 class TestCommonKnowledge:
     def test_single_agent_always_true(self):
         space = outcome_space_iid(BINARY_23, 1)
         partitions = own_signal_partitions(space)
-        variables = [lambda block: posterior_belief(space, block)]
-        assert is_common_knowledge(space, partitions, variables)
+        assert is_common_knowledge(partitions, belief_codes(space, partitions))
 
     def test_parity_beliefs_are_common_knowledge(self):
         space = parity(3).outcome_space()
         partitions = own_signal_partitions(space)
-        variables = [lambda block: posterior_belief(space, block)] * 3
-        assert is_common_knowledge(space, partitions, variables)
+        assert is_common_knowledge(partitions, belief_codes(space, partitions))
 
     def test_iid_initial_beliefs_are_not(self):
         space = outcome_space_iid(BINARY_23, 2)
         partitions = own_signal_partitions(space)
-        variables = [lambda block: posterior_belief(space, block)] * 2
-        assert not is_common_knowledge(space, partitions, variables)
+        assert not is_common_knowledge(partitions, belief_codes(space, partitions))
 
     def test_identical_partitions_always_true(self):
         space = outcome_space_iid(ternary_model(), 2)
         shared = own_signal_partitions(space)[0]
         partitions = [shared, shared]
-        variables = [lambda block: posterior_belief(space, block)] * 2
-        assert is_common_knowledge(space, partitions, variables)
+        assert is_common_knowledge(partitions, belief_codes(space, partitions))
 
 
 class TestPrivateBeliefLaw:
@@ -274,20 +283,15 @@ class TestPrivateBeliefLaw:
 class TestPartitionMechanics:
     def test_blocks_must_be_disjoint(self):
         with pytest.raises(ValueError):
-            Partition([{(0,), (1,)}, {(1,)}])
+            partition_of_blocks([{(0,), (1,)}, {(1,)}])
 
     def test_refines_detects_non_refinement(self):
-        coarse = Partition([{(0,), (1,)}])
-        fine = Partition([{(0,)}, {(1,)}])
-        assert fine.refines(coarse)
-        assert not coarse.refines(fine)
-
-    def test_dump_partitions_one_block_per_line(self):
-        space = outcome_space_iid(BINARY_23, 2)
-        text = dump_partitions(space, own_signal_partitions(space))
-        lines = text.strip().split("\n")
-        assert len(lines) == 4
-        assert lines[0].startswith("agent 0:")
+        """A partition refines another iff the other's labels split none of
+        its blocks."""
+        coarse = partition_of_blocks([{(0,), (1,)}])
+        fine = partition_of_blocks([{(0,)}, {(1,)}])
+        assert fine.refine(coarse.labels) is fine
+        assert coarse.refine(fine.labels) is not coarse
 
 
 class TestProfileIndexer:

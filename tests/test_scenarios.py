@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from reference import refine_by_announcement
 
 from agreelab.bounds import odds_posterior
 from agreelab.errors import ScenarioParameterError
@@ -16,10 +17,10 @@ from agreelab.knowledge import (
     ACTION_ZERO,
     TIE,
     belief_function,
+    block_beliefs,
     optimal_action_set,
+    own_signal_partitions,
     pooled_posterior,
-    posterior_belief,
-    refine_by_announcement,
 )
 from agreelab.scenarios import (
     build_scenario,
@@ -46,10 +47,10 @@ class TestParity:
     def test_private_beliefs_are_half_everywhere(self, n):
         scenario = parity(n)
         space = scenario.outcome_space()
-        for u in range(n):
-            for bit in (0, 1):
-                block = [p for p in space.profiles if p[u] == bit]
-                assert posterior_belief(space, block) == Fraction(1, 2)
+        for partition in own_signal_partitions(space):
+            codes, values = block_beliefs(space, partition)
+            assert partition.block_count == 2
+            assert [values[c] for c in codes.tolist()] == [Fraction(1, 2)] * 2
 
     @pytest.mark.parametrize("n", [2, 3, 4, 5])
     def test_pooled_posterior_is_degenerate(self, n):
@@ -227,7 +228,7 @@ class TestSenate:
         rng = np.random.default_rng(1)
         for state, committee, common, tally in zip(*(a.tolist() for a in draw(rng, 200))):
             committee, common = ACTION_SETS[committee], ACTION_SETS[common]
-            assert committee == scenario.structure.senate_action([1] * tally + [0] * (2 - tally))
+            assert committee == optimal_action_set(scenario.structure.tally_posterior(tally))
             if committee != ACTION_BOTH:
                 assert common == committee
 
