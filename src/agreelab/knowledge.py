@@ -29,7 +29,7 @@ import itertools
 import math
 from fractions import Fraction
 from functools import cached_property
-from typing import Callable, Hashable, Iterable, Mapping, Sequence
+from typing import Callable, Hashable, Iterable, Sequence
 
 import numpy as np
 
@@ -132,70 +132,45 @@ def _same_profiles(a, b) -> bool:
     return a.profiles is b.profiles or a.profiles == b.profiles
 
 
-def _weight_dtype(den: int):
+def weight_dtype(den: int):
     """``int64`` when every sum of masses over ``den`` fits in it."""
     return np.int64 if den < INT64_LIMIT else object
 
 
 class OutcomeSpace:
-    """Weighted enumeration of (state, profile) outcomes.
+    """Weighted enumeration of (state, profile) outcomes, in integer form.
 
-    ``weights`` maps (state, profile) to a positive Fraction; pairs that are
-    absent carry zero weight.  Weights must total exactly one with exactly
-    one half on each state.  The engine reads the integer form:
-    ``profiles`` (the positive-weight profiles, sorted), ``symbols`` (each
-    agent's symbol as its rank among that agent's symbols, one row per
-    profile, so the rows sort like the profiles) and ``w0`` /
-    ``w1`` (per profile, the numerators of the two states' weights over
-    ``den``).  ``weights`` is built on first use when the space was built
-    straight into that form; the library reads only the integer form, and
-    the benchmark's exact laws read ``weights``.
+    ``profiles`` are the positive-weight profiles, sorted; ``symbols`` holds
+    each agent's symbol as its rank among that agent's symbols, one row per
+    profile, so the rows sort like the profiles; ``w0`` / ``w1`` are the
+    two states' masses per profile, non-negative integer numerators over
+    ``den`` with exactly ``den / 2`` on each state.  Each structure builds
+    its own space in this form.  ``weights`` is built on first use for the
+    benchmark's exact laws; the library reads only the integer form.
     """
 
-    __slots__ = ("n", "profiles", "symbols", "den", "w0", "w1", "_weights")
-
-    def __init__(self, n: int, weights: Mapping[tuple[int, Profile], Fraction]):
-        cleaned: dict[tuple[int, Profile], Fraction] = {}
-        state_totals = [Fraction(0), Fraction(0)]
-        for (state, profile), w in weights.items():
-            w = Fraction(w)
-            if w < 0:
-                raise ValueError("outcome weights must be non-negative")
-            if w == 0:
-                continue
-            if state not in (0, 1):
-                raise ValueError("state must be 0 or 1")
-            if len(profile) != n:
-                raise ValueError("profile length must equal the agent count")
-            cleaned[(state, profile)] = w
-            state_totals[state] += w
-        if state_totals[0] + state_totals[1] != 1:
-            raise ValueError("outcome weights must sum to exactly 1")
-        if state_totals[0] != Fraction(1, 2) or state_totals[1] != Fraction(1, 2):
+    def __init__(self, n: int, profiles: Profiles, symbols: np.ndarray, den: int, w0, w1):
+        dtype = weight_dtype(den)
+        w0, w1 = np.asarray(w0, dtype=dtype), np.asarray(w1, dtype=dtype)
+        if w0.min(initial=0) < 0 or w1.min(initial=0) < 0:
+            raise ValueError("outcome masses must be non-negative")
+        if 2 * int(w0.sum()) != den or 2 * int(w1.sum()) != den:
             raise ValueError("each state must carry prior weight exactly 1/2")
-        profiles = Profiles(sorted({profile for _, profile in cleaned}))
-        den = math.lcm(*(w.denominator for w in cleaned.values()))
-        masses = ([0] * len(profiles), [0] * len(profiles))
-        for (state, profile), w in cleaned.items():
-            masses[state][profiles.index[profile]] = w.numerator * (den // w.denominator)
-        ranks = [
-            {s: r for r, s in enumerate(sorted({p[u] for p in profiles}))} for u in range(n)
-        ]
-        symbols = np.array(
-            [[ranks[u][p[u]] for u in range(n)] for p in profiles], dtype=np.int64
-        ).reshape(len(profiles), n)
-        symbols = symbols.astype(np.min_scalar_type(symbols.max(initial=0)))
-        self._fill(n, profiles, symbols, den, *masses)
-        self._weights = cleaned
+        self.n = n
+        self.profiles = profiles
+        self.symbols = symbols
+        self.den = den
+        self.w0 = w0
+        self.w1 = w1
 
     @classmethod
     def iid(cls, model: SignalModel, n: int) -> "OutcomeSpace":
         """Product space of n conditionally i.i.d. signals, weight
-        1/2 * prod mu_s, built straight into the integer form."""
+        1/2 * prod mu_s."""
         den, pairs = integer_weights(model)
         order = sorted(range(len(pairs)), key=lambda i: model.support[i])
         total = 2 * den**n
-        dtype = _weight_dtype(total)
+        dtype = weight_dtype(total)
         masses = []
         for state in (0, 1):
             per_symbol = np.array([pairs[i][state] for i in order], dtype=dtype)
@@ -206,29 +181,17 @@ class OutcomeSpace:
         symbols = np.indices((len(order),) * n, dtype=np.min_scalar_type(len(order)))
         symbols = symbols.reshape(n, -1).T
         support = [model.support[i] for i in order]
-        space = cls.__new__(cls)
-        space._fill(n, Profiles(itertools.product(support, repeat=n)), symbols, total, *masses)
-        space._weights = None
-        return space
+        return cls(n, Profiles(itertools.product(support, repeat=n)), symbols, total, *masses)
 
-    def _fill(self, n, profiles, symbols, den, w0, w1) -> None:
-        self.n = n
-        self.profiles = profiles
-        self.symbols = symbols
-        self.den = den
-        self.w0 = np.asarray(w0, dtype=_weight_dtype(den))
-        self.w1 = np.asarray(w1, dtype=_weight_dtype(den))
-
-    @property
+    @cached_property
     def weights(self) -> dict[tuple[int, Profile], Fraction]:
-        if self._weights is None:
-            self._weights = {
-                (state, profile): Fraction(w, self.den)
-                for state, masses in ((0, self.w0), (1, self.w1))
-                for profile, w in zip(self.profiles, masses.tolist())
-                if w
-            }
-        return self._weights
+        """(state, profile) -> Fraction weight of the positive pairs."""
+        return {
+            (state, profile): Fraction(w, self.den)
+            for state, masses in ((0, self.w0), (1, self.w1))
+            for profile, w in zip(self.profiles, masses.tolist())
+            if w
+        }
 
     def __len__(self) -> int:
         return int(np.count_nonzero(self.w0)) + int(np.count_nonzero(self.w1))

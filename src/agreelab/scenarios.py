@@ -1,9 +1,10 @@
 """Constructors for the benchmark scenario families.
 
 A scenario bundles an agent count with a joint signal structure and the
-agents' initial information.  Structures expose enumeration for the exact
-engine, batch samplers for the Monte Carlo path and, where it exists, the
-per-agent marginal signal model used by the aggregate bounds.
+agents' initial information.  Each structure builds its own outcome space
+for the exact engine, straight into the integer form, and exposes batch
+samplers for the Monte Carlo path and, where it exists, the per-agent
+marginal signal model used by the aggregate bounds.
 
 Every sampler returns a draw ``draw(rng, size, force_state=None)`` that
 makes ``size`` trials with a few vectorised calls.  A pooled draw returns
@@ -36,12 +37,14 @@ from .knowledge import (
     TIE,
     OutcomeSpace,
     Partition,
+    Profiles,
     action_code,
     action_codes,
     joint_codes,
     own_signal_partitions,
     profile_indexer,
     trivial_partition,
+    weight_dtype,
 )
 from .signals import (
     SignalModel,
@@ -69,10 +72,7 @@ class Scenario:
                 f"{self.name}: {size} (state, profile) pairs exceed the "
                 f"exact-engine budget {DEFAULT_ENUMERATION_BUDGET}"
             )
-        build = getattr(self.structure, "outcome_space", None)
-        if build is not None:
-            return build(self.n)
-        return OutcomeSpace(self.n, self.structure.weights(self.n))
+        return self.structure.outcome_space(self.n)
 
     def initial_partitions(self, space: OutcomeSpace) -> list[Partition]:
         make = getattr(self.structure, "initial_partitions", None)
@@ -220,12 +220,11 @@ class ParityBits:
     def pair_count(self, n: int) -> int:
         return 2**n
 
-    def weights(self, n: int) -> dict:
-        w = Fraction(1, 2**n)
-        out = {}
-        for profile in itertools.product((0, 1), repeat=n):
-            out[(sum(profile) % 2, profile)] = w
-        return out
+    def outcome_space(self, n: int) -> OutcomeSpace:
+        rows = np.indices((2,) * n, dtype=np.uint8).reshape(n, -1).T
+        odd = rows.sum(axis=1, dtype=np.int64) % 2
+        profiles = Profiles(itertools.product((0, 1), repeat=n))
+        return OutcomeSpace(n, profiles, rows, 2**n, 1 - odd, odd)
 
     def marginal_model(self, n: int) -> None:
         return None
@@ -269,36 +268,46 @@ class ExchangeableFlip:
     """
 
     q: Fraction
-    subset_fraction: Fraction = Fraction(3, 4)
 
     def __post_init__(self):
         if not Fraction(1, 2) <= self.q < 1:
             raise ScenarioParameterError("proxy accuracy must lie in [1/2, 1)")
 
     def ones_count(self, n: int, proxy: int) -> int:
-        high = int(n * self.subset_fraction)
+        """Ones in a profile whose hidden proxy bit is ``proxy``."""
+        high = 3 * n // 4
         return high if proxy == 1 else n - high
 
     def _class_sizes(self, n: int) -> int:
-        return math.comb(n, int(n * self.subset_fraction))
+        return math.comb(n, self.ones_count(n, 1))
 
     def pair_count(self, n: int) -> int:
         return 4 * self._class_sizes(n)
 
-    def weights(self, n: int) -> dict:
-        high = int(n * self.subset_fraction)
-        count = self._class_sizes(n)
-        out = {}
-        for ones, match in ((high, 1), (n - high, 0)):
-            for positions in itertools.combinations(range(n), ones):
-                inside = set(positions)
-                profile = tuple(1 if i in inside else 0 for i in range(n))
-                for state in (0, 1):
-                    agree = self.q if (match == state) else 1 - self.q
-                    w = Fraction(1, 2) * agree / count
-                    if w > 0:
-                        out[(state, profile)] = out.get((state, profile), Fraction(0)) + w
-        return out
+    def bit_rows(self, n: int) -> tuple[np.ndarray, np.ndarray]:
+        """The support's rows of n bits, sorted, and each row's proxy bit:
+        the ``ones_count(n, 0)``-subsets of the agents and their complements."""
+        picks = np.array(list(itertools.combinations(range(n), self.ones_count(n, 0))))
+        rows = np.zeros((len(picks), n), dtype=np.uint8)
+        np.put_along_axis(rows, picks, 1, axis=1)
+        rows = np.concatenate([rows, 1 - rows])
+        order = np.lexsort(rows.T[::-1])
+        return rows[order], np.arange(2).repeat(len(picks))[order]
+
+    def agreement_masses(self, n: int, scale: int) -> tuple[int, np.ndarray]:
+        """Integer numerators of (1 - q, q) / (scale * C), C the size of one
+        proxy class, over ``den``, the lcm of their denominators; index 1 is
+        a profile whose proxy bit is the state."""
+        weights = [w / (scale * self._class_sizes(n)) for w in (1 - self.q, self.q)]
+        den = math.lcm(*(w.denominator for w in weights))
+        masses = [w.numerator * (den // w.denominator) for w in weights]
+        return den, np.array(masses, dtype=weight_dtype(den))
+
+    def outcome_space(self, n: int) -> OutcomeSpace:
+        rows, proxies = self.bit_rows(n)
+        den, agree = self.agreement_masses(n, 2)
+        profiles = Profiles(map(tuple, rows.tolist()))
+        return OutcomeSpace(n, profiles, rows, den, agree[1 - proxies], agree[proxies])
 
     def marginal_model(self, n: int) -> SignalModel | None:
         a1 = Fraction(1, 4) + self.q / 2
@@ -315,7 +324,7 @@ class ExchangeableFlip:
             return 0.0
         z1 = math.log(a1 / a0)
         z0 = math.log((1 - a1) / (1 - a0))
-        high = int(n * self.subset_fraction)
+        high = self.ones_count(n, 1)
         both_in = high * (high - 1) / (n * (n - 1))
         both_out = (n - high) * (n - high - 1) / (n * (n - 1))
         worst = 0.0
@@ -360,7 +369,7 @@ class ExchangeableFlip:
         """The pooled posterior depends on the profile only through the
         decoded proxy bit, so each trial decodes its profile's one-count
         and reports q or 1 - q."""
-        high = int(n * self.subset_fraction)
+        high = self.ones_count(n, 1)
         beliefs = np.array([float(1 - self.q), float(self.q)])
         codes = np.array([action_code(1 - self.q), action_code(self.q)], dtype=np.int8)
 
@@ -378,6 +387,10 @@ class ExchangeableFlip:
 # ---------------------------------------------------------------------------
 
 
+#: The two-bit signals (b1, b2), in the order of their symbols 2*b1 + b2.
+SIGNAL_PAIRS = ((0, 0), (0, 1), (1, 0), (1, 1))
+
+
 @dataclass(frozen=True)
 class TwoBitCombo:
     """Each signal is a pair: parity-coupled first bit, flip-family second bit."""
@@ -385,38 +398,31 @@ class TwoBitCombo:
     flip: ExchangeableFlip
 
     def pair_count(self, n: int) -> int:
-        return 2**n * 2 * math.comb(n, int(n * self.flip.subset_fraction))
+        return 2 ** (n - 1) * self.flip.pair_count(n)
 
-    def weights(self, n: int) -> dict:
-        high = int(n * self.flip.subset_fraction)
-        count = math.comb(n, high)
-        parity_w = Fraction(1, 2 ** (n - 1))
-        out = {}
-        second_classes = []
-        for ones, match in ((high, 1), (n - high, 0)):
-            for positions in itertools.combinations(range(n), ones):
-                inside = set(positions)
-                b2 = tuple(1 if i in inside else 0 for i in range(n))
-                second_classes.append((b2, match))
-        for b1 in itertools.product((0, 1), repeat=n):
-            state = sum(b1) % 2
-            for b2, match in second_classes:
-                agree = self.flip.q if (match == state) else 1 - self.flip.q
-                w = Fraction(1, 2) * parity_w * agree / count
-                if w > 0:
-                    profile = tuple(zip(b1, b2))
-                    out[(state, profile)] = w
-        return out
+    def outcome_space(self, n: int) -> OutcomeSpace:
+        """Parity rows of first bits crossed with flip rows of second bits;
+        the signal (b1, b2) is the symbol 2*b1 + b2."""
+        first = np.indices((2,) * n, dtype=np.uint8).reshape(n, -1).T
+        second, proxies = self.flip.bit_rows(n)
+        parities = first.sum(axis=1, dtype=np.intp) % 2
+        symbols = (2 * first[:, None, :] + second).reshape(-1, n)
+        order = np.lexsort(symbols.T[::-1])
+        symbols, states = symbols[order], parities.repeat(len(second))[order]
+        den, agree = self.flip.agreement_masses(n, 2**n)
+        masses = agree[(parities[:, None] == proxies).ravel()[order].astype(np.intp)]
+        profiles = Profiles(tuple(map(SIGNAL_PAIRS.__getitem__, row)) for row in symbols.tolist())
+        w0, w1 = np.where(states == 0, masses, 0), np.where(states == 1, masses, 0)
+        return OutcomeSpace(n, profiles, symbols, den, w0, w1)
 
     def marginal_model(self, n: int) -> SignalModel | None:
         a1 = Fraction(1, 4) + self.flip.q / 2
         if a1 == Fraction(1, 2):
             return None
-        alphabet = ((0, 0), (0, 1), (1, 0), (1, 1))
         half = Fraction(1, 2)
         mu1 = (half * (1 - a1), half * a1, half * (1 - a1), half * a1)
         mu0 = (half * a1, half * (1 - a1), half * a1, half * (1 - a1))
-        return SignalModel(alphabet=alphabet, mu0=mu0, mu1=mu1)
+        return SignalModel(alphabet=SIGNAL_PAIRS, mu0=mu0, mu1=mu1)
 
     def profile_sampler(self, space: OutcomeSpace) -> Callable:
         """A signal (b1, b2) has rank 2*b1 + b2 among the four pairs."""

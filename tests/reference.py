@@ -3,15 +3,19 @@
 The library states knowledge on block labels and per-profile codes.  These
 re-derive the same objects the textbook way: blocks as frozensets of profile
 tuples, posteriors summed profile by profile, variables as functions of a
-block, announcements as functions of a profile.
+block, announcements as functions of a profile.  The non-i.i.d. structures'
+weights are defined here pair by pair, as Fractions.
 """
 
+import itertools
+import math
 from fractions import Fraction
 
 import numpy as np
 
 from agreelab.errors import NullConditioningError
 from agreelab.knowledge import Partition, Profiles, dense_codes
+from agreelab.scenarios import ExchangeableFlip, ParityBits, TwoBitCombo
 
 
 def partition_of_blocks(blocks) -> Partition:
@@ -70,3 +74,66 @@ def is_common_knowledge(space, partitions, variables) -> bool:
         for agent_blocks in blocks
         for block in agent_blocks
     )
+
+
+def parity_weights(n: int) -> dict:
+    """Uniform bits whose parity is the state."""
+    w = Fraction(1, 2**n)
+    out = {}
+    for profile in itertools.product((0, 1), repeat=n):
+        out[(sum(profile) % 2, profile)] = w
+    return out
+
+
+def flip_classes(n: int) -> list:
+    """(bits, proxy) of every flip-family profile: the proxy is 1 on 3n/4
+    agents and 0 on the rest, so a profile with 3n/4 ones carries proxy 1."""
+    high = n * 3 // 4
+    out = []
+    for ones, match in ((high, 1), (n - high, 0)):
+        for positions in itertools.combinations(range(n), ones):
+            inside = set(positions)
+            out.append((tuple(1 if i in inside else 0 for i in range(n)), match))
+    return out
+
+
+def flip_weights(q: Fraction, n: int) -> dict:
+    """A hidden proxy equal to the state w.p. q, shown to a uniformly random
+    3n/4 of the agents and complemented for the rest."""
+    count = math.comb(n, n * 3 // 4)
+    out = {}
+    for profile, match in flip_classes(n):
+        for state in (0, 1):
+            agree = q if (match == state) else 1 - q
+            w = Fraction(1, 2) * agree / count
+            if w > 0:
+                out[(state, profile)] = out.get((state, profile), Fraction(0)) + w
+    return out
+
+
+def two_bit_weights(q: Fraction, n: int) -> dict:
+    """Parity first bits and flip-family second bits, signals as (b1, b2)."""
+    count = math.comb(n, n * 3 // 4)
+    parity_w = Fraction(1, 2 ** (n - 1))
+    out = {}
+    for b1 in itertools.product((0, 1), repeat=n):
+        state = sum(b1) % 2
+        for b2, match in flip_classes(n):
+            agree = q if (match == state) else 1 - q
+            w = Fraction(1, 2) * parity_w * agree / count
+            if w > 0:
+                out[(state, tuple(zip(b1, b2)))] = w
+    return out
+
+
+def structure_weights(scenario) -> dict:
+    """(state, profile) -> Fraction of a parity, flip or two-bit scenario,
+    straight from the definition."""
+    structure, n = scenario.structure, scenario.n
+    if isinstance(structure, ParityBits):
+        return parity_weights(n)
+    if isinstance(structure, ExchangeableFlip):
+        return flip_weights(structure.q, n)
+    if isinstance(structure, TwoBitCombo):
+        return two_bit_weights(structure.flip.q, n)
+    raise TypeError(f"no reference weights for {type(structure).__name__}")

@@ -16,7 +16,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
-from reference import blocks_of, partition_of_blocks, posterior_belief
+from reference import blocks_of, partition_of_blocks, posterior_belief, structure_weights
 from reference import is_common_knowledge as reference_common_knowledge
 
 from agreelab import dynamics, harness
@@ -71,8 +71,8 @@ from agreelab.signals import SignalModel
 def reference_weights(scenario) -> dict:
     """(state, profile) -> Fraction, straight from the structure's definition."""
     structure = scenario.structure
-    if hasattr(structure, "weights"):
-        return {k: w for k, w in structure.weights(scenario.n).items() if w}
+    if not hasattr(structure, "model"):
+        return {k: w for k, w in structure_weights(scenario).items() if w}
     model = structure.model
     out = {}
     for profile in itertools.product(model.support, repeat=scenario.n):

@@ -16,6 +16,7 @@ from agreelab.knowledge import (
     ACTION_ONE,
     ACTION_ZERO,
     OutcomeSpace,
+    Profiles,
     belief_function,
     block_beliefs,
     is_common_knowledge,
@@ -77,8 +78,12 @@ class TestOutcomeSpaces:
         assert space.profiles == iid_custom(14, model).outcome_space().profiles
 
     def test_state_marginals_enforced(self):
+        one = Profiles([(0,)])
         with pytest.raises(ValueError):
-            OutcomeSpace(1, {(1, (0,)): Fraction(3, 4), (0, (0,)): Fraction(1, 4)})
+            OutcomeSpace(1, one, np.zeros((1, 1), dtype=np.uint8), 4, [1], [3])
+        two = Profiles([(0,), (1,)])
+        with pytest.raises(ValueError):
+            OutcomeSpace(1, two, np.array([[0], [1]], dtype=np.uint8), 4, [3, -1], [1, 1])
 
 
 def block_belief(space, partition, profile) -> Fraction:

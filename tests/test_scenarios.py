@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from reference import refine_by_announcement
+from reference import refine_by_announcement, structure_weights
 
 from agreelab.bounds import odds_posterior
 from agreelab.errors import ScenarioParameterError
@@ -180,6 +180,29 @@ class TestTwoBit:
                 if action == (ACTION_ONE if state == 1 else ACTION_ZERO):
                     success += w
         assert success == scenario.metadata["q"]
+
+
+class TestSpaceBuilders:
+    """Each structure's integer space against its weights defined pair by
+    pair in ``reference.structure_weights``."""
+
+    @pytest.mark.parametrize(
+        "scenario, mass_dtype",
+        [(parity(n), np.int64) for n in range(2, 13)]
+        + [(uncorrelated_tight(n), np.int64) for n in (4, 8, 12, 16)]
+        + [(uncorrelated_tight(20), object), (two_bit(4), np.int64), (two_bit(8), object)],
+        ids=lambda value: getattr(value, "name", None),
+    )
+    def test_space_matches_the_definition(self, scenario, mass_dtype):
+        space = scenario.outcome_space()
+        reference = structure_weights(scenario)
+        assert space.weights == reference
+        assert space.den == math.lcm(*(w.denominator for w in reference.values()))
+        assert space.w0.dtype == mass_dtype and space.w1.dtype == mass_dtype
+        assert space.profiles == tuple(sorted({profile for _, profile in reference}))
+        for u in range(scenario.n):
+            ranks = {s: r for r, s in enumerate(sorted({p[u] for p in space.profiles}))}
+            assert space.symbols[:, u].tolist() == [ranks[p[u]] for p in space.profiles]
 
 
 class TestSenate:
