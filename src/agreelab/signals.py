@@ -75,6 +75,8 @@ class SignalModel:
         if mu0 == mu1:
             raise NonInformativeModelError("mu0 and mu1 must differ")
         object.__setattr__(self, "_index", {s: i for i, s in enumerate(alphabet)})
+        # The symbols of positive weight, in alphabet order.
+        object.__setattr__(self, "support", tuple(s for s, w in zip(alphabet, mu0) if w > 0))
 
     def _position(self, symbol) -> int:
         try:
@@ -86,10 +88,6 @@ class SignalModel:
         """Probability of ``symbol`` conditioned on the state being ``state``."""
         i = self._position(symbol)
         return self.mu1[i] if state == 1 else self.mu0[i]
-
-    @property
-    def support(self) -> tuple:
-        return tuple(s for s, w in zip(self.alphabet, self.mu0) if w > 0)
 
     @staticmethod
     def binary(accuracy) -> "SignalModel":

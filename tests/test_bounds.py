@@ -1,5 +1,6 @@
 """Estimator identities, aggregate bounds, tail bounds, Chebyshev tools."""
 
+import bisect
 import itertools
 import math
 from fractions import Fraction
@@ -10,8 +11,8 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from agreelab.bounds import (
+    EstimatorMoments,
     ExactSummary,
-    _moments,
     _standardized_terms,
     conditional_expectation_interval,
     count_law,
@@ -25,8 +26,10 @@ from agreelab.bounds import (
     k_statistic,
     learning_bounds,
     likelihood_classes,
+    odds_posterior,
     pooled_action_law,
     qn_bound,
+    reduced_odds,
 )
 from agreelab.errors import BoundedBeliefsError, EnumerationBudgetError
 from agreelab.knowledge import (
@@ -143,6 +146,76 @@ class TestQnBound:
         cdf = lambda eps: 0.5 if eps > 1 / 3 else 0.0
         with pytest.raises(BoundedBeliefsError):
             qn_bound(100, cdf, eps_grid=default_eps_grid(1e-6, 0.3, 64))
+
+    @pytest.mark.parametrize("eps", [0.0, 1.0, -0.5, 1.5])
+    def test_threshold_outside_the_unit_interval_raises(self, eps):
+        with pytest.raises(ValueError, match="thresholds"):
+            qn_bound(100, lambda _: 0.5, eps_grid=(0.1, eps, 0.2))
+
+    @pytest.mark.parametrize("tail", [-0.1, 1.5, Fraction(-1, 3), Fraction(4, 3)])
+    def test_cdf_value_outside_the_unit_interval_raises(self, tail):
+        with pytest.raises(ValueError, match="cdf values"):
+            qn_bound(100, lambda _: tail, eps_grid=(0.1, 0.2))
+
+    def test_late_out_of_range_cdf_value_raises(self):
+        """In-range values on the first grid points do not excuse a later one."""
+        low, high = Fraction(1, 5), Fraction(6, 5)
+        cdf = lambda eps: low if eps < 0.3 else high
+        with pytest.raises(ValueError, match="cdf values"):
+            qn_bound(100, cdf, eps_grid=default_eps_grid(1e-6, 0.5, 64))
+
+    def test_fresh_equal_cdf_values(self):
+        """A cdf that builds a new, equal object on every call gives the bound
+        of one that returns a shared object."""
+        shared = Fraction(1, 5)
+        grid = default_eps_grid(1e-6, 0.5, 64)
+        fresh = qn_bound(100, lambda eps: Fraction(1, 5), eps_grid=grid)
+        assert fresh == qn_bound(100, lambda eps: shared, eps_grid=grid)
+        assert fresh == reference_qn_bound(100, lambda eps: Fraction(1, 5), eps_grid=grid)
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        n=st.integers(1, 10**6),
+        grid=st.lists(st.floats(0.0, 1.0, exclude_min=True, exclude_max=True), min_size=1, max_size=40),
+        steps=st.lists(st.floats(0.0, 1.0), max_size=6),
+        levels=st.lists(st.fractions(0, 1, max_denominator=50), min_size=7, max_size=7),
+        fresh=st.booleans(),
+    )
+    def test_equals_the_per_grid_point_loop(self, n, grid, steps, levels, fresh):
+        """Random grids and step cdfs, whose distinct values are shared objects
+        or rebuilt on every call, give the very float of the reference loop."""
+        steps, levels = sorted(steps), sorted(levels)
+
+        def cdf(eps):
+            level = levels[bisect.bisect_right(steps, eps)]
+            return Fraction(level) if fresh else level
+
+        def outcome(bound):
+            try:
+                return bound(n, cdf, eps_grid=grid)
+            except BoundedBeliefsError:
+                return BoundedBeliefsError
+
+        assert outcome(qn_bound) == outcome(reference_qn_bound)
+
+
+def reference_qn_bound(n, cdf_given_s0, eps_grid):
+    """The tail bound checked and converted at every grid point."""
+    best = None
+    for eps in eps_grid:
+        if not 0 < eps < 1:
+            raise ValueError("thresholds must lie in (0, 1)")
+        tail = cdf_given_s0(eps)
+        if not 0 <= tail <= 1:
+            raise ValueError("cdf values must lie in [0, 1]")
+        if tail == 0:
+            continue
+        value = max(2.0 * eps / (1.0 - eps), 4.0 / (n * float(tail)))
+        if best is None or value < best:
+            best = value
+    if best is None:
+        raise BoundedBeliefsError("no grid point has a positive conditional lower tail")
+    return best
 
 
 class TestConditionalExpectationInterval:
@@ -307,7 +380,22 @@ class TestCountLaw:
                         w *= model.weight(state, symbol)
                     yield float(w), state, sum(terms[s] for s in profile) / n
 
-        assert estimator_moments_enumerated(model, n) == _moments(n, points())
+        assert estimator_moments_enumerated(model, n) == reference_moments(n, points())
+
+    @pytest.mark.parametrize("counts", [(3,), (3, 0, 5)], ids=["short", "long"])
+    def test_posterior_refuses_counts_of_the_wrong_length(self, counts):
+        """One count per support symbol: ``zip`` would drop or ignore the rest."""
+        with pytest.raises(ValueError, match="one per support symbol"):
+            count_posterior(BINARY_23, counts)
+        with pytest.raises(ValueError, match="one per support symbol"):
+            odds_posterior(reduced_odds(BINARY_23), counts)
+
+    def test_posterior_refuses_negative_counts(self):
+        """A negative count would turn ``a ** c`` into a float."""
+        with pytest.raises(ValueError, match="non-negative counts"):
+            count_posterior(BINARY_23, (4, -1))
+        with pytest.raises(ValueError, match="non-negative counts"):
+            odds_posterior(reduced_odds(BINARY_23), (-1, 4))
 
     @settings(max_examples=30, deadline=None)
     @given(model=rational_models(), n=st.integers(1, 6))
@@ -350,6 +438,43 @@ def reference_count_law(model, n):
             yield counts, w0, w1
 
     return 2 * den**n, rows()
+
+
+def reference_moments(n, points):
+    """Estimator moments from (probability, state, Y) points, each added to
+    four running float sums in turn."""
+    e_y = e_y2 = e_sy = e_dev2 = 0.0
+    for wf, state, y in points:
+        e_y += wf * y
+        e_y2 += wf * y * y
+        e_sy += wf * state * y
+        e_dev2 += wf * (y - state) ** 2
+    return EstimatorMoments(
+        n=n,
+        mean=e_y,
+        var_y_minus_s=e_dev2 - (e_y - 0.5) ** 2,
+        cov_s_y=e_sy - 0.5 * e_y,
+        var_y=e_y2 - e_y * e_y,
+    )
+
+
+def reference_moments_by_counts(model, n):
+    """The estimator moments one row at a time: a point per row and state,
+    Y summed left to right over the symbols (as the builtin ``sum`` adds
+    floats before Python 3.12)."""
+    terms = _standardized_terms(model)
+    values = [terms[s] for s in model.support]
+    denominator, rows = reference_count_law(model, n)
+
+    def points():
+        for counts, w0, w1 in rows:
+            y = 0
+            for c, v in zip(counts, values):
+                y = y + c * v
+            yield w0 / denominator, 0, y / n
+            yield w1 / denominator, 1, y / n
+
+    return reference_moments(n, points())
 
 
 def reference_pooled_summary(model, n):
@@ -418,6 +543,17 @@ class TestLikelihoodClasses:
         assert denominator == want_denominator
         assert list(rows) == list(want_rows)
         assert exact_pooled_summary(model, n) == reference_pooled_summary(model, n)
+
+    @settings(max_examples=40, deadline=None)
+    @given(law=colliding_laws())
+    @example(law=(BINARY_23, 255))
+    @example(law=(BINARY_23, 256))
+    @example(law=(raw_model((1, 2), (1, 1), (2, 1)), 22))
+    def test_moments_equal_the_per_row_law(self, law):
+        """Block-wise sums are the per-row sums, float for float; binary at
+        n = 255 and 256 has 256 and 257 rows, ternary at n = 22 has 276."""
+        model, n = law
+        assert estimator_moments_by_counts(model, n) == reference_moments_by_counts(model, n)
 
     def test_collisions_are_summed(self):
         """Counts (2, 0, 38) and (0, 1, 39) of ratios 2, 4 and 1 share one
