@@ -66,13 +66,13 @@ def estimator_y(model: SignalModel, llrs: Sequence[float]) -> float:
     """Average of per-agent standardized log-likelihood ratios.
 
     Each term maps E[z|S=0] to 0 and E[z|S=1] to 1, so the estimator is
-    unbiased for the state by construction.
+    unbiased for the state.  Terms add left to right, unlike ``sum`` on 3.12+.
     """
     m0, m1, _, _ = llr_conditional_moments(model)
     gap = m1 - m0
     if gap == 0:
         raise NonInformativeModelError("equal conditional means; estimator undefined")
-    return sum((z - m0) / gap for z in llrs) / len(llrs)
+    return float(np.cumsum([0.0, *((z - m0) / gap for z in llrs)])[-1]) / len(llrs)
 
 
 def k_statistic(beliefs: Sequence, eps) -> float:
@@ -195,8 +195,8 @@ def estimator_moments_enumerated(model: SignalModel, n: int) -> EstimatorMoments
     """Estimator moments by brute-force enumeration of all signal profiles.
 
     Weights are integer numerators over ``2 * den**n``, divided as Python
-    ints (correctly rounded); values are floats.  Independent of the
-    count-vector route, so the two can be compared as a check.
+    ints (correctly rounded); each Y adds its terms left to right, as arrays.
+    Independent of the count-vector route, so the two check each other.
     """
     size = 2 * len(model.support) ** n
     if size > DEFAULT_ENUMERATION_BUDGET:
@@ -210,8 +210,10 @@ def estimator_moments_enumerated(model: SignalModel, n: int) -> EstimatorMoments
         for state in (0, 1):
             for chunk in _blocks(itertools.product(symbols, repeat=n)):
                 w = [math.prod(pair[state] for _, pair in profile) / total for profile in chunk]
-                y = [sum(terms[s] for s, _ in profile) / n for profile in chunk]
-                yield np.array(w), np.full(len(w), float(state)), np.array(y)
+                y = 0.0
+                for column in zip(*chunk):
+                    y = y + np.array([terms[s] for s, _ in column])
+                yield np.array(w), np.full(len(w), float(state)), y / n
 
     return _moments(n, blocks())
 

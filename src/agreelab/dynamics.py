@@ -3,9 +3,13 @@
 Refinement is a function of the information structure alone, so protocols run
 over all profiles simultaneously; a realized profile only selects which
 block's values get reported.  The fixed point is detected on partition
-equality, never on value coincidence.  Action sets are decided by the signs
-of block masses, and means beyond ``int64`` are folded in Python-int object
-arrays, :data:`MEAN_BLOCK` belief combinations at a time.
+equality, never on value coincidence.  In the public protocols an agent's
+partition is its initial one refined by the public partition, of all that
+was announced; one with as many blocks as that is the public object itself,
+and each distinct object announces and refines once (:func:`shared`).
+Action sets are decided by the sign of each block's summed margin, and means
+beyond ``int64`` are folded in Python-int object arrays, :data:`MEAN_BLOCK`
+belief combinations at a time.
 """
 
 from __future__ import annotations
@@ -14,7 +18,7 @@ import itertools
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Iterable, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -26,10 +30,11 @@ from .knowledge import (
     Partition,
     action_codes,
     block_beliefs,
-    block_masses,
+    block_sums,
     dense_codes,
     is_common_knowledge,
     joint_codes,
+    trivial_partition,
     validate_partitions,
 )
 
@@ -132,22 +137,22 @@ class ProtocolResult:
             raise ValueError("beliefs did not agree at the fixed point")
         return values.pop()
 
-    @property
-    def common_action(self) -> frozenset:
-        values = set(self.actions)
-        if len(values) != 1:
-            raise ValueError("actions did not agree at the fixed point")
-        return values.pop()
-
 
 def announced_codes(kind: str, space: OutcomeSpace, partition: Partition):
     """What one agent announces, per profile: its belief (or, in public-action,
     its optimal action set, from :func:`~agreelab.knowledge.action_codes`)
     as integer codes, and the values they stand for."""
     if kind == PUBLIC_ACTION:
-        return action_codes(*block_masses(space, partition))[partition.labels], ACTION_SETS
+        (margin,) = block_sums(space, partition, space.margin)
+        return action_codes(margin)[partition.labels], ACTION_SETS
     codes, values = block_beliefs(space, partition)
     return codes[partition.labels], values
+
+
+def shared(fn: Callable, items: Sequence) -> list:
+    """``fn`` of each item, called once per distinct object: its holders share the result."""
+    done: dict[int, object] = {}
+    return [done[id(x)] if id(x) in done else done.setdefault(id(x), fn(x)) for x in items]
 
 
 def exact_means(combinations: Sequence[np.ndarray], values: Sequence[list]):
@@ -171,7 +176,7 @@ def exact_means(combinations: Sequence[np.ndarray], values: Sequence[list]):
         yield num, den * n
 
 
-def mean_beliefs(columns: Iterable[np.ndarray], values: Sequence[list]) -> tuple[np.ndarray, list]:
+def mean_beliefs(columns: Sequence[np.ndarray], values: Sequence[list]) -> tuple[np.ndarray, list]:
     """Exact mean of the agents' beliefs at every profile.
 
     The u-th of ``columns`` codes agent u's belief per profile into
@@ -194,7 +199,6 @@ def mean_beliefs(columns: Iterable[np.ndarray], values: Sequence[list]) -> tuple
             total = total + np.array([b.numerator * (den // b.denominator) for b in vals])[codes]
         codes, first = dense_codes(total)
         return codes, [Fraction(int(total[i]), den * n) for i in first.tolist()]
-    columns = list(columns)
     joint, first = joint_codes(columns)
     means: dict[tuple[int, int], int] = {}
     mean_codes = []
@@ -237,6 +241,7 @@ def fixed_point_partitions(
             raise ConnectivityError("network protocol needs a strongly connected digraph")
     where = None if profile is None else space.profiles.index[profile]
     partitions = list(partitions)
+    public = trivial_partition(space)
     trace = ProtocolTrace(kind=kind)
     limit = max_rounds if max_rounds is not None else space.n * len(space.profiles) + 1
     for _ in range(limit):
@@ -250,22 +255,26 @@ def fixed_point_partitions(
                     said.setdefault(str(u), values[codes[where]])
         else:
             if kind == PUBLIC_STATISTIC:
-                heard, means = mean_beliefs(
-                    *zip(*(announced_codes(kind, space, p) for p in partitions))
-                )
+                told = shared(lambda p: announced_codes(kind, space, p), partitions)
+                heard, means = mean_beliefs(*zip(*told))
                 if where is not None:
                     said["public"] = means[heard[where]]
             else:
-                # One agent's per-profile codes at a time, folded as they come.
+                # One distinct partition's per-profile codes at a time, folded as they come.
                 def announcements():
+                    told: dict[int, object] = {}
                     for u, partition in enumerate(partitions):
-                        codes, values = announced_codes(kind, space, partition)
+                        if id(partition) not in told:
+                            codes, values = announced_codes(kind, space, partition)
+                            told[id(partition)] = None if where is None else values[codes[where]]
+                            yield codes
                         if where is not None:
-                            said[str(u)] = values[codes[where]]
-                        yield codes
+                            said[str(u)] = told[id(partition)]
 
                 heard = joint_codes(announcements())[0]
-            new_partitions = [p.refine(heard) for p in partitions]
+            public = public.refine(heard)  # every agent's partition refines it
+            refined = shared(lambda p: p.refine(heard), partitions)
+            new_partitions = [public if p.block_count == public.block_count else p for p in refined]
         trace.rounds.append(
             ProtocolRound(
                 announced=tuple(said.items()),
@@ -296,8 +305,8 @@ def run_protocol(
     if where is None:
         raise ValueError(f"realized profile {profile!r} has zero weight")
     final, trace = fixed_point_partitions(kind, space, partitions, profile, network)
-    beliefs = [announced_codes(PUBLIC_BELIEF, space, p) for p in final]
-    actions = [announced_codes(PUBLIC_ACTION, space, p) for p in final]
+    beliefs = shared(lambda p: announced_codes(PUBLIC_BELIEF, space, p), final)
+    actions = shared(lambda p: announced_codes(PUBLIC_ACTION, space, p), final)
     return ProtocolResult(
         partitions=final,
         trace=trace,

@@ -35,6 +35,7 @@ from .dynamics import (
     announced_codes,
     exact_means,
     fixed_point_partitions,
+    shared,
 )
 from .errors import (
     AgreementLabError,
@@ -136,26 +137,29 @@ def _protocol_outcome_table(
     is a Python-int true division, which rounds its exact value correctly.
     """
     final, _ = fixed_point_partitions(kind, space, scenario.initial_partitions(space))
-    beliefs = [block_beliefs(space, p) for p in final]
-    combination_of, first = joint_codes(codes[p.labels] for p, (codes, _) in zip(final, beliefs))
-    # Per agent and combination: the code of its belief, and its action, read
-    # off the belief's reduced masses (zeros, ones) = (den - num, num).
-    combinations = [codes[p.labels[first]] for p, (codes, _) in zip(final, beliefs)]
-    values = [vals for _, vals in beliefs]
-    actions = []
-    for vals, at in zip(values, combinations):
-        ones, total = np.array([(b.numerator, b.denominator) for b in vals], dtype=object).T
-        actions.append(action_codes(total - ones, ones)[at])
+    beliefs = shared(lambda p: (p, *block_beliefs(space, p)), final)
+    distinct = {id(b): b for b in beliefs}.values()
+    combination_of, first = joint_codes(codes[p.labels] for p, codes, _ in distinct)
+    belief_codes: dict[Fraction, int] = {}
+
+    # Per partition and combination: its belief's code, its action (the sign of
+    # 2·num − den) and, for belief protocols, a code all agents' equal beliefs share.
+    def columns(belief):
+        p, codes, vals = belief
+        at = codes[p.labels[first]]
+        num, den = np.array([(b.numerator, b.denominator) for b in vals], dtype=object).T
+        common = None
+        if kind != PUBLIC_ACTION:
+            common = np.array([belief_codes.setdefault(b, len(belief_codes)) for b in vals])[at]
+        return at, vals, action_codes(2 * num - den)[at], common
+
+    combinations, values, actions, common = zip(*shared(columns, beliefs))
     if kind == PUBLIC_ACTION:
         checked = actions
         means = exact_means(combinations, values)
         xs = np.concatenate([(num / den).astype(np.float64) for num, den in means])
     else:
-        shared: dict[Fraction, int] = {}
-        checked = [
-            np.array([shared.setdefault(b, len(shared)) for b in vals])[at]
-            for vals, at in zip(values, combinations)
-        ]
+        checked = common
         xs = np.array([float(b) for b in values[0]])[combinations[0]]
     unequal = np.zeros(len(first), dtype=bool)
     for column in checked[1:]:
@@ -484,7 +488,7 @@ def agreement_identity_checks(scenarios: Sequence[Scenario]) -> list[Check]:
         space = scenario.outcome_space()
         partitions = scenario.initial_partitions(space)
         final, _ = fixed_point_partitions(PUBLIC_BELIEF, space, partitions)
-        beliefs = [announced_codes(PUBLIC_BELIEF, space, p) for p in final]
+        beliefs = shared(lambda p: announced_codes(PUBLIC_BELIEF, space, p), final)
         mismatches = sum(
             {values[codes[i]] for codes, values in beliefs} != {pooled_posterior(space, profile)}
             for i, profile in enumerate(space.profiles)
@@ -661,7 +665,7 @@ def example_invariant_checks() -> list[Check]:
     scenario = uncorrelated_tight(8)
     space = scenario.outcome_space()
     q = scenario.metadata["q"]
-    a = action_codes(space.w0, space.w1)
+    a = action_codes(space.margin)
     success = Fraction(int(space.w0[a == 0].sum()) + int(space.w1[a == 1].sum()), space.den)
     checks.append(
         _bounded_check(

@@ -12,15 +12,15 @@ a vector of block labels over those profiles, numbered by first occurrence,
 so equal partitions have equal label vectors.  Random variables are integer
 codes, one per profile: equal codes mean equal values.  An announcement
 becomes such codes, read off each block's exact masses: a belief codes
-their gcd-reduced ratio, an action set the sign of ``ones - zeros``.  A
-refinement writes each profile's code to its block and reads it back: when
-every profile reads back its own, nothing splits; otherwise it relabels the
-(label, code) pairs (:func:`dense_codes`), counting when their range is
-narrow and sorting when it is wide.  Common knowledge of some variables is
-the same test: their codes split no agent's partition
-(:func:`is_common_knowledge`).  Sums are ``int64`` when the common
-denominator fits in it, since no block sum exceeds the total mass, and
-Python ints otherwise.  Beliefs leave the engine as exact Fractions.
+their gcd-reduced ratio, an action set the sign of its summed margin
+``w1 - w0``.  A refinement writes each profile's code to its block and
+reads it back: when every profile reads back its own, nothing splits;
+otherwise it relabels the (label, code) pairs (:func:`dense_codes`),
+counting when their range is narrow and sorting when it is wide.  Common
+knowledge of some variables is the same test: their codes split no agent's
+partition (:func:`is_common_knowledge`).  Sums are ``int64`` when the
+common denominator fits in it, since no block sum exceeds the total mass,
+and Python ints otherwise.  Beliefs leave the engine as exact Fractions.
 """
 
 from __future__ import annotations
@@ -144,9 +144,9 @@ class OutcomeSpace:
     each agent's symbol as its rank among that agent's symbols, one row per
     profile, so the rows sort like the profiles; ``w0`` / ``w1`` are the
     two states' masses per profile, non-negative integer numerators over
-    ``den`` with exactly ``den / 2`` on each state.  Each structure builds
-    its own space in this form.  ``weights`` is built on first use for the
-    benchmark's exact laws; the library reads only the integer form.
+    ``den`` with exactly ``den / 2`` on each state, and ``margin`` is
+    ``w1 - w0``.  Each structure builds its own space in this form, the one
+    the library reads; ``weights`` is built on first use for exact laws.
     """
 
     def __init__(self, n: int, profiles: Profiles, symbols: np.ndarray, den: int, w0, w1):
@@ -182,6 +182,10 @@ class OutcomeSpace:
         symbols = symbols.reshape(n, -1).T
         support = [model.support[i] for i in order]
         return cls(n, Profiles(itertools.product(support, repeat=n)), symbols, total, *masses)
+
+    @cached_property
+    def margin(self) -> np.ndarray:
+        return self.w1 - self.w0
 
     @cached_property
     def weights(self) -> dict[tuple[int, Profile], Fraction]:
@@ -320,20 +324,20 @@ def validate_partitions(space: OutcomeSpace, partitions: Sequence[Partition]) ->
             raise ValueError(f"agent {u} partition is coarser than its own signal")
 
 
-def block_masses(space: OutcomeSpace, partition: Partition) -> tuple[np.ndarray, np.ndarray]:
-    """Per block, the integer masses of state 0 and of state 1 over ``space.den``."""
+def block_sums(space: OutcomeSpace, partition: Partition, *columns: np.ndarray) -> list:
+    """Per block, the sum of each per-profile integer column in its dtype:
+    ``space.w0`` and ``space.w1`` give the states' masses over ``space.den``."""
     labels = _labels_on(space, partition)
-    zeros = np.zeros(partition.block_count, dtype=space.w0.dtype)
-    ones = np.zeros(partition.block_count, dtype=space.w1.dtype)
-    np.add.at(zeros, labels, space.w0)
-    np.add.at(ones, labels, space.w1)
-    return zeros, ones
+    sums = [np.zeros(partition.block_count, dtype=column.dtype) for column in columns]
+    for total, column in zip(sums, columns):
+        np.add.at(total, labels, column)
+    return sums
 
 
-def action_codes(zeros: np.ndarray, ones: np.ndarray) -> np.ndarray:
-    """Codes in :data:`ACTION_SETS` of the optimal actions given the states'
-    masses: belief ``ones / (zeros + ones)`` exceeds 1/2 iff ``ones > zeros``."""
-    return np.where(ones > zeros, 1, np.where(ones < zeros, 0, TIE))
+def action_codes(margin: np.ndarray) -> np.ndarray:
+    """Codes in :data:`ACTION_SETS` of the optimal actions given the margins
+    ``ones - zeros`` of masses: a belief exceeds 1/2 iff its margin is positive."""
+    return np.where(margin > 0, 1, np.where(margin < 0, 0, TIE))
 
 
 def block_beliefs(space: OutcomeSpace, partition: Partition) -> tuple[np.ndarray, list[Fraction]]:
@@ -344,7 +348,7 @@ def block_beliefs(space: OutcomeSpace, partition: Partition) -> tuple[np.ndarray
     the gcd-reduced (numerator, denominator) pairs of the blocks' integer
     masses.
     """
-    zeros, ones = block_masses(space, partition)
+    zeros, ones = block_sums(space, partition, space.w0, space.w1)
     total = zeros + ones
     common = np.gcd(ones, total)
     num, den = ones // common, total // common
@@ -381,10 +385,10 @@ def belief_function(space: OutcomeSpace, partition: Partition) -> Callable[[Prof
 
 
 def action_function(space: OutcomeSpace, partition: Partition) -> Callable[[Profile], frozenset]:
-    """Profile-indexed optimal action set of one agent, read off the signs of
-    its blocks' masses (:func:`action_codes`).  The library reads actions
+    """Profile-indexed optimal action set of one agent, the sign of each
+    block's summed margin (:func:`action_codes`).  The library reads actions
     as codes; this per-profile read-out is kept for the benchmark's tracer."""
-    codes = action_codes(*block_masses(space, partition))
+    codes = action_codes(*block_sums(space, partition, space.margin))
     return _profile_function(partition, [ACTION_SETS[c] for c in codes.tolist()])
 
 
@@ -392,4 +396,5 @@ def is_common_knowledge(partitions: Sequence[Partition], codes: Iterable[np.ndar
     """True iff every variable is known to every agent: each per-profile
     code array (equal codes for equal values) is constant on every block of
     every partition, so refining by it splits nothing."""
-    return all(p.refine(c) is p for c in codes for p in partitions)
+    distinct = {id(p): p for p in partitions}.values()
+    return all(p.refine(c) is p for c in {id(c): c for c in codes}.values() for p in distinct)

@@ -109,7 +109,7 @@ def _known_state_draw(rng, size: int, force_state=None):
 def _majority_codes(ones, total: int) -> np.ndarray:
     """Action code of a majority vote of ``total`` bits with ``ones`` ones."""
     ones = np.asarray(ones, dtype=np.int64)
-    return action_codes(total - ones, ones).astype(np.int8)
+    return action_codes(2 * ones - total).astype(np.int8)
 
 
 def _parity_bits(rng, states: np.ndarray, n: int) -> np.ndarray:

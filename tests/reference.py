@@ -4,7 +4,9 @@ The library states knowledge on block labels and per-profile codes.  These
 re-derive the same objects the textbook way: blocks as frozensets of profile
 tuples, posteriors summed profile by profile, variables as functions of a
 block, announcements as functions of a profile.  The non-i.i.d. structures'
-weights are defined here pair by pair, as Fractions.
+weights are defined here pair by pair, as Fractions.  The per-agent protocol
+loop refines and announces once per agent, never sharing work between
+agents that hold equal partitions, and tabulates outcomes from Fractions.
 """
 
 import itertools
@@ -13,8 +15,25 @@ from fractions import Fraction
 
 import numpy as np
 
+from agreelab.dynamics import (
+    NETWORK_BELIEF,
+    PUBLIC_ACTION,
+    PUBLIC_STATISTIC,
+    Digraph,
+    ProtocolRound,
+    ProtocolTrace,
+    mean_beliefs,
+)
 from agreelab.errors import NullConditioningError
-from agreelab.knowledge import Partition, Profiles, dense_codes
+from agreelab.knowledge import (
+    ACTION_SETS,
+    Partition,
+    Profiles,
+    action_code,
+    block_beliefs,
+    dense_codes,
+    joint_codes,
+)
 from agreelab.scenarios import ExchangeableFlip, ParityBits, TwoBitCombo
 
 
@@ -137,3 +156,73 @@ def structure_weights(scenario) -> dict:
     if isinstance(structure, TwoBitCombo):
         return two_bit_weights(structure.flip.q, n)
     raise TypeError(f"no reference weights for {type(structure).__name__}")
+
+
+def per_agent_announcement(kind, space, partition):
+    """Per-profile codes of one agent's belief, or of its optimal action set
+    decided from that belief as a Fraction, and the values they stand for."""
+    codes, values = block_beliefs(space, partition)
+    if kind == PUBLIC_ACTION:
+        actions = np.array([action_code(b) for b in values], dtype=np.int64)
+        return actions[codes][partition.labels], ACTION_SETS
+    return codes[partition.labels], values
+
+
+def per_agent_fixed_point(kind, space, partitions, profile=None, network=None):
+    """Final partitions and trace of a protocol, every agent refined by what
+    was heard and announcing on its own, once per agent and round."""
+    where = None if profile is None else space.profiles.index[profile]
+    if kind == NETWORK_BELIEF and network is None:
+        network = Digraph.ring(space.n)
+    partitions = list(partitions)
+    trace = ProtocolTrace(kind=kind)
+    while True:
+        said = {}
+        if kind == NETWORK_BELIEF:
+            new = list(partitions)
+            for u, w in network.edges:
+                codes, values = per_agent_announcement(kind, space, new[u])
+                new[w] = new[w].refine(codes)
+                if where is not None:
+                    said.setdefault(str(u), values[codes[where]])
+        else:
+            told = [per_agent_announcement(kind, space, p) for p in partitions]
+            if kind == PUBLIC_STATISTIC:
+                heard, means = mean_beliefs(*zip(*told))
+                if where is not None:
+                    said["public"] = means[heard[where]]
+            else:
+                heard = joint_codes(codes for codes, _ in told)[0]
+                if where is not None:
+                    for u, (codes, vals) in enumerate(told):
+                        said[str(u)] = vals[codes[where]]
+            new = [p.refine(heard) for p in partitions]
+        trace.rounds.append(ProtocolRound(tuple(said.items()), tuple(p.block_count for p in new)))
+        if new == partitions:
+            return partitions, trace
+        partitions = new
+
+
+def per_agent_outcome_table(scenario, kind, space):
+    """Per profile, the reported action code and the belief X, from every
+    agent's own belief there as a Fraction: public-action's X is the mean
+    belief, the belief protocols' the common one."""
+    final, _ = per_agent_fixed_point(kind, space, scenario.initial_partitions(space))
+    columns = []
+    for p in final:
+        codes, values = block_beliefs(space, p)
+        columns.append([values[c] for c in codes[p.labels].tolist()])
+    codes, xs = [], []
+    for beliefs in zip(*columns):
+        actions = {action_code(b) for b in beliefs}
+        if kind == PUBLIC_ACTION:
+            assert len(actions) == 1
+            xs.append(float(sum(beliefs) / len(beliefs)))
+        else:
+            assert len(set(beliefs)) == 1
+            xs.append(float(beliefs[0]))
+        codes.append(actions.pop())
+    relabel = getattr(scenario.structure, "trial_labels", None)
+    if relabel is not None:
+        codes = relabel(space).tolist()
+    return codes, xs

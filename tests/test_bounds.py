@@ -1,8 +1,10 @@
 """Estimator identities, aggregate bounds, tail bounds, Chebyshev tools."""
 
 import bisect
+import functools
 import itertools
 import math
+import operator
 from fractions import Fraction
 
 import numpy as np
@@ -40,10 +42,21 @@ from agreelab.knowledge import (
     outcome_space_iid,
     pooled_posterior,
 )
-from agreelab.signals import SignalModel, belief_from_llr, noise_to_signal_ratio
+from agreelab.signals import (
+    SignalModel,
+    belief_from_llr,
+    llr_conditional_moments,
+    noise_to_signal_ratio,
+)
 
 BINARY_23 = SignalModel.binary(Fraction(2, 3))
 LOG2 = math.log(2)
+
+
+def left_to_right(values) -> float:
+    """Floats added in order from 0.0, one rounding per addition: builtin
+    ``sum`` up to Python 3.11 (from 3.12 on it compensates)."""
+    return functools.reduce(operator.add, values, 0.0)
 
 
 class TestEstimatorY:
@@ -66,6 +79,43 @@ class TestEstimatorY:
                     for s in model.support
                 )
                 assert mean == pytest.approx(state, abs=1e-12)
+
+
+class TestLeftToRightSums:
+    """Y adds its terms left to right on every Python version.  Each input
+    here is one where a compensated sum (``math.fsum`` stands in for the
+    builtin ``sum`` of Python 3.12+) gives other floats, so the builtin
+    ``sum`` fails these tests on 3.12+ and passes them only up to 3.11."""
+
+    def test_estimator_y(self):
+        m0, m1, _, _ = llr_conditional_moments(BINARY_23)
+        llrs = [m0 + (m1 - m0) * t for t in (1e16, 1.0, -1e16)]
+        terms = [(z - m0) / (m1 - m0) for z in llrs]
+        assert math.fsum(terms) != left_to_right(terms)
+        assert estimator_y(BINARY_23, llrs) == left_to_right(terms) / len(llrs)
+
+    def test_enumerated_moments(self):
+        model = SignalModel(
+            ("a", "b", "c"),
+            (Fraction(1, 3), Fraction(1, 3), Fraction(1, 3)),
+            (Fraction(1, 7), Fraction(2, 7), Fraction(4, 7)),
+        )
+        n = 3
+        terms = _standardized_terms(model)
+
+        def moments(add):
+            def points():
+                for state in (0, 1):
+                    for profile in itertools.product(model.support, repeat=n):
+                        w = Fraction(1, 2)
+                        for symbol in profile:
+                            w *= model.weight(state, symbol)
+                        yield float(w), state, add(terms[s] for s in profile) / n
+
+            return reference_moments(n, points())
+
+        assert moments(math.fsum) != moments(left_to_right)
+        assert estimator_moments_enumerated(model, n) == moments(left_to_right)
 
 
 class TestAggregateBounds:
@@ -378,7 +428,7 @@ class TestCountLaw:
                     w = Fraction(1, 2)
                     for symbol in profile:
                         w *= model.weight(state, symbol)
-                    yield float(w), state, sum(terms[s] for s in profile) / n
+                    yield float(w), state, left_to_right(terms[s] for s in profile) / n
 
         assert estimator_moments_enumerated(model, n) == reference_moments(n, points())
 

@@ -14,11 +14,18 @@ from agreelab.errors import AgreementLabError, EnumerationBudgetError, NullCondi
 from agreelab.knowledge import (
     ACTION_BOTH,
     ACTION_ONE,
+    ACTION_SETS,
     ACTION_ZERO,
+    TIE,
     OutcomeSpace,
+    Partition,
     Profiles,
+    action_codes,
+    action_function,
     belief_function,
     block_beliefs,
+    block_sums,
+    dense_codes,
     is_common_knowledge,
     optimal_action_set,
     outcome_space_iid,
@@ -26,7 +33,14 @@ from agreelab.knowledge import (
     pooled_posterior,
     profile_indexer,
 )
-from agreelab.scenarios import iid_binary, iid_custom, parity, two_bit, uncorrelated_tight
+from agreelab.scenarios import (
+    geometric_tail,
+    iid_binary,
+    iid_custom,
+    parity,
+    two_bit,
+    uncorrelated_tight,
+)
 from agreelab.signals import SignalModel, belief_from_llr, log_likelihood_ratio
 
 BINARY_23 = SignalModel.binary(Fraction(2, 3))
@@ -332,3 +346,52 @@ class TestProfileIndexer:
         space = uncorrelated_tight(8).outcome_space()
         with pytest.raises(AgreementLabError):
             profile_indexer(space)(np.ones((1, 8), dtype=np.int64))
+
+
+# int64 spaces, Python-int ones (geometric_tail and the huge accuracy), and
+# parity, whose own-signal blocks all tie.
+MARGIN_SPACES = {
+    "iid_binary(3)": lambda: iid_binary(3, Fraction(2, 3)),
+    "ternary(3)": lambda: iid_custom(3, ternary_model()),
+    "geometric_tail(2)": lambda: geometric_tail(2),
+    "iid_binary(3, huge)": lambda: iid_binary(3, Fraction(2**70 + 1, 2**71)),
+    "parity(4)": lambda: parity(4),
+}
+
+
+def sign_of_masses(space, partition) -> list:
+    """Action codes from the sign of ``ones - zeros`` of the blocks' masses."""
+    zeros, ones = block_sums(space, partition, space.w0, space.w1)
+    return [1 if o > z else 0 if o < z else TIE for z, o in zip(zeros.tolist(), ones.tolist())]
+
+
+class TestMargin:
+    @pytest.mark.parametrize("name", MARGIN_SPACES)
+    def test_margin_is_w1_minus_w0_in_the_space_dtype(self, name):
+        space = MARGIN_SPACES[name]().outcome_space()
+        assert space.margin.dtype == space.w0.dtype
+        assert space.margin.tolist() == [o - z for z, o in zip(space.w0.tolist(), space.w1.tolist())]
+        assert (space.w0.dtype == object) == (name in ("geometric_tail(2)", "iid_binary(3, huge)"))
+
+    @given(st.data())
+    def test_margin_actions_are_the_sign_of_the_masses(self, data):
+        space = MARGIN_SPACES[data.draw(st.sampled_from(sorted(MARGIN_SPACES)))]().outcome_space()
+        size = len(space.profiles)
+        keys = data.draw(st.lists(st.integers(0, 6), min_size=size, max_size=size))
+        partition = Partition(space.profiles, dense_codes(np.array(keys))[0])
+        (margin,) = block_sums(space, partition, space.margin)
+        assert margin.dtype == space.w0.dtype
+        assert all(2 * abs(m) <= space.den for m in margin.tolist())
+        assert action_codes(margin).tolist() == sign_of_masses(space, partition)
+        acts = action_function(space, partition)
+        want = [ACTION_SETS[c] for c in sign_of_masses(space, partition)]
+        assert [acts(p) for p in space.profiles] == [want[b] for b in partition.labels.tolist()]
+
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_parity_blocks_all_tie(self, n):
+        space = parity(n).outcome_space()
+        for partition in own_signal_partitions(space):
+            (margin,) = block_sums(space, partition, space.margin)
+            assert margin.tolist() == [0] * partition.block_count
+            assert action_codes(margin).tolist() == sign_of_masses(space, partition)
+            assert set(action_codes(margin).tolist()) == {TIE}
