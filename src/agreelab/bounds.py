@@ -29,8 +29,9 @@ from .errors import (
 from .signals import SignalModel, llr_conditional_moments, log_likelihood_ratio
 
 #: Exact engine refusal threshold on the number of (state, profile) pairs.
-#: At 2**22 pairs (iid_binary(21)) the slowest protocol's ``simulate`` took
-#: 24 s and 1.7 GB on a 2-core Xeon VM; one more agent doubles both.
+#: At 2**22 pairs (iid_binary(21)) the costliest protocol's ``simulate``
+#: (public-statistic) took 9 s and 1.6 GB on a 2-core Xeon VM; one more
+#: agent doubles both.
 DEFAULT_ENUMERATION_BUDGET = 2**22
 
 #: Rows (or profiles) the estimator moments read at a time; larger blocks were no faster
@@ -180,15 +181,16 @@ def _blocks(items: Iterator) -> Iterator[list]:
 def _moments(n: int, blocks: Iterable[tuple[np.ndarray, ...]]) -> EstimatorMoments:
     """Estimator moments from blocks of (probability, state, Y) arrays over the
     law's points.  ``np.cumsum`` adds left to right, carried across blocks,
-    so each float is the one of adding the points one by one."""
+    so each float is the one of adding the points one by one.  Squares are
+    ``d * d``, correctly rounded, not the C library's ``pow``."""
     sums = np.zeros((4, 1))
     for wf, state, y in blocks:
-        wy = wf * y
-        dev2 = np.power((y - state).astype(object), 2).astype(float)  # float.__pow__, not y * y
-        terms = np.vstack((wy, wy * y, wf * state * y, wf * dev2))
+        wy, dev = wf * y, y - state
+        terms = np.vstack((wy, wy * y, wf * state * y, wf * (dev * dev)))
         sums = np.cumsum(np.hstack((sums, terms)), axis=1)[:, -1:]
     e_y, e_y2, e_sy, e_d2 = sums[:, 0].tolist()
-    return EstimatorMoments(n, e_y, e_d2 - (e_y - 0.5) ** 2, e_sy - 0.5 * e_y, e_y2 - e_y * e_y)
+    bias = e_y - 0.5
+    return EstimatorMoments(n, e_y, e_d2 - bias * bias, e_sy - 0.5 * e_y, e_y2 - e_y * e_y)
 
 
 def estimator_moments_enumerated(model: SignalModel, n: int) -> EstimatorMoments:

@@ -10,10 +10,15 @@ and each distinct object announces and refines once (:func:`shared`).
 Action sets are decided by the sign of each block's summed margin, and means
 beyond ``int64`` are folded in Python-int object arrays, :data:`MEAN_BLOCK`
 belief combinations at a time.
+
+For conditionally i.i.d. signals and own-signal information, public-belief
+and public-action are also decided once per count vector, with no space
+built (:func:`count_vector_outcomes`).
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass, field
@@ -22,10 +27,12 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .errors import ConnectivityError
+from .bounds import count_law, integer_weights
+from .errors import AgreementLabError, ConnectivityError
 from .knowledge import (
     ACTION_SETS,
     INT64_LIMIT,
+    TIE,
     OutcomeSpace,
     Partition,
     action_codes,
@@ -37,6 +44,7 @@ from .knowledge import (
     trivial_partition,
     validate_partitions,
 )
+from .signals import SignalModel
 
 PUBLIC_BELIEF = "public-belief"
 PUBLIC_ACTION = "public-action"
@@ -315,3 +323,116 @@ def run_protocol(
         beliefs_common_knowledge=is_common_knowledge(final, (c for c, _ in beliefs)),
         actions_common_knowledge=is_common_knowledge(final, (c for c, _ in actions)),
     )
+
+
+# ---------------------------------------------------------------------------
+# i.i.d. signals and own-signal information: one realized path per count vector
+# ---------------------------------------------------------------------------
+
+
+def count_vector_outcomes(model: SignalModel, n: int, kind: str) -> tuple[np.ndarray, np.ndarray]:
+    """Public-belief or public-action's outcome per row of :func:`~agreelab.bounds.count_law`.
+
+    For n conditionally i.i.d. signals from ``model``, each agent first
+    knowing its own signal, every public block is a product of one set of
+    symbols per agent, and agents holding one symbol hold one set, so a
+    profile's outcome depends on its symbol counts only.  Returns, per count
+    vector in ``count_law``'s order, what the enumerated outcome table gives
+    its profiles: the reported action's code in
+    :data:`~agreelab.knowledge.ACTION_SETS` (``int8``) and the belief X
+    (``float64``), a correctly rounded Python-int true division.  The
+    public-belief fixed point is the pooled posterior ``w1 / (w0 + w1)`` of
+    the row; public-action's is :func:`_public_action_by_counts`.
+    """
+    _, rows = count_law(model, n)
+    if kind == PUBLIC_BELIEF:
+        masses = [(w0, w1) for _, w0, w1 in rows]
+        codes = action_codes(np.array([w1 - w0 for w0, w1 in masses], dtype=object))
+        return codes.astype(np.int8), np.array([w1 / (w0 + w1) for w0, w1 in masses])
+    if kind != PUBLIC_ACTION:
+        raise ValueError(f"no count-vector route for protocol {kind!r}")
+    return _public_action_by_counts(model, n, np.array([c for c, _, _ in rows], dtype=np.int64))
+
+
+def _public_action_by_counts(model: SignalModel, n: int, counts: np.ndarray):
+    """Public-action's fixed point on each row of ``counts`` (over the support).
+
+    Each symbol present keeps a slot: its count and the set of symbols the
+    public block allows its holders.  A holder's action, were its symbol x,
+    is the sign of ``a1(x) Q1 - a0(x) Q0``, ``Q_s`` the product of the other
+    agents' set masses in state s; it grows with x's likelihood ratio, so
+    each set is an interval [lo, hi) of the symbols in that order.  Each
+    round finds, per slot, where the action changes from float log-odds
+    (``math.log`` of exact masses), decides again exactly, with Python-int
+    products, the symbols whose float lies within its error bound, and
+    keeps the symbols acting as the slot's own; it stops when no interval
+    changes.  X is the mean of the holders' final beliefs.
+    """
+    _, pairs = integer_weights(model)
+    k = len(pairs)
+    order = sorted(range(k), key=lambda i: Fraction(pairs[i][1], pairs[i][0]))
+    a0, a1 = ([pairs[i][s] for i in order] for s in (0, 1))
+    prefix = [list(itertools.accumulate(a, initial=0)) for a in (a0, a1)]
+    logs = np.array([[math.log(w) for w in a] for a in (a0, a1)])
+    z = np.maximum.accumulate(logs[1] - logs[0])  # sorted, each within its own error
+    z_scale = float(logs.sum(axis=0).max())
+    ordered = counts[:, order]
+    slots = min(n, k)
+    own = np.argsort(ordered == 0, axis=1, kind="stable")[:, :slots]
+    c = np.take_along_axis(ordered, own, axis=1)
+    present = c > 0
+    lo, hi = np.zeros_like(own), np.full_like(own, k)
+
+    @functools.cache
+    def log_masses(start: int, stop: int) -> tuple[float, float]:
+        return tuple(math.log(p[stop] - p[start]) for p in prefix)
+
+    while True:
+        keys, inverse = np.unique(lo * (k + 1) + hi, return_inverse=True)
+        table = np.array([log_masses(*divmod(key, k + 1)) for key in keys.tolist()])
+        l0, l1 = np.moveaxis(table[inverse.reshape(own.shape)], -1, 0)
+        # r: the other agents' log-odds, per slot.  Each log is within about an
+        # ulp and each of the slots' terms adds about an ulp of the sum, so
+        # (slots + 8) eps times the logs' total size bounds the error of
+        # z(x) + r with room to spare; below 1e-9 everything is rechecked, as
+        # in the pooled sampler.
+        r = (c * (l1 - l0)).sum(axis=1, keepdims=True) - (l1 - l0)
+        scale = (c * (l0 + l1)).sum(axis=1, keepdims=True) + l0 + l1 + z_scale
+        error = np.maximum(1e-9, (slots + 8) * np.finfo(float).eps * scale)
+        first = np.searchsorted(z, -r - error)
+        last = np.searchsorted(z, -r + error, side="right")
+        below, above = first.copy(), first.copy()  # symbols before below act 0, from above on 1
+        for v, j in zip(*np.nonzero(present & (last > first))):
+            others = c[v] - (np.arange(slots) == j)
+            q0, q1 = (
+                math.prod((p[h] - p[l]) ** int(e) for l, h, e in zip(lo[v], hi[v], others))
+                for p in prefix
+            )
+            margins = [a1[x] * q1 - a0[x] * q0 for x in range(first[v, j], last[v, j])]
+            below[v, j] += sum(m < 0 for m in margins)
+            above[v, j] = below[v, j] + margins.count(0)
+        act = np.where(own < below, 0, np.where(own >= above, 1, TIE))
+        cut_lo = np.maximum(lo, np.where(act == 1, above, below))
+        cut_hi = np.minimum(hi, np.where(act == 0, below, above))
+        new_lo = np.where(present & (act != 0), cut_lo, lo)
+        new_hi = np.where(present & (act != 1), cut_hi, hi)
+        if np.array_equal(new_lo, lo) and np.array_equal(new_hi, hi):
+            break
+        lo, hi = new_lo, new_hi
+    split = (present & (act != act[:, :1])).any(axis=1)
+    if split.any():
+        at = tuple(counts[int(np.argmax(split))].tolist())
+        raise AgreementLabError(f"fixed point of public-action left actions unequal at counts {at}")
+    # A holder believes a1 Q1 / (a1 Q1 + a0 Q0); X is the mean over the n agents.
+    spans = list(zip(lo.ravel().tolist(), hi.ravel().tolist()))
+    m0, m1 = (
+        np.array([p[h] - p[l] for l, h in spans], dtype=object).reshape(own.shape) for p in prefix
+    )
+    weights = c.astype(object)
+    q0, q1 = (np.prod(m**weights, axis=1)[:, None] // np.where(present, m, 1) for m in (m0, m1))
+    num = np.array(a1, dtype=object)[own] * q1
+    den = num + np.array(a0, dtype=object)[own] * q0
+    total, scale = 0, 1
+    for j in range(slots):
+        total, scale = total * den[:, j] + weights[:, j] * num[:, j] * scale, scale * den[:, j]
+    return act[:, 0].astype(np.int8), (total / (scale * n)).astype(np.float64)

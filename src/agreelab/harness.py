@@ -33,6 +33,7 @@ from .dynamics import (
     PUBLIC_ACTION,
     PUBLIC_BELIEF,
     announced_codes,
+    count_vector_outcomes,
     exact_means,
     fixed_point_partitions,
     shared,
@@ -48,11 +49,12 @@ from .knowledge import (
     OutcomeSpace,
     action_codes,
     block_beliefs,
+    check_pair_budget,
     is_common_knowledge,
     joint_codes,
     pooled_posterior,
 )
-from .scenarios import Scenario, SenateStaged, build_scenario
+from .scenarios import IidSignals, Scenario, SenateStaged, build_scenario
 from .signals import SignalModel, belief_tail_cdf, noise_to_signal_ratio
 
 #: Trials per stream; a run of T trials draws ceil(T / CHUNK_TRIALS) chunks.
@@ -185,9 +187,11 @@ def run_monte_carlo(scenario: Scenario, mode: str, trials: int, seed: int) -> Tr
     ``mode`` is either ``pooled`` (the full-information posterior stands in
     for the agreement outcome, which belief-announcement dynamics provably
     reach for conditionally independent signals) or a protocol kind, which
-    runs the exact engine when the space is within budget.  The staged
-    committee scenario additionally supports public-action at any size
-    through its analytic fixed point.  Deterministic given the seed; trials
+    runs the exact engine when the space is within budget.  Public-belief
+    and public-action on i.i.d. signals are decided once per count vector
+    (:func:`~agreelab.dynamics.count_vector_outcomes`), with no space built.
+    The staged committee scenario additionally supports public-action at any
+    size through its analytic fixed point.  Deterministic given the seed; trials
     are drawn in chunks keyed by (seed, n, chunk).
     """
     if trials < 1:
@@ -210,6 +214,19 @@ def run_monte_carlo(scenario: Scenario, mode: str, trials: int, seed: int) -> Tr
             distinct, inverse = np.unique(tallies, return_inverse=True)
             beliefs = [float(committee.tally_posterior(t)) for t in distinct.tolist()]
             return states, verdicts, np.array(beliefs)[inverse]
+
+    elif mode in (PUBLIC_BELIEF, PUBLIC_ACTION) and isinstance(scenario.structure, IidSignals):
+        # Own-signal information: a profile's outcome depends on its counts alone.
+        structure = scenario.structure
+        check_pair_budget(structure.pair_count(scenario.n), scenario.name)
+        action_codes, xs = count_vector_outcomes(structure.model, scenario.n, mode)
+        count_row = structure.count_rows(scenario.n)
+        profile_draw = scenario.profile_sampler()
+
+        def draw(rng, size):
+            states, index = profile_draw(rng, size)
+            row = count_row(index)
+            return states, action_codes[row], xs[row]
 
     else:
         space = scenario.outcome_space()

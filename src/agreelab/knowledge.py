@@ -223,15 +223,20 @@ def profile_indexer(space: OutcomeSpace) -> Callable[[np.ndarray], np.ndarray]:
     return index
 
 
+def check_pair_budget(pairs: int, label: str = "") -> None:
+    """Refuse more (state, profile) pairs than the exact engine's budget,
+    with :class:`EnumerationBudgetError` (its message led by ``label``)."""
+    if pairs > DEFAULT_ENUMERATION_BUDGET:
+        raise EnumerationBudgetError(
+            f"{label + ': ' if label else ''}{pairs} (state, profile) pairs exceed the "
+            f"exact-engine budget {DEFAULT_ENUMERATION_BUDGET}"
+        )
+
+
 def outcome_space_iid(model: SignalModel, n: int) -> OutcomeSpace:
     """Product space for conditionally i.i.d. signals, weight = 1/2 * prod mu_s,
     over the model's support."""
-    size = 2 * len(model.support) ** n
-    if size > DEFAULT_ENUMERATION_BUDGET:
-        raise EnumerationBudgetError(
-            f"{size} (state, profile) pairs exceed the exact-engine budget "
-            f"{DEFAULT_ENUMERATION_BUDGET}"
-        )
+    check_pair_budget(2 * len(model.support) ** n)
     return OutcomeSpace.iid(model, n)
 
 

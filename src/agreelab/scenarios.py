@@ -31,15 +31,15 @@ from .bounds import (
     pooled_action_law,
     reduced_odds,
 )
-from .errors import AgreementLabError, EnumerationBudgetError, ScenarioParameterError
+from .errors import AgreementLabError, ScenarioParameterError
 from .knowledge import (
-    DEFAULT_ENUMERATION_BUDGET,
     TIE,
     OutcomeSpace,
     Partition,
     Profiles,
     action_code,
     action_codes,
+    check_pair_budget,
     joint_codes,
     own_signal_partitions,
     profile_indexer,
@@ -66,12 +66,7 @@ class Scenario:
     metadata: dict = field(default_factory=dict)
 
     def outcome_space(self) -> OutcomeSpace:
-        size = self.structure.pair_count(self.n)
-        if size > DEFAULT_ENUMERATION_BUDGET:
-            raise EnumerationBudgetError(
-                f"{self.name}: {size} (state, profile) pairs exceed the "
-                f"exact-engine budget {DEFAULT_ENUMERATION_BUDGET}"
-            )
+        check_pair_budget(self.structure.pair_count(self.n), self.name)
         return self.structure.outcome_space(self.n)
 
     def initial_partitions(self, space: OutcomeSpace) -> list[Partition]:
@@ -84,9 +79,10 @@ class Scenario:
     def marginal_model(self) -> SignalModel | None:
         return self.structure.marginal_model(self.n)
 
-    def profile_sampler(self, space: OutcomeSpace) -> Callable:
-        """Batch draw of (states, indices into ``space.profiles``)."""
-        return self.structure.profile_sampler(space)
+    def profile_sampler(self, space: OutcomeSpace | None = None) -> Callable:
+        """Batch draw of (states, indices into ``space.profiles``); i.i.d.
+        structures number their profiles without a space."""
+        return self.structure.profile_sampler(self.n, space)
 
     def pooled_sampler(self) -> Callable:
         """Batch draw of (states, pooled action codes, pooled beliefs)."""
@@ -146,10 +142,10 @@ class IidSignals:
         )
         return p / p.sum(axis=1, keepdims=True)
 
-    def profile_sampler(self, space: OutcomeSpace) -> Callable:
+    def profile_sampler(self, n: int, space: OutcomeSpace | None = None) -> Callable:
         """Profile indices are mixed-radix numbers over the sorted support,
-        which is the order of :meth:`OutcomeSpace.iid`."""
-        n, p = space.n, self._probabilities()
+        which is the order of :meth:`OutcomeSpace.iid`, so no space is read."""
+        p = self._probabilities()
         support = self.model.support
         k = len(support)
         rank = np.empty(k, dtype=np.int64)
@@ -166,6 +162,31 @@ class IidSignals:
             return states, ranks @ place
 
         return draw
+
+    def count_rows(self, n: int) -> Callable[[np.ndarray], np.ndarray]:
+        """Map profile indices, as :meth:`profile_sampler` draws them, to the
+        rows of :func:`~agreelab.bounds.count_law`.
+
+        Rows come in lexicographic order of the counts over the support, so
+        a profile's row is the number of count vectors before its own: taken
+        in support order, each agent adds those that put it and every agent
+        after it on later symbols.
+        """
+        support = self.model.support
+        k = len(support)
+        by_rank = np.array(sorted(range(k), key=lambda i: support[i]))
+        place = k ** np.arange(n - 1, -1, -1, dtype=np.int64)
+        later = np.array(
+            [[math.comb(left + k - i - 2, k - i - 2) if i < k - 1 else 0 for i in range(k)]
+             for left in range(n + 1)],
+            dtype=np.int64,
+        )
+
+        def rows(index: np.ndarray) -> np.ndarray:
+            symbols = np.sort(by_rank[index[:, None] // place % k], axis=1)
+            return later[np.arange(n, 0, -1), symbols].sum(axis=1)
+
+        return rows
 
     def pooled_sampler(self, n: int) -> Callable:
         """Sample symbol counts and decide the pooled outcome from them.
@@ -229,12 +250,12 @@ class ParityBits:
     def marginal_model(self, n: int) -> None:
         return None
 
-    def profile_sampler(self, space: OutcomeSpace) -> Callable:
+    def profile_sampler(self, n: int, space: OutcomeSpace) -> Callable:
         index = profile_indexer(space)
 
         def draw(rng, size, force_state=None):
             states = _draw_states(rng, size, force_state)
-            return states, index(_parity_bits(rng, states, space.n))
+            return states, index(_parity_bits(rng, states, n))
 
         return draw
 
@@ -356,12 +377,12 @@ class ExchangeableFlip:
         column = proxies[:, None]
         return np.where(inside, column, 1 - column)
 
-    def profile_sampler(self, space: OutcomeSpace) -> Callable:
+    def profile_sampler(self, n: int, space: OutcomeSpace) -> Callable:
         index = profile_indexer(space)
 
         def draw(rng, size, force_state=None):
             states = _draw_states(rng, size, force_state)
-            return states, index(self.draw_bits(rng, self.draw_proxies(rng, states), space.n))
+            return states, index(self.draw_bits(rng, self.draw_proxies(rng, states), n))
 
         return draw
 
@@ -424,14 +445,14 @@ class TwoBitCombo:
         mu0 = (half * a1, half * (1 - a1), half * a1, half * (1 - a1))
         return SignalModel(alphabet=SIGNAL_PAIRS, mu0=mu0, mu1=mu1)
 
-    def profile_sampler(self, space: OutcomeSpace) -> Callable:
+    def profile_sampler(self, n: int, space: OutcomeSpace) -> Callable:
         """A signal (b1, b2) has rank 2*b1 + b2 among the four pairs."""
         index = profile_indexer(space)
 
         def draw(rng, size, force_state=None):
             states = _draw_states(rng, size, force_state)
-            first = _parity_bits(rng, states, space.n)
-            second = self.flip.draw_bits(rng, self.flip.draw_proxies(rng, states), space.n)
+            first = _parity_bits(rng, states, n)
+            second = self.flip.draw_bits(rng, self.flip.draw_proxies(rng, states), n)
             return states, index(2 * first + second)
 
         return draw
@@ -532,8 +553,8 @@ class SenateStaged:
 
         return draw
 
-    def profile_sampler(self, space: OutcomeSpace) -> Callable:
-        return IidSignals(self.model).profile_sampler(space)
+    def profile_sampler(self, n: int, space: OutcomeSpace | None = None) -> Callable:
+        return IidSignals(self.model).profile_sampler(n)
 
     def pooled_sampler(self, n: int) -> Callable:
         return IidSignals(self.model).pooled_sampler(n)

@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 from agreelab.bounds import (
     EstimatorMoments,
     ExactSummary,
+    _moments,
     _standardized_terms,
     conditional_expectation_interval,
     count_law,
@@ -309,6 +310,15 @@ class TestConditionalExpectationInterval:
 
 
 class TestEstimatorMoments:
+    def test_squares_are_correctly_rounded(self):
+        """``** 2`` calls the C library's ``pow``, which rounds the square of
+        this x - 1/2 wrongly on some platforms (glibc under CPython 3.11.7,
+        for one); the moments square with ``d * d``, correctly rounded."""
+        x = float.fromhex("0x1.ef9a16f7654e7p-1")
+        moments = _moments(1, [(np.array([1.0]), np.array([0.0]), np.array([x]))])
+        bias = x - 0.5
+        assert moments.var_y_minus_s == float(Fraction(x) ** 2) - float(Fraction(bias) ** 2)
+
     @pytest.mark.parametrize("p", [Fraction(3, 5), Fraction(2, 3), Fraction(3, 4)])
     @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
     def test_deviation_variance_identity(self, p, n):
@@ -498,11 +508,11 @@ def reference_moments(n, points):
         e_y += wf * y
         e_y2 += wf * y * y
         e_sy += wf * state * y
-        e_dev2 += wf * (y - state) ** 2
+        e_dev2 += wf * ((y - state) * (y - state))
     return EstimatorMoments(
         n=n,
         mean=e_y,
-        var_y_minus_s=e_dev2 - (e_y - 0.5) ** 2,
+        var_y_minus_s=e_dev2 - (e_y - 0.5) * (e_y - 0.5),
         cov_s_y=e_sy - 0.5 * e_y,
         var_y=e_y2 - e_y * e_y,
     )

@@ -5,8 +5,9 @@ from fractions import Fraction
 
 import pytest
 
+from agreelab import dynamics
 from agreelab.cli import main
-from agreelab.knowledge import DEFAULT_ENUMERATION_BUDGET
+from agreelab.knowledge import DEFAULT_ENUMERATION_BUDGET, OutcomeSpace
 from agreelab.scenarios import iid_binary
 
 
@@ -78,18 +79,28 @@ class TestSimulate:
         )
         assert code == 3
 
-    def test_first_size_over_the_budget_exits_3(self, capsys):
+    @pytest.mark.parametrize("protocol", ["public-belief", "public-action"])
+    def test_first_size_over_the_budget_exits_3(self, protocol, capsys, monkeypatch):
         """The budget admits iid_binary(21), 2**22 pairs, and refuses the
-        next size before building anything."""
+        next size before building anything: no space, no count law."""
         assert DEFAULT_ENUMERATION_BUDGET == 2**22
         largest = iid_binary(21, Fraction(2, 3))
         assert largest.structure.pair_count(21) == DEFAULT_ENUMERATION_BUDGET
+
+        def refused(*args):
+            raise AssertionError("built before the budget check")
+
+        monkeypatch.setattr(OutcomeSpace, "iid", refused)
+        monkeypatch.setattr(dynamics, "count_law", refused)
         code = run_cli(
             "simulate", "--scenario", "iid_binary", "--param", "p=2/3",
-            "--n", "22", "--protocol", "public-belief", "--trials", "10",
+            "--n", "22", "--protocol", protocol, "--trials", "10",
         )
         assert code == 3
-        assert "exceed the exact-engine budget 4194304" in capsys.readouterr().err
+        assert capsys.readouterr().err == (
+            "error: iid_binary(22, 2/3): 8388608 (state, profile) pairs exceed "
+            "the exact-engine budget 4194304\n"
+        )
 
     def test_missing_scenario_is_usage_error(self):
         assert run_cli("simulate", "--trials", "10") == 1

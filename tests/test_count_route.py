@@ -1,0 +1,103 @@
+"""Public-belief and public-action on i.i.d. signals, decided once per count
+vector (``dynamics.count_vector_outcomes``), against the enumerated engine's
+per-profile outcome table: equal action codes and bit-equal X everywhere."""
+
+from fractions import Fraction
+
+import numpy as np
+import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+from test_engine import HUGE_ACCURACY, route_table
+
+from agreelab.bounds import count_law
+from agreelab.dynamics import PUBLIC_ACTION, PUBLIC_BELIEF
+from agreelab.harness import _protocol_outcome_table, run_monte_carlo
+from agreelab.knowledge import OutcomeSpace, Partition
+from agreelab.scenarios import IidSignals, geometric_tail, iid_binary, iid_custom
+from agreelab.signals import SignalModel
+
+
+@st.composite
+def tie_prone_models(draw):
+    """2-4 symbols with small rational weights.  Some draws mirror the two
+    states' weights, and some give two symbols one likelihood ratio, so exact
+    ties between the states' masses occur along the way."""
+    size = draw(st.integers(2, 4))
+    weight = st.integers(1, 7)
+    raw0 = draw(st.lists(weight, min_size=size, max_size=size))
+    shape = draw(st.sampled_from(["free", "mirrored", "repeated ratio"]))
+    if shape == "mirrored":
+        raw1 = raw0[::-1]
+    else:
+        raw1 = draw(st.lists(weight, min_size=size, max_size=size))
+        if shape == "repeated ratio":
+            scale = draw(st.integers(2, 3))
+            raw0[-1], raw1[-1] = scale * raw0[0], scale * raw1[0]
+    mu0 = tuple(Fraction(r, sum(raw0)) for r in raw0)
+    mu1 = tuple(Fraction(r, sum(raw1)) for r in raw1)
+    assume(mu0 != mu1)
+    alphabet = draw(st.permutations("abcd"))[:size]
+    return SignalModel(alphabet=tuple(alphabet), mu0=mu0, mu1=mu1)
+
+
+TIED_BY_THE_ERROR_BOUND = SignalModel(
+    alphabet=("a", "b", "c", "d"),
+    mu0=tuple(Fraction(r, 17) for r in (2, 3, 6, 6)),
+    mu1=tuple(Fraction(r, 34) for r in (6, 2, 8, 18)),
+)
+
+
+def assert_route_equals_the_table(scenario):
+    space = scenario.outcome_space()
+    for kind in (PUBLIC_BELIEF, PUBLIC_ACTION):
+        codes, xs = route_table(scenario, kind)
+        want_codes, want_xs = _protocol_outcome_table(scenario, kind, space)
+        assert codes.tolist() == want_codes.tolist(), kind
+        assert xs.tobytes() == want_xs.tobytes(), kind
+
+
+@settings(max_examples=60, deadline=None)
+@given(model=tie_prone_models(), n=st.integers(1, 5))
+def test_random_models_equal_the_table(model, n):
+    assert_route_equals_the_table(iid_custom(n, model))
+
+
+@pytest.mark.parametrize(
+    "scenario",
+    [
+        iid_binary(1, Fraction(2, 3)),
+        geometric_tail(1),
+        geometric_tail(3),
+        # Python-int spaces whose log-odds all lie within the float error bound.
+        iid_binary(2, HUGE_ACCURACY),
+        iid_binary(3, HUGE_ACCURACY),
+        # Symbols a and d share a likelihood ratio, and the float log-odds of
+        # an exact tie come out nonzero: only the error bound catches it.
+        iid_custom(2, TIED_BY_THE_ERROR_BOUND),
+    ],
+    ids=lambda s: s.name,
+)
+def test_named_scenarios_equal_the_table(scenario):
+    assert_route_equals_the_table(scenario)
+
+
+@settings(max_examples=40, deadline=None)
+@given(model=tie_prone_models(), n=st.integers(1, 4))
+def test_count_rows_find_each_profiles_counts(model, n):
+    rows = [counts for counts, _, _ in count_law(model, n)[1]]
+    space = OutcomeSpace.iid(model, n)
+    found = IidSignals(model).count_rows(n)(np.arange(len(space.profiles)))
+    for profile, row in zip(space.profiles, found.tolist()):
+        assert rows[row] == tuple(profile.count(s) for s in model.support)
+
+
+@pytest.mark.parametrize("kind", [PUBLIC_BELIEF, PUBLIC_ACTION])
+def test_monte_carlo_builds_no_space_and_no_partition(kind, monkeypatch):
+    def refused(*args):
+        raise AssertionError("the count-vector route built a space or a partition")
+
+    monkeypatch.setattr(OutcomeSpace, "__init__", refused)
+    monkeypatch.setattr(Partition, "__init__", refused)
+    summary = run_monte_carlo(geometric_tail(3), kind, 500, seed=4)
+    assert summary.successes + summary.ties + summary.failures == 500

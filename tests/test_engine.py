@@ -29,6 +29,7 @@ from agreelab.dynamics import (
     PUBLIC_STATISTIC,
     Digraph,
     announced_codes,
+    count_vector_outcomes,
     exact_means,
     fixed_point_partitions,
     mean_beliefs,
@@ -52,6 +53,7 @@ from agreelab.knowledge import (
     trivial_partition,
 )
 from agreelab.scenarios import (
+    IidSignals,
     SenateStaged,
     geometric_tail,
     iid_binary,
@@ -440,17 +442,45 @@ def test_python_int_space_with_a_half_belief():
     assert codes.tolist() == [0] and values == [Fraction(1, 2)]
 
 
+def table_digest(profiles, codes, beliefs) -> str:
+    assert codes.dtype == np.int8 and beliefs.dtype == np.float64
+    text = "\n".join(
+        f"{profile!r} {sorted(ACTION_SETS[code])} {x!r}"
+        for profile, code, x in zip(profiles, codes.tolist(), beliefs.tolist())
+    )
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+def route_table(scenario, kind):
+    """The count-vector route's action codes and X per profile of the
+    scenario's space, in the order of its sorted profiles."""
+    model, n = scenario.structure.model, scenario.n
+    codes, xs = count_vector_outcomes(model, n, kind)
+    row = scenario.structure.count_rows(n)(np.arange(len(model.support) ** n))
+    return codes[row], xs[row]
+
+
 @pytest.mark.parametrize("name,kind", list(OUTCOME_TABLES))
 def test_outcome_tables_are_unchanged(name, kind):
     scenario = TABLE_SCENARIOS[name]()
     space = scenario.outcome_space()
     codes, beliefs = _protocol_outcome_table(scenario, kind, space)
-    assert codes.dtype == np.int8 and beliefs.dtype == np.float64
-    text = "\n".join(
-        f"{profile!r} {sorted(ACTION_SETS[code])} {x!r}"
-        for profile, code, x in zip(space.profiles, codes.tolist(), beliefs.tolist())
-    )
-    assert hashlib.sha256(text.encode()).hexdigest() == OUTCOME_TABLES[(name, kind)]
+    assert table_digest(space.profiles, codes, beliefs) == OUTCOME_TABLES[(name, kind)]
+
+
+@pytest.mark.parametrize(
+    "name,kind",
+    [
+        (name, kind)
+        for name, kind in OUTCOME_TABLES
+        if kind in (PUBLIC_BELIEF, PUBLIC_ACTION)
+        and isinstance(TABLE_SCENARIOS[name]().structure, IidSignals)
+    ],
+)
+def test_count_route_gives_the_recorded_tables(name, kind):
+    scenario = TABLE_SCENARIOS[name]()
+    profiles = scenario.outcome_space().profiles
+    assert table_digest(profiles, *route_table(scenario, kind)) == OUTCOME_TABLES[(name, kind)]
 
 
 # The CSVs ``simulate`` prints under the current RNG_VERSION.
@@ -486,6 +516,22 @@ def test_simulate_csv_is_unchanged(family, n, protocol, capsys):
         argv += ["--param", "p=2/3"]
     assert main(argv) == 0
     assert capsys.readouterr().out == HEADER.format(RNG_VERSION) + GOLDEN[(family, n, protocol)]
+
+
+# sha256 of the CSVs of the largest geometric_tail in budget (2**21 pairs),
+# as the enumerated engine printed them (13-19 s each on a 2-core Xeon VM).
+AT_SCALE = {
+    "public-belief": "3987aa5c3d1ddc52a04b72cb76e53e2bb3744032bc012ad33c69575538f68656",
+    "public-action": "00648fef48604a9bfd977c046f615a5325e6c27ef13ecedf82d50aba409b477a",
+}
+
+
+@pytest.mark.parametrize("protocol", list(AT_SCALE))
+def test_simulate_csv_at_the_top_of_the_budget_is_unchanged(protocol, capsys):
+    argv = ["simulate", "--scenario", "geometric_tail", "--n", "5", "--protocol", protocol,
+            "--trials", "1000", "--seed", "5", "--format", "csv"]
+    assert main(argv) == 0
+    assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == AT_SCALE[protocol]
 
 
 # ---------------------------------------------------------------------------
