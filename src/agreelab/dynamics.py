@@ -217,6 +217,13 @@ def mean_beliefs(columns: Sequence[np.ndarray], values: Sequence[list]) -> tuple
     return np.array(mean_codes, dtype=np.int64)[joint], [Fraction(*pair) for pair in means]
 
 
+def _realized_position(space: OutcomeSpace, profile) -> int:
+    """The position of a realized profile tuple in ``space``."""
+    if (where := space.position(profile)) is None:
+        raise ValueError(f"realized profile {profile!r} has zero weight")
+    return where
+
+
 def fixed_point_partitions(
     kind: str,
     space: OutcomeSpace,
@@ -247,11 +254,11 @@ def fixed_point_partitions(
             raise ValueError("digraph size must match the agent count")
         if not network.is_strongly_connected():
             raise ConnectivityError("network protocol needs a strongly connected digraph")
-    where = None if profile is None else space.profiles.index[profile]
+    where = None if profile is None else _realized_position(space, profile)
     partitions = list(partitions)
     public = trivial_partition(space)
     trace = ProtocolTrace(kind=kind)
-    limit = max_rounds if max_rounds is not None else space.n * len(space.profiles) + 1
+    limit = max_rounds if max_rounds is not None else space.n * len(space.symbols) + 1
     for _ in range(limit):
         said: dict[str, object] = {}
         if kind == NETWORK_BELIEF:
@@ -309,9 +316,7 @@ def run_protocol(
     are common knowledge.  Both predicates are checked explicitly, never
     assumed.
     """
-    where = space.profiles.index.get(profile)
-    if where is None:
-        raise ValueError(f"realized profile {profile!r} has zero weight")
+    where = _realized_position(space, profile)
     final, trace = fixed_point_partitions(kind, space, partitions, profile, network)
     beliefs = shared(lambda p: announced_codes(PUBLIC_BELIEF, space, p), final)
     actions = shared(lambda p: announced_codes(PUBLIC_ACTION, space, p), final)

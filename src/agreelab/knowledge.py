@@ -5,28 +5,27 @@ rational prior weights.  Sigma-algebras are represented as partitions of the
 positive-weight profiles, which is lossless on finite spaces; every
 "almost surely" clause becomes "on every positive-weight block".
 
-The engine runs on integers.  A space keeps its profiles in sorted order,
-each agent's symbol as an integer code, and the two states' weights as
+The engine runs on integers.  A space is its symbol matrix, one sorted row
+of alphabet ranks per profile (profile tuples are derived only on demand,
+and :meth:`OutcomeSpace.locate` finds rows), and the two states' weights as
 integer numerators over one common denominator.  A partition is nothing but
-a vector of block labels over those profiles, numbered by first occurrence,
-so equal partitions have equal label vectors.  Random variables are integer
+a vector of block labels over those rows, numbered by first occurrence, so
+equal partitions have equal label vectors.  Random variables are integer
 codes, one per profile: equal codes mean equal values.  An announcement
-becomes such codes, read off each block's exact masses: a belief codes
-their gcd-reduced ratio, an action set the sign of its summed margin
-``w1 - w0``.  A refinement writes each profile's code to its block and
-reads it back: when every profile reads back its own, nothing splits;
-otherwise it relabels the (label, code) pairs (:func:`dense_codes`),
-counting when their range is narrow and sorting when it is wide.  Common
-knowledge of some variables is the same test: their codes split no agent's
-partition (:func:`is_common_knowledge`).  Sums are ``int64`` when the
-common denominator fits in it, since no block sum exceeds the total mass,
-and Python ints otherwise.  Beliefs leave the engine as exact Fractions.
+becomes such codes, read off each block's exact masses: a belief codes their
+gcd-reduced ratio, an action set the sign of its summed margin ``w1 - w0``.
+A refinement writes each profile's code to its block and reads it back: when
+every profile reads back its own, nothing splits; otherwise it relabels the
+(label, code) pairs (:func:`dense_codes`), counting when their range is
+narrow and sorting when it is wide.  Common knowledge of some variables is
+the same test: their codes split no agent's partition
+(:func:`is_common_knowledge`).  Sums are ``int64`` when the common
+denominator fits in it, since no block sum exceeds the total mass, and
+Python ints otherwise.  Beliefs leave the engine as exact Fractions.
 """
 
 from __future__ import annotations
 
-import itertools
-import math
 from fractions import Fraction
 from functools import cached_property
 from typing import Callable, Hashable, Iterable, Sequence
@@ -119,19 +118,6 @@ def joint_codes(columns: Iterable[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
     return dense_codes(joint.astype(np.int64, copy=False))
 
 
-class Profiles(tuple):
-    """Profiles in sorted order; ``index`` maps each to its position."""
-
-    @cached_property
-    def index(self) -> dict:
-        return {profile: i for i, profile in enumerate(self)}
-
-
-def _same_profiles(a, b) -> bool:
-    """Whether two spaces or partitions range over the same profiles."""
-    return a.profiles is b.profiles or a.profiles == b.profiles
-
-
 def weight_dtype(den: int):
     """``int64`` when every sum of masses over ``den`` fits in it."""
     return np.int64 if den < INT64_LIMIT else object
@@ -140,16 +126,17 @@ def weight_dtype(den: int):
 class OutcomeSpace:
     """Weighted enumeration of (state, profile) outcomes, in integer form.
 
-    ``profiles`` are the positive-weight profiles, sorted; ``symbols`` holds
-    each agent's symbol as its rank among that agent's symbols, one row per
-    profile, so the rows sort like the profiles; ``w0`` / ``w1`` are the
-    two states' masses per profile, non-negative integer numerators over
+    ``symbols`` has one row per positive-weight profile, each agent's signal
+    as its rank in ``alphabet``, the signal values in increasing order, and
+    the rows are sorted, so they sort like the profiles; ``w0`` / ``w1`` are
+    the two states' masses per profile, non-negative integer numerators over
     ``den`` with exactly ``den / 2`` on each state, and ``margin`` is
     ``w1 - w0``.  Each structure builds its own space in this form, the one
-    the library reads; ``weights`` is built on first use for exact laws.
+    the library reads; the profile tuples, ``profiles``, and ``weights`` are
+    derived from it on first use, for exact laws and messages.
     """
 
-    def __init__(self, n: int, profiles: Profiles, symbols: np.ndarray, den: int, w0, w1):
+    def __init__(self, n: int, alphabet: Sequence, symbols: np.ndarray, den: int, w0, w1):
         dtype = weight_dtype(den)
         w0, w1 = np.asarray(w0, dtype=dtype), np.asarray(w1, dtype=dtype)
         if w0.min(initial=0) < 0 or w1.min(initial=0) < 0:
@@ -157,7 +144,7 @@ class OutcomeSpace:
         if 2 * int(w0.sum()) != den or 2 * int(w1.sum()) != den:
             raise ValueError("each state must carry prior weight exactly 1/2")
         self.n = n
-        self.profiles = profiles
+        self.alphabet = tuple(alphabet)
         self.symbols = symbols
         self.den = den
         self.w0 = w0
@@ -180,12 +167,21 @@ class OutcomeSpace:
             masses.append(w)
         symbols = np.indices((len(order),) * n, dtype=np.min_scalar_type(len(order)))
         symbols = symbols.reshape(n, -1).T
-        support = [model.support[i] for i in order]
-        return cls(n, Profiles(itertools.product(support, repeat=n)), symbols, total, *masses)
+        return cls(n, [model.support[i] for i in order], symbols, total, *masses)
 
     @cached_property
     def margin(self) -> np.ndarray:
         return self.w1 - self.w0
+
+    def profile(self, i: int) -> Profile:
+        """The profile tuple of signal values at position ``i``."""
+        return tuple(map(self.alphabet.__getitem__, self.symbols[i].tolist()))
+
+    @cached_property
+    def profiles(self) -> tuple[Profile, ...]:
+        """Every profile tuple, in position order."""
+        values = np.fromiter(self.alphabet, dtype=object, count=len(self.alphabet))
+        return tuple(map(tuple, values[self.symbols].tolist()))
 
     @cached_property
     def weights(self) -> dict[tuple[int, Profile], Fraction]:
@@ -200,27 +196,43 @@ class OutcomeSpace:
     def __len__(self) -> int:
         return int(np.count_nonzero(self.w0)) + int(np.count_nonzero(self.w1))
 
+    @cached_property
+    def _keys(self) -> np.ndarray:
+        """Each row's mixed-radix key in base ``len(alphabet)``: increasing,
+        and within ``int64`` for any space that fits in memory."""
+        return self._fold(self.symbols)
 
-def profile_indexer(space: OutcomeSpace) -> Callable[[np.ndarray], np.ndarray]:
-    """Map rows of symbol ranks, as in ``space.symbols``, to profile positions.
+    def _fold(self, rows: np.ndarray) -> np.ndarray:
+        keys = np.zeros(len(rows), dtype=np.int64)
+        for column in rows.T:
+            keys = keys * len(self.alphabet) + column
+        return keys
 
-    Rows fold into mixed-radix integer keys.  The space's keys increase
-    along its sorted profiles, so a batch of rows is one ``searchsorted``.
-    """
-    widths = [int(w) for w in space.symbols.max(axis=0, initial=0) + 1]
-    if math.prod(widths) >= INT64_LIMIT:
-        raise EnumerationBudgetError("profile keys of this space do not fit in int64")
-    place = np.array([math.prod(widths[u + 1 :]) for u in range(space.n)], dtype=np.int64)
-    keys = space.symbols.astype(np.int64) @ place
-
-    def index(rows: np.ndarray) -> np.ndarray:
-        wanted = rows.astype(np.int64) @ place
-        found = np.minimum(np.searchsorted(keys, wanted), len(keys) - 1)
-        if not np.array_equal(keys[found], wanted):
+    def locate(self, rows: np.ndarray) -> np.ndarray:
+        """Positions of rows of symbol ranks: the space's one profile lookup."""
+        wanted = self._fold(rows)
+        found = np.minimum(self._keys.searchsorted(wanted), len(self._keys) - 1)
+        if not np.array_equal(self._keys[found], wanted):
             raise AgreementLabError("a sampled profile has zero weight in the space")
         return found
 
-    return index
+    def position(self, profile) -> int | None:
+        """Position of a profile tuple of signal values; None if it has zero weight."""
+        if not isinstance(profile, tuple) or len(profile) != self.n:
+            return None
+        key = 0
+        try:
+            for value in profile:
+                key = key * len(self.alphabet) + self.alphabet.index(value)
+        except ValueError:  # a value outside the alphabet
+            return None
+        found = int(self._keys.searchsorted(key))
+        return found if found < len(self._keys) and self._keys[found] == key else None
+
+
+def _same_profiles(a: OutcomeSpace, b: OutcomeSpace) -> bool:
+    """Whether two spaces range over the same profiles."""
+    return a is b or (a.alphabet == b.alphabet and np.array_equal(a.symbols, b.symbols))
 
 
 def check_pair_budget(pairs: int, label: str = "") -> None:
@@ -241,16 +253,17 @@ def outcome_space_iid(model: SignalModel, n: int) -> OutcomeSpace:
 
 
 class Partition:
-    """A partition of the positive-weight profiles, canonically ordered.
+    """A partition of a space's positive-weight profiles, canonically ordered.
 
-    ``labels[i]`` is the block of ``profiles[i]``, blocks numbered by first
-    occurrence (so by their least profile).
+    ``labels[i]`` is the block of the profile at position ``i`` of
+    ``space``, blocks numbered by first occurrence (so by their least
+    profile).
     """
 
-    __slots__ = ("profiles", "labels", "block_count")
+    __slots__ = ("space", "labels", "block_count")
 
-    def __init__(self, profiles: Profiles, labels: np.ndarray):
-        self.profiles = profiles
+    def __init__(self, space: OutcomeSpace, labels: np.ndarray):
+        self.space = space
         self.labels = labels
         self.block_count = int(labels.max(initial=-1)) + 1
 
@@ -264,7 +277,7 @@ class Partition:
         if np.array_equal(seen[self.labels], codes):
             return self
         width = int(codes.max(initial=0)) + 1
-        return Partition(self.profiles, dense_codes(self.labels * width + codes)[0])
+        return Partition(self.space, dense_codes(self.labels * width + codes)[0])
 
     def refine_by_key(self, key: Callable[[Profile], Hashable]) -> "Partition":
         """Coarsest common refinement with the preimage partition of ``key``,
@@ -272,9 +285,9 @@ class Partition:
         (:meth:`refine`); the benchmark's tracer still reads this method."""
         seen: dict = {}
         codes = np.fromiter(
-            (seen.setdefault(key(p), len(seen)) for p in self.profiles),
+            (seen.setdefault(key(p), len(seen)) for p in self.space.profiles),
             dtype=np.int64,
-            count=len(self.profiles),
+            count=len(self.labels),
         )
         return self.refine(codes)
 
@@ -282,7 +295,7 @@ class Partition:
         return (
             isinstance(other, Partition)
             and self.block_count == other.block_count
-            and _same_profiles(self, other)
+            and _same_profiles(self.space, other.space)
             and np.array_equal(self.labels, other.labels)
         )
 
@@ -293,16 +306,9 @@ class Partition:
         return f"Partition({self.block_count} blocks)"
 
 
-def _labels_on(space: OutcomeSpace, partition: Partition) -> np.ndarray:
-    """The partition's labels, checked to be over the space's profiles."""
-    if not _same_profiles(partition, space):
-        raise ValueError("partition is not over the space's positive-weight profiles")
-    return partition.labels
-
-
 def trivial_partition(space: OutcomeSpace) -> Partition:
     """The one-block partition of the space's profiles."""
-    return Partition(space.profiles, np.zeros(len(space.profiles), dtype=np.int64))
+    return Partition(space, np.zeros(len(space.symbols), dtype=np.int64))
 
 
 def own_signal_partitions(space: OutcomeSpace) -> list[Partition]:
@@ -321,10 +327,8 @@ def validate_partitions(space: OutcomeSpace, partitions: Sequence[Partition]) ->
     if len(partitions) != space.n:
         raise ValueError("need one partition per agent")
     for u, partition in enumerate(partitions):
-        if not _same_profiles(partition, space):
-            raise ValueError(
-                f"agent {u} partition does not cover the positive-weight profiles"
-            )
+        if not _same_profiles(partition.space, space):
+            raise ValueError(f"agent {u} partition does not cover the positive-weight profiles")
         if partition.refine(space.symbols[:, u]) is not partition:
             raise ValueError(f"agent {u} partition is coarser than its own signal")
 
@@ -332,10 +336,11 @@ def validate_partitions(space: OutcomeSpace, partitions: Sequence[Partition]) ->
 def block_sums(space: OutcomeSpace, partition: Partition, *columns: np.ndarray) -> list:
     """Per block, the sum of each per-profile integer column in its dtype:
     ``space.w0`` and ``space.w1`` give the states' masses over ``space.den``."""
-    labels = _labels_on(space, partition)
+    if not _same_profiles(partition.space, space):
+        raise ValueError("partition is not over the space's positive-weight profiles")
     sums = [np.zeros(partition.block_count, dtype=column.dtype) for column in columns]
     for total, column in zip(sums, columns):
-        np.add.at(total, labels, column)
+        np.add.at(total, partition.labels, column)
     return sums
 
 
@@ -343,6 +348,12 @@ def action_codes(margin: np.ndarray) -> np.ndarray:
     """Codes in :data:`ACTION_SETS` of the optimal actions given the margins
     ``ones - zeros`` of masses: a belief exceeds 1/2 iff its margin is positive."""
     return np.where(margin > 0, 1, np.where(margin < 0, 0, TIE))
+
+
+def reduced_ratios(ones: np.ndarray, total: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Each ``ones / total`` as its gcd-reduced numerator and denominator."""
+    common = np.gcd(ones, total)
+    return ones // common, total // common
 
 
 def block_beliefs(space: OutcomeSpace, partition: Partition) -> tuple[np.ndarray, list[Fraction]]:
@@ -354,9 +365,7 @@ def block_beliefs(space: OutcomeSpace, partition: Partition) -> tuple[np.ndarray
     masses.
     """
     zeros, ones = block_sums(space, partition, space.w0, space.w1)
-    total = zeros + ones
-    common = np.gcd(ones, total)
-    num, den = ones // common, total // common
+    num, den = reduced_ratios(ones, zeros + ones)
     codes, first = joint_codes((num, den))
     values = [Fraction(int(num[b]), int(den[b])) for b in first.tolist()]
     return codes, values
@@ -364,7 +373,7 @@ def block_beliefs(space: OutcomeSpace, partition: Partition) -> tuple[np.ndarray
 
 def pooled_posterior(space: OutcomeSpace, profile: Profile) -> Fraction:
     """Exact P(S=1 | the full signal profile)."""
-    i = space.profiles.index.get(profile)
+    i = space.position(profile)
     if i is None:
         raise NullConditioningError(f"profile {profile!r} has zero weight")
     ones = int(space.w1[i])
@@ -372,10 +381,13 @@ def pooled_posterior(space: OutcomeSpace, profile: Profile) -> Fraction:
 
 
 def _profile_function(partition: Partition, block_values: list) -> Callable:
-    index, labels = partition.profiles.index, partition.labels.tolist()
+    space, labels = partition.space, partition.labels.tolist()
 
     def value(profile: Profile):
-        return block_values[labels[index[profile]]]
+        i = space.position(profile)
+        if i is None:
+            raise KeyError(profile)
+        return block_values[labels[i]]
 
     return value
 

@@ -9,8 +9,8 @@ marginal signal model used by the aggregate bounds.
 Every sampler returns a draw ``draw(rng, size, force_state=None)`` that
 makes ``size`` trials with a few vectorised calls.  A pooled draw returns
 arrays of states, action codes (:data:`~agreelab.knowledge.ACTION_SETS`)
-and float beliefs; a profile draw returns states and indices into the
-space's sorted ``profiles``.
+and float beliefs; a profile draw returns states and the positions of the
+drawn profiles in the space (:meth:`~agreelab.knowledge.OutcomeSpace.locate`).
 """
 
 from __future__ import annotations
@@ -36,13 +36,11 @@ from .knowledge import (
     TIE,
     OutcomeSpace,
     Partition,
-    Profiles,
     action_code,
     action_codes,
     check_pair_budget,
     joint_codes,
     own_signal_partitions,
-    profile_indexer,
     trivial_partition,
     weight_dtype,
 )
@@ -70,19 +68,24 @@ class Scenario:
         return self.structure.outcome_space(self.n)
 
     def initial_partitions(self, space: OutcomeSpace) -> list[Partition]:
-        make = getattr(self.structure, "initial_partitions", None)
-        if make is not None:
-            return make(space)
-        return own_signal_partitions(space)
+        return getattr(self.structure, "initial_partitions", own_signal_partitions)(space)
 
     @property
     def marginal_model(self) -> SignalModel | None:
         return self.structure.marginal_model(self.n)
 
     def profile_sampler(self, space: OutcomeSpace | None = None) -> Callable:
-        """Batch draw of (states, indices into ``space.profiles``); i.i.d.
-        structures number their profiles without a space."""
-        return self.structure.profile_sampler(self.n, space)
+        """Batch draw of (states, profile positions in ``space``): i.i.d.
+        structures number profiles without one, the others locate ``signal_rows``."""
+        rows = getattr(self.structure, "signal_rows", None)
+        if rows is None:
+            return self.structure.profile_sampler(self.n)
+
+        def draw(rng, size, force_state=None):
+            states = _draw_states(rng, size, force_state)
+            return states, space.locate(rows(rng, states, self.n))
+
+        return draw
 
     def pooled_sampler(self) -> Callable:
         """Batch draw of (states, pooled action codes, pooled beliefs)."""
@@ -142,7 +145,7 @@ class IidSignals:
         )
         return p / p.sum(axis=1, keepdims=True)
 
-    def profile_sampler(self, n: int, space: OutcomeSpace | None = None) -> Callable:
+    def profile_sampler(self, n: int) -> Callable:
         """Profile indices are mixed-radix numbers over the sorted support,
         which is the order of :meth:`OutcomeSpace.iid`, so no space is read."""
         p = self._probabilities()
@@ -244,20 +247,12 @@ class ParityBits:
     def outcome_space(self, n: int) -> OutcomeSpace:
         rows = np.indices((2,) * n, dtype=np.uint8).reshape(n, -1).T
         odd = rows.sum(axis=1, dtype=np.int64) % 2
-        profiles = Profiles(itertools.product((0, 1), repeat=n))
-        return OutcomeSpace(n, profiles, rows, 2**n, 1 - odd, odd)
+        return OutcomeSpace(n, (0, 1), rows, 2**n, 1 - odd, odd)
 
     def marginal_model(self, n: int) -> None:
         return None
 
-    def profile_sampler(self, n: int, space: OutcomeSpace) -> Callable:
-        index = profile_indexer(space)
-
-        def draw(rng, size, force_state=None):
-            states = _draw_states(rng, size, force_state)
-            return states, index(_parity_bits(rng, states, n))
-
-        return draw
+    signal_rows = staticmethod(_parity_bits)
 
     def pooled_sampler(self, n: int) -> Callable:
         return _known_state_draw
@@ -327,8 +322,7 @@ class ExchangeableFlip:
     def outcome_space(self, n: int) -> OutcomeSpace:
         rows, proxies = self.bit_rows(n)
         den, agree = self.agreement_masses(n, 2)
-        profiles = Profiles(map(tuple, rows.tolist()))
-        return OutcomeSpace(n, profiles, rows, den, agree[1 - proxies], agree[proxies])
+        return OutcomeSpace(n, (0, 1), rows, den, agree[1 - proxies], agree[proxies])
 
     def marginal_model(self, n: int) -> SignalModel | None:
         a1 = Fraction(1, 4) + self.q / 2
@@ -369,22 +363,14 @@ class ExchangeableFlip:
         """The hidden proxy bit of each trial: the state w.p. q."""
         return np.where(rng.random(len(states)) < float(self.q), states, 1 - states)
 
-    def draw_bits(self, rng, proxies: np.ndarray, n: int) -> np.ndarray:
-        """Rows of signals: each proxy on a uniformly random subset of
-        ``ones_count(n, 1)`` agents, its complement on the others."""
+    def signal_rows(self, rng, states: np.ndarray, n: int) -> np.ndarray:
+        """Rows of signals given the states: each trial's proxy bit on a
+        uniformly random subset of ``ones_count(n, 1)`` agents, its
+        complement on the others."""
+        column = self.draw_proxies(rng, states)[:, None]
         subset = np.arange(n) < self.ones_count(n, 1)
-        inside = rng.permuted(np.tile(subset, (len(proxies), 1)), axis=1)
-        column = proxies[:, None]
+        inside = rng.permuted(np.tile(subset, (len(states), 1)), axis=1)
         return np.where(inside, column, 1 - column)
-
-    def profile_sampler(self, n: int, space: OutcomeSpace) -> Callable:
-        index = profile_indexer(space)
-
-        def draw(rng, size, force_state=None):
-            states = _draw_states(rng, size, force_state)
-            return states, index(self.draw_bits(rng, self.draw_proxies(rng, states), n))
-
-        return draw
 
     def pooled_sampler(self, n: int) -> Callable:
         """The pooled posterior depends on the profile only through the
@@ -432,9 +418,8 @@ class TwoBitCombo:
         symbols, states = symbols[order], parities.repeat(len(second))[order]
         den, agree = self.flip.agreement_masses(n, 2**n)
         masses = agree[(parities[:, None] == proxies).ravel()[order].astype(np.intp)]
-        profiles = Profiles(tuple(map(SIGNAL_PAIRS.__getitem__, row)) for row in symbols.tolist())
         w0, w1 = np.where(states == 0, masses, 0), np.where(states == 1, masses, 0)
-        return OutcomeSpace(n, profiles, symbols, den, w0, w1)
+        return OutcomeSpace(n, SIGNAL_PAIRS, symbols, den, w0, w1)
 
     def marginal_model(self, n: int) -> SignalModel | None:
         a1 = Fraction(1, 4) + self.flip.q / 2
@@ -445,17 +430,10 @@ class TwoBitCombo:
         mu0 = (half * a1, half * (1 - a1), half * a1, half * (1 - a1))
         return SignalModel(alphabet=SIGNAL_PAIRS, mu0=mu0, mu1=mu1)
 
-    def profile_sampler(self, n: int, space: OutcomeSpace) -> Callable:
+    def signal_rows(self, rng, states: np.ndarray, n: int) -> np.ndarray:
         """A signal (b1, b2) has rank 2*b1 + b2 among the four pairs."""
-        index = profile_indexer(space)
-
-        def draw(rng, size, force_state=None):
-            states = _draw_states(rng, size, force_state)
-            first = _parity_bits(rng, states, n)
-            second = self.flip.draw_bits(rng, self.flip.draw_proxies(rng, states), n)
-            return states, index(2 * first + second)
-
-        return draw
+        first = _parity_bits(rng, states, n)
+        return 2 * first + self.flip.signal_rows(rng, states, n)
 
     def pooled_sampler(self, n: int) -> Callable:
         return _known_state_draw
@@ -553,7 +531,7 @@ class SenateStaged:
 
         return draw
 
-    def profile_sampler(self, n: int, space: OutcomeSpace | None = None) -> Callable:
+    def profile_sampler(self, n: int) -> Callable:
         return IidSignals(self.model).profile_sampler(n)
 
     def pooled_sampler(self, n: int) -> Callable:

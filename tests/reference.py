@@ -11,6 +11,7 @@ agents that hold equal partitions, and tabulates outcomes from Fractions.
 
 import itertools
 import math
+import weakref
 from fractions import Fraction
 
 import numpy as np
@@ -27,8 +28,8 @@ from agreelab.dynamics import (
 from agreelab.errors import NullConditioningError
 from agreelab.knowledge import (
     ACTION_SETS,
+    OutcomeSpace,
     Partition,
-    Profiles,
     action_code,
     block_beliefs,
     dense_codes,
@@ -37,29 +38,53 @@ from agreelab.knowledge import (
 from agreelab.scenarios import ExchangeableFlip, ParityBits, TwoBitCombo
 
 
+def space_over(profiles, n: int) -> OutcomeSpace:
+    """A space over the given distinct profile tuples of n signals, sorted,
+    each of mass 1 in both states; its alphabet is the values they use."""
+    profiles = sorted(profiles)
+    alphabet = sorted({value for profile in profiles for value in profile})
+    symbols = np.array([[alphabet.index(v) for v in p] for p in profiles], dtype=np.int64)
+    masses = np.ones(len(profiles), dtype=np.int64)
+    return OutcomeSpace(n, alphabet, symbols.reshape(-1, n), 2 * len(profiles), masses, masses)
+
+
 def partition_of_blocks(blocks) -> Partition:
     """The partition of the blocks' profiles into the given disjoint blocks."""
     blocks = [frozenset(b) for b in blocks if b]
-    profiles = Profiles(sorted(set().union(*blocks)))
-    if sum(len(b) for b in blocks) != len(profiles):
+    union = set().union(*blocks)
+    if sum(len(b) for b in blocks) != len(union):
         raise ValueError("partition blocks must be disjoint")
-    keys = np.empty(len(profiles), dtype=np.int64)
+    space = space_over(union, len(next(iter(union))))
+    keys = np.empty(len(union), dtype=np.int64)
     for i, block in enumerate(blocks):
-        keys[[profiles.index[p] for p in block]] = i
-    return Partition(profiles, dense_codes(keys)[0])
+        keys[[space.position(p) for p in block]] = i
+    return Partition(space, dense_codes(keys)[0])
 
 
 def blocks_of(partition: Partition) -> tuple:
     """The partition's blocks as frozensets, in label order."""
     members = [[] for _ in range(partition.block_count)]
-    for profile, label in zip(partition.profiles, partition.labels.tolist()):
+    for profile, label in zip(partition.space.profiles, partition.labels.tolist()):
         members[label].append(profile)
     return tuple(frozenset(m) for m in members)
 
 
+_POSITIONS = weakref.WeakKeyDictionary()
+
+
+def positions(space) -> dict:
+    """Each profile tuple's position in ``space``, as a dict built once per
+    space: the textbook lookup, and far cheaper per profile than the
+    library's ``searchsorted``."""
+    if space not in _POSITIONS:
+        _POSITIONS[space] = {profile: i for i, profile in enumerate(space.profiles)}
+    return _POSITIONS[space]
+
+
 def posterior_belief(space, block) -> Fraction:
     """Exact P(S=1 | block) = weight(S=1, block) / weight(block)."""
-    rows = [space.profiles.index[p] for p in block if p in space.profiles.index]
+    index = positions(space)
+    rows = [index[p] for p in block if p in index]
     ones = sum(int(space.w1[i]) for i in rows)
     total = ones + sum(int(space.w0[i]) for i in rows)
     if total == 0:
@@ -78,7 +103,7 @@ def refine_by_announcement(space, partitions, announcements, audience=None) -> l
             pieces.setdefault((block, said), len(pieces))
             for block, said in zip(partitions[listener].labels.tolist(), heard)
         ]
-        refined[listener] = Partition(space.profiles, np.array(labels, dtype=np.int64))
+        refined[listener] = Partition(space, np.array(labels, dtype=np.int64))
     return refined
 
 
@@ -171,7 +196,7 @@ def per_agent_announcement(kind, space, partition):
 def per_agent_fixed_point(kind, space, partitions, profile=None, network=None):
     """Final partitions and trace of a protocol, every agent refined by what
     was heard and announcing on its own, once per agent and round."""
-    where = None if profile is None else space.profiles.index[profile]
+    where = None if profile is None else space.position(profile)
     if kind == NETWORK_BELIEF and network is None:
         network = Digraph.ring(space.n)
     partitions = list(partitions)

@@ -13,7 +13,7 @@ from agreelab.dynamics import (
     fixed_point_partitions,
     run_protocol,
 )
-from agreelab.errors import ConnectivityError
+from agreelab.errors import ConnectivityError, NullConditioningError
 from agreelab.knowledge import (
     ACTION_BOTH,
     ACTION_ONE,
@@ -209,6 +209,19 @@ class TestTraceInvariants:
         assert lines[0] == "round,agent,announced,blocks"
         # one row per agent per round
         assert len(lines) == 1 + 2 * len(result.trace.rounds)
+
+    @pytest.mark.parametrize("profile", [(2, 2, 2), [0, 0, 0], (0, 0), ((0,), 0, 0)], ids=repr)
+    def test_a_realized_profile_outside_the_space_is_refused(self, profile):
+        """Values outside the alphabet, a list, a wrong length or an
+        unhashable value: each is a profile of zero weight."""
+        space = parity(3).outcome_space()
+        partitions = own_signal_partitions(space)
+        with pytest.raises(ValueError, match="realized profile .* has zero weight"):
+            fixed_point_partitions(PUBLIC_BELIEF, space, partitions, profile=profile)
+        with pytest.raises(ValueError, match="realized profile .* has zero weight"):
+            run_protocol(PUBLIC_BELIEF, space, partitions, profile)
+        with pytest.raises(NullConditioningError):
+            pooled_posterior(space, profile)
 
     def test_realized_announcements_recorded(self):
         space = outcome_space_iid(BINARY_23, 2)

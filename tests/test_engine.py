@@ -16,7 +16,13 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
-from reference import blocks_of, partition_of_blocks, posterior_belief, structure_weights
+from reference import (
+    blocks_of,
+    partition_of_blocks,
+    posterior_belief,
+    space_over,
+    structure_weights,
+)
 from reference import is_common_knowledge as reference_common_knowledge
 
 from agreelab import dynamics, harness
@@ -40,7 +46,6 @@ from agreelab.harness import RNG_VERSION, _protocol_outcome_table
 from agreelab.knowledge import (
     ACTION_SETS,
     Partition,
-    Profiles,
     action_function,
     belief_function,
     block_beliefs,
@@ -358,7 +363,7 @@ class TestDenseCodes:
         size = data.draw(st.integers(0, 30))
         blocks = data.draw(st.lists(st.integers(0, 5), min_size=size, max_size=size))
         labels = reference_dense_codes(np.array(blocks, dtype=np.int64))[0]
-        partition = Partition(Profiles((i,) for i in range(size)), labels)
+        partition = Partition(space_over([(i,) for i in range(size)], 1), labels)
         per_block = data.draw(st.lists(st.integers(0, 6), min_size=6, max_size=6))
         codes = np.array(per_block)[labels]
         if size and data.draw(st.booleans()):

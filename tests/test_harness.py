@@ -7,7 +7,13 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from agreelab.dynamics import PUBLIC_ACTION, PUBLIC_BELIEF
+from agreelab.dynamics import (
+    NETWORK_BELIEF,
+    PUBLIC_ACTION,
+    PUBLIC_BELIEF,
+    PUBLIC_STATISTIC,
+    fixed_point_partitions,
+)
 from agreelab.errors import EnumerationBudgetError
 from agreelab.harness import (
     CHUNK_TRIALS,
@@ -31,9 +37,20 @@ from agreelab.knowledge import (
     ACTION_ONE,
     ACTION_SETS,
     ACTION_ZERO,
+    belief_function,
     optimal_action_set,
+    pooled_posterior,
 )
-from agreelab.scenarios import iid_binary, iid_custom, parity, senate, uncorrelated_tight
+from agreelab.scenarios import (
+    Scenario,
+    geometric_tail,
+    iid_binary,
+    iid_custom,
+    parity,
+    senate,
+    two_bit,
+    uncorrelated_tight,
+)
 from agreelab.signals import SignalModel
 
 BINARY_23 = SignalModel.binary(Fraction(2, 3))
@@ -231,7 +248,7 @@ class TestRunMonteCarlo:
             codes, _x = _protocol_outcome_table(scenario, PUBLIC_BELIEF, space)
             success = Fraction(0)
             for (state, profile), w in space.weights.items():
-                label = ACTION_SETS[codes[space.profiles.index[profile]]]
+                label = ACTION_SETS[codes[space.position(profile)]]
                 if label == (ACTION_ONE if state == 1 else ACTION_ZERO):
                     success += w
             exact = exact_pooled_summary(BINARY_23, n)
@@ -318,6 +335,34 @@ class TestSweep:
             assert row.summary.success_rate >= row.bound_report.action_bound - margin
 
 
+@pytest.mark.parametrize(
+    "scenario, mode",
+    [
+        (two_bit(8), PUBLIC_BELIEF),
+        (uncorrelated_tight(8), PUBLIC_ACTION),
+        (parity(4), PUBLIC_BELIEF),
+        (iid_binary(8, Fraction(2, 3)), PUBLIC_STATISTIC),
+        (iid_binary(8, Fraction(2, 3)), NETWORK_BELIEF),
+    ],
+    ids=lambda value: getattr(value, "name", value),
+)
+def test_monte_carlo_derives_no_profile_tuples(scenario, mode, monkeypatch):
+    """The engine and the profile samplers read the symbol rows only."""
+    built = []
+    build = Scenario.outcome_space
+
+    def recording(self):
+        built.append(build(self))
+        return built[-1]
+
+    monkeypatch.setattr(Scenario, "outcome_space", recording)
+    summary = run_monte_carlo(scenario, mode, 300, seed=3)
+    assert summary.trials == 300
+    assert len(built) == 1
+    assert "profiles" not in vars(built[0])
+    assert "weights" not in vars(built[0])
+
+
 class TestVerification:
     def test_default_suite_is_green(self):
         report = default_verification_suite(seed=17, trials=4000)
@@ -331,6 +376,33 @@ class TestVerification:
         independence, so the parity scenario must trip it."""
         checks = agreement_identity_checks([parity(2)])
         assert checks[0].status == "fail"
+        # Every profile's pooled posterior is 0 or 1, every belief 1/2.
+        assert checks[0].observed == 4
+        assert checks[0].detail == "4 profiles, common knowledge=True"
+
+    @pytest.mark.parametrize(
+        "scenario",
+        [
+            iid_binary(3, Fraction(2, 3)),
+            geometric_tail(2),
+            parity(3),
+            uncorrelated_tight(8),
+            two_bit(4),
+            senate(7, senate_size=3),
+        ],
+        ids=lambda scenario: scenario.name,
+    )
+    def test_agreement_checks_count_like_the_per_profile_loop(self, scenario):
+        (check,) = agreement_identity_checks([scenario])
+        space = scenario.outcome_space()
+        final, _ = fixed_point_partitions(PUBLIC_BELIEF, space, scenario.initial_partitions(space))
+        beliefs = [belief_function(space, p) for p in final]
+        mismatches = sum(
+            {b(profile) for b in beliefs} != {pooled_posterior(space, profile)}
+            for profile in space.profiles
+        )
+        assert check.observed == mismatches
+        assert check.detail == f"{len(space.profiles)} profiles, common knowledge=True"
 
     def test_corrupted_noise_ratio_fails_identity_checks(self):
         """Feeding a halved D into the estimator identities must fail."""

@@ -19,7 +19,6 @@ from agreelab.knowledge import (
     TIE,
     OutcomeSpace,
     Partition,
-    Profiles,
     action_codes,
     action_function,
     belief_function,
@@ -31,7 +30,6 @@ from agreelab.knowledge import (
     outcome_space_iid,
     own_signal_partitions,
     pooled_posterior,
-    profile_indexer,
 )
 from agreelab.scenarios import (
     geometric_tail,
@@ -92,18 +90,16 @@ class TestOutcomeSpaces:
         assert space.profiles == iid_custom(14, model).outcome_space().profiles
 
     def test_state_marginals_enforced(self):
-        one = Profiles([(0,)])
         with pytest.raises(ValueError):
-            OutcomeSpace(1, one, np.zeros((1, 1), dtype=np.uint8), 4, [1], [3])
-        two = Profiles([(0,), (1,)])
+            OutcomeSpace(1, (0,), np.zeros((1, 1), dtype=np.uint8), 4, [1], [3])
         with pytest.raises(ValueError):
-            OutcomeSpace(1, two, np.array([[0], [1]], dtype=np.uint8), 4, [3, -1], [1, 1])
+            OutcomeSpace(1, (0, 1), np.array([[0], [1]], dtype=np.uint8), 4, [3, -1], [1, 1])
 
 
 def block_belief(space, partition, profile) -> Fraction:
     """The engine's exact posterior of the block holding ``profile``."""
     codes, values = block_beliefs(space, partition)
-    return values[codes[partition.labels[space.profiles.index[profile]]]]
+    return values[codes[partition.labels[space.position(profile)]]]
 
 
 class TestPosteriorBelief:
@@ -314,8 +310,9 @@ class TestPartitionMechanics:
 
 
 class TestProfileIndexer:
-    """Symbols are per-agent ranks, so rows sort like the profiles and a
-    batch of rows maps to profile positions by one searchsorted."""
+    """Symbols are ranks in the space's sorted alphabet, so rows sort like
+    the profiles and a batch of rows maps to profile positions by one
+    searchsorted; a profile tuple goes through the same lookup."""
 
     def test_symbols_are_ranks_of_each_agents_symbols(self):
         space = uncorrelated_tight(8).outcome_space()
@@ -337,15 +334,18 @@ class TestProfileIndexer:
             outcome_space_iid(ternary, 3),
         )
         for space in spaces:
-            index = profile_indexer(space)
+            index = space.locate
             assert index(space.symbols).tolist() == list(range(len(space.profiles)))
             reversed_rows = space.symbols[::-1]
             assert index(reversed_rows).tolist() == list(range(len(space.profiles)))[::-1]
+            assert [space.position(p) for p in space.profiles] == list(range(len(space.profiles)))
 
     def test_a_row_outside_the_space_is_an_error(self):
         space = uncorrelated_tight(8).outcome_space()
         with pytest.raises(AgreementLabError):
-            profile_indexer(space)(np.ones((1, 8), dtype=np.int64))
+            space.locate(np.ones((1, 8), dtype=np.int64))
+        assert space.position((1,) * 8) is None
+        assert space.position((0,) * 7 + (2,)) is None
 
 
 # int64 spaces, Python-int ones (geometric_tail and the huge accuracy), and
@@ -378,7 +378,7 @@ class TestMargin:
         space = MARGIN_SPACES[data.draw(st.sampled_from(sorted(MARGIN_SPACES)))]().outcome_space()
         size = len(space.profiles)
         keys = data.draw(st.lists(st.integers(0, 6), min_size=size, max_size=size))
-        partition = Partition(space.profiles, dense_codes(np.array(keys))[0])
+        partition = Partition(space, dense_codes(np.array(keys))[0])
         (margin,) = block_sums(space, partition, space.margin)
         assert margin.dtype == space.w0.dtype
         assert all(2 * abs(m) <= space.den for m in margin.tolist())

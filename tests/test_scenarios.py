@@ -1,5 +1,6 @@
 """Scenario constructors: the benchmark families and their structure."""
 
+import itertools
 import math
 from fractions import Fraction
 
@@ -16,7 +17,6 @@ from agreelab.knowledge import (
     ACTION_SETS,
     ACTION_ZERO,
     TIE,
-    belief_function,
     block_beliefs,
     optimal_action_set,
     own_signal_partitions,
@@ -169,10 +169,13 @@ class TestTwoBit:
         partitions = scenario.initial_partitions(space)
         announce = {u: (lambda profile, u=u: profile[u][1]) for u in range(8)}
         refined = refine_by_announcement(space, partitions, announce)
-        fns = [belief_function(space, p) for p in refined]
+        per_agent = []
+        for p in refined:
+            codes, values = block_beliefs(space, p)
+            per_agent.append([values[c] for c in codes[p.labels].tolist()])
         success = Fraction(0)
-        for profile in space.profiles:
-            actions = {optimal_action_set(fn(profile)) for fn in fns}
+        for profile, beliefs in zip(space.profiles, zip(*per_agent)):
+            actions = {optimal_action_set(belief) for belief in beliefs}
             assert len(actions) == 1
             action = actions.pop()
             for state in (0, 1):
@@ -203,6 +206,37 @@ class TestSpaceBuilders:
         for u in range(scenario.n):
             ranks = {s: r for r, s in enumerate(sorted({p[u] for p in space.profiles}))}
             assert space.symbols[:, u].tolist() == [ranks[p[u]] for p in space.profiles]
+
+
+    @pytest.mark.parametrize(
+        "scenario",
+        [
+            geometric_tail(3),
+            iid_custom(
+                4,
+                SignalModel(
+                    ("c", "a", "b"),
+                    (Fraction(1, 3), Fraction(0), Fraction(2, 3)),
+                    (Fraction(2, 3), Fraction(0), Fraction(1, 3)),
+                ),
+            ),
+            senate(12, senate_size=9),
+        ],
+        ids=lambda scenario: scenario.name,
+    )
+    def test_iid_space_is_the_product_of_the_sorted_support(self, scenario):
+        """Negative symbols, a string alphabet whose zero-weight symbol is
+        left out, and the senate's binary signals."""
+        model, n = scenario.marginal_model, scenario.n
+        support = sorted(model.support)
+        space = scenario.outcome_space()
+        assert space.alphabet == tuple(support)
+        assert space.profiles == tuple(itertools.product(support, repeat=n))
+        assert space.symbols.tolist() == [[support.index(s) for s in p] for p in space.profiles]
+        assert [space.profile(i) for i in (0, len(space.symbols) - 1)] == [
+            space.profiles[0],
+            space.profiles[-1],
+        ]
 
 
 class TestSenate:
