@@ -189,6 +189,8 @@ def _cmd_simulate(args) -> int:
     params = dict(config.get("params", {}))
     params.update(_parse_params(args.param))
     n_list = _parse_n_list(_setting(args, config, "n", 2))
+    if len(n_list) > 1:
+        raise AgreementLabError(f"simulate runs one n, got {n_list}; use sweep for several")
     protocol = _protocol(args, config)
     trials = _int_setting(args, config, "trials", 1000, 1)
     seed = _int_setting(args, config, "seed", 0, 0)

@@ -230,12 +230,11 @@ def fixed_point_partitions(
     partitions: Sequence[Partition],
     profile=None,
     network: Digraph | None = None,
-    max_rounds: int | None = None,
 ) -> tuple[list[Partition], ProtocolTrace]:
     """Iterate announce-then-refine until a full round changes nothing.
 
     Partitions over a finite profile set can only refine finitely often, so
-    termination is guaranteed; ``max_rounds`` is an internal safety valve.
+    termination is guaranteed; a round limit guards that internally.
     With a realized ``profile`` the trace records what was announced there:
     each agent's value (the public statistic's value for all) in the public
     protocols, and in the network protocol the value each agent announced on
@@ -258,8 +257,7 @@ def fixed_point_partitions(
     partitions = list(partitions)
     public = trivial_partition(space)
     trace = ProtocolTrace(kind=kind)
-    limit = max_rounds if max_rounds is not None else space.n * len(space.symbols) + 1
-    for _ in range(limit):
+    for _ in range(space.n * len(space.symbols) + 1):
         said: dict[str, object] = {}
         if kind == NETWORK_BELIEF:
             new_partitions = list(partitions)

@@ -99,7 +99,8 @@ class TrialSummary:
     "action equals the state" rate; ``msbe`` is the trial mean of
     (X - S)^2 where X is the run's belief summary (the common belief for
     belief protocols and the pooled shortcut, the mean agent belief for
-    action protocols, the committee's belief for the staged committee).
+    action protocols, the committee's pooled belief for senate public-action
+    at any n, so that ``msbe`` estimates ``senate_exact_summary``'s).
     """
 
     scenario: str
@@ -138,6 +139,7 @@ def _protocol_outcome_table(
     belief X (``float64``).  Each distinct combination of the agents' final
     beliefs is judged once, in arrays; public-action's X, the mean belief,
     is a Python-int true division, which rounds its exact value correctly.
+    The senate reports its committee's verdict, and X as the analytic route.
     """
     final, _ = fixed_point_partitions(kind, space, scenario.initial_partitions(space))
     beliefs = shared(lambda p: (p, *block_beliefs(space, p)), final)
@@ -157,13 +159,7 @@ def _protocol_outcome_table(
         return at, vals, action_codes(2 * num - den)[at], common
 
     combinations, values, actions, common = zip(*shared(columns, beliefs))
-    if kind == PUBLIC_ACTION:
-        checked = actions
-        means = exact_means(combinations, values)
-        xs = np.concatenate([(num / den).astype(np.float64) for num, den in means])
-    else:
-        checked = common
-        xs = np.array([float(b) for b in values[0]])[combinations[0]]
+    checked = actions if kind == PUBLIC_ACTION else common
     unequal = np.zeros(len(first), dtype=bool)
     for column in checked[1:]:
         unequal |= column != checked[0]
@@ -174,12 +170,18 @@ def _protocol_outcome_table(
             f"{scenario.name}: fixed point of {kind} left {what} unequal "
             f"on profile {space.profile(int(first[k]))!r}"
         )
-    relabel = getattr(scenario.structure, "trial_labels", None)
-    if relabel is not None:
-        per_profile = relabel(space)
+    structure = scenario.structure
+    if isinstance(structure, SenateStaged) and kind == PUBLIC_ACTION:
+        tallies = space.symbols[:, : structure.senate_size].sum(axis=1)
+        return structure.trial_labels(space), structure.tally_beliefs(tallies)
+    if kind == PUBLIC_ACTION:
+        means = exact_means(combinations, values)
+        xs = np.concatenate([(num / den).astype(np.float64) for num, den in means])
     else:
-        per_profile = actions[0].astype(np.int8)[combination_of]
-    return per_profile, xs[combination_of]
+        xs = np.array([float(b) for b in values[0]])[combinations[0]]
+    if isinstance(structure, SenateStaged):
+        return structure.trial_labels(space), xs[combination_of]
+    return actions[0].astype(np.int8)[combination_of], xs[combination_of]
 
 
 def run_monte_carlo(scenario: Scenario, mode: str, trials: int, seed: int) -> TrialSummary:
@@ -189,11 +191,11 @@ def run_monte_carlo(scenario: Scenario, mode: str, trials: int, seed: int) -> Tr
     for the agreement outcome, which belief-announcement dynamics provably
     reach for conditionally independent signals) or a protocol kind, which
     runs the exact engine when the space is within budget.  Public-belief
-    and public-action on i.i.d. signals are decided once per count vector
-    (:func:`~agreelab.dynamics.count_vector_outcomes`), with no space built.
-    The staged committee scenario additionally supports public-action at any
-    size through its analytic fixed point.  Deterministic given the seed; trials
-    are drawn in chunks keyed by (seed, n, chunk).
+    and public-action on i.i.d. signals with own-signal information are
+    decided once per count vector (:func:`~agreelab.dynamics.count_vector_outcomes`),
+    with no space built.  The staged committee scenario additionally supports
+    public-action at any size through its analytic fixed point.  Deterministic
+    given the seed; trials are drawn in chunks keyed by (seed, n, chunk).
     """
     if trials < 1:
         raise ValueError("need at least one trial")
@@ -212,26 +214,24 @@ def run_monte_carlo(scenario: Scenario, mode: str, trials: int, seed: int) -> Tr
 
         def draw(rng, size):
             states, verdicts, _common, tallies = analytic(rng, size)
-            distinct, inverse = np.unique(tallies, return_inverse=True)
-            beliefs = [float(committee.tally_posterior(t)) for t in distinct.tolist()]
-            return states, verdicts, np.array(beliefs)[inverse]
+            return states, verdicts, committee.tally_beliefs(tallies)
 
     else:
-        space = count_row = None
-        if mode in (PUBLIC_BELIEF, PUBLIC_ACTION) and isinstance(scenario.structure, IidSignals):
+        structure = scenario.structure
+        own_signals = isinstance(structure, IidSignals) and not isinstance(structure, SenateStaged)
+        if mode in (PUBLIC_BELIEF, PUBLIC_ACTION) and own_signals:
             # Own-signal information: a profile's outcome depends on its counts alone.
-            structure = scenario.structure
             check_pair_budget(structure.pair_count(scenario.n), scenario.name)
             action_codes, xs = count_vector_outcomes(structure.model, scenario.n, mode)
-            count_row = structure.count_rows(scenario.n)
+            locate = structure.count_rows(scenario.n)
         else:
             space = scenario.outcome_space()
             action_codes, xs = _protocol_outcome_table(scenario, mode, space)
-        profile_draw = scenario.profile_sampler(space)
+            locate = space.locate
+        profile_draw = scenario.profile_sampler(locate)
 
         def draw(rng, size):
-            states, index = profile_draw(rng, size)
-            row = index if count_row is None else count_row(index)
+            states, row = profile_draw(rng, size)
             return states, action_codes[row], xs[row]
 
     successes = ties = resolved_hits = 0
@@ -270,7 +270,7 @@ def senate_exact_summary(scenario: Scenario) -> ExactSummary:
     """Exact law of the committee's fixed-point action, any agent count.
 
     The committee's action is the pooled action of its members' i.i.d. bits,
-    and every agent ends up adopting the committee's pooled belief, so the
+    and public-action reports the committee's pooled belief as X, so the
     law is the pooled law of ``senate_size`` signals.
     """
     structure = scenario.structure

@@ -9,8 +9,9 @@ marginal signal model used by the aggregate bounds.
 Every sampler returns a draw ``draw(rng, size, force_state=None)`` that
 makes ``size`` trials with a few vectorised calls.  A pooled draw returns
 arrays of states, action codes (:data:`~agreelab.knowledge.ACTION_SETS`)
-and float beliefs; a profile draw returns states and the positions of the
-drawn profiles in the space (:meth:`~agreelab.knowledge.OutcomeSpace.locate`).
+and float beliefs; a profile draw returns states and a lookup (a space's
+:meth:`~agreelab.knowledge.OutcomeSpace.locate`, or :meth:`IidSignals.count_rows`)
+of the rows of symbol ranks that every structure draws as ``signal_rows``.
 """
 
 from __future__ import annotations
@@ -74,16 +75,13 @@ class Scenario:
     def marginal_model(self) -> SignalModel | None:
         return self.structure.marginal_model(self.n)
 
-    def profile_sampler(self, space: OutcomeSpace | None = None) -> Callable:
-        """Batch draw of (states, profile positions in ``space``): i.i.d.
-        structures number profiles without one, the others locate ``signal_rows``."""
-        rows = getattr(self.structure, "signal_rows", None)
-        if rows is None:
-            return self.structure.profile_sampler(self.n)
+    def profile_sampler(self, locate: Callable[[np.ndarray], np.ndarray]) -> Callable:
+        """Batch draw of (states, ``locate`` of the drawn rows of symbol ranks)."""
+        rows = self.structure.signal_rows
 
         def draw(rng, size, force_state=None):
             states = _draw_states(rng, size, force_state)
-            return states, space.locate(rows(rng, states, self.n))
+            return states, locate(rows(rng, states, self.n))
 
         return draw
 
@@ -145,29 +143,21 @@ class IidSignals:
         )
         return p / p.sum(axis=1, keepdims=True)
 
-    def profile_sampler(self, n: int) -> Callable:
-        """Profile indices are mixed-radix numbers over the sorted support,
-        which is the order of :meth:`OutcomeSpace.iid`, so no space is read."""
+    def signal_rows(self, rng, states: np.ndarray, n: int) -> np.ndarray:
+        """Rows of n independent draws from mu_S, as ranks in the sorted
+        support, the alphabet of :meth:`OutcomeSpace.iid`."""
         p = self._probabilities()
         support = self.model.support
         k = len(support)
-        rank = np.empty(k, dtype=np.int64)
-        rank[sorted(range(k), key=lambda i: support[i])] = np.arange(k)
-        place = k ** np.arange(n - 1, -1, -1, dtype=np.int64)
-
-        def draw(rng, size, force_state=None):
-            states = _draw_states(rng, size, force_state)
-            ranks = np.empty((size, n), dtype=np.int64)
-            for state in (0, 1):
-                rows = states == state
-                picks = rng.choice(k, size=(int(rows.sum()), n), p=p[state])
-                ranks[rows] = rank[picks]
-            return states, ranks @ place
-
-        return draw
+        rank = np.argsort(sorted(range(k), key=lambda i: support[i]))
+        ranks = np.empty((len(states), n), dtype=np.int64)
+        for state in (0, 1):
+            rows = states == state
+            ranks[rows] = rank[rng.choice(k, size=(int(rows.sum()), n), p=p[state])]
+        return ranks
 
     def count_rows(self, n: int) -> Callable[[np.ndarray], np.ndarray]:
-        """Map profile indices, as :meth:`profile_sampler` draws them, to the
+        """Map rows of symbol ranks, as :meth:`signal_rows` draws them, to the
         rows of :func:`~agreelab.bounds.count_law`.
 
         Rows come in lexicographic order of the counts over the support, so
@@ -178,15 +168,14 @@ class IidSignals:
         support = self.model.support
         k = len(support)
         by_rank = np.array(sorted(range(k), key=lambda i: support[i]))
-        place = k ** np.arange(n - 1, -1, -1, dtype=np.int64)
         later = np.array(
             [[math.comb(left + k - i - 2, k - i - 2) if i < k - 1 else 0 for i in range(k)]
              for left in range(n + 1)],
             dtype=np.int64,
         )
 
-        def rows(index: np.ndarray) -> np.ndarray:
-            symbols = np.sort(by_rank[index[:, None] // place % k], axis=1)
+        def rows(ranks: np.ndarray) -> np.ndarray:
+            symbols = np.sort(by_rank[ranks], axis=1)
             return later[np.arange(n, 0, -1), symbols].sum(axis=1)
 
         return rows
@@ -445,26 +434,17 @@ class TwoBitCombo:
 
 
 @dataclass(frozen=True)
-class SenateStaged:
-    """Binary signals at a fixed accuracy; the first ``senate_size`` agents
-    pool their signals and the committee's optimal action is public initial
-    information for everybody."""
+class SenateStaged(IidSignals):
+    """Binary :class:`IidSignals` at a fixed accuracy; the first ``senate_size``
+    agents pool their signals and the committee's optimal action is public
+    initial information for everybody."""
 
+    model: SignalModel = field(init=False, repr=False, compare=False)
     senate_size: int
     accuracy: Fraction
-    model: SignalModel = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "model", SignalModel.binary(self.accuracy))
-
-    def pair_count(self, n: int) -> int:
-        return 2 ** (n + 1)
-
-    def outcome_space(self, n: int) -> OutcomeSpace:
-        return OutcomeSpace.iid(self.model, n)
-
-    def marginal_model(self, n: int) -> SignalModel:
-        return self.model
 
     def initial_partitions(self, space: OutcomeSpace) -> list[Partition]:
         """Members know the committee's signals, everyone else their own
@@ -495,6 +475,11 @@ class SenateStaged:
     def tally_posterior(self, ones: int) -> Fraction:
         """Exact P(S=1 | committee tally), the committee's pooled belief."""
         return count_posterior(self.model, (self.senate_size - ones, ones))
+
+    def tally_beliefs(self, tallies: np.ndarray) -> np.ndarray:
+        """The committee's pooled belief as a float, once per distinct tally."""
+        distinct, inverse = np.unique(tallies, return_inverse=True)
+        return np.array([float(self.tally_posterior(t)) for t in distinct.tolist()])[inverse]
 
     def trial_labels(self, space: OutcomeSpace) -> np.ndarray:
         """Trials are bucketed by the committee's own verdict: a split
@@ -530,12 +515,6 @@ class SenateStaged:
             return states, committee, common, senate_ones
 
         return draw
-
-    def profile_sampler(self, n: int) -> Callable:
-        return IidSignals(self.model).profile_sampler(n)
-
-    def pooled_sampler(self, n: int) -> Callable:
-        return IidSignals(self.model).pooled_sampler(n)
 
 
 # ---------------------------------------------------------------------------

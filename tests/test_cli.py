@@ -1,5 +1,6 @@
 """Command-line surface: subcommands, config files, exit codes, outputs."""
 
+import hashlib
 import json
 from fractions import Fraction
 
@@ -178,6 +179,16 @@ class TestVerify:
         assert any(n.startswith("estimator-deviation-variance") for n in names)
         assert any(n.startswith("tail-learning-bound") for n in names)
 
+    def test_verify_csv_is_unchanged(self, capsys):
+        """sha256 of the report after its generator line, which names the
+        numpy version."""
+        assert run_cli("verify", "--seed", "11", "--trials", "20000", "--format", "csv") == 0
+        generator, body = capsys.readouterr().out.split("\n", 1)
+        assert generator.startswith("# generator=")
+        assert hashlib.sha256(body.encode()).hexdigest() == (
+            "514919dd28e0fa0bf4f0e4ed10253a32a5cc138a20bff3da39970c1326560faf"
+        )
+
 
 class TestCsvQuoting:
     def test_fields_with_commas_stay_one_column(self, tmp_path):
@@ -229,6 +240,8 @@ class TestExitCodes:
             (("simulate", "--config", '{"scenario": "parity", "protocol": "bogus"}'), "unknown protocol"),
             (("simulate", "--config", '{"scenario": "iid_binary", "params": {"p": "abc"}}'), "iid_binary"),
             (("simulate", "--config", "missing.json"), "No such file"),
+            (("simulate", "--scenario", "iid_binary", "--param", "p=2/3", "--n", "3,40"), "use sweep"),
+            (("simulate", "--config", '{"scenario": "parity", "n": [3, 4]}'), "use sweep"),
         ],
     )
     def test_unparseable_input_exits_1(self, argv, message, tmp_path, monkeypatch, capsys):

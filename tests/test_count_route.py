@@ -4,7 +4,6 @@ per-profile outcome table: equal action codes and bit-equal X everywhere."""
 
 from fractions import Fraction
 
-import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
@@ -14,7 +13,7 @@ from agreelab.bounds import count_law
 from agreelab.dynamics import PUBLIC_ACTION, PUBLIC_BELIEF
 from agreelab.harness import _protocol_outcome_table, run_monte_carlo
 from agreelab.knowledge import OutcomeSpace, Partition
-from agreelab.scenarios import IidSignals, geometric_tail, iid_binary, iid_custom
+from agreelab.scenarios import IidSignals, geometric_tail, iid_binary, iid_custom, senate
 from agreelab.signals import SignalModel
 
 
@@ -87,7 +86,7 @@ def test_named_scenarios_equal_the_table(scenario):
 def test_count_rows_find_each_profiles_counts(model, n):
     rows = [counts for counts, _, _ in count_law(model, n)[1]]
     space = OutcomeSpace.iid(model, n)
-    found = IidSignals(model).count_rows(n)(np.arange(len(space.profiles)))
+    found = IidSignals(model).count_rows(n)(space.symbols)
     for profile, row in zip(space.profiles, found.tolist()):
         assert rows[row] == tuple(profile.count(s) for s in model.support)
 
@@ -101,3 +100,26 @@ def test_monte_carlo_builds_no_space_and_no_partition(kind, monkeypatch):
     monkeypatch.setattr(Partition, "__init__", refused)
     summary = run_monte_carlo(geometric_tail(3), kind, 500, seed=4)
     assert summary.successes + summary.ties + summary.failures == 500
+
+
+@pytest.mark.parametrize("kind", [PUBLIC_BELIEF, PUBLIC_ACTION])
+@pytest.mark.parametrize(
+    "scenario, builds_a_space",
+    [(iid_binary(6, Fraction(2, 3)), False), (geometric_tail(2), False), (senate(5, 2), True)],
+    ids=lambda value: getattr(value, "name", None),
+)
+def test_only_own_signal_information_takes_the_count_route(
+    scenario, builds_a_space, kind, monkeypatch
+):
+    """The senate's committee verdict is public initial information, so its
+    outcome is not a function of the counts: it keeps the enumerated table."""
+    built = []
+    build = OutcomeSpace.__init__
+
+    def counted(self, *args):
+        built.append(self)
+        build(self, *args)
+
+    monkeypatch.setattr(OutcomeSpace, "__init__", counted)
+    run_monte_carlo(scenario, kind, 200, seed=4)
+    assert bool(built) == builds_a_space

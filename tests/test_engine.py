@@ -403,16 +403,18 @@ OUTCOME_TABLES = {
     ("geometric_tail(2)", PUBLIC_ACTION): "c06d3f55f569ed2ee01a62a318b5777d560a4770abf71b80caca6441294d5941",
     ("geometric_tail(3)", PUBLIC_ACTION): "82563d264cd699f4493e3dc911bd8c376461a6a0d9f3c7aa80edc891b1ef0971",
     ("geometric_tail(3)", PUBLIC_STATISTIC): "68f983c00ec388d1d51776626cc447bfc67a7c53c29409a702e9eed6f50d5052",
-    ("senate(5, 2)", PUBLIC_ACTION): "457cb142aa68cca590a43eb0880abd82df5295fc9ce4a2222f663419c2d53dd9",
+    # A committee's public-action X is its pooled belief, as on the analytic
+    # route (both senate public-action digests were recorded with that X).
+    ("senate(5, 2)", PUBLIC_ACTION): "710aa4fe722490da82ec4f7ae53cc7ac237ead34e0efcd28c2069d1866be0abd",
     ("senate(5, 3)", PUBLIC_BELIEF): "0f8b1e079cff7a25d005257f8f179ad26d40cb93dafaf6da87099bb02705a7a5",
     ("parity(3)", PUBLIC_BELIEF): "536483d5088670f3e488d58c3b365a3d6e37ccbd5d4035861e1c7880e34aa193",
     ("two_bit(4)", PUBLIC_BELIEF): "dae7bf8b38744161d1fa4e14be6a84ced0cd6f8d0fcf35cc3762322acb7bc613",
     ("uncorrelated_tight(8)", PUBLIC_ACTION): "d7807b4716d1af0aad8de5f33bdd764217c2f1048ef9ea804b57939c3154b0a1",
     # A committee of more than eight members: its uint8 symbol columns must
-    # fold into distinct codes (recorded while its partitions were still
-    # built from profile tuples).
+    # fold into distinct codes (public-belief recorded while its partitions
+    # were still built from profile tuples).
     ("senate(12, 9)", PUBLIC_BELIEF): "4d975c2b2fd43a6629ac0d2ae31861930e0008d9a60628a1770bf1933cd974b9",
-    ("senate(12, 9)", PUBLIC_ACTION): "40f20209d0a21c6c39ffdc48b323c44d8b1162faff088fb9e05a241eebbff72d",
+    ("senate(12, 9)", PUBLIC_ACTION): "5d5df029e3c21d2c4df8fb4c09a9f75401026f8006117fd0049abfeb82730d20",
     # Python-int spaces whose beliefs reduce to small pairs (1/2 on the
     # trivial partition), so the belief codes fold as object arrays.
     **{
@@ -459,9 +461,9 @@ def table_digest(profiles, codes, beliefs) -> str:
 def route_table(scenario, kind):
     """The count-vector route's action codes and X per profile of the
     scenario's space, in the order of its sorted profiles."""
-    model, n = scenario.structure.model, scenario.n
-    codes, xs = count_vector_outcomes(model, n, kind)
-    row = scenario.structure.count_rows(n)(np.arange(len(model.support) ** n))
+    structure, n = scenario.structure, scenario.n
+    codes, xs = count_vector_outcomes(structure.model, n, kind)
+    row = structure.count_rows(n)(scenario.outcome_space().symbols)
     return codes[row], xs[row]
 
 
@@ -479,7 +481,8 @@ def test_outcome_tables_are_unchanged(name, kind):
         (name, kind)
         for name, kind in OUTCOME_TABLES
         if kind in (PUBLIC_BELIEF, PUBLIC_ACTION)
-        and isinstance(TABLE_SCENARIOS[name]().structure, IidSignals)
+        # Own-signal information only: the senate subclasses IidSignals.
+        and type(TABLE_SCENARIOS[name]().structure) is IidSignals
     ],
 )
 def test_count_route_gives_the_recorded_tables(name, kind):
@@ -497,6 +500,9 @@ IID8_ROW = (
     '"iid_binary(8, 2/3)",8,{},1000,743,158,99,0.82,0.012149074038789953,'
     "0.1219279762543443,7\n"
 )
+SENATE12_ROW = (
+    "senate(12),12,{},1000,847,0,153,0.847,0.011383804285035824,0.08448607036507373,7\n"
+)
 GOLDEN = {
     ("iid_binary", "8", "public-belief"): IID8_ROW.format("public-belief"),
     ("iid_binary", "8", "public-action"): IID8_ROW.format("public-action"),
@@ -510,15 +516,29 @@ GOLDEN = {
         '"geometric_tail(3, K=8)",3,public-statistic,1000,996,0,4,0.996,'
         "0.0019959959919799443,0.0027087518985563865,7\n"
     ),
+    # The structures whose draws no other pin covers: parity, flip, two-bit
+    # and the senate.
+    ("parity", "3", "public-belief"): (
+        "parity(3),3,public-belief,1000,0,1000,0,0.478,0.015796075461962062,0.25,7\n"
+    ),
+    ("uncorrelated_tight", "8", "public-action"): (
+        "uncorrelated_tight(8),8,public-action,1000,889,0,111,0.889,"
+        "0.00993373041711924,0.09880078285596405,7\n"
+    ),
+    ("two_bit", "4", "public-belief"): (
+        "two_bit(4),4,public-belief,1000,0,1000,0,0.512,0.01580683396509244,0.25,7\n"
+    ),
+    ("senate", "12", "public-belief"): SENATE12_ROW.format("public-belief"),
+    ("senate", "12", "statistic"): SENATE12_ROW.format("public-statistic"),
 }
+GOLDEN_PARAMS = {"iid_binary": ["--param", "p=2/3"], "senate": ["--param", "senate_size=9"]}
 
 
 @pytest.mark.parametrize("family,n,protocol", list(GOLDEN), ids=["-".join(k) for k in GOLDEN])
 def test_simulate_csv_is_unchanged(family, n, protocol, capsys):
     argv = ["simulate", "--scenario", family, "--n", n, "--protocol", protocol,
             "--trials", "1000", "--seed", "7", "--format", "csv"]
-    if family == "iid_binary":
-        argv += ["--param", "p=2/3"]
+    argv += GOLDEN_PARAMS.get(family, [])
     assert main(argv) == 0
     assert capsys.readouterr().out == HEADER.format(RNG_VERSION) + GOLDEN[(family, n, protocol)]
 

@@ -283,6 +283,21 @@ class TestExactSummaries:
         assert summary.success + summary.tie + summary.failure == 1
         assert summary.failure < Fraction(1, 1000)
 
+    @pytest.mark.parametrize("n, m", [(5, 2), (8, 5), (12, 9)])
+    def test_senate_public_action_table_reports_the_committee_belief(self, n, m):
+        """In budget as over it, public-action's X is the committee's pooled
+        belief, so the table's exact belief error is the committee law's."""
+        scenario = senate(n, senate_size=m)
+        space = scenario.outcome_space()
+        _codes, xs = _protocol_outcome_table(scenario, PUBLIC_ACTION, space)
+        exact = [scenario.structure.tally_posterior(sum(p[:m])) for p in space.profiles]
+        assert xs.tolist() == [float(x) for x in exact]
+        msbe = sum(
+            Fraction(w0, space.den) * x**2 + Fraction(w1, space.den) * (1 - x) ** 2
+            for x, w0, w1 in zip(exact, space.w0.tolist(), space.w1.tolist())
+        )
+        assert msbe == senate_exact_summary(scenario).msbe
+
     def test_binary_noise_ratio_closed_form(self):
         assert binary_noise_to_signal_exact(Fraction(2, 3)) == 8
         assert binary_noise_to_signal_exact(Fraction(3, 4)) == 3

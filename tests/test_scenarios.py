@@ -143,7 +143,7 @@ class TestUncorrelatedTight:
     def test_profile_sampler_hits_the_two_classes(self):
         scenario = uncorrelated_tight(8)
         space = scenario.outcome_space()
-        draw = scenario.profile_sampler(space)
+        draw = scenario.profile_sampler(space.locate)
         rng = np.random.default_rng(0)
         _states, index = draw(rng, 50)
         for i in index.tolist():
