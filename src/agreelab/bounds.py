@@ -30,8 +30,8 @@ from .signals import SignalModel, llr_conditional_moments, log_likelihood_ratio
 
 #: Exact engine refusal threshold on the number of (state, profile) pairs.
 #: At 2**22 pairs (iid_binary(21)) the costliest protocol's ``simulate``
-#: (public-statistic) took 9 s and 1.6 GB on a 2-core Xeon VM; one more
-#: agent doubles both.
+#: (network-belief, the one still enumerated there) took 5.7 s and 826 MB on
+#: a 2-core Xeon VM; one more agent doubles both.
 DEFAULT_ENUMERATION_BUDGET = 2**22
 
 #: Rows (or profiles) the estimator moments read at a time; larger blocks were no faster
@@ -262,6 +262,22 @@ def count_law(model: SignalModel, n: int) -> tuple[int, Iterator[tuple]]:
                 w0, w1 = w0 * (rest * a0) // ((c + 1) * b0), w1 * (rest * a1) // ((c + 1) * b1)
 
     return 2 * den**n, rows()
+
+
+def count_vectors(n: int, k: int) -> np.ndarray:
+    """Every vector of ``k`` non-negative counts summing to ``n``, one ``int64``
+    row each, in :func:`count_law`'s order, for callers that need no masses.
+    Built a symbol at a time: each prefix with ``left`` agents unassigned is
+    repeated ``left + 1`` times, followed by the counts ``0..left``."""
+    rows = np.zeros((1, 0), dtype=np.int64)
+    left = np.array([n], dtype=np.int64)
+    for _ in range(k - 1):
+        repeats = left + 1
+        starts = np.repeat(np.cumsum(repeats) - repeats, repeats)
+        counts = np.arange(len(starts), dtype=np.int64) - starts
+        rows = np.column_stack((np.repeat(rows, repeats, axis=0), counts))
+        left = np.repeat(left, repeats) - counts
+    return np.column_stack((rows, left))
 
 
 def likelihood_classes(model: SignalModel, n: int) -> tuple[int, dict[tuple[int, int], int]]:

@@ -11,9 +11,9 @@ Action sets are decided by the sign of each block's summed margin, and means
 beyond ``int64`` are folded in Python-int object arrays, :data:`MEAN_BLOCK`
 belief combinations at a time.
 
-For conditionally i.i.d. signals and own-signal information, public-belief
-and public-action are also decided once per count vector, with no space
-built (:func:`count_vector_outcomes`).
+For conditionally i.i.d. signals and own-signal information, public-belief,
+public-action and public-statistic are also decided once per count vector,
+with no space built (:func:`count_vector_outcomes`).
 """
 
 from __future__ import annotations
@@ -27,7 +27,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .bounds import count_law, integer_weights
+from .bounds import count_law, count_vectors, integer_weights
 from .errors import AgreementLabError, ConnectivityError
 from .knowledge import (
     ACTION_SETS,
@@ -334,7 +334,7 @@ def run_protocol(
 
 
 def count_vector_outcomes(model: SignalModel, n: int, kind: str) -> tuple[np.ndarray, np.ndarray]:
-    """Public-belief or public-action's outcome per row of :func:`~agreelab.bounds.count_law`.
+    """A public protocol's outcome per row of :func:`~agreelab.bounds.count_law`.
 
     For n conditionally i.i.d. signals from ``model``, each agent first
     knowing its own signal, every public block is a product of one set of
@@ -345,16 +345,64 @@ def count_vector_outcomes(model: SignalModel, n: int, kind: str) -> tuple[np.nda
     :data:`~agreelab.knowledge.ACTION_SETS` (``int8``) and the belief X
     (``float64``), a correctly rounded Python-int true division.  The
     public-belief fixed point is the pooled posterior ``w1 / (w0 + w1)`` of
-    the row; public-action's is :func:`_public_action_by_counts`.
+    the row; public-action's is :func:`_public_action_by_counts`, read off
+    the counts alone (:func:`~agreelab.bounds.count_vectors`), and
+    public-statistic's :func:`_public_statistic_by_counts`.
     """
-    _, rows = count_law(model, n)
-    if kind == PUBLIC_BELIEF:
-        masses = [(w0, w1) for _, w0, w1 in rows]
-        codes = action_codes(np.array([w1 - w0 for w0, w1 in masses], dtype=object))
-        return codes.astype(np.int8), np.array([w1 / (w0 + w1) for w0, w1 in masses])
-    if kind != PUBLIC_ACTION:
+    if kind == PUBLIC_ACTION:
+        return _public_action_by_counts(model, n, count_vectors(n, len(model.support)))
+    if kind not in (PUBLIC_BELIEF, PUBLIC_STATISTIC):
         raise ValueError(f"no count-vector route for protocol {kind!r}")
-    return _public_action_by_counts(model, n, np.array([c for c, _, _ in rows], dtype=np.int64))
+    counts, w0, w1 = zip(*count_law(model, n)[1])
+    w0, w1 = np.array(w0, dtype=object), np.array(w1, dtype=object)
+    if kind == PUBLIC_STATISTIC:
+        return _public_statistic_by_counts(np.array(counts, dtype=np.int64), w0, w1)
+    return action_codes(w1 - w0).astype(np.int8), (w1 / (w0 + w1)).astype(np.float64)
+
+
+def _public_statistic_by_counts(counts: np.ndarray, w0: np.ndarray, w1: np.ndarray):
+    """Public-statistic's fixed point on each row of ``counts``, whose masses
+    in :func:`~agreelab.bounds.count_law` are ``w0`` and ``w1``.
+
+    The public partition is a partition of the rows.  A holder of symbol x
+    in public block B believes ``ones_x(B) / tot_x(B)``, the block's sums of
+    ``c_x w1`` and ``c_x (w0 + w1)``, since x is a holder's symbol in a
+    share ``c_x / n`` of a row's profiles.  So n times the announced mean is
+    ``sum_x c_x ones_x / tot_x``: over the lcm of the block's nonzero
+    totals, an integer that codes the mean within its block.  Rounds refine
+    by it until no block splits; the agents' partitions, own signal and
+    public block, then no longer change either.  At the fixed point every
+    symbol present must hold one belief, X.
+    """
+    c = counts.astype(object)
+    cw1, cw = c * w1[:, None], c * (w0 + w1)[:, None]
+    labels, blocks = np.zeros(len(counts), dtype=np.int64), 1
+    while True:
+        ones = np.zeros((blocks, counts.shape[1]), dtype=object)
+        tots = np.zeros_like(ones)
+        np.add.at(ones, labels, cw1)
+        np.add.at(tots, labels, cw)
+        multiple = np.bincount(labels) > 1  # a block of one row cannot split
+        totals = np.where(tots[multiple] == 0, 1, tots[multiple])
+        scaled = np.zeros_like(ones)
+        scaled[multiple] = ones[multiple] * (np.lcm.reduce(totals, axis=1)[:, None] // totals)
+        said = (c * scaled[labels]).sum(axis=1)
+        refined = joint_codes((labels, said))[0]
+        if int(refined.max()) + 1 == blocks:
+            break
+        labels, blocks = refined, int(refined.max()) + 1
+    present = counts > 0
+    ones, tots = (np.where(present, m[labels], 0) for m in (ones, tots))
+    first = np.argmax(present, axis=1)[:, None]
+    o, t = (np.take_along_axis(m, first, axis=1) for m in (ones, tots))
+    split = (ones * t != o * tots).any(axis=1)
+    if split.any():
+        at = tuple(counts[int(np.argmax(split))].tolist())
+        raise AgreementLabError(
+            f"fixed point of public-statistic left beliefs unequal at counts {at}"
+        )
+    o, t = o[:, 0], t[:, 0]
+    return action_codes(2 * o - t).astype(np.int8), (o / t).astype(np.float64)
 
 
 def _public_action_by_counts(model: SignalModel, n: int, counts: np.ndarray):

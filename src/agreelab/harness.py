@@ -32,6 +32,7 @@ from .dynamics import (
     PROTOCOL_KINDS,
     PUBLIC_ACTION,
     PUBLIC_BELIEF,
+    PUBLIC_STATISTIC,
     announced_codes,
     count_vector_outcomes,
     exact_means,
@@ -190,12 +191,13 @@ def run_monte_carlo(scenario: Scenario, mode: str, trials: int, seed: int) -> Tr
     ``mode`` is either ``pooled`` (the full-information posterior stands in
     for the agreement outcome, which belief-announcement dynamics provably
     reach for conditionally independent signals) or a protocol kind, which
-    runs the exact engine when the space is within budget.  Public-belief
-    and public-action on i.i.d. signals with own-signal information are
-    decided once per count vector (:func:`~agreelab.dynamics.count_vector_outcomes`),
-    with no space built.  The staged committee scenario additionally supports
-    public-action at any size through its analytic fixed point.  Deterministic
-    given the seed; trials are drawn in chunks keyed by (seed, n, chunk).
+    runs the exact engine when the space is within budget.  Public-belief,
+    public-action and public-statistic on i.i.d. signals with own-signal
+    information are decided once per count vector
+    (:func:`~agreelab.dynamics.count_vector_outcomes`), with no space built.
+    The staged committee scenario additionally supports public-action at any
+    size through its analytic fixed point.  Deterministic given the seed;
+    trials are drawn in chunks keyed by (seed, n, chunk).
     """
     if trials < 1:
         raise ValueError("need at least one trial")
@@ -219,7 +221,7 @@ def run_monte_carlo(scenario: Scenario, mode: str, trials: int, seed: int) -> Tr
     else:
         structure = scenario.structure
         own_signals = isinstance(structure, IidSignals) and not isinstance(structure, SenateStaged)
-        if mode in (PUBLIC_BELIEF, PUBLIC_ACTION) and own_signals:
+        if mode in (PUBLIC_BELIEF, PUBLIC_ACTION, PUBLIC_STATISTIC) and own_signals:
             # Own-signal information: a profile's outcome depends on its counts alone.
             check_pair_budget(structure.pair_count(scenario.n), scenario.name)
             action_codes, xs = count_vector_outcomes(structure.model, scenario.n, mode)

@@ -80,10 +80,10 @@ class TestSimulate:
         )
         assert code == 3
 
-    @pytest.mark.parametrize("protocol", ["public-belief", "public-action"])
+    @pytest.mark.parametrize("protocol", ["public-belief", "public-action", "statistic"])
     def test_first_size_over_the_budget_exits_3(self, protocol, capsys, monkeypatch):
         """The budget admits iid_binary(21), 2**22 pairs, and refuses the
-        next size before building anything: no space, no count law."""
+        next size before building anything: no space, no count vectors."""
         assert DEFAULT_ENUMERATION_BUDGET == 2**22
         largest = iid_binary(21, Fraction(2, 3))
         assert largest.structure.pair_count(21) == DEFAULT_ENUMERATION_BUDGET
@@ -93,6 +93,7 @@ class TestSimulate:
 
         monkeypatch.setattr(OutcomeSpace, "iid", refused)
         monkeypatch.setattr(dynamics, "count_law", refused)
+        monkeypatch.setattr(dynamics, "count_vectors", refused)
         code = run_cli(
             "simulate", "--scenario", "iid_binary", "--param", "p=2/3",
             "--n", "22", "--protocol", protocol, "--trials", "10",

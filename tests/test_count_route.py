@@ -1,16 +1,22 @@
-"""Public-belief and public-action on i.i.d. signals, decided once per count
-vector (``dynamics.count_vector_outcomes``), against the enumerated engine's
-per-profile outcome table: equal action codes and bit-equal X everywhere."""
+"""Public-belief, public-action and public-statistic on i.i.d. signals,
+decided once per count vector (``dynamics.count_vector_outcomes``), against
+the enumerated engine's per-profile outcome table: equal action codes and
+bit-equal X everywhere.  The count vectors themselves
+(``bounds.count_vectors``) are checked against ``count_law``'s."""
 
+import re
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
-from test_engine import HUGE_ACCURACY, route_table
+from test_engine import HUGE_ACCURACY, SKEWED, route_table
 
-from agreelab.bounds import count_law
-from agreelab.dynamics import PUBLIC_ACTION, PUBLIC_BELIEF
+from agreelab import dynamics
+from agreelab.bounds import count_law, count_vectors
+from agreelab.dynamics import PUBLIC_ACTION, PUBLIC_BELIEF, PUBLIC_STATISTIC
+from agreelab.errors import AgreementLabError
 from agreelab.harness import _protocol_outcome_table, run_monte_carlo
 from agreelab.knowledge import OutcomeSpace, Partition
 from agreelab.scenarios import IidSignals, geometric_tail, iid_binary, iid_custom, senate
@@ -40,6 +46,15 @@ def tie_prone_models(draw):
     return SignalModel(alphabet=tuple(alphabet), mu0=mu0, mu1=mu1)
 
 
+COUNT_ROUTE_KINDS = (PUBLIC_BELIEF, PUBLIC_ACTION, PUBLIC_STATISTIC)
+
+#: Under public-statistic at n = 5, a public block of two count vectors splits.
+MIRRORED = SignalModel(
+    alphabet=("a", "b", "c", "d"),
+    mu0=tuple(Fraction(r, 8) for r in (1, 2, 3, 2)),
+    mu1=tuple(Fraction(r, 8) for r in (2, 3, 2, 1)),
+)
+
 TIED_BY_THE_ERROR_BOUND = SignalModel(
     alphabet=("a", "b", "c", "d"),
     mu0=tuple(Fraction(r, 17) for r in (2, 3, 6, 6)),
@@ -49,7 +64,7 @@ TIED_BY_THE_ERROR_BOUND = SignalModel(
 
 def assert_route_equals_the_table(scenario):
     space = scenario.outcome_space()
-    for kind in (PUBLIC_BELIEF, PUBLIC_ACTION):
+    for kind in COUNT_ROUTE_KINDS:
         codes, xs = route_table(scenario, kind)
         want_codes, want_xs = _protocol_outcome_table(scenario, kind, space)
         assert codes.tolist() == want_codes.tolist(), kind
@@ -74,11 +89,21 @@ def test_random_models_equal_the_table(model, n):
         # Symbols a and d share a likelihood ratio, and the float log-odds of
         # an exact tie come out nonzero: only the error bound catches it.
         iid_custom(2, TIED_BY_THE_ERROR_BOUND),
+        iid_custom(5, MIRRORED),
     ],
     ids=lambda s: s.name,
 )
 def test_named_scenarios_equal_the_table(scenario):
     assert_route_equals_the_table(scenario)
+
+
+def test_unequal_statistic_beliefs_name_the_counts(monkeypatch):
+    """With refinement stopped at the trivial public partition, holders of
+    different symbols disagree, and the first such row is named."""
+    monkeypatch.setattr(dynamics, "joint_codes", lambda columns: (next(iter(columns)), None))
+    message = "fixed point of public-statistic left beliefs unequal at counts (0, 1, 2)"
+    with pytest.raises(AgreementLabError, match=re.escape(message)):
+        dynamics.count_vector_outcomes(SKEWED, 3, PUBLIC_STATISTIC)
 
 
 @settings(max_examples=40, deadline=None)
@@ -91,7 +116,20 @@ def test_count_rows_find_each_profiles_counts(model, n):
         assert rows[row] == tuple(profile.count(s) for s in model.support)
 
 
-@pytest.mark.parametrize("kind", [PUBLIC_BELIEF, PUBLIC_ACTION])
+@pytest.mark.parametrize("k", range(2, 17))
+def test_count_vectors_are_count_laws_counts(k):
+    model = SignalModel(
+        alphabet=tuple(range(k)),
+        mu0=(Fraction(1, k),) * k,
+        mu1=tuple(Fraction(2 * (i + 1), k * (k + 1)) for i in range(k)),
+    )
+    for n in range(1, 7):
+        counts = count_vectors(n, k)
+        assert counts.dtype == np.int64
+        assert counts.tolist() == [list(c) for c, _, _ in count_law(model, n)[1]]
+
+
+@pytest.mark.parametrize("kind", COUNT_ROUTE_KINDS)
 def test_monte_carlo_builds_no_space_and_no_partition(kind, monkeypatch):
     def refused(*args):
         raise AssertionError("the count-vector route built a space or a partition")
@@ -102,7 +140,7 @@ def test_monte_carlo_builds_no_space_and_no_partition(kind, monkeypatch):
     assert summary.successes + summary.ties + summary.failures == 500
 
 
-@pytest.mark.parametrize("kind", [PUBLIC_BELIEF, PUBLIC_ACTION])
+@pytest.mark.parametrize("kind", COUNT_ROUTE_KINDS)
 @pytest.mark.parametrize(
     "scenario, builds_a_space",
     [(iid_binary(6, Fraction(2, 3)), False), (geometric_tail(2), False), (senate(5, 2), True)],

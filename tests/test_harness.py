@@ -356,7 +356,9 @@ class TestSweep:
         (two_bit(8), PUBLIC_BELIEF),
         (uncorrelated_tight(8), PUBLIC_ACTION),
         (parity(4), PUBLIC_BELIEF),
-        (iid_binary(8, Fraction(2, 3)), PUBLIC_STATISTIC),
+        # The committee's verdict keeps the statistic on the enumerated engine;
+        # on own-signal i.i.d. signals it takes the count route and builds no space.
+        (senate(12, senate_size=9), PUBLIC_STATISTIC),
         (iid_binary(8, Fraction(2, 3)), NETWORK_BELIEF),
     ],
     ids=lambda value: getattr(value, "name", value),
