@@ -29,9 +29,9 @@ from .errors import (
 from .signals import SignalModel, llr_conditional_moments, log_likelihood_ratio
 
 #: Exact engine refusal threshold on the number of (state, profile) pairs.
-#: At 2**22 pairs (iid_binary(21)) the costliest protocol's ``simulate``
-#: (network-belief, the one still enumerated there) took 5.7 s and 826 MB on
-#: a 2-core Xeon VM; one more agent doubles both.
+#: At 2**22 pairs the costliest ``simulate`` enumerates: parity(22)
+#: public-statistic took 9.3 s and 1,658 MB on a 2-core Xeon VM; one more
+#: agent about doubles both.
 DEFAULT_ENUMERATION_BUDGET = 2**22
 
 #: Rows (or profiles) the estimator moments read at a time; larger blocks were no faster

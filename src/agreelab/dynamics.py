@@ -11,9 +11,10 @@ Action sets are decided by the sign of each block's summed margin, and means
 beyond ``int64`` are folded in Python-int object arrays, :data:`MEAN_BLOCK`
 belief combinations at a time.
 
-For conditionally i.i.d. signals and own-signal information, public-belief,
-public-action and public-statistic are also decided once per count vector,
-with no space built (:func:`count_vector_outcomes`).
+For conditionally i.i.d. signals and own-signal information, every protocol
+is also decided once per count vector, with no space built
+(:func:`count_vector_outcomes`): each belief protocol provably ends at the
+pooled posterior, and public-action is read off the counts.
 """
 
 from __future__ import annotations
@@ -93,7 +94,8 @@ class Digraph:
 
     @staticmethod
     def ring(n: int) -> "Digraph":
-        return Digraph(n, tuple((u, (u + 1) % n) for u in range(n)))
+        """The cycle 0 -> 1 -> ... -> n-1 -> 0; a lone agent hears no one."""
+        return Digraph(n, tuple((u, (u + 1) % n) for u in range(n) if n > 1))
 
 
 @dataclass
@@ -334,75 +336,51 @@ def run_protocol(
 
 
 def count_vector_outcomes(model: SignalModel, n: int, kind: str) -> tuple[np.ndarray, np.ndarray]:
-    """A public protocol's outcome per row of :func:`~agreelab.bounds.count_law`.
+    """A protocol's outcome per row of :func:`~agreelab.bounds.count_law`.
 
     For n conditionally i.i.d. signals from ``model``, each agent first
-    knowing its own signal, every public block is a product of one set of
-    symbols per agent, and agents holding one symbol hold one set, so a
-    profile's outcome depends on its symbol counts only.  Returns, per count
-    vector in ``count_law``'s order, what the enumerated outcome table gives
-    its profiles: the reported action's code in
-    :data:`~agreelab.knowledge.ACTION_SETS` (``int8``) and the belief X
-    (``float64``), a correctly rounded Python-int true division.  The
-    public-belief fixed point is the pooled posterior ``w1 / (w0 + w1)`` of
-    the row; public-action's is :func:`_public_action_by_counts`, read off
-    the counts alone (:func:`~agreelab.bounds.count_vectors`), and
-    public-statistic's :func:`_public_statistic_by_counts`.
+    knowing its own signal, returns per count vector in ``count_law``'s
+    order what the enumerated outcome table gives its profiles: the
+    reported action's code in :data:`~agreelab.knowledge.ACTION_SETS`
+    (``int8``) and the belief X (``float64``).  Under public-action every
+    public block is a product of one set of symbols per agent, and agents
+    holding one symbol hold one set, so the outcome depends on the counts
+    alone: :func:`_public_action_by_counts` reads it off them
+    (:func:`~agreelab.bounds.count_vectors`).  Every belief protocol ends at
+    the row's pooled posterior ``w1 / (w0 + w1)``, a correctly rounded
+    Python-int true division, so bit-equal to the enumerated table's X.
+
+    Proof.  Mutual absolute continuity gives every profile p positive mass
+    in both states, and the prior is uniform, so ``w1(p) = w0(p) e^L(p)``
+    with L the sum of the agents' log-likelihood ratios ``z(p_i)``.  Write
+    ``b_i`` for agent i's belief at the fixed point.
+
+    1. Consensus.  Public-belief: the beliefs are common knowledge, so they
+       are equal (Aumann).  Public-statistic: on a public block B the mean
+       m is constant and each ``b_i - m`` is known to agent i, so
+       ``E[(S - b_i)(b_i - m) | B] = 0``; summed over the agents, with
+       ``sum_i (b_i - m) = 0``, this is ``-E[sum_i (b_i - m)^2 | B] = 0``.
+       Network-belief on a strongly connected digraph: on an edge u -> w,
+       w knows ``b_u``, so ``E[(b_w - b_u)^2] = E[b_w^2] - E[b_u^2] >= 0``;
+       these sum to 0 around a cycle, and every edge lies on one.
+    2. Consensus gives the pooled posterior.  Let the shared belief be v on
+       the event A.  Each agent's partition refines its own signal and the
+       belief, so ``P(S = 1 | p_i = x, A) = v`` for every agent i and
+       symbol x: with ``d = w1 - v' w0``, ``v' = v / (1 - v)``, the sum of
+       d over the profiles of A with ``p_i = x`` is 0.  Weighting these sums
+       by ``z(x)`` and adding them over i and x gives ``sum_A L d = 0``;
+       adding them over x alone gives ``sum_A d = 0``.  Under ν, w0
+       normalized on A, that is ``Cov_ν(L, e^L) = 0``, and as ``e^L`` is
+       strictly increasing in L, L is constant on A.  So ``v' = e^L`` and
+       v is the pooled posterior ``w1 / (w0 + w1)`` at every profile.
     """
     if kind == PUBLIC_ACTION:
         return _public_action_by_counts(model, n, count_vectors(n, len(model.support)))
-    if kind not in (PUBLIC_BELIEF, PUBLIC_STATISTIC):
-        raise ValueError(f"no count-vector route for protocol {kind!r}")
-    counts, w0, w1 = zip(*count_law(model, n)[1])
+    if kind not in PROTOCOL_KINDS:
+        raise ValueError(f"unknown protocol kind {kind!r}")
+    _, w0, w1 = zip(*count_law(model, n)[1])
     w0, w1 = np.array(w0, dtype=object), np.array(w1, dtype=object)
-    if kind == PUBLIC_STATISTIC:
-        return _public_statistic_by_counts(np.array(counts, dtype=np.int64), w0, w1)
     return action_codes(w1 - w0).astype(np.int8), (w1 / (w0 + w1)).astype(np.float64)
-
-
-def _public_statistic_by_counts(counts: np.ndarray, w0: np.ndarray, w1: np.ndarray):
-    """Public-statistic's fixed point on each row of ``counts``, whose masses
-    in :func:`~agreelab.bounds.count_law` are ``w0`` and ``w1``.
-
-    The public partition is a partition of the rows.  A holder of symbol x
-    in public block B believes ``ones_x(B) / tot_x(B)``, the block's sums of
-    ``c_x w1`` and ``c_x (w0 + w1)``, since x is a holder's symbol in a
-    share ``c_x / n`` of a row's profiles.  So n times the announced mean is
-    ``sum_x c_x ones_x / tot_x``: over the lcm of the block's nonzero
-    totals, an integer that codes the mean within its block.  Rounds refine
-    by it until no block splits; the agents' partitions, own signal and
-    public block, then no longer change either.  At the fixed point every
-    symbol present must hold one belief, X.
-    """
-    c = counts.astype(object)
-    cw1, cw = c * w1[:, None], c * (w0 + w1)[:, None]
-    labels, blocks = np.zeros(len(counts), dtype=np.int64), 1
-    while True:
-        ones = np.zeros((blocks, counts.shape[1]), dtype=object)
-        tots = np.zeros_like(ones)
-        np.add.at(ones, labels, cw1)
-        np.add.at(tots, labels, cw)
-        multiple = np.bincount(labels) > 1  # a block of one row cannot split
-        totals = np.where(tots[multiple] == 0, 1, tots[multiple])
-        scaled = np.zeros_like(ones)
-        scaled[multiple] = ones[multiple] * (np.lcm.reduce(totals, axis=1)[:, None] // totals)
-        said = (c * scaled[labels]).sum(axis=1)
-        refined = joint_codes((labels, said))[0]
-        if int(refined.max()) + 1 == blocks:
-            break
-        labels, blocks = refined, int(refined.max()) + 1
-    present = counts > 0
-    ones, tots = (np.where(present, m[labels], 0) for m in (ones, tots))
-    first = np.argmax(present, axis=1)[:, None]
-    o, t = (np.take_along_axis(m, first, axis=1) for m in (ones, tots))
-    split = (ones * t != o * tots).any(axis=1)
-    if split.any():
-        at = tuple(counts[int(np.argmax(split))].tolist())
-        raise AgreementLabError(
-            f"fixed point of public-statistic left beliefs unequal at counts {at}"
-        )
-    o, t = o[:, 0], t[:, 0]
-    return action_codes(2 * o - t).astype(np.int8), (o / t).astype(np.float64)
 
 
 def _public_action_by_counts(model: SignalModel, n: int, counts: np.ndarray):

@@ -32,7 +32,6 @@ from .dynamics import (
     PROTOCOL_KINDS,
     PUBLIC_ACTION,
     PUBLIC_BELIEF,
-    PUBLIC_STATISTIC,
     announced_codes,
     count_vector_outcomes,
     exact_means,
@@ -191,10 +190,10 @@ def run_monte_carlo(scenario: Scenario, mode: str, trials: int, seed: int) -> Tr
     ``mode`` is either ``pooled`` (the full-information posterior stands in
     for the agreement outcome, which belief-announcement dynamics provably
     reach for conditionally independent signals) or a protocol kind, which
-    runs the exact engine when the space is within budget.  Public-belief,
-    public-action and public-statistic on i.i.d. signals with own-signal
-    information are decided once per count vector
-    (:func:`~agreelab.dynamics.count_vector_outcomes`), with no space built.
+    runs the exact engine when the space is within budget.  Every protocol
+    on i.i.d. signals with own-signal information is decided once per count
+    vector (:func:`~agreelab.dynamics.count_vector_outcomes`), with no space
+    built, under the same pair budget.
     The staged committee scenario additionally supports public-action at any
     size through its analytic fixed point.  Deterministic given the seed;
     trials are drawn in chunks keyed by (seed, n, chunk).
@@ -220,8 +219,7 @@ def run_monte_carlo(scenario: Scenario, mode: str, trials: int, seed: int) -> Tr
 
     else:
         structure = scenario.structure
-        own_signals = isinstance(structure, IidSignals) and not isinstance(structure, SenateStaged)
-        if mode in (PUBLIC_BELIEF, PUBLIC_ACTION, PUBLIC_STATISTIC) and own_signals:
+        if isinstance(structure, IidSignals) and not isinstance(structure, SenateStaged):
             # Own-signal information: a profile's outcome depends on its counts alone.
             check_pair_budget(structure.pair_count(scenario.n), scenario.name)
             action_codes, xs = count_vector_outcomes(structure.model, scenario.n, mode)
@@ -562,10 +560,9 @@ def aggregate_bound_checks(
 def estimator_identity_checks(
     labelled_models: Sequence[tuple[str, SignalModel]],
     n_values: Sequence[int],
-    tolerance: float = 1e-10,
 ) -> list[Check]:
     """Var(Y-S) = D/(4n), Cov(S,Y) = 1/4, Var(Y) = (1+D/n)/4 by enumeration."""
-    checks = []
+    checks, tolerance = [], 1e-10  # the moments' float deviation allowed
     for label, model in labelled_models:
         d = noise_to_signal_ratio(model)
         dev_var = dev_cov = dev_vary = 0.0
@@ -606,7 +603,6 @@ def tail_bound_checks(
     n_values: Sequence[int],
     trials: int,
     seed: int,
-    eps_grid: Sequence[float] | None = None,
 ) -> list[Check]:
     """Empirical wrong-action rate given S=0 against the lower-tail bound.
 
@@ -629,7 +625,7 @@ def tail_bound_checks(
             wrong += int(np.count_nonzero(actions != 0))
         rate = wrong / trials
         sigma = math.sqrt(max(rate * (1 - rate), 1.0 / trials) / trials)
-        bound = qn_bound(n, belief_tail_cdf(model, 0), eps_grid=eps_grid)
+        bound = qn_bound(n, belief_tail_cdf(model, 0))
         rates.append((n, rate, sigma))
         checks.append(
             _bounded_check(

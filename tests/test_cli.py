@@ -80,7 +80,7 @@ class TestSimulate:
         )
         assert code == 3
 
-    @pytest.mark.parametrize("protocol", ["public-belief", "public-action", "statistic"])
+    @pytest.mark.parametrize("protocol", ["public-belief", "public-action", "statistic", "network"])
     def test_first_size_over_the_budget_exits_3(self, protocol, capsys, monkeypatch):
         """The budget admits iid_binary(21), 2**22 pairs, and refuses the
         next size before building anything: no space, no count vectors."""

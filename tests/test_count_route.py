@@ -1,22 +1,28 @@
-"""Public-belief, public-action and public-statistic on i.i.d. signals,
-decided once per count vector (``dynamics.count_vector_outcomes``), against
-the enumerated engine's per-profile outcome table: equal action codes and
-bit-equal X everywhere.  The count vectors themselves
+"""Every protocol on i.i.d. signals, decided once per count vector
+(``dynamics.count_vector_outcomes``), against the enumerated engine's
+per-profile outcome table: equal action codes and bit-equal X everywhere.
+The belief protocols' fixed points are checked, exactly, to be the pooled
+posterior on random digraphs too.  The count vectors themselves
 (``bounds.count_vectors``) are checked against ``count_law``'s."""
 
-import re
 from fractions import Fraction
 
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
-from test_engine import HUGE_ACCURACY, SKEWED, route_table
+from test_engine import HUGE_ACCURACY, route_table
 
-from agreelab import dynamics
 from agreelab.bounds import count_law, count_vectors
-from agreelab.dynamics import PUBLIC_ACTION, PUBLIC_BELIEF, PUBLIC_STATISTIC
-from agreelab.errors import AgreementLabError
+from agreelab.dynamics import (
+    NETWORK_BELIEF,
+    PUBLIC_ACTION,
+    PUBLIC_BELIEF,
+    PUBLIC_STATISTIC,
+    Digraph,
+    announced_codes,
+    fixed_point_partitions,
+)
 from agreelab.harness import _protocol_outcome_table, run_monte_carlo
 from agreelab.knowledge import OutcomeSpace, Partition
 from agreelab.scenarios import IidSignals, geometric_tail, iid_binary, iid_custom, senate
@@ -46,7 +52,7 @@ def tie_prone_models(draw):
     return SignalModel(alphabet=tuple(alphabet), mu0=mu0, mu1=mu1)
 
 
-COUNT_ROUTE_KINDS = (PUBLIC_BELIEF, PUBLIC_ACTION, PUBLIC_STATISTIC)
+COUNT_ROUTE_KINDS = (PUBLIC_BELIEF, PUBLIC_ACTION, PUBLIC_STATISTIC, NETWORK_BELIEF)
 
 #: Under public-statistic at n = 5, a public block of two count vectors splits.
 MIRRORED = SignalModel(
@@ -97,13 +103,26 @@ def test_named_scenarios_equal_the_table(scenario):
     assert_route_equals_the_table(scenario)
 
 
-def test_unequal_statistic_beliefs_name_the_counts(monkeypatch):
-    """With refinement stopped at the trivial public partition, holders of
-    different symbols disagree, and the first such row is named."""
-    monkeypatch.setattr(dynamics, "joint_codes", lambda columns: (next(iter(columns)), None))
-    message = "fixed point of public-statistic left beliefs unequal at counts (0, 1, 2)"
-    with pytest.raises(AgreementLabError, match=re.escape(message)):
-        dynamics.count_vector_outcomes(SKEWED, 3, PUBLIC_STATISTIC)
+@settings(max_examples=60, deadline=None)
+@given(model=tie_prone_models(), n=st.integers(2, 4), data=st.data())
+def test_belief_protocols_end_at_the_pooled_posterior(model, n, data):
+    """The consensus argument of ``count_vector_outcomes``, on the enumerated
+    engine: public-statistic, and network-belief on a random strongly
+    connected digraph, leave every agent the pooled posterior, as Fractions."""
+    scenario = iid_custom(n, model)
+    space = scenario.outcome_space()
+    pairs = [(u, w) for u in range(n) for w in range(n) if u != w]
+    edges = data.draw(st.lists(st.sampled_from(pairs), min_size=n, unique=True), label="edges")
+    network = Digraph(n, tuple(edges))
+    assume(network.is_strongly_connected())
+    w0, w1 = space.w0.tolist(), space.w1.tolist()
+    pooled = [Fraction(b, a + b) for a, b in zip(w0, w1)]
+    initial = scenario.initial_partitions(space)
+    for kind in (PUBLIC_STATISTIC, NETWORK_BELIEF):
+        final, _ = fixed_point_partitions(kind, space, initial, network=network)
+        for partition in final:
+            codes, values = announced_codes(PUBLIC_BELIEF, space, partition)
+            assert [values[c] for c in codes.tolist()] == pooled, kind
 
 
 @settings(max_examples=40, deadline=None)

@@ -166,6 +166,20 @@ class TestNetworkProtocol:
         assert first == {"0": Fraction(2, 3), "1": Fraction(4, 5), "2": Fraction(8, 9)}
         assert belief_function(space, final[0])((1, 1, 1)) == Fraction(8, 9)
 
+    def test_lone_agent_keeps_its_own_posterior(self):
+        """The one-agent ring has no edges: nothing is heard, the fixed point
+        comes after 0 rounds, and the agent holds its own signal's posterior."""
+        assert Digraph.ring(1) == Digraph(1, ())
+        assert Digraph.ring(1).is_strongly_connected()
+        space = outcome_space_iid(BINARY_23, 1)
+        initial = own_signal_partitions(space)
+        for signal, posterior in (((0,), Fraction(1, 3)), ((1,), Fraction(2, 3))):
+            result = run_protocol(NETWORK_BELIEF, space, initial, signal)
+            assert result.partitions == initial
+            assert result.trace.rounds_to_fixed_point == 0
+            assert result.beliefs == (posterior,)
+            assert result.beliefs_common_knowledge
+
     def test_disconnected_digraph_rejected(self):
         space = outcome_space_iid(BINARY_23, 3)
         lopsided = Digraph(3, ((0, 1), (1, 0)))

@@ -357,9 +357,10 @@ class TestSweep:
         (uncorrelated_tight(8), PUBLIC_ACTION),
         (parity(4), PUBLIC_BELIEF),
         # The committee's verdict keeps the statistic on the enumerated engine;
-        # on own-signal i.i.d. signals it takes the count route and builds no space.
+        # on own-signal i.i.d. signals every protocol takes the count route and
+        # builds no space.
         (senate(12, senate_size=9), PUBLIC_STATISTIC),
-        (iid_binary(8, Fraction(2, 3)), NETWORK_BELIEF),
+        (two_bit(4), NETWORK_BELIEF),
     ],
     ids=lambda value: getattr(value, "name", value),
 )

@@ -63,8 +63,6 @@ def test_agents_keep_their_own_signal_when_public_does_not_refine_it(kind):
 def test_random_models_equal_the_per_agent_loop(model, n):
     scenario = iid_custom(n, model)
     for kind in PROTOCOL_KINDS:
-        if kind == NETWORK_BELIEF and n < 2:
-            continue
         assert_shared_equals_per_agent(scenario, kind)
 
 
