@@ -67,10 +67,17 @@ def _parse_params(pairs) -> dict:
     return out
 
 
+def _as_int(value) -> int:
+    """``int(value)``, raising on booleans and non-integral floats, which it would truncate."""
+    if isinstance(value, bool) or isinstance(value, float) and not value.is_integer():
+        raise ValueError(value)
+    return int(value)
+
+
 def _parse_n_list(text) -> list[int]:
     pieces = text if isinstance(text, (list, tuple)) else str(text).split(",")
     try:
-        values = [int(piece) for piece in pieces if str(piece).strip()]
+        values = [_as_int(piece) for piece in pieces if str(piece).strip()]
     except (TypeError, ValueError):
         values = []
     if not values or min(values) < 1:
@@ -115,8 +122,8 @@ def _setting(args, config, key, default=None):
 def _int_setting(args, config, key, default, minimum) -> int:
     value = _setting(args, config, key, default)
     try:
-        if int(value) >= minimum:
-            return int(value)
+        if _as_int(value) >= minimum:
+            return _as_int(value)
     except (TypeError, ValueError):
         pass
     raise AgreementLabError(f"{key} expects an integer >= {minimum}, got {value!r}")
@@ -135,6 +142,17 @@ def _write_output(text: str, out_path):
             fh.write(text)
     else:
         sys.stdout.write(text)
+
+
+def _write_result(args, config, result, csv: str, text: str) -> None:
+    """Write ``result`` as JSON, ``csv`` or ``text``, as ``--format`` (or the
+    config's ``format``) asks, to ``--out`` or stdout."""
+    fmt = _setting(args, config, "fmt", None) or config.get("format")
+    if fmt == "json":
+        text = json.dumps(result.to_dict(), indent=2, default=str) + "\n"
+    elif fmt == "csv":
+        text = csv
+    _write_output(text, _setting(args, config, "out"))
 
 
 def _add_common(parser):
@@ -196,22 +214,15 @@ def _cmd_simulate(args) -> int:
     seed = _int_setting(args, config, "seed", 0, 0)
     scenario = build_scenario(name, n_list[0], **params)
     summary = run_monte_carlo(scenario, protocol, trials, seed)
-    fmt = _setting(args, config, "fmt", None) or config.get("format")
-    out = _setting(args, config, "out")
-    if fmt == "json":
-        _write_output(json.dumps(summary.to_dict(), indent=2, default=str) + "\n", out)
-    elif fmt == "csv":
-        _write_output(_summary_csv(summary), out)
-    else:
-        _write_output(
-            f"{summary.scenario} mode={summary.mode} trials={summary.trials} "
-            f"seed={summary.seed}\n"
-            f"  successes={summary.successes} ties={summary.ties} "
-            f"failures={summary.failures}\n"
-            f"  success_rate={summary.success_rate:.6f} "
-            f"(stderr {summary.stderr:.6f}) msbe={summary.msbe:.6g}\n",
-            out,
-        )
+    _write_result(
+        args, config, summary, _summary_csv(summary),
+        f"{summary.scenario} mode={summary.mode} trials={summary.trials} "
+        f"seed={summary.seed}\n"
+        f"  successes={summary.successes} ties={summary.ties} "
+        f"failures={summary.failures}\n"
+        f"  success_rate={summary.success_rate:.6f} "
+        f"(stderr {summary.stderr:.6f}) msbe={summary.msbe:.6g}\n",
+    )
     return 0
 
 
@@ -230,12 +241,7 @@ def _cmd_sweep(args) -> int:
     table = sweep_n(
         name, n_values, trials, seed, mode=protocol, params=params, eps_grid=eps_grid
     )
-    fmt = _setting(args, config, "fmt", None) or config.get("format", "csv")
-    out = _setting(args, config, "out")
-    if fmt == "json":
-        _write_output(json.dumps(table.to_dict(), indent=2, default=str) + "\n", out)
-    else:
-        _write_output(table.to_csv(), out)
+    _write_result(args, config, table, table.to_csv(), table.to_csv())
     return 0
 
 
@@ -244,14 +250,7 @@ def _cmd_verify(args) -> int:
     seed = _int_setting(args, config, "seed", 20240601, 0)
     trials = _int_setting(args, config, "trials", 20_000, 1)
     report = default_verification_suite(seed=seed, trials=trials)
-    fmt = _setting(args, config, "fmt", None) or config.get("format")
-    out = _setting(args, config, "out")
-    if fmt == "json":
-        _write_output(json.dumps(report.to_dict(), indent=2, default=str) + "\n", out)
-    elif fmt == "csv":
-        _write_output(report.to_csv(), out)
-    else:
-        _write_output(report.to_text(), out)
+    _write_result(args, config, report, report.to_csv(), report.to_text())
     return 0 if report.passed else 2
 
 

@@ -11,10 +11,10 @@ Action sets are decided by the sign of each block's summed margin, and means
 beyond ``int64`` are folded in Python-int object arrays, :data:`MEAN_BLOCK`
 belief combinations at a time.
 
-For conditionally i.i.d. signals and own-signal information, every protocol
-is also decided once per count vector, with no space built
-(:func:`count_vector_outcomes`): each belief protocol provably ends at the
-pooled posterior, and public-action is read off the counts.
+For conditionally i.i.d. signals every protocol is also decided once per
+count vector, with no space built (:func:`count_vector_outcomes`): each
+belief protocol provably ends at the pooled posterior once every partition
+refines its agent's signal, and own-signal public-action is read off the counts.
 """
 
 from __future__ import annotations
@@ -346,9 +346,10 @@ def count_vector_outcomes(model: SignalModel, n: int, kind: str) -> tuple[np.nda
     public block is a product of one set of symbols per agent, and agents
     holding one symbol hold one set, so the outcome depends on the counts
     alone: :func:`_public_action_by_counts` reads it off them
-    (:func:`~agreelab.bounds.count_vectors`).  Every belief protocol ends at
-    the row's pooled posterior ``w1 / (w0 + w1)``, a correctly rounded
-    Python-int true division, so bit-equal to the enumerated table's X.
+    (:func:`~agreelab.bounds.count_vectors`).  Whenever each agent's
+    partition refines its own signal, as the senate's do too, every belief
+    protocol ends at the row's pooled posterior ``w1 / (w0 + w1)``: a
+    correctly rounded Python-int true division, bit-equal to the table's X.
 
     Proof.  Mutual absolute continuity gives every profile p positive mass
     in both states, and the prior is uniform, so ``w1(p) = w0(p) e^L(p)``

@@ -33,7 +33,6 @@ from .dynamics import (
     PUBLIC_ACTION,
     PUBLIC_BELIEF,
     announced_codes,
-    count_vector_outcomes,
     exact_means,
     fixed_point_partitions,
     shared,
@@ -55,7 +54,7 @@ from .knowledge import (
     joint_codes,
     reduced_ratios,
 )
-from .scenarios import IidSignals, Scenario, SenateStaged, build_scenario
+from .scenarios import IidSignals, Scenario, SenateStaged, build_scenario, table_outcomes
 from .signals import SignalModel, belief_tail_cdf, noise_to_signal_ratio
 
 #: Trials per stream; a run of T trials draws ceil(T / CHUNK_TRIALS) chunks.
@@ -99,8 +98,9 @@ class TrialSummary:
     "action equals the state" rate; ``msbe`` is the trial mean of
     (X - S)^2 where X is the run's belief summary (the common belief for
     belief protocols and the pooled shortcut, the mean agent belief for
-    action protocols, the committee's pooled belief for senate public-action
-    at any n, so that ``msbe`` estimates ``senate_exact_summary``'s).
+    action protocols).  The senate reports its committee's verdict, and
+    under public-action the committee's pooled belief as X at any n, so that
+    ``msbe`` estimates ``senate_exact_summary``'s.
     """
 
     scenario: str
@@ -134,12 +134,11 @@ def _protocol_outcome_table(
     """Run the exact engine once and tabulate the fixed point per profile.
 
     Refinement does not depend on the realized profile, so one run covers
-    every trial.  Returns, per profile of ``space``, the reported action's
-    code in :data:`~agreelab.knowledge.ACTION_SETS` (``int8``) and the
-    belief X (``float64``).  Each distinct combination of the agents' final
-    beliefs is judged once, in arrays; public-action's X, the mean belief,
-    is a Python-int true division, which rounds its exact value correctly.
-    The senate reports its committee's verdict, and X as the analytic route.
+    every trial.  Returns, per profile of ``space``, the agents' common
+    action's code in :data:`~agreelab.knowledge.ACTION_SETS` (``int8``) and
+    the belief X (``float64``), whatever the structure.  Each distinct
+    combination of the agents' final beliefs is judged once, in arrays;
+    public-action's X, their mean, is a correctly rounded Python-int division.
     """
     final, _ = fixed_point_partitions(kind, space, scenario.initial_partitions(space))
     beliefs = shared(lambda p: (p, *block_beliefs(space, p)), final)
@@ -170,17 +169,11 @@ def _protocol_outcome_table(
             f"{scenario.name}: fixed point of {kind} left {what} unequal "
             f"on profile {space.profile(int(first[k]))!r}"
         )
-    structure = scenario.structure
-    if isinstance(structure, SenateStaged) and kind == PUBLIC_ACTION:
-        tallies = space.symbols[:, : structure.senate_size].sum(axis=1)
-        return structure.trial_labels(space), structure.tally_beliefs(tallies)
     if kind == PUBLIC_ACTION:
         means = exact_means(combinations, values)
         xs = np.concatenate([(num / den).astype(np.float64) for num, den in means])
     else:
         xs = np.array([float(b) for b in values[0]])[combinations[0]]
-    if isinstance(structure, SenateStaged):
-        return structure.trial_labels(space), xs[combination_of]
     return actions[0].astype(np.int8)[combination_of], xs[combination_of]
 
 
@@ -189,50 +182,36 @@ def run_monte_carlo(scenario: Scenario, mode: str, trials: int, seed: int) -> Tr
 
     ``mode`` is either ``pooled`` (the full-information posterior stands in
     for the agreement outcome, which belief-announcement dynamics provably
-    reach for conditionally independent signals) or a protocol kind, which
-    runs the exact engine when the space is within budget.  Every protocol
-    on i.i.d. signals with own-signal information is decided once per count
-    vector (:func:`~agreelab.dynamics.count_vector_outcomes`), with no space
-    built, under the same pair budget.
-    The staged committee scenario additionally supports public-action at any
-    size through its analytic fixed point.  Deterministic given the seed;
-    trials are drawn in chunks keyed by (seed, n, chunk).
+    reach for conditionally independent signals) or a protocol kind.  On
+    i.i.d. signals, the senate's included, a protocol is decided from counts
+    (:meth:`~agreelab.scenarios.IidSignals.trial_outcomes`) with no space
+    built; other structures run the exact engine.  Both keep the pair
+    budget, past which the senate's public-action has its analytic fixed
+    point.  Each branch is one draw of (states, action codes, X), in chunks
+    keyed by (seed, n, chunk), so the run is deterministic given the seed.
     """
     if trials < 1:
         raise ValueError("need at least one trial")
     if mode not in MODES:
         raise ValueError(f"unknown mode {mode!r}; choices: {MODES}")
 
+    structure = scenario.structure
     if mode == POOLED:
         draw = scenario.pooled_sampler()
     elif (
         mode == PUBLIC_ACTION
-        and isinstance(scenario.structure, SenateStaged)
-        and scenario.structure.pair_count(scenario.n) > DEFAULT_ENUMERATION_BUDGET
+        and isinstance(structure, SenateStaged)
+        and structure.pair_count(scenario.n) > DEFAULT_ENUMERATION_BUDGET
     ):
-        committee = scenario.structure
-        analytic = committee.action_trial_sampler(scenario.n)
-
-        def draw(rng, size):
-            states, verdicts, _common, tallies = analytic(rng, size)
-            return states, verdicts, committee.tally_beliefs(tallies)
-
+        draw = structure.action_trial_sampler(scenario.n)
+    elif isinstance(structure, IidSignals):
+        # Conditionally i.i.d. signals: a trial's outcome depends on counts alone.
+        check_pair_budget(structure.pair_count(scenario.n), scenario.name)
+        draw = scenario.profile_sampler(structure.trial_outcomes(scenario.n, mode))
     else:
-        structure = scenario.structure
-        if isinstance(structure, IidSignals) and not isinstance(structure, SenateStaged):
-            # Own-signal information: a profile's outcome depends on its counts alone.
-            check_pair_budget(structure.pair_count(scenario.n), scenario.name)
-            action_codes, xs = count_vector_outcomes(structure.model, scenario.n, mode)
-            locate = structure.count_rows(scenario.n)
-        else:
-            space = scenario.outcome_space()
-            action_codes, xs = _protocol_outcome_table(scenario, mode, space)
-            locate = space.locate
-        profile_draw = scenario.profile_sampler(locate)
-
-        def draw(rng, size):
-            states, row = profile_draw(rng, size)
-            return states, action_codes[row], xs[row]
+        space = scenario.outcome_space()
+        table = _protocol_outcome_table(scenario, mode, space)
+        draw = scenario.profile_sampler(table_outcomes(space.locate, *table))
 
     successes = ties = resolved_hits = 0
     msbe_total = 0.0

@@ -7,11 +7,11 @@ samplers for the Monte Carlo path and, where it exists, the per-agent
 marginal signal model used by the aggregate bounds.
 
 Every sampler returns a draw ``draw(rng, size, force_state=None)`` that
-makes ``size`` trials with a few vectorised calls.  A pooled draw returns
-arrays of states, action codes (:data:`~agreelab.knowledge.ACTION_SETS`)
-and float beliefs; a profile draw returns states and a lookup (a space's
-:meth:`~agreelab.knowledge.OutcomeSpace.locate`, or :meth:`IidSignals.count_rows`)
-of the rows of symbol ranks that every structure draws as ``signal_rows``.
+makes ``size`` trials with a few vectorised calls and returns arrays of
+states, action codes (:data:`~agreelab.knowledge.ACTION_SETS`) and float
+beliefs X.  A profile draw reads them off the rows of symbol ranks that every
+structure draws as ``signal_rows``: by counts for i.i.d. signals
+(:meth:`IidSignals.trial_outcomes`), else by a space's table.
 """
 
 from __future__ import annotations
@@ -26,19 +26,17 @@ import numpy as np
 
 from .bounds import (
     ExactSummary,
-    count_posterior,
     likelihood_classes,
     odds_posterior,
     pooled_action_law,
     reduced_odds,
 )
+from .dynamics import PUBLIC_ACTION, PUBLIC_BELIEF, count_vector_outcomes
 from .errors import AgreementLabError, ScenarioParameterError
 from .knowledge import (
-    TIE,
     OutcomeSpace,
     Partition,
     action_code,
-    action_codes,
     check_pair_budget,
     joint_codes,
     own_signal_partitions,
@@ -75,13 +73,13 @@ class Scenario:
     def marginal_model(self) -> SignalModel | None:
         return self.structure.marginal_model(self.n)
 
-    def profile_sampler(self, locate: Callable[[np.ndarray], np.ndarray]) -> Callable:
-        """Batch draw of (states, ``locate`` of the drawn rows of symbol ranks)."""
+    def profile_sampler(self, outcome: Callable[[np.ndarray], tuple]) -> Callable:
+        """Batch draw of (states, *``outcome`` of the drawn rows of symbol ranks)."""
         rows = self.structure.signal_rows
 
         def draw(rng, size, force_state=None):
             states = _draw_states(rng, size, force_state)
-            return states, locate(rows(rng, states, self.n))
+            return states, *outcome(rows(rng, states, self.n))
 
         return draw
 
@@ -103,10 +101,15 @@ def _known_state_draw(rng, size: int, force_state=None):
     return states, states.astype(np.int8), states.astype(float)
 
 
-def _majority_codes(ones, total: int) -> np.ndarray:
-    """Action code of a majority vote of ``total`` bits with ``ones`` ones."""
-    ones = np.asarray(ones, dtype=np.int64)
-    return action_codes(2 * ones - total).astype(np.int8)
+def table_outcomes(locate: Callable, codes: np.ndarray, xs: np.ndarray) -> Callable:
+    """Rows of symbol ranks to (action codes, X): one ``locate`` per batch
+    finds the rows' positions in the table ``codes, xs``."""
+
+    def outcome(ranks: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        at = locate(ranks)
+        return codes[at], xs[at]
+
+    return outcome
 
 
 def _parity_bits(rng, states: np.ndarray, n: int) -> np.ndarray:
@@ -179,6 +182,11 @@ class IidSignals:
             return later[np.arange(n, 0, -1), symbols].sum(axis=1)
 
         return rows
+
+    def trial_outcomes(self, n: int, kind: str) -> Callable:
+        """Protocol ``kind``'s (action codes, X) of rows of symbol ranks, by
+        their count vectors (:func:`~agreelab.dynamics.count_vector_outcomes`)."""
+        return table_outcomes(self.count_rows(n), *count_vector_outcomes(self.model, n, kind))
 
     def pooled_sampler(self, n: int) -> Callable:
         """Sample symbol counts and decide the pooled outcome from them.
@@ -472,20 +480,32 @@ class SenateStaged(IidSignals):
         acc = self.accuracy
         return success * (1 - acc) > failure * acc
 
-    def tally_posterior(self, ones: int) -> Fraction:
-        """Exact P(S=1 | committee tally), the committee's pooled belief."""
-        return count_posterior(self.model, (self.senate_size - ones, ones))
-
-    def tally_beliefs(self, tallies: np.ndarray) -> np.ndarray:
-        """The committee's pooled belief as a float, once per distinct tally."""
-        distinct, inverse = np.unique(tallies, return_inverse=True)
-        return np.array([float(self.tally_posterior(t)) for t in distinct.tolist()])[inverse]
+    def committee_table(self) -> tuple[np.ndarray, np.ndarray]:
+        """The committee's verdict (an action code) and pooled belief, indexed
+        by the number of ones among its ``senate_size`` signals."""
+        codes, xs = count_vector_outcomes(self.model, self.senate_size, PUBLIC_BELIEF)
+        return codes[::-1], xs[::-1]
 
     def trial_labels(self, space: OutcomeSpace) -> np.ndarray:
         """Trials are bucketed by the committee's own verdict: a split
         committee counts as a tie even though the continued announcements
         settle on some action.  One action code per profile of ``space``."""
-        return _majority_codes(space.symbols[:, : self.senate_size].sum(axis=1), self.senate_size)
+        return self.committee_table()[0][space.symbols[:, : self.senate_size].sum(axis=1)]
+
+    def trial_outcomes(self, n: int, kind: str) -> Callable:
+        """The committee's verdict and X: under public-action its pooled
+        belief, as on the analytic route; under a belief protocol the pooled
+        posterior of all n signals, where every agent ends as its partition
+        refines its own signal (:func:`~agreelab.dynamics.count_vector_outcomes`)."""
+        m = pooling = self.senate_size
+        verdicts, xs = self.committee_table()
+        if kind != PUBLIC_ACTION:
+            pooling, xs = n, count_vector_outcomes(self.model, n, kind)[1][::-1]
+
+        def outcome(ranks: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+            return verdicts[ranks[:, :m].sum(axis=1)], xs[ranks[:, :pooling].sum(axis=1)]
+
+        return outcome
 
     def action_trial_sampler(self, n: int) -> Callable:
         """Batch draw of the public-action fixed point via the staged structure.
@@ -493,9 +513,10 @@ class SenateStaged(IidSignals):
         The committee's action is already measurable for every agent, so on
         non-split committees the fixed point is immediate and common; a split
         committee is uninformative and the continued announcements aggregate
-        the remaining signals instead.  Returns arrays of
-        (state, committee action code, common fixed-point action code,
-        committee tally).
+        the remaining signals instead.  Trials report the committee's verdict
+        and, as X, its pooled belief, from a binomial draw of its tally; the
+        other agents' tally is drawn after it, unread, so each chunk's stream
+        stays as it was.
         """
         if not self.deference_is_exact():
             raise ScenarioParameterError(
@@ -504,15 +525,14 @@ class SenateStaged(IidSignals):
             )
         m = self.senate_size
         acc = float(self.accuracy)
+        verdicts, committee = self.committee_table()
 
         def draw(rng, size, force_state=None):
             states = _draw_states(rng, size, force_state)
             p_one = np.where(states == 1, acc, 1.0 - acc)
-            senate_ones = rng.binomial(m, p_one)
-            rest_ones = rng.binomial(n - m, p_one)
-            committee = _majority_codes(senate_ones, m)
-            common = np.where(committee == TIE, _majority_codes(rest_ones, n - m), committee)
-            return states, committee, common, senate_ones
+            ones = rng.binomial(m, p_one)
+            rng.binomial(n - m, p_one)
+            return states, verdicts[ones], committee[ones]
 
         return draw
 

@@ -35,7 +35,7 @@ from agreelab.knowledge import (
     dense_codes,
     joint_codes,
 )
-from agreelab.scenarios import ExchangeableFlip, ParityBits, SenateStaged, TwoBitCombo
+from agreelab.scenarios import ExchangeableFlip, ParityBits, TwoBitCombo
 
 
 def space_over(profiles, n: int) -> OutcomeSpace:
@@ -231,8 +231,7 @@ def per_agent_fixed_point(kind, space, partitions, profile=None, network=None):
 def per_agent_outcome_table(scenario, kind, space):
     """Per profile, the reported action code and the belief X, from every
     agent's own belief there as a Fraction: public-action's X is the mean
-    belief, the belief protocols' the common one.  The staged committee
-    reports its own verdict, and under public-action its pooled belief."""
+    belief, the belief protocols' the common one."""
     final, _ = per_agent_fixed_point(kind, space, scenario.initial_partitions(space))
     columns = []
     for p in final:
@@ -248,10 +247,4 @@ def per_agent_outcome_table(scenario, kind, space):
             assert len(set(beliefs)) == 1
             xs.append(float(beliefs[0]))
         codes.append(actions.pop())
-    structure = scenario.structure
-    if isinstance(structure, SenateStaged):
-        codes = structure.trial_labels(space).tolist()
-        if kind == PUBLIC_ACTION:
-            m = structure.senate_size
-            xs = [float(structure.tally_posterior(sum(p[:m]))) for p in space.profiles]
     return codes, xs

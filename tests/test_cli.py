@@ -243,6 +243,11 @@ class TestExitCodes:
             (("simulate", "--config", "missing.json"), "No such file"),
             (("simulate", "--scenario", "iid_binary", "--param", "p=2/3", "--n", "3,40"), "use sweep"),
             (("simulate", "--config", '{"scenario": "parity", "n": [3, 4]}'), "use sweep"),
+            # Numbers that int() would truncate.
+            (("simulate", "--config", '{"scenario": "parity", "trials": 2.7}'), "trials expects"),
+            (("simulate", "--config", '{"scenario": "parity", "trials": true}'), "trials expects"),
+            (("simulate", "--config", '{"scenario": "parity", "n": [3.9]}'), "--n expects"),
+            (("simulate", "--config", '{"scenario": "parity", "seed": 1.5}'), "seed expects"),
         ],
     )
     def test_unparseable_input_exits_1(self, argv, message, tmp_path, monkeypatch, capsys):

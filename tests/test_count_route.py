@@ -2,7 +2,8 @@
 (``dynamics.count_vector_outcomes``), against the enumerated engine's
 per-profile outcome table: equal action codes and bit-equal X everywhere.
 The belief protocols' fixed points are checked, exactly, to be the pooled
-posterior on random digraphs too.  The count vectors themselves
+posterior on random digraphs too, from own-signal and from the senate's
+initial information.  The count vectors themselves
 (``bounds.count_vectors``) are checked against ``count_law``'s."""
 
 from fractions import Fraction
@@ -25,7 +26,14 @@ from agreelab.dynamics import (
 )
 from agreelab.harness import _protocol_outcome_table, run_monte_carlo
 from agreelab.knowledge import OutcomeSpace, Partition
-from agreelab.scenarios import IidSignals, geometric_tail, iid_binary, iid_custom, senate
+from agreelab.scenarios import (
+    IidSignals,
+    geometric_tail,
+    iid_binary,
+    iid_custom,
+    senate,
+    two_bit,
+)
 from agreelab.signals import SignalModel
 
 
@@ -103,26 +111,43 @@ def test_named_scenarios_equal_the_table(scenario):
     assert_route_equals_the_table(scenario)
 
 
+@st.composite
+def refining_scenarios(draw):
+    """Scenarios at one n whose initial partitions each refine the agent's
+    own signal: own-signal information on a tie-prone model at n = 2..4, or
+    the senate at n = 2..6 with every committee size 1..n-1 (weak and split
+    committees included) at one random accuracy."""
+    if draw(st.booleans()):
+        n = draw(st.integers(2, 4))
+        return n, [iid_custom(n, draw(tie_prone_models()))]
+    n = draw(st.integers(2, 6))
+    den = draw(st.integers(3, 9))
+    accuracy = Fraction(draw(st.integers(den // 2 + 1, den - 1)), den)
+    return n, [senate(n, senate_size=m, accuracy=accuracy) for m in range(1, n)]
+
+
 @settings(max_examples=60, deadline=None)
-@given(model=tie_prone_models(), n=st.integers(2, 4), data=st.data())
-def test_belief_protocols_end_at_the_pooled_posterior(model, n, data):
+@given(drawn=refining_scenarios(), data=st.data())
+def test_belief_protocols_end_at_the_pooled_posterior(drawn, data):
     """The consensus argument of ``count_vector_outcomes``, on the enumerated
-    engine: public-statistic, and network-belief on a random strongly
-    connected digraph, leave every agent the pooled posterior, as Fractions."""
-    scenario = iid_custom(n, model)
-    space = scenario.outcome_space()
+    engine: public-belief, public-statistic, and network-belief on a random
+    strongly connected digraph, leave every agent the pooled posterior, as
+    Fractions, whenever each agent's partition refines its own signal."""
+    n, scenarios = drawn
     pairs = [(u, w) for u in range(n) for w in range(n) if u != w]
     edges = data.draw(st.lists(st.sampled_from(pairs), min_size=n, unique=True), label="edges")
     network = Digraph(n, tuple(edges))
     assume(network.is_strongly_connected())
-    w0, w1 = space.w0.tolist(), space.w1.tolist()
-    pooled = [Fraction(b, a + b) for a, b in zip(w0, w1)]
-    initial = scenario.initial_partitions(space)
-    for kind in (PUBLIC_STATISTIC, NETWORK_BELIEF):
-        final, _ = fixed_point_partitions(kind, space, initial, network=network)
-        for partition in final:
-            codes, values = announced_codes(PUBLIC_BELIEF, space, partition)
-            assert [values[c] for c in codes.tolist()] == pooled, kind
+    for scenario in scenarios:
+        space = scenario.outcome_space()
+        w0, w1 = space.w0.tolist(), space.w1.tolist()
+        pooled = [Fraction(b, a + b) for a, b in zip(w0, w1)]
+        initial = scenario.initial_partitions(space)
+        for kind in (PUBLIC_BELIEF, PUBLIC_STATISTIC, NETWORK_BELIEF):
+            final, _ = fixed_point_partitions(kind, space, initial, network=network)
+            for partition in final:
+                codes, values = announced_codes(PUBLIC_BELIEF, space, partition)
+                assert [values[c] for c in codes.tolist()] == pooled, (scenario.name, kind)
 
 
 @settings(max_examples=40, deadline=None)
@@ -162,14 +187,18 @@ def test_monte_carlo_builds_no_space_and_no_partition(kind, monkeypatch):
 @pytest.mark.parametrize("kind", COUNT_ROUTE_KINDS)
 @pytest.mark.parametrize(
     "scenario, builds_a_space",
-    [(iid_binary(6, Fraction(2, 3)), False), (geometric_tail(2), False), (senate(5, 2), True)],
+    [
+        (iid_binary(6, Fraction(2, 3)), False),
+        (geometric_tail(2), False),
+        (senate(5, 2), False),
+        (two_bit(4), True),
+    ],
     ids=lambda value: getattr(value, "name", None),
 )
-def test_only_own_signal_information_takes_the_count_route(
-    scenario, builds_a_space, kind, monkeypatch
-):
-    """The senate's committee verdict is public initial information, so its
-    outcome is not a function of the counts: it keeps the enumerated table."""
+def test_only_iid_signals_take_the_count_route(scenario, builds_a_space, kind, monkeypatch):
+    """The senate's outcome is a function of two counts, its committee's and
+    everyone's; signals that are not conditionally independent, as two-bit's,
+    keep the enumerated table."""
     built = []
     build = OutcomeSpace.__init__
 

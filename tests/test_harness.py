@@ -7,6 +7,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from agreelab.bounds import count_posterior
 from agreelab.dynamics import (
     NETWORK_BELIEF,
     PUBLIC_ACTION,
@@ -289,8 +290,9 @@ class TestExactSummaries:
         belief, so the table's exact belief error is the committee law's."""
         scenario = senate(n, senate_size=m)
         space = scenario.outcome_space()
-        _codes, xs = _protocol_outcome_table(scenario, PUBLIC_ACTION, space)
-        exact = [scenario.structure.tally_posterior(sum(p[:m])) for p in space.profiles]
+        _codes, xs = scenario.structure.trial_outcomes(n, PUBLIC_ACTION)(space.symbols)
+        model = scenario.structure.model
+        exact = [count_posterior(model, (m - sum(p[:m]), sum(p[:m]))) for p in space.profiles]
         assert xs.tolist() == [float(x) for x in exact]
         msbe = sum(
             Fraction(w0, space.den) * x**2 + Fraction(w1, space.den) * (1 - x) ** 2
@@ -356,10 +358,9 @@ class TestSweep:
         (two_bit(8), PUBLIC_BELIEF),
         (uncorrelated_tight(8), PUBLIC_ACTION),
         (parity(4), PUBLIC_BELIEF),
-        # The committee's verdict keeps the statistic on the enumerated engine;
-        # on own-signal i.i.d. signals every protocol takes the count route and
-        # builds no space.
-        (senate(12, senate_size=9), PUBLIC_STATISTIC),
+        # On i.i.d. signals, the senate's included, every protocol takes the
+        # count route and builds no space.
+        (uncorrelated_tight(8), PUBLIC_STATISTIC),
         (two_bit(4), NETWORK_BELIEF),
     ],
     ids=lambda value: getattr(value, "name", value),

@@ -8,7 +8,8 @@ import numpy as np
 import pytest
 from reference import refine_by_announcement, structure_weights
 
-from agreelab.bounds import odds_posterior
+from agreelab.bounds import count_posterior, odds_posterior
+from agreelab.dynamics import PUBLIC_ACTION
 from agreelab.errors import ScenarioParameterError
 from agreelab.harness import senate_exact_summary
 from agreelab.knowledge import (
@@ -17,6 +18,7 @@ from agreelab.knowledge import (
     ACTION_SETS,
     ACTION_ZERO,
     TIE,
+    action_code,
     block_beliefs,
     optimal_action_set,
     own_signal_partitions,
@@ -143,7 +145,7 @@ class TestUncorrelatedTight:
     def test_profile_sampler_hits_the_two_classes(self):
         scenario = uncorrelated_tight(8)
         space = scenario.outcome_space()
-        draw = scenario.profile_sampler(space.locate)
+        draw = scenario.profile_sampler(lambda rows: (space.locate(rows),))
         rng = np.random.default_rng(0)
         _states, index = draw(rng, 50)
         for i in index.tolist():
@@ -277,23 +279,26 @@ class TestSenate:
         assert senate(200).structure.deference_is_exact()
 
     def test_analytic_trials_match_engine_labels(self):
-        """The large-n sampler and the exact engine agree on the committee
-        verdict and the continued-dynamics action (validated per profile in
-        the dynamics tests); here the sampler's bookkeeping is spot-checked."""
+        """The large-n sampler and the in-budget table report, per committee
+        tally, its verdict and its pooled belief as X."""
         scenario = senate(6, senate_size=2, accuracy=Fraction(2, 3))
-        draw = scenario.structure.action_trial_sampler(6)
-        rng = np.random.default_rng(1)
-        for state, committee, common, tally in zip(*(a.tolist() for a in draw(rng, 200))):
-            committee, common = ACTION_SETS[committee], ACTION_SETS[common]
-            assert committee == optimal_action_set(scenario.structure.tally_posterior(tally))
-            if committee != ACTION_BOTH:
-                assert common == committee
+        structure = scenario.structure
+        exact = {
+            (action_code(b), float(b))
+            for b in (count_posterior(structure.model, (2 - ones, ones)) for ones in range(3))
+        }
+        table = structure.trial_outcomes(6, PUBLIC_ACTION)(scenario.outcome_space().symbols)
+        assert set(zip(*(a.tolist() for a in table))) == exact
+        _states, verdicts, xs = structure.action_trial_sampler(6)(np.random.default_rng(1), 200)
+        assert set(zip(verdicts.tolist(), xs.tolist())) == exact
 
     def test_tally_posterior_is_exact(self):
         structure = senate(200).structure
-        assert structure.tally_posterior(50) == Fraction(1, 2)
-        assert structure.tally_posterior(51) == Fraction(4, 5)  # odds 2^2
-        assert structure.tally_posterior(49) == Fraction(1, 5)
+        verdicts, beliefs = structure.committee_table()
+        for ones, posterior in ((50, Fraction(1, 2)), (51, Fraction(4, 5)), (49, Fraction(1, 5))):
+            assert count_posterior(structure.model, (100 - ones, ones)) == posterior  # odds 2^(2k)
+            assert beliefs[ones] == float(posterior)
+            assert ACTION_SETS[verdicts[ones]] == optimal_action_set(posterior)
 
 
 class TestGeometricTail:
