@@ -1,5 +1,7 @@
 """Command-line interface: simulate, sweep, verify, bound, scenario list.
 
+Each subcommand takes only the flags and config keys of its settings in :data:`COMMANDS`.
+
 Exit codes: 0 success, 1 usage error (a flag, parameter or config file
 that cannot be parsed or is out of range, or a file that cannot be read or
 written), 2 verification failures present, 3 outcome space exceeds the
@@ -74,6 +76,21 @@ def _as_int(value) -> int:
     return int(value)
 
 
+def _parse_int(key: str, minimum: int, value) -> int:
+    try:
+        if _as_int(value) >= minimum:
+            return _as_int(value)
+    except (TypeError, ValueError):
+        pass
+    raise AgreementLabError(f"{key} expects an integer >= {minimum}, got {value!r}")
+
+
+def _parse_text(key: str, value):
+    if value is None or isinstance(value, str):
+        return value
+    raise AgreementLabError(f"{key} expects a string, got {value!r}")
+
+
 def _parse_n_list(text) -> list[int]:
     pieces = text if isinstance(text, (list, tuple)) else str(text).split(",")
     try:
@@ -110,30 +127,58 @@ def _load_config(path) -> dict:
     return config
 
 
-def _setting(args, config, key, default=None):
-    value = getattr(args, key, None)
-    if value is not None:
-        return value
-    if key in config:
-        return config[key]
-    return default
+#: Per setting: its flag, the flag's argparse keywords, and the parser of
+#: its value (from the flag, the config file or the default), or None to
+#: keep the value as it is.  A ``choices`` keyword also binds config values.
+SETTINGS = {
+    "scenario": ("--scenario", {"help": "scenario family name"},
+                 functools.partial(_parse_text, "scenario")),
+    "params": ("--param", {"action": "append", "metavar": "KEY=VALUE",
+                           "help": "scenario parameter, repeatable; rationals as num/den"}, None),
+    "protocol": ("--protocol", {"choices": sorted(PROTOCOL_ALIASES)}, PROTOCOL_ALIASES.get),
+    "n": ("--n", {"help": "agent count (sweep, bound: comma-separated list)"}, _parse_n_list),
+    "trials": ("--trials", {"type": int}, functools.partial(_parse_int, "trials", 1)),
+    "seed": ("--seed", {"type": int}, functools.partial(_parse_int, "seed", 0)),
+    "eps_grid": ("--eps-grid", {"metavar": "LO:HI:POINTS"}, _parse_eps_grid),
+    "format": ("--format", {"choices": ("csv", "json")}, None),
+    "out": ("--out", {"help": "output path (default: stdout)"},
+            functools.partial(_parse_text, "out")),
+}
+
+#: The default of a setting that has none: the subcommand needs its flag or key.
+REQUIRED = object()
 
 
-def _int_setting(args, config, key, default, minimum) -> int:
-    value = _setting(args, config, key, default)
-    try:
-        if _as_int(value) >= minimum:
-            return _as_int(value)
-    except (TypeError, ValueError):
-        pass
-    raise AgreementLabError(f"{key} expects an integer >= {minimum}, got {value!r}")
-
-
-def _protocol(args, config) -> str:
-    name = _setting(args, config, "protocol", "pooled")
-    if name not in PROTOCOL_ALIASES:
-        raise AgreementLabError(f"unknown protocol {name!r}; choices: {sorted(PROTOCOL_ALIASES)}")
-    return PROTOCOL_ALIASES[name]
+def _settings(args) -> argparse.Namespace:
+    """Resolve each setting ``args.command`` reads: its flag, else the config
+    key of the same name, else its default.  ``--param`` pairs update the
+    config's ``params`` object."""
+    config = _load_config(args.config)
+    defaults = COMMANDS[args.command][1]
+    unknown = [key for key in config if key not in defaults]
+    if unknown:
+        raise AgreementLabError(
+            f"config {args.config}: {args.command} reads no key {', '.join(map(repr, unknown))}; "
+            f"it reads {', '.join(defaults)}"
+        )
+    resolved = argparse.Namespace()
+    for key, default in defaults.items():
+        flag, spec, parse = SETTINGS[key]
+        given = getattr(args, key)
+        if key == "params":
+            value = config.get(key, default)
+            if not isinstance(value, dict):
+                raise AgreementLabError(f"params expects a JSON object, got {value!r}")
+            value = {**value, **_parse_params(given)}
+        else:
+            value = config.get(key, default) if given is None else given
+        if value is REQUIRED:
+            raise AgreementLabError(f"{args.command} needs {flag}")
+        choices = spec.get("choices")
+        if choices and value is not None and value not in choices:
+            raise AgreementLabError(f"unknown {key} {value!r}; choices: {sorted(choices)}")
+        setattr(resolved, key, value if parse is None else parse(value))
+    return resolved
 
 
 def _write_output(text: str, out_path):
@@ -144,78 +189,23 @@ def _write_output(text: str, out_path):
         sys.stdout.write(text)
 
 
-def _write_result(args, config, result, csv: str, text: str) -> None:
-    """Write ``result`` as JSON, ``csv`` or ``text``, as ``--format`` (or the
-    config's ``format``) asks, to ``--out`` or stdout."""
-    fmt = _setting(args, config, "fmt", None) or config.get("format")
-    if fmt == "json":
+def _write_result(settings, result, text: str) -> None:
+    """Write ``result`` as JSON or CSV, as the ``format`` setting asks, or
+    else ``text``, to the ``out`` path or stdout."""
+    if settings.format == "json":
         text = json.dumps(result.to_dict(), indent=2, default=str) + "\n"
-    elif fmt == "csv":
-        text = csv
-    _write_output(text, _setting(args, config, "out"))
+    elif settings.format == "csv":
+        text = result.to_csv()
+    _write_output(text, settings.out)
 
 
-def _add_common(parser):
-    parser.add_argument("--config", help="JSON config file; flags override it")
-    parser.add_argument("--scenario", help="scenario family name")
-    parser.add_argument(
-        "--param",
-        action="append",
-        metavar="KEY=VALUE",
-        help="scenario parameter, repeatable; rationals as num/den",
-    )
-    parser.add_argument("--protocol", choices=sorted(PROTOCOL_ALIASES))
-    parser.add_argument("--n", help="agent count (sweep: comma-separated list)")
-    parser.add_argument("--trials", type=int)
-    parser.add_argument("--seed", type=int)
-    parser.add_argument("--out", help="output path (default: stdout)")
-    parser.add_argument("--format", choices=("csv", "json"), dest="fmt")
-    parser.add_argument("--eps-grid", dest="eps_grid", metavar="LO:HI:POINTS")
-
-
-@functools.cache
-def build_parser() -> _Parser:
-    parser = _Parser(prog="agreelab")
-    sub = parser.add_subparsers(dest="command", required=True)
-    for name in ("simulate", "sweep", "verify", "bound"):
-        _add_common(sub.add_parser(name))
-    scenario = sub.add_parser("scenario")
-    scenario.add_argument("action", choices=("list",))
-    return parser
-
-
-def _summary_csv(summary) -> str:
-    from .harness import csv_cell
-
-    header = (
-        "scenario,n,mode,trials,successes,ties,failures,"
-        "success_rate,stderr,msbe,seed"
-    )
-    s = summary
-    row = (
-        f"{csv_cell(s.scenario)},{s.n},{s.mode},{s.trials},{s.successes},{s.ties},"
-        f"{s.failures},{s.success_rate!r},{s.stderr!r},{s.msbe!r},{s.seed}"
-    )
-    return f"# generator={s.rng}\n{header}\n{row}\n"
-
-
-def _cmd_simulate(args) -> int:
-    config = _load_config(args.config)
-    name = _setting(args, config, "scenario")
-    if not name:
-        raise AgreementLabError("simulate needs --scenario")
-    params = dict(config.get("params", {}))
-    params.update(_parse_params(args.param))
-    n_list = _parse_n_list(_setting(args, config, "n", 2))
-    if len(n_list) > 1:
-        raise AgreementLabError(f"simulate runs one n, got {n_list}; use sweep for several")
-    protocol = _protocol(args, config)
-    trials = _int_setting(args, config, "trials", 1000, 1)
-    seed = _int_setting(args, config, "seed", 0, 0)
-    scenario = build_scenario(name, n_list[0], **params)
-    summary = run_monte_carlo(scenario, protocol, trials, seed)
+def _cmd_simulate(s) -> int:
+    if len(s.n) > 1:
+        raise AgreementLabError(f"simulate runs one n, got {s.n}; use sweep for several")
+    scenario = build_scenario(s.scenario, s.n[0], **s.params)
+    summary = run_monte_carlo(scenario, s.protocol, s.trials, s.seed)
     _write_result(
-        args, config, summary, _summary_csv(summary),
+        s, summary,
         f"{summary.scenario} mode={summary.mode} trials={summary.trials} "
         f"seed={summary.seed}\n"
         f"  successes={summary.successes} ties={summary.ties} "
@@ -226,74 +216,84 @@ def _cmd_simulate(args) -> int:
     return 0
 
 
-def _cmd_sweep(args) -> int:
-    config = _load_config(args.config)
-    name = _setting(args, config, "scenario")
-    if not name:
-        raise AgreementLabError("sweep needs --scenario")
-    params = dict(config.get("params", {}))
-    params.update(_parse_params(args.param))
-    n_values = _parse_n_list(_setting(args, config, "n", "2,3,4"))
-    protocol = _protocol(args, config)
-    trials = _int_setting(args, config, "trials", 1000, 1)
-    seed = _int_setting(args, config, "seed", 0, 0)
-    eps_grid = _parse_eps_grid(_setting(args, config, "eps_grid"))
+def _cmd_sweep(s) -> int:
     table = sweep_n(
-        name, n_values, trials, seed, mode=protocol, params=params, eps_grid=eps_grid
+        s.scenario, s.n, s.trials, s.seed, mode=s.protocol, params=s.params, eps_grid=s.eps_grid
     )
-    _write_result(args, config, table, table.to_csv(), table.to_csv())
+    _write_result(s, table, table.to_csv())
     return 0
 
 
-def _cmd_verify(args) -> int:
-    config = _load_config(args.config)
-    seed = _int_setting(args, config, "seed", 20240601, 0)
-    trials = _int_setting(args, config, "trials", 20_000, 1)
-    report = default_verification_suite(seed=seed, trials=trials)
-    _write_result(args, config, report, report.to_csv(), report.to_text())
+def _cmd_verify(s) -> int:
+    report = default_verification_suite(seed=s.seed, trials=s.trials)
+    _write_result(s, report, report.to_text())
     return 0 if report.passed else 2
 
 
-def _cmd_bound(args) -> int:
-    config = _load_config(args.config)
-    params = dict(config.get("params", {}))
-    params.update(_parse_params(args.param))
-    n_values = _parse_n_list(_setting(args, config, "n", "10,100,1000"))
-    eps_grid = _parse_eps_grid(_setting(args, config, "eps_grid"))
-    name = _setting(args, config, "scenario")
-    lines = [f"# generator={RNG_VERSION}"]
-    d = params.pop("D", params.pop("d", None))
-    cdf = None
-    if name:
-        scenario = build_scenario(name, n_values[0], **params)
-        model = scenario.marginal_model
-        if model is None:
-            raise AgreementLabError(f"{scenario.name} has no informative marginal model")
-        if d is None:
-            d = noise_to_signal_ratio(model)
-        cdf = belief_tail_cdf(model, 0)
-    if d is None:
-        raise AgreementLabError("bound needs --param D=... or --scenario")
-    try:
-        d = float(d)
-    except (TypeError, ValueError):
-        raise AgreementLabError(f"D expects a number, got {d!r}") from None
-    if not d > 0:
-        raise AgreementLabError(f"D must be positive, got {d!r}")
-    lines.append("n,D,var_bound,action_bound,qn_bound")
-    for n in n_values:
+def _cmd_bound(s) -> int:
+    """One row per n, at ``--param D`` or else the D of the scenario built
+    at that n; with a scenario, its qn bound fills the last column."""
+    params = dict(s.params)
+    given_d = params.pop("D", None)
+    if not s.scenario and (given_d is None or params):
+        raise AgreementLabError("bound needs --param D=... or --scenario, and without --scenario "
+                                f"it reads only --param D; got {sorted(s.params)}")
+    lines = [f"# generator={RNG_VERSION}", "n,D,var_bound,action_bound,qn_bound"]
+    for n in s.n:
+        d, qn = given_d, ""
+        if s.scenario:
+            scenario = build_scenario(s.scenario, n, **params)
+            model = scenario.marginal_model
+            if model is None:
+                raise AgreementLabError(f"{scenario.name} has no informative marginal model")
+            if d is None:
+                d = noise_to_signal_ratio(model)
+            qn = repr(qn_bound(n, belief_tail_cdf(model, 0), eps_grid=s.eps_grid))
+        try:
+            d = float(d)
+        except (TypeError, ValueError):
+            raise AgreementLabError(f"D expects a number, got {d!r}") from None
+        if not d > 0:
+            raise AgreementLabError(f"D must be positive, got {d!r}")
         report = learning_bounds(n, d)
-        qn = ""
-        if cdf is not None:
-            qn = repr(qn_bound(n, cdf, eps_grid=eps_grid))
-        lines.append(
-            f"{n},{report.d!r},{report.var_bound!r},{report.action_bound!r},{qn}"
-        )
-    _write_output("\n".join(lines) + "\n", _setting(args, config, "out"))
+        lines.append(f"{n},{report.d!r},{report.var_bound!r},{report.action_bound!r},{qn}")
+    _write_output("\n".join(lines) + "\n", s.out)
     return 0
 
 
-def _cmd_scenario(args) -> int:
+#: Per subcommand: its function, and the settings it reads with their defaults.
+COMMANDS = {
+    "simulate": (_cmd_simulate, {
+        "scenario": REQUIRED, "params": {}, "protocol": "pooled", "n": 2,
+        "trials": 1000, "seed": 0, "format": None, "out": None,
+    }),
+    "sweep": (_cmd_sweep, {
+        "scenario": REQUIRED, "params": {}, "protocol": "pooled", "n": "2,3,4",
+        "trials": 1000, "seed": 0, "eps_grid": None, "format": None, "out": None,
+    }),
+    "verify": (_cmd_verify, {"trials": 20_000, "seed": 20240601, "format": None, "out": None}),
+    "bound": (_cmd_bound, {
+        "scenario": None, "params": {}, "n": "10,100,1000", "eps_grid": None, "out": None,
+    }),
+}
+
+
+@functools.cache
+def build_parser() -> _Parser:
+    parser = _Parser(prog="agreelab")
+    sub = parser.add_subparsers(dest="command", required=True)
+    for name, (_, defaults) in COMMANDS.items():
+        command = sub.add_parser(name)
+        command.add_argument("--config", help="JSON config file; flags override it")
+        for key in defaults:
+            flag, spec, _ = SETTINGS[key]
+            command.add_argument(flag, dest=key, **spec)
+    scenario = sub.add_parser("scenario")
+    scenario.add_argument("action", choices=("list",))
+    return parser
+
+
+def _cmd_scenario() -> int:
     for name in sorted(SCENARIO_FAMILIES):
         sys.stdout.write(f"{name:20s} {FAMILY_SIGNATURES[name]}\n")
     return 0
@@ -302,17 +302,9 @@ def _cmd_scenario(args) -> int:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        if args.command == "simulate":
-            return _cmd_simulate(args)
-        if args.command == "sweep":
-            return _cmd_sweep(args)
-        if args.command == "verify":
-            return _cmd_verify(args)
-        if args.command == "bound":
-            return _cmd_bound(args)
         if args.command == "scenario":
-            return _cmd_scenario(args)
-        return 1
+            return _cmd_scenario()
+        return COMMANDS[args.command][0](_settings(args))
     except EnumerationBudgetError as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 3

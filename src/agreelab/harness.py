@@ -127,6 +127,15 @@ class TrialSummary:
     def to_dict(self) -> dict:
         return asdict(self)
 
+    def to_csv(self) -> str:
+        return (
+            f"# generator={self.rng}\n"
+            "scenario,n,mode,trials,successes,ties,failures,success_rate,stderr,msbe,seed\n"
+            f"{csv_cell(self.scenario)},{self.n},{self.mode},{self.trials},{self.successes},"
+            f"{self.ties},{self.failures},{self.success_rate!r},{self.stderr!r},{self.msbe!r},"
+            f"{self.seed}\n"
+        )
+
 
 def _protocol_outcome_table(
     scenario: Scenario, kind: str, space: OutcomeSpace

@@ -370,18 +370,16 @@ class ExchangeableFlip:
         return np.where(inside, column, 1 - column)
 
     def pooled_sampler(self, n: int) -> Callable:
-        """The pooled posterior depends on the profile only through the
-        decoded proxy bit, so each trial decodes its profile's one-count
-        and reports q or 1 - q."""
-        high = self.ones_count(n, 1)
+        """The pooled posterior depends on the profile only through its
+        proxy bit, which the profile's one-count reveals, so each trial
+        draws the proxy bit and reports q or 1 - q."""
         beliefs = np.array([float(1 - self.q), float(self.q)])
         codes = np.array([action_code(1 - self.q), action_code(self.q)], dtype=np.int8)
 
         def draw(rng, size, force_state=None):
             states = _draw_states(rng, size, force_state)
-            ones = np.where(self.draw_proxies(rng, states) == 1, high, n - high)
-            decoded = (ones == high).astype(np.int64)
-            return states, codes[decoded], beliefs[decoded]
+            proxies = self.draw_proxies(rng, states)
+            return states, codes[proxies], beliefs[proxies]
 
         return draw
 
@@ -602,8 +600,8 @@ def two_bit(n: int) -> Scenario:
 
 def senate(n: int, senate_size: int = 100, accuracy=Fraction(2, 3)) -> Scenario:
     """A committee pools its signals; its action is public knowledge."""
-    if senate_size < 1:
-        raise ScenarioParameterError("committee needs at least one member")
+    if not isinstance(senate_size, int) or senate_size < 1:
+        raise ScenarioParameterError(f"committee size must be a positive integer, got {senate_size}")
     if n <= senate_size:
         raise ScenarioParameterError("need more agents than committee members")
     acc = as_weight(accuracy)
@@ -688,7 +686,7 @@ FAMILY_SIGNATURES = {
 }
 
 
-_PARAM_ALIASES = {"K": "depth", "k": "depth"}
+_PARAM_ALIASES = {"K": "depth"}
 
 
 def build_scenario(name: str, n: int, **params) -> Scenario:

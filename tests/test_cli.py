@@ -7,7 +7,7 @@ from fractions import Fraction
 import pytest
 
 from agreelab import dynamics
-from agreelab.cli import main
+from agreelab.cli import build_parser, main
 from agreelab.knowledge import DEFAULT_ENUMERATION_BUDGET, OutcomeSpace
 from agreelab.scenarios import iid_binary
 
@@ -48,6 +48,16 @@ class TestBound:
 
     def test_missing_parameters_is_usage_error(self, capsys):
         assert run_cli("bound", "--n", "10") == 1
+
+    @pytest.mark.parametrize("family", ["uncorrelated_tight", "two_bit"])
+    def test_each_row_is_its_n_run_alone(self, family, capsys):
+        """Each row's D and qn come from the scenario built at its own n."""
+        alone = []
+        for n in ("8", "16"):
+            assert run_cli("bound", "--scenario", family, "--n", n) == 0
+            alone += capsys.readouterr().out.splitlines()[2:]
+        assert run_cli("bound", "--scenario", family, "--n", "8,16") == 0
+        assert capsys.readouterr().out.splitlines()[2:] == alone
 
 
 class TestSimulate:
@@ -220,6 +230,35 @@ class TestCsvQuoting:
         assert rows[1][0] == "iid_binary(10, 2/3)"
 
 
+#: The flags each subcommand reads; ``--config`` sets the same settings.
+READS = {
+    "simulate": ("--config", "--scenario", "--param", "--protocol", "--n", "--trials", "--seed",
+                 "--format", "--out"),
+    "sweep": ("--config", "--scenario", "--param", "--protocol", "--n", "--trials", "--seed",
+              "--eps-grid", "--format", "--out"),
+    "verify": ("--config", "--trials", "--seed", "--format", "--out"),
+    "bound": ("--config", "--scenario", "--param", "--n", "--eps-grid", "--out"),
+}
+FLAG_VALUES = {
+    "--config": "run.json", "--scenario": "parity", "--param": "D=8", "--protocol": "pooled",
+    "--n": "5", "--trials": "10", "--seed": "1", "--eps-grid": "1e-3:0.5:8", "--format": "csv",
+    "--out": "out.csv",
+}
+
+
+@pytest.mark.parametrize("command", list(READS))
+@pytest.mark.parametrize("flag", list(FLAG_VALUES))
+def test_each_subcommand_takes_only_the_flags_it_reads(command, flag):
+    parser = build_parser()
+    argv = [command, flag, FLAG_VALUES[flag]]
+    if flag in READS[command]:
+        assert parser.parse_args(argv).command == command
+    else:
+        with pytest.raises(SystemExit) as excinfo:
+            parser.parse_args(argv)
+        assert excinfo.value.code == 1
+
+
 class TestExitCodes:
     """0 ok, 1 usage error, 2 verification failures, 3 over budget; any
     other exception is a bug and is not reported as a usage error.  Exits 0
@@ -248,6 +287,26 @@ class TestExitCodes:
             (("simulate", "--config", '{"scenario": "parity", "trials": true}'), "trials expects"),
             (("simulate", "--config", '{"scenario": "parity", "n": [3.9]}'), "--n expects"),
             (("simulate", "--config", '{"scenario": "parity", "seed": 1.5}'), "seed expects"),
+            # Config keys the subcommand does not read, and settings out of their choices.
+            (("simulate", "--config", '{"scenario": "parity", "trails": 10}'), "'trails'"),
+            (("verify", "--config", '{"fmt": "csv", "trials": 100}'), "'fmt'"),
+            (("verify", "--config", '{"scenario": "parity", "trials": 100}'), "'scenario'"),
+            (("simulate", "--config", '{"scenario": "parity", "format": "xml"}'), "unknown format"),
+            (("simulate", "--config", '{"scenario": "parity", "params": [1]}'), "params expects"),
+            (("simulate", "--config", '{"scenario": ["parity"]}'), "scenario expects a string"),
+            (("simulate", "--config", '{"scenario": "parity", "trials": 10, "out": 2}'), "out expects"),
+            # Parameters nobody reads: no lower-case aliases of K and D.
+            (("bound", "--n", "10", "--param", "d=8"), "bound needs --param D"),
+            (("bound", "--n", "10", "--param", "D=8", "--param", "p=2/3"), "reads only --param D"),
+            (("bound", "--scenario", "geometric_tail", "--param", "k=6", "--n", "10"), "'k'"),
+            (("simulate", "--scenario", "geometric_tail", "--param", "k=6", "--n", "2"), "'k'"),
+            # A committee size that is not an integer.
+            (("simulate", "--scenario", "senate", "--param", "senate_size=9/2", "--n", "6",
+              "--protocol", "network"), "committee size must be a positive integer"),
+            (("simulate", "--scenario", "senate", "--param", "senate_size=4.0", "--n", "6",
+              "--protocol", "public-action"), "committee size must be a positive integer"),
+            (("simulate", "--scenario", "senate", "--param", "senate_size=9/2", "--n", "6"),
+             "committee size must be a positive integer"),
         ],
     )
     def test_unparseable_input_exits_1(self, argv, message, tmp_path, monkeypatch, capsys):
