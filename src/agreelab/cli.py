@@ -14,6 +14,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import math
 import sys
 from fractions import Fraction
 
@@ -253,8 +254,8 @@ def _cmd_bound(s) -> int:
             d = float(d)
         except (TypeError, ValueError):
             raise AgreementLabError(f"D expects a number, got {d!r}") from None
-        if not d > 0:
-            raise AgreementLabError(f"D must be positive, got {d!r}")
+        if not 0 < d < math.inf:
+            raise AgreementLabError(f"D must be positive and finite, got {d!r}")
         report = learning_bounds(n, d)
         lines.append(f"{n},{report.d!r},{report.var_bound!r},{report.action_bound!r},{qn}")
     _write_output("\n".join(lines) + "\n", s.out)

@@ -7,9 +7,9 @@ equality, never on value coincidence.  In the public protocols an agent's
 partition is its initial one refined by the public partition, of all that
 was announced; one with as many blocks as that is the public object itself,
 and each distinct object announces and refines once (:func:`shared`).
-Action sets are decided by the sign of each block's summed margin, and means
-beyond ``int64`` are folded in Python-int object arrays, :data:`MEAN_BLOCK`
-belief combinations at a time.
+Action sets are decided by the sign of each block's summed margin.  Every
+exact mean of beliefs, announced or reported as X, is folded by
+:func:`fold_mean`, in Python-int object arrays once it leaves ``int64``.
 
 For conditionally i.i.d. signals every protocol is also decided once per
 count vector, with no space built (:func:`count_vector_outcomes`): each
@@ -24,12 +24,12 @@ import itertools
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Callable, Sequence
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
 from .bounds import count_law, count_vectors, integer_weights
-from .errors import AgreementLabError, ConnectivityError
+from .errors import ConnectivityError
 from .knowledge import (
     ACTION_SETS,
     INT64_LIMIT,
@@ -151,12 +151,14 @@ class ProtocolResult:
 def announced_codes(kind: str, space: OutcomeSpace, partition: Partition):
     """What one agent announces, per profile: its belief (or, in public-action,
     its optimal action set, from :func:`~agreelab.knowledge.action_codes`)
-    as integer codes, and the values they stand for."""
+    as integer codes, of the narrowest unsigned type that holds them, and
+    the values they stand for."""
     if kind == PUBLIC_ACTION:
         (margin,) = block_sums(space, partition, space.margin)
-        return action_codes(margin)[partition.labels], ACTION_SETS
-    codes, values = block_beliefs(space, partition)
-    return codes[partition.labels], values
+        codes, values = action_codes(margin), ACTION_SETS
+    else:
+        codes, values = block_beliefs(space, partition)
+    return codes.astype(np.min_scalar_type(len(values)))[partition.labels], values
 
 
 def shared(fn: Callable, items: Sequence) -> list:
@@ -165,25 +167,17 @@ def shared(fn: Callable, items: Sequence) -> list:
     return [done[id(x)] if id(x) in done else done.setdefault(id(x), fn(x)) for x in items]
 
 
-def exact_means(combinations: Sequence[np.ndarray], values: Sequence[list]):
-    """Exact means of combinations of the agents' beliefs, in blocks.
+def fold_mean(terms: Iterable[tuple[np.ndarray, np.ndarray]], n: int):
+    """The exact mean over ``n`` of the fractions ``num / den`` in ``terms``.
 
-    ``combinations[u][k]`` codes agent u's belief in the k-th combination
-    into ``values[u]``.  Yields, per block of :data:`MEAN_BLOCK`
-    combinations in order, object arrays of the means' numerators and
-    denominators, not reduced.
+    Each term is a ``(num, den)`` pair of equal-length columns.  They are
+    folded left to right into one numerator and denominator, not reduced;
+    object arrays of Python ints keep every digit.
     """
-    n = len(values)
-    pairs = [np.array([(b.numerator, b.denominator) for b in v], dtype=object).T for v in values]
-    for lo in range(0, len(combinations[0]), MEAN_BLOCK):
-        terms = [
-            (nums[codes[lo : lo + MEAN_BLOCK]], dens[codes[lo : lo + MEAN_BLOCK]])
-            for codes, (nums, dens) in zip(combinations, pairs)
-        ]
-        num, den = terms[0]
-        for a, b in terms[1:]:
-            num, den = num * b + a * den, den * b
-        yield num, den * n
+    (num, den), *rest = terms
+    for a, b in rest:
+        num, den = num * b + a * den, den * b
+    return num, den * n
 
 
 def mean_beliefs(columns: Sequence[np.ndarray], values: Sequence[list]) -> tuple[np.ndarray, list]:
@@ -194,8 +188,8 @@ def mean_beliefs(columns: Sequence[np.ndarray], values: Sequence[list]) -> tuple
     ``means[codes[i]]``, numbered by first occurrence.  When the beliefs
     share a denominator small enough for ``int64``, the means are summed as
     integer numerators over it; otherwise each distinct combination of
-    beliefs is averaged by :func:`exact_means` and coded by its gcd-reduced
-    pair.
+    beliefs is averaged by :func:`fold_mean`, :data:`MEAN_BLOCK`
+    combinations at a time, and coded by its gcd-reduced pair.
     """
     n = len(values)
     den = 1
@@ -210,9 +204,13 @@ def mean_beliefs(columns: Sequence[np.ndarray], values: Sequence[list]) -> tuple
         codes, first = dense_codes(total)
         return codes, [Fraction(int(total[i]), den * n) for i in first.tolist()]
     joint, first = joint_codes(columns)
+    pairs = [np.array([(b.numerator, b.denominator) for b in v], dtype=object).T for v in values]
     means: dict[tuple[int, int], int] = {}
     mean_codes = []
-    for num, den in exact_means([c[first] for c in columns], values):
+    for lo in range(0, len(first), MEAN_BLOCK):
+        at = first[lo : lo + MEAN_BLOCK]
+        terms = ((nums[c[at]], dens[c[at]]) for c, (nums, dens) in zip(columns, pairs))
+        num, den = fold_mean(terms, n)
         common = np.gcd(num, den)
         reduced = zip((num // common).tolist(), (den // common).tolist())
         mean_codes += [means.setdefault(pair, len(means)) for pair in reduced]
@@ -396,7 +394,8 @@ def _public_action_by_counts(model: SignalModel, n: int, counts: np.ndarray):
     (``math.log`` of exact masses), decides again exactly, with Python-int
     products, the symbols whose float lies within its error bound, and
     keeps the symbols acting as the slot's own; it stops when no interval
-    changes.  X is the mean of the holders' final beliefs.
+    changes.  X is the mean of the holders' final beliefs, each slot's
+    weighted by its count, by :func:`fold_mean`.
     """
     _, pairs = integer_weights(model)
     k = len(pairs)
@@ -452,7 +451,7 @@ def _public_action_by_counts(model: SignalModel, n: int, counts: np.ndarray):
     split = (present & (act != act[:, :1])).any(axis=1)
     if split.any():
         at = tuple(counts[int(np.argmax(split))].tolist())
-        raise AgreementLabError(f"fixed point of public-action left actions unequal at counts {at}")
+        raise AssertionError(f"fixed point of public-action left actions unequal at counts {at}")
     # A holder believes a1 Q1 / (a1 Q1 + a0 Q0); X is the mean over the n agents.
     spans = list(zip(lo.ravel().tolist(), hi.ravel().tolist()))
     m0, m1 = (
@@ -462,7 +461,5 @@ def _public_action_by_counts(model: SignalModel, n: int, counts: np.ndarray):
     q0, q1 = (np.prod(m**weights, axis=1)[:, None] // np.where(present, m, 1) for m in (m0, m1))
     num = np.array(a1, dtype=object)[own] * q1
     den = num + np.array(a0, dtype=object)[own] * q0
-    total, scale = 0, 1
-    for j in range(slots):
-        total, scale = total * den[:, j] + weights[:, j] * num[:, j] * scale, scale * den[:, j]
-    return act[:, 0].astype(np.int8), (total / (scale * n)).astype(np.float64)
+    total, scale = fold_mean(zip((weights * num).T, den.T), n)
+    return act[:, 0].astype(np.int8), (total / scale).astype(np.float64)

@@ -33,8 +33,8 @@ from .dynamics import (
     PUBLIC_ACTION,
     PUBLIC_BELIEF,
     announced_codes,
-    exact_means,
     fixed_point_partitions,
+    mean_beliefs,
     shared,
 )
 from .errors import (
@@ -46,12 +46,11 @@ from .knowledge import (
     DEFAULT_ENUMERATION_BUDGET,
     TIE,
     OutcomeSpace,
+    action_code,
     action_codes,
-    block_beliefs,
     block_sums,
     check_pair_budget,
     is_common_knowledge,
-    joint_codes,
     reduced_ratios,
 )
 from .scenarios import IidSignals, Scenario, SenateStaged, build_scenario, table_outcomes
@@ -145,45 +144,34 @@ def _protocol_outcome_table(
     Refinement does not depend on the realized profile, so one run covers
     every trial.  Returns, per profile of ``space``, the agents' common
     action's code in :data:`~agreelab.knowledge.ACTION_SETS` (``int8``) and
-    the belief X (``float64``), whatever the structure.  Each distinct
-    combination of the agents' final beliefs is judged once, in arrays;
-    public-action's X, their mean, is a correctly rounded Python-int division.
+    the belief X (``float64``), whatever the structure.  Both are read off
+    the agents' exact mean belief (:func:`~agreelab.dynamics.mean_beliefs`):
+    agreeing actions are the mean's action and equal beliefs are their mean,
+    so X is ``float`` of that ``Fraction``, correctly rounded.  An agent
+    disagrees where its action (public-action) or its belief (the belief
+    protocols) differs from the mean's.
     """
     final, _ = fixed_point_partitions(kind, space, scenario.initial_partitions(space))
-    beliefs = shared(lambda p: (p, *block_beliefs(space, p)), final)
-    distinct = {id(b): b for b in beliefs}.values()
-    combination_of, first = joint_codes(codes[p.labels] for p, codes, _ in distinct)
-    belief_codes: dict[Fraction, int] = {}
-
-    # Per partition and combination: its belief's code, its action (the sign of
-    # 2·num − den) and, for belief protocols, a code all agents' equal beliefs share.
-    def columns(belief):
-        p, codes, vals = belief
-        at = codes[p.labels[first]]
-        num, den = np.array([(b.numerator, b.denominator) for b in vals], dtype=object).T
-        common = None
-        if kind != PUBLIC_ACTION:
-            common = np.array([belief_codes.setdefault(b, len(belief_codes)) for b in vals])[at]
-        return at, vals, action_codes(2 * num - den)[at], common
-
-    combinations, values, actions, common = zip(*shared(columns, beliefs))
-    checked = actions if kind == PUBLIC_ACTION else common
-    unequal = np.zeros(len(first), dtype=bool)
-    for column in checked[1:]:
-        unequal |= column != checked[0]
+    told = shared(lambda p: announced_codes(PUBLIC_BELIEF, space, p), final)
+    del final  # the partitions' labels outweigh the codes read off them
+    codes, means = mean_beliefs(*zip(*told))
+    actions = np.array([action_code(m) for m in means], dtype=np.int8)[codes]
+    if kind == PUBLIC_ACTION:
+        judge, agreed = action_code, actions
+    else:
+        index = {m: i for i, m in enumerate(means)}
+        judge, agreed = (lambda b: index.get(b, -1)), codes
+    unequal = np.zeros(len(codes), dtype=bool)
+    for column, values in {id(t): t for t in told}.values():
+        unequal |= np.array([judge(b) for b in values], dtype=agreed.dtype)[column] != agreed
     if unequal.any():
         k = int(np.argmax(unequal))
-        what = "actions" if len({int(a[k]) for a in actions}) > 1 else "beliefs"
-        raise AgreementLabError(
+        what = "actions" if len({action_code(v[c[k]]) for c, v in told}) > 1 else "beliefs"
+        raise AssertionError(
             f"{scenario.name}: fixed point of {kind} left {what} unequal "
-            f"on profile {space.profile(int(first[k]))!r}"
+            f"on profile {space.profile(k)!r}"
         )
-    if kind == PUBLIC_ACTION:
-        means = exact_means(combinations, values)
-        xs = np.concatenate([(num / den).astype(np.float64) for num, den in means])
-    else:
-        xs = np.array([float(b) for b in values[0]])[combinations[0]]
-    return actions[0].astype(np.int8)[combination_of], xs[combination_of]
+    return actions, np.array([float(m) for m in means])[codes]
 
 
 def run_monte_carlo(scenario: Scenario, mode: str, trials: int, seed: int) -> TrialSummary:

@@ -478,6 +478,16 @@ class SenateStaged(IidSignals):
         acc = self.accuracy
         return success * (1 - acc) > failure * acc
 
+    def check_deference(self) -> None:
+        """Refuse public-action on a committee the other agents would not
+        defer to: its verdict is then not the fixed point's action, in budget
+        or past it."""
+        if not self.deference_is_exact():
+            raise ScenarioParameterError(
+                "committee too weak: agents would not defer, analytic fixed "
+                "point unavailable"
+            )
+
     def committee_table(self) -> tuple[np.ndarray, np.ndarray]:
         """The committee's verdict (an action code) and pooled belief, indexed
         by the number of ones among its ``senate_size`` signals."""
@@ -494,10 +504,13 @@ class SenateStaged(IidSignals):
         """The committee's verdict and X: under public-action its pooled
         belief, as on the analytic route; under a belief protocol the pooled
         posterior of all n signals, where every agent ends as its partition
-        refines its own signal (:func:`~agreelab.dynamics.count_vector_outcomes`)."""
+        refines its own signal (:func:`~agreelab.dynamics.count_vector_outcomes`).
+        Public-action needs a committee the others defer to."""
         m = pooling = self.senate_size
         verdicts, xs = self.committee_table()
-        if kind != PUBLIC_ACTION:
+        if kind == PUBLIC_ACTION:
+            self.check_deference()
+        else:
             pooling, xs = n, count_vector_outcomes(self.model, n, kind)[1][::-1]
 
         def outcome(ranks: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -516,11 +529,7 @@ class SenateStaged(IidSignals):
         other agents' tally is drawn after it, unread, so each chunk's stream
         stays as it was.
         """
-        if not self.deference_is_exact():
-            raise ScenarioParameterError(
-                "committee too weak: agents would not defer, analytic fixed "
-                "point unavailable"
-            )
+        self.check_deference()
         m = self.senate_size
         acc = float(self.accuracy)
         verdicts, committee = self.committee_table()

@@ -28,10 +28,13 @@ def as_weight(value) -> Fraction:
     """Coerce ints, 'num/den' strings, floats and Fractions to an exact Fraction.
 
     Floats map to their exact binary value, which keeps all downstream
-    arithmetic exact even when the modelled quantity is irrational.
+    arithmetic exact even when the modelled quantity is irrational; an
+    infinite or NaN float is a ``ValueError``.
     """
     if isinstance(value, Fraction):
         return value
+    if isinstance(value, float) and not math.isfinite(value):
+        raise ValueError(f"cannot interpret {value!r} as a probability weight")
     if isinstance(value, (int, str, float)):
         return Fraction(value)
     raise TypeError(f"cannot interpret {value!r} as a probability weight")

@@ -307,6 +307,18 @@ class TestExitCodes:
               "--protocol", "public-action"), "committee size must be a positive integer"),
             (("simulate", "--scenario", "senate", "--param", "senate_size=9/2", "--n", "6"),
              "committee size must be a positive integer"),
+            # Numbers that are not finite.
+            (("simulate", "--scenario", "iid_binary", "--param", "p=inf", "--n", "3", "--trials",
+              "5"), "iid_binary: cannot interpret inf"),
+            (("simulate", "--scenario", "iid_binary", "--param", "p=-inf", "--n", "3", "--trials",
+              "5"), "iid_binary: cannot interpret -inf"),
+            (("simulate", "--scenario", "geometric_tail", "--param", "ratio=inf", "--n", "3",
+              "--trials", "5"), "geometric_tail: cannot interpret inf"),
+            (("simulate", "--config", '{"scenario": "iid_binary", "params": {"p": Infinity}}'),
+             "iid_binary: cannot interpret inf"),
+            (("bound", "--n", "10", "--param", "D=inf"), "D must be positive and finite"),
+            (("bound", "--config", '{"n": [10], "params": {"D": Infinity}}'),
+             "D must be positive and finite"),
         ],
     )
     def test_unparseable_input_exits_1(self, argv, message, tmp_path, monkeypatch, capsys):
@@ -316,6 +328,20 @@ class TestExitCodes:
             argv = argv[:-1] + ("config.json",)
         assert run_cli(*argv) == 1
         assert message in capsys.readouterr().err
+
+    def test_weak_committee_is_refused_in_budget_and_past_it(self, capsys):
+        """Public-action on a committee nobody defers to exits 1 with one
+        message, whether its trials are counted or drawn analytically."""
+        errors = []
+        for n in ("5", "30"):
+            code = run_cli(
+                "simulate", "--scenario", "senate", "--param", "senate_size=1", "--n", n,
+                "--protocol", "public-action", "--trials", "2000", "--seed", "3",
+            )
+            assert code == 1
+            errors.append(capsys.readouterr().err)
+        assert errors[0] == errors[1]
+        assert "committee too weak" in errors[0]
 
     def test_verification_failures_exit_2(self, monkeypatch):
         from agreelab import cli
@@ -347,3 +373,17 @@ class TestExitCodes:
             cli.entry(["simulate", "--scenario", "iid_binary", "--param", "p=2/3", "--n", "3"])
         assert exit_.value.code == 4
         assert "KeyError: 'internal'" in capsys.readouterr().err
+
+    def test_unequal_fixed_point_exits_4(self, monkeypatch, capsys):
+        """A table whose fixed point leaves the agents disagreeing is an
+        engine bug, not a usage error."""
+        from agreelab import cli, harness
+
+        monkeypatch.setattr(
+            harness, "fixed_point_partitions", lambda kind, space, initial: (initial, None)
+        )
+        with pytest.raises(SystemExit) as exit_:
+            cli.entry(["simulate", "--scenario", "uncorrelated_tight", "--n", "8",
+                       "--protocol", "public-belief"])
+        assert exit_.value.code == 4
+        assert "left actions unequal" in capsys.readouterr().err

@@ -173,6 +173,13 @@ class TestWeakCommittee:
         with pytest.raises(ScenarioParameterError):
             scenario.structure.action_trial_sampler(5)
 
+    def test_monte_carlo_refuses_in_budget_too(self):
+        """The count route reports the committee's verdict, as the analytic
+        sampler does, so it refuses the same committees."""
+        scenario = senate(5, senate_size=1, accuracy=Fraction(2, 3))
+        with pytest.raises(ScenarioParameterError):
+            run_monte_carlo(scenario, PUBLIC_ACTION, 200, seed=3)
+
     def test_exact_engine_still_reaches_common_actions(self):
         scenario = senate(4, senate_size=1, accuracy=Fraction(2, 3))
         space = scenario.outcome_space()

@@ -35,12 +35,11 @@ from agreelab.dynamics import (
     PUBLIC_STATISTIC,
     Digraph,
     announced_codes,
-    exact_means,
     fixed_point_partitions,
+    fold_mean,
     mean_beliefs,
     run_protocol,
 )
-from agreelab.errors import AgreementLabError
 from agreelab.harness import RNG_VERSION, _protocol_outcome_table
 from agreelab.knowledge import (
     ACTION_SETS,
@@ -653,12 +652,44 @@ class TestMeanKernels:
         assert [means[c] for c in codes] == exact
         assert all(type(m) is Fraction for m in means)
         assert codes == dense_codes(np.array(codes))[0].tolist()
-        blocks = list(exact_means(columns, values))
-        assert [
-            Fraction(int(a), int(b)) for num, den in blocks for a, b in zip(num, den)
-        ] == exact
-        floats = np.concatenate([(num / den).astype(np.float64) for num, den in blocks])
-        assert floats.tolist() == [float(m) for m in exact]
+        pairs = [np.array([(b.numerator, b.denominator) for b in v], dtype=object).T for v in values]
+        terms = ((nums[c], dens[c]) for c, (nums, dens) in zip(columns, pairs))
+        num, den = fold_mean(terms, len(values))
+        assert [Fraction(int(a), int(b)) for a, b in zip(num, den)] == exact
+        assert (num / den).astype(np.float64).tolist() == [float(m) for m in exact]
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        data=st.lists(
+            st.tuples(
+                st.integers(0, 9),
+                st.lists(
+                    st.sampled_from([50, 2**200]).flatmap(
+                        lambda bound: st.integers(1, bound).flatmap(
+                            lambda d: st.integers(0, d).map(lambda k: Fraction(k, d))
+                        )
+                    ),
+                    min_size=4,
+                    max_size=4,
+                ),
+            ),
+            min_size=1,
+            max_size=5,
+        )
+    )
+    def test_fold_mean_of_count_weighted_terms(self, data):
+        """Terms ``c_j num_j / den_j`` over the slots, as public-action's
+        count route passes them, fold to the exact count-weighted mean."""
+        n = max(1, sum(c for c, _ in data))
+        terms = [
+            (np.array([c * b.numerator for b in row], dtype=object),
+             np.array([b.denominator for b in row], dtype=object))
+            for c, row in data
+        ]
+        exact = [sum(c * row[i] for c, row in data) / n for i in range(4)]
+        num, den = fold_mean(terms, n)
+        assert [Fraction(int(a), int(b)) for a, b in zip(num, den)] == exact
+        assert (num / den).astype(np.float64).tolist() == [float(m) for m in exact]
 
     @pytest.mark.parametrize(
         "scenario", [geometric_tail(3), iid_binary(6, Fraction(3, 5))], ids=lambda s: s.name
@@ -727,5 +758,5 @@ class TestOutcomeTableErrors:
             harness, "fixed_point_partitions", lambda kind, space, initial: (initial, None)
         )
         message = f"fixed point of {kind} left {what} unequal on profile {profile!r}"
-        with pytest.raises(AgreementLabError, match=re.escape(message)):
+        with pytest.raises(AssertionError, match=re.escape(message)):
             _protocol_outcome_table(scenario, kind, space)

@@ -15,6 +15,7 @@ from agreelab.errors import (
 )
 from agreelab.signals import (
     SignalModel,
+    as_weight,
     belief_from_llr,
     belief_range,
     belief_tail_cdf,
@@ -67,6 +68,11 @@ class TestModelValidation:
     def test_duplicate_symbols_rejected(self):
         with pytest.raises(ValueError):
             SignalModel((0, 0), (Fraction(1, 2), Fraction(1, 2)), (Fraction(1, 3), Fraction(2, 3)))
+
+    @pytest.mark.parametrize("value", [math.inf, -math.inf])
+    def test_non_finite_weights_rejected(self, value):
+        with pytest.raises(ValueError):
+            as_weight(value)
 
 
 class TestLogLikelihoodRatio:
