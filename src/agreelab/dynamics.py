@@ -11,10 +11,13 @@ Action sets are decided by the sign of each block's summed margin.  Every
 exact mean of beliefs, announced or reported as X, is folded by
 :func:`fold_mean`, in Python-int object arrays once it leaves ``int64``.
 
-For conditionally i.i.d. signals every protocol is also decided once per
-count vector, with no space built (:func:`count_vector_outcomes`): each
-belief protocol provably ends at the pooled posterior once every partition
-refines its agent's signal, and own-signal public-action is read off the counts.
+For conditionally i.i.d. signals every protocol is also decided from count
+vectors alone, with no space built: :func:`decide_counts` decides any rows
+of counts, each on its own, so a Monte Carlo run decides each distinct
+count vector it draws once, and :func:`count_vector_outcomes` the whole
+table.  Each belief protocol provably ends at the pooled posterior once
+every partition refines its agent's signal, and own-signal public-action is
+read off the counts.
 """
 
 from __future__ import annotations
@@ -28,7 +31,7 @@ from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
-from .bounds import count_law, count_vectors, integer_weights
+from .bounds import count_vectors, integer_weights
 from .errors import ConnectivityError
 from .knowledge import (
     ACTION_SETS,
@@ -334,20 +337,33 @@ def run_protocol(
 
 
 def count_vector_outcomes(model: SignalModel, n: int, kind: str) -> tuple[np.ndarray, np.ndarray]:
-    """A protocol's outcome per row of :func:`~agreelab.bounds.count_law`.
+    """A protocol's outcome per row of :func:`~agreelab.bounds.count_vectors`:
+    :func:`decide_counts` of the whole table, in
+    :func:`~agreelab.bounds.count_law`'s order.  A Monte Carlo run decides
+    only the count vectors it draws
+    (:meth:`~agreelab.scenarios.IidSignals.trial_outcomes`)."""
+    return decide_counts(model, n, kind, count_vectors(n, len(model.support)))
 
-    For n conditionally i.i.d. signals from ``model``, each agent first
-    knowing its own signal, returns per count vector in ``count_law``'s
-    order what the enumerated outcome table gives its profiles: the
-    reported action's code in :data:`~agreelab.knowledge.ACTION_SETS`
-    (``int8``) and the belief X (``float64``).  Under public-action every
-    public block is a product of one set of symbols per agent, and agents
-    holding one symbol hold one set, so the outcome depends on the counts
-    alone: :func:`_public_action_by_counts` reads it off them
-    (:func:`~agreelab.bounds.count_vectors`).  Whenever each agent's
-    partition refines its own signal, as the senate's do too, every belief
-    protocol ends at the row's pooled posterior ``w1 / (w0 + w1)``: a
-    correctly rounded Python-int true division, bit-equal to the table's X.
+
+def decide_counts(model: SignalModel, n: int, kind: str, counts: np.ndarray):
+    """A protocol's outcome at each row of ``counts``, count vectors of n
+    conditionally i.i.d. signals from ``model`` over its support, each agent
+    first knowing its own signal.
+
+    Returns per row what the enumerated outcome table gives its profiles:
+    the reported action's code in :data:`~agreelab.knowledge.ACTION_SETS`
+    (``int8``) and the belief X (``float64``).  Each row is decided on its
+    own, so any subset of rows may be asked for, in any order.  Under
+    public-action every public block is a product of one set of symbols per
+    agent, and agents holding one symbol hold one set, so the outcome
+    depends on the counts alone: :func:`_public_action_by_counts` reads it
+    off them.  Whenever each agent's partition refines its own signal, as
+    the senate's do too, every belief protocol ends at the row's pooled
+    posterior ``w1 / (w0 + w1)``, ``w_s`` the product of the symbols'
+    integer weights (:func:`~agreelab.bounds.integer_weights`) to their
+    counts: the rational of :func:`~agreelab.bounds.count_law`'s masses, so
+    a Python-int true division gives it correctly rounded, bit-equal to the
+    table's X, and ``w1 - w0`` its tie sign.
 
     Proof.  Mutual absolute continuity gives every profile p positive mass
     in both states, and the prior is uniform, so ``w1(p) = w0(p) e^L(p)``
@@ -374,11 +390,14 @@ def count_vector_outcomes(model: SignalModel, n: int, kind: str) -> tuple[np.nda
        v is the pooled posterior ``w1 / (w0 + w1)`` at every profile.
     """
     if kind == PUBLIC_ACTION:
-        return _public_action_by_counts(model, n, count_vectors(n, len(model.support)))
+        return _public_action_by_counts(model, n, counts)
     if kind not in PROTOCOL_KINDS:
         raise ValueError(f"unknown protocol kind {kind!r}")
-    _, w0, w1 = zip(*count_law(model, n)[1])
-    w0, w1 = np.array(w0, dtype=object), np.array(w1, dtype=object)
+    powers = counts.astype(object)
+    w0, w1 = (
+        np.prod(np.array(a, dtype=object) ** powers, axis=1)
+        for a in zip(*integer_weights(model)[1])
+    )
     return action_codes(w1 - w0).astype(np.int8), (w1 / (w0 + w1)).astype(np.float64)
 
 
@@ -393,9 +412,11 @@ def _public_action_by_counts(model: SignalModel, n: int, counts: np.ndarray):
     round finds, per slot, where the action changes from float log-odds
     (``math.log`` of exact masses), decides again exactly, with Python-int
     products, the symbols whose float lies within its error bound, and
-    keeps the symbols acting as the slot's own; it stops when no interval
-    changes.  X is the mean of the holders' final beliefs, each slot's
-    weighted by its count, by :func:`fold_mean`.
+    keeps the symbols acting as the slot's own.  A row's rounds read its
+    own counts and intervals only, so each round steps just the rows whose
+    intervals moved in the last, and a row is done when none of its
+    intervals changes.  X is the mean of the holders' final beliefs, each
+    slot's weighted by its count, by :func:`fold_mean`.
     """
     _, pairs = integer_weights(model)
     k = len(pairs)
@@ -416,7 +437,8 @@ def _public_action_by_counts(model: SignalModel, n: int, counts: np.ndarray):
     def log_masses(start: int, stop: int) -> tuple[float, float]:
         return tuple(math.log(p[stop] - p[start]) for p in prefix)
 
-    while True:
+    def step(lo, hi, c, own, present):
+        """One round on some rows: their actions and narrowed intervals."""
         keys, inverse = np.unique(lo * (k + 1) + hi, return_inverse=True)
         table = np.array([log_masses(*divmod(key, k + 1)) for key in keys.tolist()])
         l0, l1 = np.moveaxis(table[inverse.reshape(own.shape)], -1, 0)
@@ -444,10 +466,15 @@ def _public_action_by_counts(model: SignalModel, n: int, counts: np.ndarray):
         cut_lo = np.maximum(lo, np.where(act == 1, above, below))
         cut_hi = np.minimum(hi, np.where(act == 0, below, above))
         new_lo = np.where(present & (act != 0), cut_lo, lo)
-        new_hi = np.where(present & (act != 1), cut_hi, hi)
-        if np.array_equal(new_lo, lo) and np.array_equal(new_hi, hi):
-            break
-        lo, hi = new_lo, new_hi
+        return act, new_lo, np.where(present & (act != 1), cut_hi, hi)
+
+    # A row's final act is that of its last step, the one that moved nothing.
+    act, moving = np.empty_like(own), np.arange(len(own))
+    while len(moving):
+        now = lo[moving], hi[moving]
+        act[moving], lo[moving], hi[moving] = step(*now, c[moving], own[moving], present[moving])
+        moved = (lo[moving] != now[0]).any(axis=1) | (hi[moving] != now[1]).any(axis=1)
+        moving = moving[moved]
     split = (present & (act != act[:, :1])).any(axis=1)
     if split.any():
         at = tuple(counts[int(np.argmax(split))].tolist())

@@ -182,9 +182,10 @@ def run_monte_carlo(scenario: Scenario, mode: str, trials: int, seed: int) -> Tr
     reach for conditionally independent signals) or a protocol kind.  On
     i.i.d. signals, the senate's included, a protocol is decided from counts
     (:meth:`~agreelab.scenarios.IidSignals.trial_outcomes`) with no space
-    built; other structures run the exact engine.  Both keep the pair
-    budget, past which the senate's public-action has its analytic fixed
-    point.  Each branch is one draw of (states, action codes, X), in chunks
+    built, per distinct count vector drawn, once per run (the senate from
+    its two full count tables); other structures run the exact engine.
+    Both keep the pair budget, past which the senate's public-action has
+    its analytic fixed point.  Each branch is one draw of (states, action codes, X), in chunks
     keyed by (seed, n, chunk), so the run is deterministic given the seed.
     """
     if trials < 1:

@@ -31,7 +31,7 @@ from .bounds import (
     pooled_action_law,
     reduced_odds,
 )
-from .dynamics import PUBLIC_ACTION, PUBLIC_BELIEF, count_vector_outcomes
+from .dynamics import PUBLIC_ACTION, PUBLIC_BELIEF, count_vector_outcomes, decide_counts
 from .errors import AgreementLabError, ScenarioParameterError
 from .knowledge import (
     OutcomeSpace,
@@ -146,31 +146,33 @@ class IidSignals:
         )
         return p / p.sum(axis=1, keepdims=True)
 
+    def _by_rank(self) -> np.ndarray:
+        """Each symbol rank's index in the support."""
+        support = self.model.support
+        return np.array(sorted(range(len(support)), key=lambda i: support[i]))
+
     def signal_rows(self, rng, states: np.ndarray, n: int) -> np.ndarray:
         """Rows of n independent draws from mu_S, as ranks in the sorted
         support, the alphabet of :meth:`OutcomeSpace.iid`."""
         p = self._probabilities()
-        support = self.model.support
-        k = len(support)
-        rank = np.argsort(sorted(range(k), key=lambda i: support[i]))
+        rank = np.argsort(self._by_rank())
         ranks = np.empty((len(states), n), dtype=np.int64)
         for state in (0, 1):
             rows = states == state
-            ranks[rows] = rank[rng.choice(k, size=(int(rows.sum()), n), p=p[state])]
+            ranks[rows] = rank[rng.choice(len(rank), size=(int(rows.sum()), n), p=p[state])]
         return ranks
 
     def count_rows(self, n: int) -> Callable[[np.ndarray], np.ndarray]:
         """Map rows of symbol ranks, as :meth:`signal_rows` draws them, to the
-        rows of :func:`~agreelab.bounds.count_law`.
+        rows of :func:`~agreelab.bounds.count_vectors`.
 
         Rows come in lexicographic order of the counts over the support, so
         a profile's row is the number of count vectors before its own: taken
         in support order, each agent adds those that put it and every agent
         after it on later symbols.
         """
-        support = self.model.support
-        k = len(support)
-        by_rank = np.array(sorted(range(k), key=lambda i: support[i]))
+        k = len(self.model.support)
+        by_rank = self._by_rank()
         later = np.array(
             [[math.comb(left + k - i - 2, k - i - 2) if i < k - 1 else 0 for i in range(k)]
              for left in range(n + 1)],
@@ -185,8 +187,31 @@ class IidSignals:
 
     def trial_outcomes(self, n: int, kind: str) -> Callable:
         """Protocol ``kind``'s (action codes, X) of rows of symbol ranks, by
-        their count vectors (:func:`~agreelab.dynamics.count_vector_outcomes`)."""
-        return table_outcomes(self.count_rows(n), *count_vector_outcomes(self.model, n, kind))
+        their count vectors, each decided once per run.
+
+        The outcome keeps one code and one X per row of
+        :func:`~agreelab.bounds.count_vectors` (``comb(n + k - 1, k - 1)``
+        rows for k symbols, at most the pair budget).  Each batch decides
+        only the distinct count vectors it draws that no earlier batch did
+        (:func:`~agreelab.dynamics.decide_counts`), counted off one drawn
+        row each, so a run never decides more than the whole table.
+        """
+        model, by_rank, rows = self.model, self._by_rank(), self.count_rows(n)
+        k = len(by_rank)
+        size = math.comb(n + k - 1, k - 1)
+        codes, xs = np.full(size, -1, dtype=np.int8), np.empty(size)  # -1: not yet decided
+
+        def outcome(ranks: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+            at = rows(ranks)
+            fresh = np.flatnonzero(codes[at] < 0)
+            new, first = np.unique(at[fresh], return_index=True)
+            if len(new):
+                symbols = by_rank[ranks[fresh[first]]] + k * np.arange(len(new))[:, None]
+                counts = np.bincount(symbols.ravel(), minlength=k * len(new)).reshape(-1, k)
+                codes[new], xs[new] = decide_counts(model, n, kind, counts)
+            return codes[at], xs[at]
+
+        return outcome
 
     def pooled_sampler(self, n: int) -> Callable:
         """Sample symbol counts and decide the pooled outcome from them.

@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import pytest
 
-from agreelab import dynamics
+from agreelab import dynamics, scenarios
 from agreelab.cli import build_parser, main
 from agreelab.knowledge import DEFAULT_ENUMERATION_BUDGET, OutcomeSpace
 from agreelab.scenarios import iid_binary
@@ -102,7 +102,8 @@ class TestSimulate:
             raise AssertionError("built before the budget check")
 
         monkeypatch.setattr(OutcomeSpace, "iid", refused)
-        monkeypatch.setattr(dynamics, "count_law", refused)
+        monkeypatch.setattr(dynamics, "decide_counts", refused)
+        monkeypatch.setattr(scenarios, "decide_counts", refused)
         monkeypatch.setattr(dynamics, "count_vectors", refused)
         code = run_cli(
             "simulate", "--scenario", "iid_binary", "--param", "p=2/3",

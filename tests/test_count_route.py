@@ -1,6 +1,8 @@
 """Every protocol on i.i.d. signals, decided once per count vector
 (``dynamics.count_vector_outcomes``), against the enumerated engine's
 per-profile outcome table: equal action codes and bit-equal X everywhere.
+A Monte Carlo run decides only the count vectors it draws, each once
+(``IidSignals.trial_outcomes``), and gives what the full table gives.
 The belief protocols' fixed points are checked, exactly, to be the pooled
 posterior on random digraphs too, from own-signal and from the senate's
 initial information.  The count vectors themselves
@@ -14,6 +16,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from test_engine import HUGE_ACCURACY, route_table
 
+from agreelab import scenarios
 from agreelab.bounds import count_law, count_vectors
 from agreelab.dynamics import (
     NETWORK_BELIEF,
@@ -22,9 +25,10 @@ from agreelab.dynamics import (
     PUBLIC_STATISTIC,
     Digraph,
     announced_codes,
+    count_vector_outcomes,
     fixed_point_partitions,
 )
-from agreelab.harness import _protocol_outcome_table, run_monte_carlo
+from agreelab.harness import CHUNK_TRIALS, _protocol_outcome_table, run_monte_carlo
 from agreelab.knowledge import OutcomeSpace, Partition
 from agreelab.scenarios import (
     IidSignals,
@@ -158,6 +162,44 @@ def test_count_rows_find_each_profiles_counts(model, n):
     found = IidSignals(model).count_rows(n)(space.symbols)
     for profile, row in zip(space.profiles, found.tolist()):
         assert rows[row] == tuple(profile.count(s) for s in model.support)
+
+
+@settings(max_examples=60, deadline=None)
+@given(model=tie_prone_models(), n=st.integers(1, 6), seed=st.integers(0, 2**32 - 1))
+def test_lazy_outcomes_equal_the_full_table(model, n, seed):
+    """Batch after batch, the outcome that decides each drawn count vector
+    once gives the full table's codes and bit-equal X at the batch's rows."""
+    structure = IidSignals(model)
+    rows = structure.count_rows(n)
+    rng = np.random.default_rng(seed)
+    batches = [rng.integers(len(model.support), size=(size, n)) for size in (1, 40, 40)]
+    for kind in COUNT_ROUTE_KINDS:
+        codes, xs = count_vector_outcomes(model, n, kind)
+        outcome = structure.trial_outcomes(n, kind)
+        for ranks in batches:
+            got_codes, got_xs = outcome(ranks)
+            at = rows(ranks)
+            assert got_codes.tobytes() == codes[at].tobytes(), kind
+            assert got_xs.tobytes() == xs[at].tobytes(), kind
+
+
+@pytest.mark.parametrize("kind", COUNT_ROUTE_KINDS)
+def test_a_run_decides_each_count_vector_once(kind, monkeypatch):
+    """Over three chunks, no count vector is decided twice, and later chunks
+    decide the vectors that earlier ones did not draw."""
+    decided, calls = [], []
+    decide = scenarios.decide_counts
+
+    def counted(model, n, kind, counts):
+        calls.append(len(counts))
+        decided.extend(map(tuple, counts.tolist()))
+        return decide(model, n, kind, counts)
+
+    monkeypatch.setattr(scenarios, "decide_counts", counted)
+    summary = run_monte_carlo(geometric_tail(3), kind, 2 * CHUNK_TRIALS + 1, seed=4)
+    assert summary.trials == 2 * CHUNK_TRIALS + 1
+    assert len(calls) > 1
+    assert len(decided) == len(set(decided)) <= len(count_vectors(3, 16))
 
 
 @pytest.mark.parametrize("k", range(2, 17))

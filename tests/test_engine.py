@@ -578,6 +578,23 @@ def test_simulate_csv_of_the_largest_int64_space_is_unchanged(capsys):
         assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest, protocol
 
 
+# sha256 of geometric_tail(4)'s CSVs over three chunks (40,000 trials, seed
+# 5), as the full count table printed them: later chunks reuse the count
+# vectors that earlier chunks decided.
+MULTI_CHUNK = {
+    "public-action": "3673078b8c1ba242adc9454c3a23e134b39331f02ee7c4e79f8818324ac46bb3",
+    "network": "cc2c1721fd1145a69e41811eeafcc6e789252789f7a42a0b670f972ecba6b287",
+}
+
+
+@pytest.mark.parametrize("protocol", list(MULTI_CHUNK))
+def test_simulate_csv_over_several_chunks_is_unchanged(protocol, capsys):
+    argv = ["simulate", "--scenario", "geometric_tail", "--n", "4", "--protocol", protocol,
+            "--trials", "40000", "--seed", "5", "--format", "csv"]
+    assert main(argv) == 0
+    assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == MULTI_CHUNK[protocol]
+
+
 # sha256 of the senate's CSVs at the top of the budget (``senate_size=9``,
 # n = 21, 2**22 pairs), as the enumerated engine printed them (4.2-6.0 s and
 # 538-778 MB each on a 2-core Xeon VM), and of public-action over the budget,
