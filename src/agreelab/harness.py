@@ -34,8 +34,6 @@ from .dynamics import (
     PUBLIC_BELIEF,
     announced_codes,
     fixed_point_partitions,
-    mean_beliefs,
-    shared,
 )
 from .errors import (
     AgreementLabError,
@@ -45,15 +43,13 @@ from .errors import (
 from .knowledge import (
     DEFAULT_ENUMERATION_BUDGET,
     TIE,
-    OutcomeSpace,
-    action_code,
     action_codes,
     block_sums,
     check_pair_budget,
     is_common_knowledge,
     reduced_ratios,
 )
-from .scenarios import IidSignals, Scenario, SenateStaged, build_scenario, table_outcomes
+from .scenarios import Scenario, SenateStaged, build_scenario
 from .signals import SignalModel, belief_tail_cdf, noise_to_signal_ratio
 
 #: Trials per stream; a run of T trials draws ceil(T / CHUNK_TRIALS) chunks.
@@ -136,57 +132,19 @@ class TrialSummary:
         )
 
 
-def _protocol_outcome_table(
-    scenario: Scenario, kind: str, space: OutcomeSpace
-) -> tuple[np.ndarray, np.ndarray]:
-    """Run the exact engine once and tabulate the fixed point per profile.
-
-    Refinement does not depend on the realized profile, so one run covers
-    every trial.  Returns, per profile of ``space``, the agents' common
-    action's code in :data:`~agreelab.knowledge.ACTION_SETS` (``int8``) and
-    the belief X (``float64``), whatever the structure.  Both are read off
-    the agents' exact mean belief (:func:`~agreelab.dynamics.mean_beliefs`):
-    agreeing actions are the mean's action and equal beliefs are their mean,
-    so X is ``float`` of that ``Fraction``, correctly rounded.  An agent
-    disagrees where its action (public-action) or its belief (the belief
-    protocols) differs from the mean's.
-    """
-    final, _ = fixed_point_partitions(kind, space, scenario.initial_partitions(space))
-    told = shared(lambda p: announced_codes(PUBLIC_BELIEF, space, p), final)
-    del final  # the partitions' labels outweigh the codes read off them
-    codes, means = mean_beliefs(*zip(*told))
-    actions = np.array([action_code(m) for m in means], dtype=np.int8)[codes]
-    if kind == PUBLIC_ACTION:
-        judge, agreed = action_code, actions
-    else:
-        index = {m: i for i, m in enumerate(means)}
-        judge, agreed = (lambda b: index.get(b, -1)), codes
-    unequal = np.zeros(len(codes), dtype=bool)
-    for column, values in {id(t): t for t in told}.values():
-        unequal |= np.array([judge(b) for b in values], dtype=agreed.dtype)[column] != agreed
-    if unequal.any():
-        k = int(np.argmax(unequal))
-        what = "actions" if len({action_code(v[c[k]]) for c, v in told}) > 1 else "beliefs"
-        raise AssertionError(
-            f"{scenario.name}: fixed point of {kind} left {what} unequal "
-            f"on profile {space.profile(k)!r}"
-        )
-    return actions, np.array([float(m) for m in means])[codes]
-
-
 def run_monte_carlo(scenario: Scenario, mode: str, trials: int, seed: int) -> TrialSummary:
     """Sample (state, signals) from the prior and tally fixed-point actions.
 
     ``mode`` is either ``pooled`` (the full-information posterior stands in
     for the agreement outcome, which belief-announcement dynamics provably
-    reach for conditionally independent signals) or a protocol kind.  On
-    i.i.d. signals, the senate's included, a protocol is decided from counts
-    (:meth:`~agreelab.scenarios.IidSignals.trial_outcomes`) with no space
-    built, per distinct count vector drawn, once per run (the senate from
-    its two full count tables); other structures run the exact engine.
-    Both keep the pair budget, past which the senate's public-action has
-    its analytic fixed point.  Each branch is one draw of (states, action codes, X), in chunks
-    keyed by (seed, n, chunk), so the run is deterministic given the seed.
+    reach for conditionally independent signals) or a protocol kind, which
+    the structure's ``trial_outcomes`` decides from the drawn rows with no
+    space built: by count vector on i.i.d. signals, each distinct one once
+    per run (the senate from its two full count tables), and in closed form
+    on parity, flip and two-bit.  The pair budget gates it; past it the
+    senate's public-action has its analytic fixed point.  Each branch is one
+    draw of (states, action codes, X), in chunks keyed by (seed, n, chunk),
+    so the run is deterministic given the seed.
     """
     if trials < 1:
         raise ValueError("need at least one trial")
@@ -202,14 +160,9 @@ def run_monte_carlo(scenario: Scenario, mode: str, trials: int, seed: int) -> Tr
         and structure.pair_count(scenario.n) > DEFAULT_ENUMERATION_BUDGET
     ):
         draw = structure.action_trial_sampler(scenario.n)
-    elif isinstance(structure, IidSignals):
-        # Conditionally i.i.d. signals: a trial's outcome depends on counts alone.
+    else:
         check_pair_budget(structure.pair_count(scenario.n), scenario.name)
         draw = scenario.profile_sampler(structure.trial_outcomes(scenario.n, mode))
-    else:
-        space = scenario.outcome_space()
-        table = _protocol_outcome_table(scenario, mode, space)
-        draw = scenario.profile_sampler(table_outcomes(space.locate, *table))
 
     successes = ties = resolved_hits = 0
     msbe_total = 0.0

@@ -7,7 +7,7 @@ positive-weight profiles, which is lossless on finite spaces; every
 
 The engine runs on integers.  A space is its symbol matrix, one sorted row
 of alphabet ranks per profile (profile tuples are derived only on demand,
-and :meth:`OutcomeSpace.locate` finds rows), and the two states' weights as
+and :meth:`OutcomeSpace.position` finds one), and the two states' weights as
 integer numerators over one common denominator.  A partition is nothing but
 a vector of block labels over those rows, numbered by first occurrence, so
 equal partitions have equal label vectors.  Random variables are integer
@@ -33,7 +33,7 @@ from typing import Callable, Hashable, Iterable, Sequence
 import numpy as np
 
 from .bounds import DEFAULT_ENUMERATION_BUDGET, integer_weights
-from .errors import AgreementLabError, EnumerationBudgetError, NullConditioningError
+from .errors import EnumerationBudgetError, NullConditioningError
 from .signals import SignalModel
 
 Profile = tuple
@@ -200,21 +200,10 @@ class OutcomeSpace:
     def _keys(self) -> np.ndarray:
         """Each row's mixed-radix key in base ``len(alphabet)``: increasing,
         and within ``int64`` for any space that fits in memory."""
-        return self._fold(self.symbols)
-
-    def _fold(self, rows: np.ndarray) -> np.ndarray:
-        keys = np.zeros(len(rows), dtype=np.int64)
-        for column in rows.T:
+        keys = np.zeros(len(self.symbols), dtype=np.int64)
+        for column in self.symbols.T:
             keys = keys * len(self.alphabet) + column
         return keys
-
-    def locate(self, rows: np.ndarray) -> np.ndarray:
-        """Positions of rows of symbol ranks: the space's one profile lookup."""
-        wanted = self._fold(rows)
-        found = np.minimum(self._keys.searchsorted(wanted), len(self._keys) - 1)
-        if not np.array_equal(self._keys[found], wanted):
-            raise AgreementLabError("a sampled profile has zero weight in the space")
-        return found
 
     def position(self, profile) -> int | None:
         """Position of a profile tuple of signal values; None if it has zero weight."""

@@ -10,8 +10,9 @@ Every sampler returns a draw ``draw(rng, size, force_state=None)`` that
 makes ``size`` trials with a few vectorised calls and returns arrays of
 states, action codes (:data:`~agreelab.knowledge.ACTION_SETS`) and float
 beliefs X.  A profile draw reads them off the rows of symbol ranks that every
-structure draws as ``signal_rows``: by counts for i.i.d. signals
-(:meth:`IidSignals.trial_outcomes`), else by a space's table.
+structure draws as ``signal_rows``, by the structure's ``trial_outcomes``:
+by counts for i.i.d. signals (:meth:`IidSignals.trial_outcomes`), and by
+closed-form fixed points for parity, flip and two-bit.
 """
 
 from __future__ import annotations
@@ -34,6 +35,7 @@ from .bounds import (
 from .dynamics import PUBLIC_ACTION, PUBLIC_BELIEF, count_vector_outcomes, decide_counts
 from .errors import AgreementLabError, ScenarioParameterError
 from .knowledge import (
+    TIE,
     OutcomeSpace,
     Partition,
     action_code,
@@ -99,17 +101,6 @@ def _known_state_draw(rng, size: int, force_state=None):
     """Pooled draw of a structure whose full profile reveals the state."""
     states = _draw_states(rng, size, force_state)
     return states, states.astype(np.int8), states.astype(float)
-
-
-def table_outcomes(locate: Callable, codes: np.ndarray, xs: np.ndarray) -> Callable:
-    """Rows of symbol ranks to (action codes, X): one ``locate`` per batch
-    finds the rows' positions in the table ``codes, xs``."""
-
-    def outcome(ranks: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        at = locate(ranks)
-        return codes[at], xs[at]
-
-    return outcome
 
 
 def _parity_bits(rng, states: np.ndarray, n: int) -> np.ndarray:
@@ -276,6 +267,18 @@ class ParityBits:
 
     signal_rows = staticmethod(_parity_bits)
 
+    def trial_outcomes(self, n: int, kind: str) -> Callable:
+        """Every protocol's (action codes, X) of rows of bits: a tie and 1/2.
+
+        Proof.  Any n - 1 bits are independent of the state, so each agent
+        starts at belief 1/2, every announcement is constant and nothing
+        refines, under every protocol and on any digraph."""
+
+        def outcome(ranks: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+            return np.full(len(ranks), TIE, dtype=np.int8), np.full(len(ranks), 0.5)
+
+        return outcome
+
     def pooled_sampler(self, n: int) -> Callable:
         return _known_state_draw
 
@@ -394,12 +397,41 @@ class ExchangeableFlip:
         inside = rng.permuted(np.tile(subset, (len(states), 1)), axis=1)
         return np.where(inside, column, 1 - column)
 
+    def proxy_outcomes(self) -> tuple[np.ndarray, np.ndarray]:
+        """Action codes and beliefs P(S = 1 | proxy bit), 1 - q and q, by the bit."""
+        beliefs = (1 - self.q, self.q)
+        return np.array([action_code(b) for b in beliefs], dtype=np.int8), np.array(beliefs, float)
+
+    def trial_outcomes(self, n: int, kind: str) -> Callable:
+        """Every protocol's (action codes, X) of rows of bits: the
+        :meth:`proxy_outcomes` of the proxy bit pi, 1 where the row has
+        ``ones_count(n, 1)`` ones.
+
+        Proof.  S depends on the profile only through pi, so any belief is
+        (1 - q) + (2q - 1) u, u = P(pi = 1 | I), and at n = 4 (q = 1/2) it is
+        1/2.  Let q > 1/2.  Under public-action each agent first acts its bit
+        (u = 3/4 or 1/4), which reveals pi.  The belief protocols end at a
+        common belief v (step 1 of :func:`~agreelab.dynamics.decide_counts`'
+        proof does not use independence).  On its event A, u is constant and
+        each partition refines the agent's bit b_i, so P(pi = 1, b_i = 1, A)
+        = u P(b_i = 1, A); summed over i, as the one-count is 3n/4 or n/4
+        where pi is 1 or 0, 3a = u (3a + c) for a, c = P(pi = 1, A),
+        P(pi = 0, A).  With a = u (a + c), ac = 0: u is pi on A.
+        """
+        codes, xs = self.proxy_outcomes()
+        high = self.ones_count(n, 1)
+
+        def outcome(ranks: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+            proxies = (ranks.sum(axis=1) == high).astype(np.intp)
+            return codes[proxies], xs[proxies]
+
+        return outcome
+
     def pooled_sampler(self, n: int) -> Callable:
         """The pooled posterior depends on the profile only through its
         proxy bit, which the profile's one-count reveals, so each trial
-        draws the proxy bit and reports q or 1 - q."""
-        beliefs = np.array([float(1 - self.q), float(self.q)])
-        codes = np.array([action_code(1 - self.q), action_code(self.q)], dtype=np.int8)
+        draws the proxy bit and reports its :meth:`proxy_outcomes`."""
+        codes, beliefs = self.proxy_outcomes()
 
         def draw(rng, size, force_state=None):
             states = _draw_states(rng, size, force_state)
@@ -454,6 +486,19 @@ class TwoBitCombo:
         """A signal (b1, b2) has rank 2*b1 + b2 among the four pairs."""
         first = _parity_bits(rng, states, n)
         return 2 * first + self.flip.signal_rows(rng, states, n)
+
+    def trial_outcomes(self, n: int, kind: str) -> Callable:
+        """Every protocol's (action codes, X) of rows of symbol ranks: the
+        flip's on the second bits, ``ranks % 2``.
+
+        Proof.  For n >= 2 an agent's first bit is independent of the state
+        and all second bits, so an agent knowing it and a function of the
+        second bits believes and acts as the flip agent knowing that function
+        alone.  By induction over the rounds every announcement is then a
+        function of the second bits, and the partitions are the flip's, each
+        crossed with the agent's first bit."""
+        flip = self.flip.trial_outcomes(n, kind)
+        return lambda ranks: flip(ranks % 2)
 
     def pooled_sampler(self, n: int) -> Callable:
         return _known_state_draw

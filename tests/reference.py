@@ -7,6 +7,8 @@ block, announcements as functions of a profile.  The non-i.i.d. structures'
 weights are defined here pair by pair, as Fractions.  The per-agent protocol
 loop refines and announces once per agent, never sharing work between
 agents that hold equal partitions, and tabulates outcomes from Fractions.
+The exact engine's outcome table per profile, with its agreement check, is
+the oracle of the Monte Carlo path's ``trial_outcomes``.
 """
 
 import itertools
@@ -19,13 +21,17 @@ import numpy as np
 from agreelab.dynamics import (
     NETWORK_BELIEF,
     PUBLIC_ACTION,
+    PUBLIC_BELIEF,
     PUBLIC_STATISTIC,
     Digraph,
     ProtocolRound,
     ProtocolTrace,
+    announced_codes,
+    fixed_point_partitions,
     mean_beliefs,
+    shared,
 )
-from agreelab.errors import NullConditioningError
+from agreelab.errors import AgreementLabError, NullConditioningError
 from agreelab.knowledge import (
     ACTION_SETS,
     OutcomeSpace,
@@ -79,6 +85,73 @@ def positions(space) -> dict:
     if space not in _POSITIONS:
         _POSITIONS[space] = {profile: i for i, profile in enumerate(space.profiles)}
     return _POSITIONS[space]
+
+
+def _keys(rows: np.ndarray, radix: int) -> np.ndarray:
+    """Each row's mixed-radix key in base ``radix``."""
+    keys = np.zeros(len(rows), dtype=np.int64)
+    for column in rows.T:
+        keys = keys * radix + column
+    return keys
+
+
+def locate(space, rows: np.ndarray) -> np.ndarray:
+    """Positions in ``space`` of rows of symbol ranks, as ``signal_rows``
+    draws them; a row outside the space is an error."""
+    keys, wanted = (_keys(r, len(space.alphabet)) for r in (space.symbols, rows))
+    found = np.minimum(keys.searchsorted(wanted), len(keys) - 1)
+    if not np.array_equal(keys[found], wanted):
+        raise AgreementLabError("a sampled profile has zero weight in the space")
+    return found
+
+
+def protocol_outcome_table(scenario, kind, space) -> tuple[np.ndarray, np.ndarray]:
+    """Run the exact engine once and tabulate the fixed point per profile.
+
+    Refinement does not depend on the realized profile, so one run covers
+    every trial.  Returns, per profile of ``space``, the agents' common
+    action's code in ``ACTION_SETS`` (``int8``) and the belief X
+    (``float64``), whatever the structure.  Both are read off the agents'
+    exact mean belief (``mean_beliefs``): agreeing actions are the mean's
+    action and equal beliefs are their mean, so X is ``float`` of that
+    ``Fraction``, correctly rounded.  An agent disagrees where its action
+    (public-action) or its belief (the belief protocols) differs from the
+    mean's, and then this raises ``AssertionError`` naming the first such
+    profile.
+    """
+    final, _ = fixed_point_partitions(kind, space, scenario.initial_partitions(space))
+    told = shared(lambda p: announced_codes(PUBLIC_BELIEF, space, p), final)
+    del final  # the partitions' labels outweigh the codes read off them
+    codes, means = mean_beliefs(*zip(*told))
+    actions = np.array([action_code(m) for m in means], dtype=np.int8)[codes]
+    if kind == PUBLIC_ACTION:
+        judge, agreed = action_code, actions
+    else:
+        index = {m: i for i, m in enumerate(means)}
+        judge, agreed = (lambda b: index.get(b, -1)), codes
+    unequal = np.zeros(len(codes), dtype=bool)
+    for column, values in {id(t): t for t in told}.values():
+        unequal |= np.array([judge(b) for b in values], dtype=agreed.dtype)[column] != agreed
+    if unequal.any():
+        k = int(np.argmax(unequal))
+        what = "actions" if len({action_code(v[c[k]]) for c, v in told}) > 1 else "beliefs"
+        raise AssertionError(
+            f"{scenario.name}: fixed point of {kind} left {what} unequal "
+            f"on profile {space.profile(k)!r}"
+        )
+    return actions, np.array([float(m) for m in means])[codes]
+
+
+def table_outcomes(space, codes: np.ndarray, xs: np.ndarray):
+    """Rows of symbol ranks to (action codes, X), read off the table
+    ``codes, xs`` over ``space`` at the rows' positions: the enumerated
+    stand-in for a structure's ``trial_outcomes``."""
+
+    def outcome(ranks: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        at = locate(space, ranks)
+        return codes[at], xs[at]
+
+    return outcome
 
 
 def posterior_belief(space, block) -> Fraction:

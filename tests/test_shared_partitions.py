@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from reference import per_agent_fixed_point, per_agent_outcome_table
+from reference import per_agent_fixed_point, per_agent_outcome_table, protocol_outcome_table
 from test_engine import rational_models
 
 from agreelab.dynamics import (
@@ -19,7 +19,6 @@ from agreelab.dynamics import (
     fixed_point_partitions,
     shared,
 )
-from agreelab.harness import _protocol_outcome_table
 from agreelab.knowledge import own_signal_partitions
 from agreelab.scenarios import geometric_tail, iid_binary, iid_custom, parity, senate
 
@@ -34,7 +33,7 @@ def assert_shared_equals_per_agent(scenario, kind):
         assert [p.block_count for p in final] == [p.block_count for p in want_final]
         assert trace.to_csv() == want_trace.to_csv()
         assert trace.rounds == want_trace.rounds
-    codes, xs = _protocol_outcome_table(scenario, kind, space)
+    codes, xs = protocol_outcome_table(scenario, kind, space)
     want_codes, want_xs = per_agent_outcome_table(scenario, kind, space)
     assert codes.tolist() == want_codes
     assert xs.tolist() == want_xs
