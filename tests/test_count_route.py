@@ -19,7 +19,7 @@ from hypothesis import strategies as st
 from reference import protocol_outcome_table, table_outcomes
 from test_engine import HUGE_ACCURACY, route_table
 
-from agreelab import scenarios
+from agreelab import dynamics, scenarios
 from agreelab.bounds import count_law, count_vectors
 from agreelab.dynamics import (
     NETWORK_BELIEF,
@@ -280,24 +280,33 @@ def test_monte_carlo_builds_no_space_and_no_partition(mode, monkeypatch):
 
 @pytest.mark.parametrize("kind", COUNT_ROUTE_KINDS)
 @pytest.mark.parametrize(
-    "scenario, builds_a_space",
+    "scenario, closed_form",
     [
         (iid_binary(6, Fraction(2, 3)), False),
         (geometric_tail(2), False),
         (senate(5, 2), False),
+        (two_bit(4), True),
     ],
     ids=lambda value: getattr(value, "name", None),
 )
-def test_only_iid_signals_take_the_count_route(scenario, builds_a_space, kind, monkeypatch):
+def test_only_iid_signals_take_the_count_route(scenario, closed_form, kind, monkeypatch):
     """The senate's outcome is a function of two counts, its committee's and
-    everyone's."""
-    built = []
-    build = OutcomeSpace.__init__
+    everyone's; signals that are not conditionally independent, as two-bit's,
+    are decided in closed form instead.  Neither route builds a space."""
+    built, decided = [], []
+    build, decide = OutcomeSpace.__init__, dynamics.decide_counts
 
     def counted(self, *args):
         built.append(self)
         build(self, *args)
 
+    def deciding(*args):
+        decided.append(args)
+        return decide(*args)
+
     monkeypatch.setattr(OutcomeSpace, "__init__", counted)
+    monkeypatch.setattr(dynamics, "decide_counts", deciding)
+    monkeypatch.setattr(scenarios, "decide_counts", deciding)
     run_monte_carlo(scenario, kind, 200, seed=4)
-    assert bool(built) == builds_a_space
+    assert built == []
+    assert bool(decided) != closed_form

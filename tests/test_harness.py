@@ -10,8 +10,10 @@ from reference import protocol_outcome_table
 
 from agreelab.bounds import count_posterior
 from agreelab.dynamics import (
+    NETWORK_BELIEF,
     PUBLIC_ACTION,
     PUBLIC_BELIEF,
+    PUBLIC_STATISTIC,
     fixed_point_partitions,
 )
 from agreelab.errors import EnumerationBudgetError
@@ -41,6 +43,7 @@ from agreelab.knowledge import (
     pooled_posterior,
 )
 from agreelab.scenarios import (
+    Scenario,
     geometric_tail,
     iid_binary,
     iid_custom,
@@ -347,6 +350,33 @@ class TestSweep:
             assert row.bound_report.action_bound > 0
             margin = 3 * row.summary.stderr
             assert row.summary.success_rate >= row.bound_report.action_bound - margin
+
+
+@pytest.mark.parametrize(
+    "scenario, mode",
+    [
+        (two_bit(8), PUBLIC_BELIEF),
+        (uncorrelated_tight(8), PUBLIC_ACTION),
+        (parity(4), PUBLIC_BELIEF),
+        (uncorrelated_tight(8), PUBLIC_STATISTIC),
+        (two_bit(4), NETWORK_BELIEF),
+    ],
+    ids=lambda value: getattr(value, "name", value),
+)
+def test_monte_carlo_derives_no_profile_tuples(scenario, mode, monkeypatch):
+    """Parity, flip and two-bit decide their trials in closed form from the
+    symbol rows: no outcome space, hence no profile tuple, is built."""
+    built = []
+    build = Scenario.outcome_space
+
+    def recording(self):
+        built.append(build(self))
+        return built[-1]
+
+    monkeypatch.setattr(Scenario, "outcome_space", recording)
+    summary = run_monte_carlo(scenario, mode, 300, seed=3)
+    assert summary.trials == 300
+    assert built == []
 
 
 class TestVerification:
