@@ -95,6 +95,11 @@ def default_eps_grid(lo: float = 1e-6, hi: float = 0.5, points: int = 512) -> tu
     return tuple(math.exp(math.log(lo) + i * step) for i in range(points))
 
 
+#: :func:`default_eps_grid` at its defaults, built once: the grid
+#: :func:`qn_bound` searches when it is given none.
+DEFAULT_EPS_GRID = default_eps_grid()
+
+
 def qn_bound(
     n: int,
     cdf_given_s0: Callable[[float], object],
@@ -102,14 +107,15 @@ def qn_bound(
 ) -> float:
     """min over grid eps of max{ 2 eps / (1 - eps), 4 / (n P(B < eps | S=0)) }.
 
-    When the conditional lower tail vanishes on the whole grid the hypothesis
-    of the learning theorem fails and :class:`BoundedBeliefsError` is raised.
-    Each distinct object the cdf returns (a step function) is range-checked
-    and turned into its ``4 / (n P)`` term once, not once per grid point.
+    The grid defaults to :data:`DEFAULT_EPS_GRID`.  When the conditional
+    lower tail vanishes on the whole grid the hypothesis of the learning
+    theorem fails and :class:`BoundedBeliefsError` is raised.  Each distinct
+    object the cdf returns (a step function) is range-checked and turned into
+    its ``4 / (n P)`` term once, not once per grid point.
     """
     if n < 1:
         raise ValueError("agent count must be at least 1")
-    grid = tuple(eps_grid) if eps_grid is not None else default_eps_grid()
+    grid = DEFAULT_EPS_GRID if eps_grid is None else tuple(eps_grid)
     if not grid:
         raise ValueError("threshold grid must be non-empty")
     best = None
@@ -196,26 +202,36 @@ def _moments(n: int, blocks: Iterable[tuple[np.ndarray, ...]]) -> EstimatorMomen
 def estimator_moments_enumerated(model: SignalModel, n: int) -> EstimatorMoments:
     """Estimator moments by brute-force enumeration of all signal profiles.
 
-    Weights are integer numerators over ``2 * den**n``, divided as Python
-    ints (correctly rounded); each Y adds its terms left to right, as arrays.
+    Each block of :data:`MOMENT_BLOCK` profiles is a set of symbol-index
+    columns, unravelled from the profiles' flat indices in
+    ``itertools.product`` order.  Weights are products of integer masses
+    (object arrays, so exact) over ``2 * den**n``, divided as Python ints
+    (correctly rounded); Y adds its columns left to right from 0.0.
     Independent of the count-vector route, so the two check each other.
     """
-    size = 2 * len(model.support) ** n
-    if size > DEFAULT_ENUMERATION_BUDGET:
-        raise EnumerationBudgetError(f"enumeration of {size} outcomes is too large; use counts")
+    if n < 1:
+        raise ValueError("agent count must be at least 1")
+    k = len(model.support)
+    profiles = k**n
+    if 2 * profiles > DEFAULT_ENUMERATION_BUDGET:
+        raise EnumerationBudgetError(
+            f"enumeration of {2 * profiles} outcomes is too large; use counts"
+        )
     terms = _standardized_terms(model)
+    values = np.array([terms[s] for s in model.support])
     den, pairs = integer_weights(model)
     total = 2 * den**n
-    symbols = list(zip(model.support, pairs))
+    masses = np.array(pairs, dtype=object)
 
     def blocks():
         for state in (0, 1):
-            for chunk in _blocks(itertools.product(symbols, repeat=n)):
-                w = [math.prod(pair[state] for _, pair in profile) / total for profile in chunk]
-                y = 0.0
-                for column in zip(*chunk):
-                    y = y + np.array([terms[s] for s, _ in column])
-                yield np.array(w), np.full(len(w), float(state)), y / n
+            for start in range(0, profiles, MOMENT_BLOCK):
+                flat = np.arange(start, min(start + MOMENT_BLOCK, profiles))
+                columns = np.unravel_index(flat, (k,) * n)
+                w, y = 1, 0.0
+                for column in columns:
+                    w, y = w * masses[column, state], y + values[column]
+                yield (w / total).astype(float), np.full(len(flat), float(state)), y / n
 
     return _moments(n, blocks())
 
@@ -239,7 +255,10 @@ def count_law(model: SignalModel, n: int) -> tuple[int, Iterator[tuple]]:
     depth first, each prefix carrying its two masses down, the last two
     symbols in one loop; from count ``c`` to ``c + 1`` of a symbol of weight
     ``r_s``, ``l`` agents left, a mass steps exactly to ``w (l - c) r_s // (c + 1)``.
+    At n = 0 the one row is the empty profile's.
     """
+    if n < 0:
+        raise ValueError("agent count must be non-negative")
     den, pairs = integer_weights(model)
     head = len(pairs) - 2
     (a0, a1), (b0, b1) = pairs[head:]
@@ -385,6 +404,8 @@ def estimator_moments_by_counts(model: SignalModel, n: int) -> EstimatorMoments:
     integer ratio, whose true division is correctly rounded.  Rows are read
     in blocks, each row's Y summed left to right over its symbols as arrays.
     """
+    if n < 1:
+        raise ValueError("agent count must be at least 1")
     terms = _standardized_terms(model)
     values = [terms[s] for s in model.support]
     denominator, rows = count_law(model, n)

@@ -104,15 +104,24 @@ def _parse_n_list(text) -> list[int]:
 
 
 def _parse_eps_grid(text):
+    """LO:HI:POINTS, or (from a config file) a non-empty list of thresholds,
+    each a number in (0, 1)."""
     if text is None:
         return None
     try:
         if isinstance(text, (list, tuple)):
-            return tuple(float(v) for v in text)
+            if any(isinstance(v, bool) for v in text):
+                raise ValueError("a threshold cannot be a boolean")
+            grid = tuple(float(v) for v in text)
+            if not grid or not all(0 < eps < 1 for eps in grid):
+                raise ValueError("need at least one threshold, each in (0, 1)")
+            return grid
         lo, hi, points = str(text).split(":")
         return default_eps_grid(float(lo), float(hi), int(points))
     except (TypeError, ValueError) as exc:
-        raise AgreementLabError(f"--eps-grid expects LO:HI:POINTS, got {text!r}: {exc}") from None
+        raise AgreementLabError(
+            f"--eps-grid expects LO:HI:POINTS or a list of thresholds, got {text!r}: {exc}"
+        ) from None
 
 
 def _load_config(path) -> dict:

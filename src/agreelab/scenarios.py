@@ -209,8 +209,9 @@ class IidSignals:
 
         The sign of the summed log-likelihood ratio is taken in floats and
         re-checked exactly whenever the float margin is too small to be
-        trusted, once per distinct count vector of the batch, so ties are
-        exact.
+        trusted, so ties are exact.  The flagged rows are sorted by their
+        counts (one ``np.lexsort``), and each run of equal rows is re-checked
+        once, so each distinct count vector of the batch is decided once.
         """
         model = self.model
         support = model.support
@@ -235,11 +236,14 @@ class IidSignals:
             actions = (llr > 0).astype(np.int8)
             flagged = np.abs(llr) <= np.maximum(1e-9, (counts * error_scale).sum(axis=1))
             if flagged.any():
-                distinct, inverse = np.unique(counts[flagged], axis=0, return_inverse=True)
-                exact = [odds_posterior(odds, row) for row in distinct.tolist()]
-                inverse = inverse.reshape(-1)
-                beliefs[flagged] = np.array([float(x) for x in exact])[inverse]
-                actions[flagged] = np.array([action_code(x) for x in exact], dtype=np.int8)[inverse]
+                at = np.flatnonzero(flagged)
+                at = at[np.lexsort(counts[at].T)]
+                ranked = counts[at]
+                starts = np.concatenate(([True], (ranked[1:] != ranked[:-1]).any(axis=1)))
+                exact = [odds_posterior(odds, row) for row in ranked[starts].tolist()]
+                group = np.cumsum(starts) - 1
+                beliefs[at] = np.array([float(x) for x in exact])[group]
+                actions[at] = np.array([action_code(x) for x in exact], dtype=np.int8)[group]
             return states, actions, beliefs
 
         return draw

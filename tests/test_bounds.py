@@ -51,6 +51,11 @@ from agreelab.signals import (
 )
 
 BINARY_23 = SignalModel.binary(Fraction(2, 3))
+TERNARY = SignalModel(
+    (0, 1, 2),
+    (Fraction(1, 2), Fraction(1, 3), Fraction(1, 6)),
+    (Fraction(1, 5), Fraction(3, 10), Fraction(1, 2)),
+)
 LOG2 = math.log(2)
 
 
@@ -336,6 +341,27 @@ class TestEstimatorMoments:
             assert moments.var_y == pytest.approx(0.25 * (1 + d / n), abs=1e-10)
             assert moments.mean == pytest.approx(0.5, abs=1e-12)
 
+    @pytest.mark.parametrize(
+        "law, n",
+        [
+            (estimator_moments_enumerated, 0),
+            (estimator_moments_enumerated, -1),
+            (estimator_moments_by_counts, 0),
+            (estimator_moments_by_counts, -1),
+            (count_law, -1),
+            (exact_pooled_summary, -1),
+        ],
+    )
+    def test_too_few_agents_are_refused(self, law, n):
+        """Y averages over the agents, so the moments need one; the count
+        law, and the pooled law read from it, need a count of none or more."""
+        with pytest.raises(ValueError, match="agent count must be"):
+            law(BINARY_23, n)
+
+    def test_pooled_law_of_no_agents(self):
+        """No signals leave the prior: a tie, at squared belief error 1/4."""
+        assert exact_pooled_summary(BINARY_23, 0) == ExactSummary(0, 1, 0, Fraction(1, 4))
+
     def test_enumeration_refuses_beyond_the_budget(self):
         """The same gate as the outcome spaces: 2 * 2**22 pairs are refused."""
         with pytest.raises(EnumerationBudgetError):
@@ -427,9 +453,12 @@ class TestCountLaw:
 
     @settings(max_examples=40, deadline=None)
     @given(model=rational_models(), n=st.integers(1, 4))
+    @example(model=TERNARY, n=7)
     def test_enumerated_moments_equal_the_fraction_route(self, model, n):
         """Integer numerators over 2*den**n give the very floats, in the very
-        order, of each outcome's weight built as a product of Fractions."""
+        order, of each outcome's weight built as a product of Fractions.  At
+        n = 7 a ternary model's 3**7 profiles per state span nine blocks of
+        256, the last one partial, so the sums carry across block seams."""
         terms = _standardized_terms(model)
 
         def points():

@@ -321,6 +321,16 @@ class TestExitCodes:
             (("bound", "--n", "10", "--param", "D=inf"), "D must be positive and finite"),
             (("bound", "--config", '{"n": [10], "params": {"D": Infinity}}'),
              "D must be positive and finite"),
+            # Threshold lists from a config file, each refused before any bound runs.
+            (("bound", "--scenario", "geometric_tail", "--n", "10", "--config",
+              '{"eps_grid": [0.1, 1.5]}'), "--eps-grid"),
+            (("bound", "--scenario", "geometric_tail", "--n", "10", "--config",
+              '{"eps_grid": [0.1, NaN]}'), "--eps-grid"),
+            (("bound", "--scenario", "geometric_tail", "--n", "10", "--config",
+              '{"eps_grid": [true]}'), "--eps-grid"),
+            (("sweep", "--config",
+              '{"scenario": "geometric_tail", "n": [10], "trials": 10, "eps_grid": []}'),
+             "--eps-grid"),
         ],
     )
     def test_unparseable_input_exits_1(self, argv, message, tmp_path, monkeypatch, capsys):

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 from reference import locate, refine_by_announcement, structure_weights
 
-from agreelab.bounds import count_posterior, odds_posterior
+from agreelab.bounds import count_posterior, odds_posterior, reduced_odds
 from agreelab.dynamics import PUBLIC_ACTION
 from agreelab.errors import ScenarioParameterError
 from agreelab.harness import senate_exact_summary
@@ -346,8 +346,8 @@ class TestIidBinary:
 
 
 class _FixedDraws:
-    """Stands in for a generator: state 1, then the given symbol counts,
-    for every trial of a batch."""
+    """Stands in for a generator: state 1 for every trial of a batch, then
+    the given symbol counts, one row repeated or the rows in turn."""
 
     def __init__(self, counts):
         self.counts = np.array(counts, dtype=np.int64)
@@ -356,7 +356,7 @@ class _FixedDraws:
         return np.ones(size, dtype=np.int64)
 
     def multinomial(self, n, pvals, size):
-        return np.tile(self.counts, (size, 1))
+        return np.resize(self.counts, (size, self.counts.shape[-1]))
 
 
 class TestPooledSamplerTies:
@@ -391,6 +391,58 @@ class TestPooledSamplerTies:
         states, actions, beliefs = draw(_FixedDraws((1000, 1000, 1000)), 5)
         assert rechecked == [(1000, 1000, 1000)]
         assert actions.tolist() == [TIE] * 5 and beliefs.tolist() == [0.5] * 5
+
+    # Odds ratios 1 + 3e-12, 1 and 1 - 3e-12: every count vector of a few
+    # agents is within the float margin, so each is rechecked, and counts
+    # (a, b, c) with different a - c have different posteriors.
+    NEAR_EVEN = SignalModel(
+        alphabet=("a", "b", "c"),
+        mu0=(Fraction(1, 3),) * 3,
+        mu1=(Fraction(1, 3) + Fraction(1, 10**12), Fraction(1, 3),
+             Fraction(1, 3) - Fraction(1, 10**12)),
+    )
+
+    @pytest.mark.parametrize(
+        "model, rows, rechecked",
+        [
+            # Ties (c_a + 2 c_b = 3 c_c) among rows the float llr decides.
+            (MODEL,
+             [(15, 6, 9), (30, 0, 0), (10, 10, 10), (15, 6, 9), (0, 18, 12), (10, 11, 9),
+              (10, 10, 10), (20, 2, 8), (0, 18, 12), (15, 6, 9), (0, 0, 30)],
+             [(0, 18, 12), (10, 10, 10), (15, 6, 9), (20, 2, 8)]),
+            # Distinct vectors that share a count, so a group starts wherever any differs.
+            (NEAR_EVEN,
+             [(2, 3, 5), (7, 0, 3), (4, 1, 5), (5, 5, 0), (2, 3, 5), (4, 1, 5), (3, 4, 3),
+              (7, 0, 3)],
+             [(2, 3, 5), (3, 4, 3), (4, 1, 5), (5, 5, 0), (7, 0, 3)]),
+        ],
+        ids=["ties", "near-even"],
+    )
+    def test_tie_rechecks_are_grouped_across_distinct_vectors(
+        self, model, rows, rechecked, monkeypatch
+    ):
+        """Unsorted rows of several distinct flagged vectors: each vector is
+        rechecked once, and each row gets its own vector's exact outcome."""
+        from agreelab import scenarios
+
+        calls = []
+
+        def counted(odds, counts):
+            calls.append(tuple(counts))
+            return odds_posterior(odds, counts)
+
+        monkeypatch.setattr(scenarios, "odds_posterior", counted)
+        draw = iid_custom(sum(rows[0]), model).pooled_sampler()
+        _, actions, beliefs = draw(_FixedDraws(rows), len(rows))
+        assert sorted(calls) == rechecked
+        odds = reduced_odds(model)
+        exact = [odds_posterior(odds, row) for row in rows]
+        assert actions.tolist() == [action_code(x) for x in exact]
+        for row, x, belief in zip(rows, exact, beliefs.tolist()):
+            if row in rechecked:
+                assert belief == float(x)
+            else:
+                assert belief == pytest.approx(float(x), rel=1e-12)
 
 
 class TestRegistry:
