@@ -57,8 +57,8 @@ def learning_bounds(n: int, d: float) -> BoundReport:
     """var_bound = d/(n+d) and action_bound = 1 - 4d/(n+d)."""
     if n < 1:
         raise ValueError("agent count must be at least 1")
-    if d <= 0:
-        raise ValueError("noise-to-signal ratio must be positive")
+    if not 0 < d < math.inf:
+        raise ValueError("noise-to-signal ratio must be positive and finite")
     var_bound = d / (n + d)
     return BoundReport(n=n, d=d, var_bound=var_bound, action_bound=1.0 - 4.0 * var_bound)
 
@@ -69,6 +69,8 @@ def estimator_y(model: SignalModel, llrs: Sequence[float]) -> float:
     Each term maps E[z|S=0] to 0 and E[z|S=1] to 1, so the estimator is
     unbiased for the state.  Terms add left to right, unlike ``sum`` on 3.12+.
     """
+    if len(llrs) < 1:
+        raise ValueError("need at least one log-likelihood ratio")
     m0, m1, _, _ = llr_conditional_moments(model)
     gap = m1 - m0
     if gap == 0:
@@ -147,7 +149,7 @@ def conditional_expectation_interval(
     Cauchy-Schwarz consequence for conditioning on an event of probability
     P(A) > 0.
     """
-    if variance < 0:
+    if not variance >= 0:
         raise ValueError("variance must be non-negative")
     if p_event == 0:
         raise NullConditioningError("cannot condition on a zero-probability event")
@@ -341,23 +343,31 @@ def reduced_odds(model: SignalModel) -> list[tuple[int, int]]:
     ]
 
 
-def odds_posterior(odds: Sequence[tuple[int, int]], counts: Sequence[int]) -> Fraction:
-    """:func:`count_posterior` from the model's :func:`reduced_odds`, for
-    callers that decide many count vectors of one model."""
-    if len(counts) != len(odds) or any(c < 0 for c in counts):
+def count_odds(model: SignalModel, counts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``(o0, o1)`` per row of ``counts``, each row one count per symbol of
+    ``model.support``: the products of the symbols' :func:`reduced_odds`
+    raised to their counts, as Python ints in object arrays.
+
+    A row's posterior is ``o1 / (o0 + o1)``, the rational of
+    :func:`count_law`'s ``w1 / (w0 + w1)`` less the factors the two masses
+    share (the multinomial coefficient and each symbol's ``gcd(a0, a1)**c``),
+    so it stays cheap at large counts; the row is a tie iff ``o0 == o1``.
+    """
+    odds = reduced_odds(model)
+    rows = np.asarray(counts)
+    if rows.ndim != 2 or rows.shape[1] != len(odds) or (rows < 0).any():
         raise ValueError(f"need {len(odds)} non-negative counts, one per support symbol")
-    o0 = o1 = 1
-    for (a0, a1), c in zip(odds, counts):
-        o0 *= a0 ** int(c)
-        o1 *= a1 ** int(c)
-    return Fraction(o1, o0 + o1)
+    if rows.dtype.kind not in "iu" and (rows % 1 != 0).any():
+        raise ValueError("counts must be whole numbers")
+    powers = rows.astype(np.int64).astype(object)
+    return tuple(np.prod(np.array(a, dtype=object) ** powers, axis=1) for a in zip(*odds))
 
 
 def count_posterior(model: SignalModel, counts: Sequence[int]) -> Fraction:
-    """P(S=1 | symbol counts over ``model.support``): ``Fraction(w1, w0 + w1)``
-    of :func:`count_law`, less the factors the two masses share (each
-    symbol's ``gcd(a0, a1)**c`` too), so it stays cheap at any count."""
-    return odds_posterior(reduced_odds(model), counts)
+    """P(S=1 | symbol counts over ``model.support``): one row of
+    :func:`count_odds`, ``Fraction(o1, o0 + o1)``."""
+    (o0,), (o1,) = count_odds(model, [counts])
+    return Fraction(o1, o0 + o1)
 
 
 @dataclass(frozen=True)

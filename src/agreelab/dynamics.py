@@ -14,10 +14,9 @@ exact mean of beliefs, announced or reported as X, is folded by
 For conditionally i.i.d. signals every protocol is also decided from count
 vectors alone, with no space built: :func:`decide_counts` decides any rows
 of counts, each on its own, so a Monte Carlo run decides each distinct
-count vector it draws once, and :func:`count_vector_outcomes` the whole
-table.  Each belief protocol provably ends at the pooled posterior once
-every partition refines its agent's signal, and own-signal public-action is
-read off the counts.
+count vector it draws once.  Each belief protocol provably ends at the
+pooled posterior once every partition refines its agent's signal, and
+own-signal public-action is read off the counts.
 """
 
 from __future__ import annotations
@@ -31,7 +30,7 @@ from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
-from .bounds import count_vectors, integer_weights
+from .bounds import count_odds, integer_weights
 from .errors import ConnectivityError
 from .knowledge import (
     ACTION_SETS,
@@ -70,6 +69,8 @@ class Digraph:
     edges: tuple[tuple[int, int], ...]
 
     def __post_init__(self):
+        if self.n < 1:
+            raise ValueError("a digraph needs at least one agent")
         edges = tuple(sorted(set(self.edges)))
         object.__setattr__(self, "edges", edges)
         for u, w in edges:
@@ -336,15 +337,6 @@ def run_protocol(
 # ---------------------------------------------------------------------------
 
 
-def count_vector_outcomes(model: SignalModel, n: int, kind: str) -> tuple[np.ndarray, np.ndarray]:
-    """A protocol's outcome per row of :func:`~agreelab.bounds.count_vectors`:
-    :func:`decide_counts` of the whole table, in
-    :func:`~agreelab.bounds.count_law`'s order.  A Monte Carlo run decides
-    only the count vectors it draws
-    (:meth:`~agreelab.scenarios.IidSignals.trial_outcomes`)."""
-    return decide_counts(model, n, kind, count_vectors(n, len(model.support)))
-
-
 def decide_counts(model: SignalModel, n: int, kind: str, counts: np.ndarray):
     """A protocol's outcome at each row of ``counts``, count vectors of n
     conditionally i.i.d. signals from ``model`` over its support, each agent
@@ -359,11 +351,11 @@ def decide_counts(model: SignalModel, n: int, kind: str, counts: np.ndarray):
     depends on the counts alone: :func:`_public_action_by_counts` reads it
     off them.  Whenever each agent's partition refines its own signal, as
     the senate's do too, every belief protocol ends at the row's pooled
-    posterior ``w1 / (w0 + w1)``, ``w_s`` the product of the symbols'
-    integer weights (:func:`~agreelab.bounds.integer_weights`) to their
-    counts: the rational of :func:`~agreelab.bounds.count_law`'s masses, so
-    a Python-int true division gives it correctly rounded, bit-equal to the
-    table's X, and ``w1 - w0`` its tie sign.
+    posterior ``o1 / (o0 + o1)`` of :func:`~agreelab.bounds.count_odds`:
+    the rational of :func:`~agreelab.bounds.count_law`'s ``w1 / (w0 + w1)``,
+    so a Python-int true division gives it correctly rounded, bit-equal to
+    the table's X (and to ``float`` of
+    :func:`~agreelab.bounds.count_posterior`), and ``o1 - o0`` its tie sign.
 
     Proof.  Mutual absolute continuity gives every profile p positive mass
     in both states, and the prior is uniform, so ``w1(p) = w0(p) e^L(p)``
@@ -393,12 +385,8 @@ def decide_counts(model: SignalModel, n: int, kind: str, counts: np.ndarray):
         return _public_action_by_counts(model, n, counts)
     if kind not in PROTOCOL_KINDS:
         raise ValueError(f"unknown protocol kind {kind!r}")
-    powers = counts.astype(object)
-    w0, w1 = (
-        np.prod(np.array(a, dtype=object) ** powers, axis=1)
-        for a in zip(*integer_weights(model)[1])
-    )
-    return action_codes(w1 - w0).astype(np.int8), (w1 / (w0 + w1)).astype(np.float64)
+    o0, o1 = count_odds(model, counts)
+    return action_codes(o1 - o0).astype(np.int8), (o1 / (o0 + o1)).astype(np.float64)
 
 
 def _public_action_by_counts(model: SignalModel, n: int, counts: np.ndarray):

@@ -25,14 +25,8 @@ from typing import Callable
 
 import numpy as np
 
-from .bounds import (
-    ExactSummary,
-    likelihood_classes,
-    odds_posterior,
-    pooled_action_law,
-    reduced_odds,
-)
-from .dynamics import PUBLIC_ACTION, PUBLIC_BELIEF, count_vector_outcomes, decide_counts
+from .bounds import ExactSummary, likelihood_classes, pooled_action_law, reduced_odds
+from .dynamics import PUBLIC_ACTION, PUBLIC_BELIEF, decide_counts
 from .errors import AgreementLabError, ScenarioParameterError
 from .knowledge import (
     TIE,
@@ -45,12 +39,7 @@ from .knowledge import (
     trivial_partition,
     weight_dtype,
 )
-from .signals import (
-    SignalModel,
-    as_weight,
-    belief_from_llr,
-    log_likelihood_ratio,
-)
+from .signals import SignalModel, as_weight, belief_from_llr
 
 ZERO_COV_TOLERANCE = 1e-12
 
@@ -210,24 +199,24 @@ class IidSignals:
         The sign of the summed log-likelihood ratio is taken in floats and
         re-checked exactly whenever the float margin is too small to be
         trusted, so ties are exact.  The flagged rows are sorted by their
-        counts (one ``np.lexsort``), and each run of equal rows is re-checked
-        once, so each distinct count vector of the batch is decided once.
+        counts (one ``np.lexsort``), and each distinct count vector among
+        them is decided once, all in one call of
+        :func:`~agreelab.dynamics.decide_counts` (the pooled posterior of
+        :func:`~agreelab.bounds.count_odds`).
         """
         model = self.model
-        support = model.support
         p = self._probabilities()
-        z = np.array([log_likelihood_ratio(model, s) for s in support])
-        # Each z_i is log(num) - log(den) of the symbol's odds ratio, each log
-        # within an ulp, and the dot product adds about an ulp per term; this
-        # per-count scale bounds the float llr's error with room to spare.
-        odds = reduced_odds(model)
-        error_scale = (len(support) + 2) * np.finfo(float).eps * np.array(
-            [abs(math.log(a0)) + abs(math.log(a1)) for a0, a1 in odds]
-        )
+        # z_i = log(a1) - log(a0) of the symbol's reduced odds, bit-equal to
+        # log_likelihood_ratio.  Each log is within an ulp, and the dot product
+        # adds about an ulp per term; this per-count scale bounds the float
+        # llr's error with room to spare.
+        logs = np.array([[math.log(a) for a in pair] for pair in reduced_odds(model)])
+        z = logs[:, 1] - logs[:, 0]
+        error_scale = (len(logs) + 2) * np.finfo(float).eps * np.abs(logs).sum(axis=1)
 
         def draw(rng, size, force_state=None):
             states = _draw_states(rng, size, force_state)
-            counts = np.empty((size, len(support)), dtype=np.int64)
+            counts = np.empty((size, len(logs)), dtype=np.int64)
             for state in (0, 1):
                 rows = states == state
                 counts[rows] = rng.multinomial(n, p[state], size=int(rows.sum()))
@@ -240,10 +229,9 @@ class IidSignals:
                 at = at[np.lexsort(counts[at].T)]
                 ranked = counts[at]
                 starts = np.concatenate(([True], (ranked[1:] != ranked[:-1]).any(axis=1)))
-                exact = [odds_posterior(odds, row) for row in ranked[starts].tolist()]
                 group = np.cumsum(starts) - 1
-                beliefs[at] = np.array([float(x) for x in exact])[group]
-                actions[at] = np.array([action_code(x) for x in exact], dtype=np.int8)[group]
+                codes, xs = decide_counts(model, n, PUBLIC_BELIEF, ranked[starts])
+                actions[at], beliefs[at] = codes[group], xs[group]
             return states, actions, beliefs
 
         return draw
@@ -562,30 +550,32 @@ class SenateStaged(IidSignals):
                 "point unavailable"
             )
 
-    def committee_table(self) -> tuple[np.ndarray, np.ndarray]:
-        """The committee's verdict (an action code) and pooled belief, indexed
-        by the number of ones among its ``senate_size`` signals."""
-        codes, xs = count_vector_outcomes(self.model, self.senate_size, PUBLIC_BELIEF)
-        return codes[::-1], xs[::-1]
+    def pooled_table(self, n: int) -> tuple[np.ndarray, np.ndarray]:
+        """The pooled posterior's action code and X for n of the structure's
+        binary signals, indexed by their number of ones: at ``senate_size``
+        the committee's verdict and pooled belief."""
+        ones = np.arange(n + 1)
+        return decide_counts(self.model, n, PUBLIC_BELIEF, np.column_stack((n - ones, ones)))
 
     def trial_labels(self, space: OutcomeSpace) -> np.ndarray:
         """Trials are bucketed by the committee's own verdict: a split
         committee counts as a tie even though the continued announcements
         settle on some action.  One action code per profile of ``space``."""
-        return self.committee_table()[0][space.symbols[:, : self.senate_size].sum(axis=1)]
+        m = self.senate_size
+        return self.pooled_table(m)[0][space.symbols[:, :m].sum(axis=1)]
 
     def trial_outcomes(self, n: int, kind: str) -> Callable:
         """The committee's verdict and X: under public-action its pooled
         belief, as on the analytic route; under a belief protocol the pooled
         posterior of all n signals, where every agent ends as its partition
-        refines its own signal (:func:`~agreelab.dynamics.count_vector_outcomes`).
+        refines its own signal (:func:`~agreelab.dynamics.decide_counts`).
         Public-action needs a committee the others defer to."""
         m = pooling = self.senate_size
-        verdicts, xs = self.committee_table()
+        verdicts, xs = self.pooled_table(m)
         if kind == PUBLIC_ACTION:
             self.check_deference()
         else:
-            pooling, xs = n, count_vector_outcomes(self.model, n, kind)[1][::-1]
+            pooling, xs = n, self.pooled_table(n)[1]
 
         def outcome(ranks: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
             return verdicts[ranks[:, :m].sum(axis=1)], xs[ranks[:, :pooling].sum(axis=1)]
@@ -606,7 +596,7 @@ class SenateStaged(IidSignals):
         self.check_deference()
         m = self.senate_size
         acc = float(self.accuracy)
-        verdicts, committee = self.committee_table()
+        verdicts, committee = self.pooled_table(m)
 
         def draw(rng, size, force_state=None):
             states = _draw_states(rng, size, force_state)

@@ -238,7 +238,7 @@ def cov_state_llr(model: SignalModel) -> float:
 
 def truncate_llr(z: float, threshold: float) -> float:
     """Censored log-likelihood ratio: z when |z| < threshold, else 0."""
-    if threshold <= 0:
+    if not threshold > 0:
         raise ValueError("truncation threshold must be positive")
     return z if abs(z) < threshold else 0.0
 

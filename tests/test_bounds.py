@@ -29,10 +29,8 @@ from agreelab.bounds import (
     k_statistic,
     learning_bounds,
     likelihood_classes,
-    odds_posterior,
     pooled_action_law,
     qn_bound,
-    reduced_odds,
 )
 from agreelab.errors import BoundedBeliefsError, EnumerationBudgetError
 from agreelab.knowledge import (
@@ -476,15 +474,17 @@ class TestCountLaw:
         """One count per support symbol: ``zip`` would drop or ignore the rest."""
         with pytest.raises(ValueError, match="one per support symbol"):
             count_posterior(BINARY_23, counts)
-        with pytest.raises(ValueError, match="one per support symbol"):
-            odds_posterior(reduced_odds(BINARY_23), counts)
 
     def test_posterior_refuses_negative_counts(self):
         """A negative count would turn ``a ** c`` into a float."""
         with pytest.raises(ValueError, match="non-negative counts"):
             count_posterior(BINARY_23, (4, -1))
-        with pytest.raises(ValueError, match="non-negative counts"):
-            odds_posterior(reduced_odds(BINARY_23), (-1, 4))
+
+    @pytest.mark.parametrize("counts", [(1.5, 2), np.array([1.5, 2.0])], ids=["tuple", "array"])
+    def test_posterior_refuses_non_integral_counts(self, counts):
+        """Truncated, counts (1.5, 2) would give the posterior of (1, 2)."""
+        with pytest.raises(ValueError, match="whole numbers"):
+            count_posterior(BINARY_23, counts)
 
     @settings(max_examples=30, deadline=None)
     @given(model=rational_models(), n=st.integers(1, 6))

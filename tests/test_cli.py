@@ -105,7 +105,7 @@ class TestSimulate:
         monkeypatch.setattr(OutcomeSpace, "iid", refused)
         monkeypatch.setattr(dynamics, "decide_counts", refused)
         monkeypatch.setattr(scenarios, "decide_counts", refused)
-        monkeypatch.setattr(dynamics, "count_vectors", refused)
+        monkeypatch.setattr(dynamics, "count_odds", refused)
         code = run_cli(
             "simulate", "--scenario", "iid_binary", "--param", "p=2/3",
             "--n", "22", "--protocol", protocol, "--trials", "10",

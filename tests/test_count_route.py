@@ -1,5 +1,5 @@
 """Every protocol on i.i.d. signals, decided once per count vector
-(``dynamics.count_vector_outcomes``), and on parity, flip and two-bit in
+(``dynamics.decide_counts``), and on parity, flip and two-bit in
 closed form, against the enumerated engine's per-profile outcome table
 (``reference.protocol_outcome_table``): equal action codes and bit-equal X
 everywhere.  A Monte Carlo run decides only the count vectors it draws,
@@ -8,8 +8,10 @@ gives; no registry family builds a space or a partition to sample.
 The belief protocols' fixed points are checked, exactly, to be the pooled
 posterior on random digraphs too, from own-signal and from the senate's
 initial information.  The count vectors themselves
-(``bounds.count_vectors``) are checked against ``count_law``'s."""
+(``bounds.count_vectors``) are checked against ``count_law``'s, and the one
+exact posterior kernel (``bounds.count_odds``) against ``count_posterior``."""
 
+import itertools
 from fractions import Fraction
 
 import numpy as np
@@ -18,9 +20,10 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from reference import protocol_outcome_table, table_outcomes
 from test_engine import HUGE_ACCURACY, route_table
+from test_scenarios import _FixedDraws, kernel_rows
 
 from agreelab import dynamics, scenarios
-from agreelab.bounds import count_law, count_vectors
+from agreelab.bounds import count_law, count_posterior, count_vectors
 from agreelab.dynamics import (
     NETWORK_BELIEF,
     PUBLIC_ACTION,
@@ -28,11 +31,11 @@ from agreelab.dynamics import (
     PUBLIC_STATISTIC,
     Digraph,
     announced_codes,
-    count_vector_outcomes,
+    decide_counts,
     fixed_point_partitions,
 )
 from agreelab.harness import CHUNK_TRIALS, MODES, run_monte_carlo
-from agreelab.knowledge import OutcomeSpace, Partition
+from agreelab.knowledge import OutcomeSpace, Partition, action_code
 from agreelab.scenarios import (
     SCENARIO_FAMILIES,
     IidSignals,
@@ -169,7 +172,7 @@ def refining_scenarios(draw):
 @settings(max_examples=60, deadline=None)
 @given(drawn=refining_scenarios(), data=st.data())
 def test_belief_protocols_end_at_the_pooled_posterior(drawn, data):
-    """The consensus argument of ``count_vector_outcomes``, on the enumerated
+    """The consensus argument of ``decide_counts``, on the enumerated
     engine: public-belief, public-statistic, and network-belief on a random
     strongly connected digraph, leave every agent the pooled posterior, as
     Fractions, whenever each agent's partition refines its own signal."""
@@ -210,7 +213,7 @@ def test_lazy_outcomes_equal_the_full_table(model, n, seed):
     rng = np.random.default_rng(seed)
     batches = [rng.integers(len(model.support), size=(size, n)) for size in (1, 40, 40)]
     for kind in COUNT_ROUTE_KINDS:
-        codes, xs = count_vector_outcomes(model, n, kind)
+        codes, xs = decide_counts(model, n, kind, count_vectors(n, len(model.support)))
         outcome = structure.trial_outcomes(n, kind)
         for ranks in batches:
             got_codes, got_xs = outcome(ranks)
@@ -310,3 +313,30 @@ def test_only_iid_signals_take_the_count_route(scenario, closed_form, kind, monk
     run_monte_carlo(scenario, kind, 200, seed=4)
     assert built == []
     assert bool(decided) != closed_form
+
+
+@settings(max_examples=60, deadline=None)
+@given(model=tie_prone_models(), data=st.data())
+def test_the_kernel_decides_as_count_posterior(model, data):
+    """At counts up to 10^4, the kernel's codes and X, through
+    ``decide_counts`` and through the pooled sampler's tie rechecks, are
+    the sign and the ``float`` of ``count_posterior``.  A palindromic count
+    vector is a tie on a mirrored model, so such draws reach the rechecks."""
+    k = len(model.support)
+    counts = data.draw(st.lists(st.integers(0, 10**4), min_size=k, max_size=k), label="counts")
+    if data.draw(st.booleans(), label="palindrome"):
+        counts = [max(a, b) for a, b in zip(counts, counts[::-1])]
+    rows = sorted(set(itertools.permutations(counts)))
+    exact = [count_posterior(model, row) for row in rows]
+    codes, xs = decide_counts(model, sum(counts), PUBLIC_BELIEF, np.array(rows))
+    assert codes.tolist() == [action_code(x) for x in exact]
+    assert xs.tolist() == [float(x) for x in exact]
+    with pytest.MonkeyPatch.context() as patch:
+        rechecked = kernel_rows(patch)
+        draw = IidSignals(model).pooled_sampler(sum(counts))
+        _, actions, beliefs = draw(_FixedDraws(rows), len(rows))
+    assert actions.tolist() == [action_code(x) for x in exact]
+    assert {row for row, x in zip(rows, exact) if x == Fraction(1, 2)} <= set(rechecked)
+    for row, x, belief in zip(rows, exact, beliefs.tolist()):
+        if row in rechecked:
+            assert belief == float(x)

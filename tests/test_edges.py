@@ -1,5 +1,6 @@
 """Edge cases across modules: validation, weak committees, odd digraphs."""
 
+import math
 from fractions import Fraction
 
 import pytest
@@ -10,6 +11,8 @@ from reference import partition_of_blocks
 from agreelab.bounds import (
     conditional_expectation_interval,
     estimator_moments_enumerated,
+    estimator_y,
+    learning_bounds,
 )
 from agreelab.dynamics import (
     NETWORK_BELIEF,
@@ -32,9 +35,30 @@ from agreelab.knowledge import (
     validate_partitions,
 )
 from agreelab.scenarios import iid_binary, parity, senate, two_bit, uncorrelated_tight
-from agreelab.signals import SignalModel, noise_to_signal_ratio, truncated_model
+from agreelab.signals import SignalModel, noise_to_signal_ratio, truncate_llr, truncated_model
 
 BINARY_23 = SignalModel.binary(Fraction(2, 3))
+
+
+@pytest.mark.parametrize(
+    "call, args",
+    [
+        (learning_bounds, (10, math.inf)),
+        (learning_bounds, (10, math.nan)),
+        (truncate_llr, (1.0, math.nan)),
+        (conditional_expectation_interval, (0, math.nan, 0.5)),
+        (estimator_y, (BINARY_23, [])),
+        (Digraph, (-1, ())),
+        (Digraph, (0, ())),
+    ],
+    ids=["bounds-inf", "bounds-nan", "truncate-nan", "interval-nan", "no-llrs",
+         "negative-digraph", "empty-digraph"],
+)
+def test_non_finite_or_empty_inputs_are_refused(call, args):
+    """Each passed the range checks: NaN fails every comparison, and an
+    empty input reached a division or a node it does not have."""
+    with pytest.raises(ValueError):
+        call(*args)
 
 
 class TestPartitionValidation:

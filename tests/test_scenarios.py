@@ -2,14 +2,16 @@
 
 import itertools
 import math
+import time
 from fractions import Fraction
 
 import numpy as np
 import pytest
 from reference import locate, refine_by_announcement, structure_weights
 
-from agreelab.bounds import count_posterior, odds_posterior, reduced_odds
-from agreelab.dynamics import PUBLIC_ACTION
+from agreelab import dynamics
+from agreelab.bounds import count_posterior
+from agreelab.dynamics import PUBLIC_ACTION, PUBLIC_BELIEF, decide_counts
 from agreelab.errors import ScenarioParameterError
 from agreelab.harness import senate_exact_summary
 from agreelab.knowledge import (
@@ -294,7 +296,7 @@ class TestSenate:
 
     def test_tally_posterior_is_exact(self):
         structure = senate(200).structure
-        verdicts, beliefs = structure.committee_table()
+        verdicts, beliefs = structure.pooled_table(structure.senate_size)
         for ones, posterior in ((50, Fraction(1, 2)), (51, Fraction(4, 5)), (49, Fraction(1, 5))):
             assert count_posterior(structure.model, (100 - ones, ones)) == posterior  # odds 2^(2k)
             assert beliefs[ones] == float(posterior)
@@ -359,6 +361,19 @@ class _FixedDraws:
         return np.resize(self.counts, (size, self.counts.shape[-1]))
 
 
+def kernel_rows(monkeypatch) -> list:
+    """The count vectors that reach the exact posterior kernel
+    (``bounds.count_odds``, through ``decide_counts``), recorded in order."""
+    rows, kernel = [], dynamics.count_odds
+
+    def counted(model, counts):
+        rows.extend(map(tuple, counts.tolist()))
+        return kernel(model, counts)
+
+    monkeypatch.setattr(dynamics, "count_odds", counted)
+    return rows
+
+
 class TestPooledSamplerTies:
     # Odds ratios 2, 4 and 1/8: counts (k, k, k) are an exact tie.
     MODEL = SignalModel(
@@ -377,16 +392,18 @@ class TestPooledSamplerTies:
         state, x, action = int(states[0]), float(beliefs[0]), ACTION_SETS[actions[0]]
         assert (state, x, action) == (1, 0.5, ACTION_BOTH)
 
+    def test_decide_counts_finds_the_tie_at_large_counts(self):
+        """The reduced odds at counts (10^6, 10^6, 10^6) are powers of two;
+        the unreduced weights' powers (31, 62 and 124 among them) took 13 s
+        on a 2-core Xeon VM."""
+        k = 1_000_000
+        start = time.perf_counter()
+        codes, xs = decide_counts(self.MODEL, 3 * k, PUBLIC_BELIEF, np.array([[k, k, k]]))
+        assert time.perf_counter() - start < 2
+        assert (codes.tolist(), xs.tolist()) == ([TIE], [0.5])
+
     def test_ties_are_rechecked_once_per_distinct_count_vector(self, monkeypatch):
-        from agreelab import scenarios
-
-        rechecked = []
-
-        def counted(odds, counts):
-            rechecked.append(tuple(counts))
-            return odds_posterior(odds, counts)
-
-        monkeypatch.setattr(scenarios, "odds_posterior", counted)
+        rechecked = kernel_rows(monkeypatch)
         draw = iid_custom(3000, self.MODEL).pooled_sampler()
         states, actions, beliefs = draw(_FixedDraws((1000, 1000, 1000)), 5)
         assert rechecked == [(1000, 1000, 1000)]
@@ -423,20 +440,11 @@ class TestPooledSamplerTies:
     ):
         """Unsorted rows of several distinct flagged vectors: each vector is
         rechecked once, and each row gets its own vector's exact outcome."""
-        from agreelab import scenarios
-
-        calls = []
-
-        def counted(odds, counts):
-            calls.append(tuple(counts))
-            return odds_posterior(odds, counts)
-
-        monkeypatch.setattr(scenarios, "odds_posterior", counted)
+        calls = kernel_rows(monkeypatch)
         draw = iid_custom(sum(rows[0]), model).pooled_sampler()
         _, actions, beliefs = draw(_FixedDraws(rows), len(rows))
         assert sorted(calls) == rechecked
-        odds = reduced_odds(model)
-        exact = [odds_posterior(odds, row) for row in rows]
+        exact = [count_posterior(model, row) for row in rows]
         assert actions.tolist() == [action_code(x) for x in exact]
         for row, x, belief in zip(rows, exact, beliefs.tolist()):
             if row in rechecked:
