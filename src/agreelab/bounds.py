@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import numbers
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Iterable, Iterator, Sequence
@@ -53,10 +54,16 @@ class BoundReport:
     action_bound: float
 
 
+def _agent_count(n):
+    """``n``, refused unless it is an integer (numpy's included) of at least 1."""
+    if isinstance(n, bool) or not isinstance(n, numbers.Integral) or n < 1:
+        raise ValueError(f"agent count must be an integer of at least 1, got {n!r}")
+    return n
+
+
 def learning_bounds(n: int, d: float) -> BoundReport:
     """var_bound = d/(n+d) and action_bound = 1 - 4d/(n+d)."""
-    if n < 1:
-        raise ValueError("agent count must be at least 1")
+    _agent_count(n)
     if not 0 < d < math.inf:
         raise ValueError("noise-to-signal ratio must be positive and finite")
     var_bound = d / (n + d)
@@ -107,21 +114,29 @@ def qn_bound(
     cdf_given_s0: Callable[[float], object],
     eps_grid: Iterable[float] | None = None,
 ) -> float:
-    """min over grid eps of max{ 2 eps / (1 - eps), 4 / (n P(B < eps | S=0)) }.
+    """min over grid eps of max{ 2 eps / (1 - eps), 4 / (n P(B < eps | S=0)) }:
+    :func:`qn_bounds` at the one agent count ``n``."""
+    return qn_bounds((n,), cdf_given_s0, eps_grid)[0]
 
-    The grid defaults to :data:`DEFAULT_EPS_GRID`.  When the conditional
-    lower tail vanishes on the whole grid the hypothesis of the learning
-    theorem fails and :class:`BoundedBeliefsError` is raised.  Each distinct
-    object the cdf returns (a step function) is range-checked and turned into
-    its ``4 / (n P)`` term once, not once per grid point.
+
+def qn_bounds(
+    n_values: Iterable[int],
+    cdf_given_s0: Callable[[float], object],
+    eps_grid: Iterable[float] | None = None,
+) -> list[float]:
+    """:func:`qn_bound` at each agent count of ``n_values``, reading the grid once.
+
+    The grid defaults to :data:`DEFAULT_EPS_GRID`.  Each distinct cdf value
+    is range-checked and made a float once; each n takes one ``maximum`` and
+    ``min`` over the points of positive tail, whose ``4 / (n P)`` is ``+inf``
+    below the smallest float.  A tail vanishing on the whole grid fails the
+    learning theorem's hypothesis: :class:`BoundedBeliefsError`.
     """
-    if n < 1:
-        raise ValueError("agent count must be at least 1")
+    n_values = [_agent_count(n) for n in n_values]
     grid = DEFAULT_EPS_GRID if eps_grid is None else tuple(eps_grid)
     if not grid:
         raise ValueError("threshold grid must be non-empty")
-    best = None
-    last, floor = object(), None
+    kept, last, p = [], object(), None
     for eps in grid:
         if not 0 < eps < 1:
             raise ValueError("thresholds must lie in (0, 1)")
@@ -129,15 +144,15 @@ def qn_bound(
         if tail is not last:
             if not 0 <= tail <= 1:
                 raise ValueError("cdf values must lie in [0, 1]")
-            last, floor = tail, None if tail == 0 else 4.0 / (n * float(tail))
-        if floor is None:
-            continue
-        value = max(2.0 * eps / (1.0 - eps), floor)
-        if best is None or value < best:
-            best = value
-    if best is None:
+            last, p = tail, None if tail == 0 else float(tail)
+        if p is not None:
+            kept.append((eps, p))
+    if not kept:
         raise BoundedBeliefsError("no grid point has a positive conditional lower tail")
-    return best
+    eps, tails = np.array(kept, dtype=float).T
+    edge = 2.0 * eps / (1.0 - eps)
+    with np.errstate(divide="ignore", over="ignore"):
+        return [float(np.maximum(edge, 4.0 / (float(n) * tails)).min()) for n in n_values]
 
 
 def conditional_expectation_interval(
@@ -211,8 +226,7 @@ def estimator_moments_enumerated(model: SignalModel, n: int) -> EstimatorMoments
     (correctly rounded); Y adds its columns left to right from 0.0.
     Independent of the count-vector route, so the two check each other.
     """
-    if n < 1:
-        raise ValueError("agent count must be at least 1")
+    _agent_count(n)
     k = len(model.support)
     profiles = k**n
     if 2 * profiles > DEFAULT_ENUMERATION_BUDGET:
@@ -283,22 +297,6 @@ def count_law(model: SignalModel, n: int) -> tuple[int, Iterator[tuple]]:
                 w0, w1 = w0 * (rest * a0) // ((c + 1) * b0), w1 * (rest * a1) // ((c + 1) * b1)
 
     return 2 * den**n, rows()
-
-
-def count_vectors(n: int, k: int) -> np.ndarray:
-    """Every vector of ``k`` non-negative counts summing to ``n``, one ``int64``
-    row each, in :func:`count_law`'s order, for callers that need no masses.
-    Built a symbol at a time: each prefix with ``left`` agents unassigned is
-    repeated ``left + 1`` times, followed by the counts ``0..left``."""
-    rows = np.zeros((1, 0), dtype=np.int64)
-    left = np.array([n], dtype=np.int64)
-    for _ in range(k - 1):
-        repeats = left + 1
-        starts = np.repeat(np.cumsum(repeats) - repeats, repeats)
-        counts = np.arange(len(starts), dtype=np.int64) - starts
-        rows = np.column_stack((np.repeat(rows, repeats, axis=0), counts))
-        left = np.repeat(left, repeats) - counts
-    return np.column_stack((rows, left))
 
 
 def likelihood_classes(model: SignalModel, n: int) -> tuple[int, dict[tuple[int, int], int]]:
@@ -393,6 +391,8 @@ def exact_pooled_summary(model: SignalModel, n: int) -> ExactSummary:
     With x = w1 / (w0 + w1), a row's belief error (x - S)^2 weighs
     w0 x^2 + w1 (1 - x)^2 = w0 w1 / (w0 + w1), which is k o0 o1 / (o0 + o1)
     on its class; classes are summed over each denominator o0 + o1 first.
+    Those Fractions are added in pairs, ``a + b``, round after round, which
+    keeps the partial sums' denominators small, unlike a running sum's lcm.
     """
     denominator, classes = likelihood_classes(model, n)
     success, tie, failure = pooled_action_law(denominator, classes)
@@ -400,10 +400,9 @@ def exact_pooled_summary(model: SignalModel, n: int) -> ExactSummary:
     for (o0, o1), k in classes.items():
         by_sum[o0 + o1] = by_sum.get(o0 + o1, 0) + k * o0 * o1
     errors = [Fraction(num, d) for d, num in by_sum.items()]
-    # Pairwise summation keeps the partial sums' denominators, and so their
-    # gcds, small; a running sum would carry the full lcm through every step.
     while len(errors) > 1:
-        errors = [sum(errors[i : i + 2]) for i in range(0, len(errors), 2)]
+        odd = errors[-1:] if len(errors) % 2 else []
+        errors = [a + b for a, b in zip(errors[::2], errors[1::2])] + odd
     return ExactSummary(success=success, tie=tie, failure=failure, msbe=errors[0] / denominator)
 
 
@@ -414,8 +413,7 @@ def estimator_moments_by_counts(model: SignalModel, n: int) -> EstimatorMoments:
     integer ratio, whose true division is correctly rounded.  Rows are read
     in blocks, each row's Y summed left to right over its symbols as arrays.
     """
-    if n < 1:
-        raise ValueError("agent count must be at least 1")
+    _agent_count(n)
     terms = _standardized_terms(model)
     values = [terms[s] for s in model.support]
     denominator, rows = count_law(model, n)

@@ -26,7 +26,7 @@ from .bounds import (
     estimator_moments_enumerated,
     exact_pooled_summary,
     learning_bounds,
-    qn_bound,
+    qn_bounds,
 )
 from .dynamics import (
     PROTOCOL_KINDS,
@@ -49,7 +49,7 @@ from .knowledge import (
     is_common_knowledge,
     reduced_ratios,
 )
-from .scenarios import Scenario, SenateStaged, build_scenario
+from .scenarios import IidSignals, Scenario, SenateStaged, build_scenario, geometric_tail_model
 from .signals import SignalModel, belief_tail_cdf, noise_to_signal_ratio
 
 #: Trials per stream; a run of T trials draws ceil(T / CHUNK_TRIALS) chunks.
@@ -303,28 +303,32 @@ def sweep_n(
     """One Monte Carlo row per agent count, with bound columns attached.
 
     Each row draws from the streams of its own agent count, so a row does
-    not depend on the other n values; the qn column is filled for families
-    whose private beliefs have a lower tail on the grid and left blank
-    otherwise.
+    not depend on the other n values.  Before any trial runs, D and qn are
+    evaluated once per distinct marginal model (one ``qn_bounds`` call over
+    its n values); qn is left blank where beliefs have no lower tail.
     """
-    params = dict(params or {})
+    scenarios = [build_scenario(family, n, **(params or {})) for n in sorted(n_values)]
+    rows_of: dict[SignalModel | None, list[int]] = {}  # rows without a model stay blank
+    for i, scenario in enumerate(scenarios):
+        rows_of.setdefault(scenario.marginal_model, []).append(i)
+    rows_of.pop(None, None)
+    columns = [(None, None)] * len(scenarios)
+    for model, rows in rows_of.items():
+        ns = [scenarios[i].n for i in rows]
+        try:
+            d = noise_to_signal_ratio(model)
+        except NonInformativeModelError:
+            d = None
+        try:
+            qns = qn_bounds(ns, belief_tail_cdf(model, 0), eps_grid=eps_grid)
+        except BoundedBeliefsError:
+            qns = [None] * len(ns)
+        for i, n, qn in zip(rows, ns, qns):
+            columns[i] = (None if d is None else learning_bounds(n, d), qn)
     table = SweepTable(family=family, mode=mode, trials=trials, seed=seed)
-    for n in sorted(n_values):
-        scenario = build_scenario(family, n, **params)
+    for scenario, (bound_report, qn) in zip(scenarios, columns):
         summary = run_monte_carlo(scenario, mode, trials, seed)
-        model = scenario.marginal_model
-        bound_report = None
-        qn = None
-        if model is not None:
-            try:
-                bound_report = learning_bounds(n, noise_to_signal_ratio(model))
-            except NonInformativeModelError:
-                bound_report = None
-            try:
-                qn = qn_bound(n, belief_tail_cdf(model, 0), eps_grid=eps_grid)
-            except BoundedBeliefsError:
-                qn = None
-        table.rows.append(SweepRow(n=n, summary=summary, bound_report=bound_report, qn=qn))
+        table.rows.append(SweepRow(n=scenario.n, summary=summary, bound_report=bound_report, qn=qn))
     return table
 
 
@@ -536,33 +540,27 @@ def tail_bound_checks(
 ) -> list[Check]:
     """Empirical wrong-action rate given S=0 against the lower-tail bound.
 
-    Trials are conditioned on state 0 and drawn from the (seed, n, chunk)
-    streams; the empirical rate must stay below the bound plus three
-    binomial standard errors, and must not increase with n beyond the same
-    allowance.
+    The model, its tail cdf and the bounds (one ``qn_bounds`` call) are built
+    once; each n's :class:`Scenario` wraps the one structure to draw trials,
+    conditioned on state 0, from the (seed, n, chunk) streams.  The rate must
+    stay below the bound plus three binomial standard errors, and must not
+    increase with n beyond the same allowance.
     """
-    from .scenarios import geometric_tail
-
-    checks = []
-    rates = []
-    for n in n_values:
-        scenario = geometric_tail(n, depth=depth, ratio=ratio)
-        model = scenario.marginal_model
-        draw = scenario.pooled_sampler()
+    structure = IidSignals(geometric_tail_model(depth, ratio))
+    bounds = qn_bounds(n_values, belief_tail_cdf(structure.model, 0))
+    checks, rates = [], []
+    for n, bound in zip(n_values, bounds):
+        draw = Scenario(f"geometric_tail({n}, K={depth})", n, structure).pooled_sampler()
         wrong = 0
         for rng, size in chunk_streams(seed, n, trials):
             _states, actions, _x = draw(rng, size, force_state=0)
             wrong += int(np.count_nonzero(actions != 0))
         rate = wrong / trials
         sigma = math.sqrt(max(rate * (1 - rate), 1.0 / trials) / trials)
-        bound = qn_bound(n, belief_tail_cdf(model, 0))
         rates.append((n, rate, sigma))
         checks.append(
             _bounded_check(
-                f"tail-learning-bound[n={n}]",
-                rate,
-                bound,
-                tolerance=3 * sigma,
+                f"tail-learning-bound[n={n}]", rate, bound, tolerance=3 * sigma,
                 detail=f"empirical P(action != 0 | S=0), {trials} trials",
             )
         )

@@ -144,10 +144,10 @@ class IidSignals:
 
     def count_rows(self, n: int) -> Callable[[np.ndarray], np.ndarray]:
         """Map rows of symbol ranks, as :meth:`signal_rows` draws them, to the
-        rows of :func:`~agreelab.bounds.count_vectors`.
+        index of their vector of counts over the support, in lexicographic
+        order of the count vectors (:func:`~agreelab.bounds.count_law`'s).
 
-        Rows come in lexicographic order of the counts over the support, so
-        a profile's row is the number of count vectors before its own: taken
+        A profile's row is the number of count vectors before its own: taken
         in support order, each agent adds those that put it and every agent
         after it on later symbols.
         """
@@ -169,9 +169,9 @@ class IidSignals:
         """Protocol ``kind``'s (action codes, X) of rows of symbol ranks, by
         their count vectors, each decided once per run.
 
-        The outcome keeps one code and one X per row of
-        :func:`~agreelab.bounds.count_vectors` (``comb(n + k - 1, k - 1)``
-        rows for k symbols, at most the pair budget).  Each batch decides
+        The outcome keeps one code and one X per vector of counts over the
+        support, in lexicographic order (``comb(n + k - 1, k - 1)`` rows for
+        k symbols, at most the pair budget).  Each batch decides
         only the distinct count vectors it draws that no earlier batch did
         (:func:`~agreelab.dynamics.decide_counts`), counted off one drawn
         row each, so a run never decides more than the whole table.

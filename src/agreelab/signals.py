@@ -88,7 +88,9 @@ class SignalModel:
             raise UnknownSymbolError(symbol) from None
 
     def weight(self, state: int, symbol) -> Fraction:
-        """Probability of ``symbol`` conditioned on the state being ``state``."""
+        """Probability of ``symbol`` conditioned on the state being ``state``, 0 or 1."""
+        if state not in (0, 1):
+            raise ValueError(f"state must be 0 or 1, got {state!r}")
         i = self._position(symbol)
         return self.mu1[i] if state == 1 else self.mu0[i]
 

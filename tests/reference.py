@@ -105,6 +105,23 @@ def locate(space, rows: np.ndarray) -> np.ndarray:
     return found
 
 
+def count_vectors(n: int, k: int) -> np.ndarray:
+    """Every vector of ``k`` non-negative counts summing to ``n``, one ``int64``
+    row each, in ``count_law``'s (lexicographic) order, the rows of
+    ``IidSignals.count_rows``.  Built a symbol at a time: each prefix with
+    ``left`` agents unassigned is repeated ``left + 1`` times, followed by
+    the counts ``0..left``."""
+    rows = np.zeros((1, 0), dtype=np.int64)
+    left = np.array([n], dtype=np.int64)
+    for _ in range(k - 1):
+        repeats = left + 1
+        starts = np.repeat(np.cumsum(repeats) - repeats, repeats)
+        counts = np.arange(len(starts), dtype=np.int64) - starts
+        rows = np.column_stack((np.repeat(rows, repeats, axis=0), counts))
+        left = np.repeat(left, repeats) - counts
+    return np.column_stack((rows, left))
+
+
 def protocol_outcome_table(scenario, kind, space) -> tuple[np.ndarray, np.ndarray]:
     """Run the exact engine once and tabulate the fixed point per profile.
 

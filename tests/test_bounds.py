@@ -5,6 +5,7 @@ import functools
 import itertools
 import math
 import operator
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -31,6 +32,7 @@ from agreelab.bounds import (
     likelihood_classes,
     pooled_action_law,
     qn_bound,
+    qn_bounds,
 )
 from agreelab.errors import BoundedBeliefsError, EnumerationBudgetError
 from agreelab.knowledge import (
@@ -44,6 +46,7 @@ from agreelab.knowledge import (
 from agreelab.signals import (
     SignalModel,
     belief_from_llr,
+    belief_tail_cdf,
     llr_conditional_moments,
     noise_to_signal_ratio,
 )
@@ -251,6 +254,69 @@ class TestQnBound:
                 return BoundedBeliefsError
 
         assert outcome(qn_bound) == outcome(reference_qn_bound)
+
+    def test_positive_tail_below_the_smallest_float(self):
+        """Tails of 10**-400 round to 0.0 but are positive: the point's
+        4/(nP) term is +inf, with no numpy warning, and the other grid points
+        decide; the parent loop divided by zero."""
+        tiny, tinier = Fraction(1, 10**400), Fraction(1, 10**800)
+        model = SignalModel(
+            ("a", "b", "c"),
+            (Fraction(3, 4) - tiny, Fraction(1, 4), tiny),
+            (Fraction(1, 4), Fraction(3, 4) - tinier, tinier),
+        )
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert qn_bound(10, belief_tail_cdf(model, 0)) == 0.6897992329287744
+            assert qn_bound(10, lambda eps: tiny, eps_grid=(0.1, 0.2)) == math.inf
+
+    def test_numpy_agent_counts_are_accepted(self):
+        grid = default_eps_grid(1e-6, 0.5, 64)
+        cdf = lambda eps: min(2 * eps, 1.0)
+        expected = qn_bound(100, cdf, eps_grid=grid)
+        assert qn_bound(np.int64(100), cdf, eps_grid=grid) == expected
+        assert qn_bounds(np.array([100, 100], dtype=np.int32), cdf, eps_grid=grid) == [expected] * 2
+
+    @settings(max_examples=150, deadline=None)
+    @given(case=st.data())
+    def test_several_agent_counts_equal_the_per_grid_point_loop(self, case):
+        """Several n (with repeats), unsorted grids with repeated points,
+        Fraction and float tails, all-zero tails and out-of-range thresholds
+        or tails: bit for bit the values, or the very error, of the
+        reference loop run once per n."""
+        draw = case.draw
+        ns = draw(st.lists(st.integers(1, 10**9), min_size=1, max_size=5))
+        ns += draw(st.lists(st.sampled_from(ns), max_size=3))
+        inside = st.floats(0.0, 1.0, exclude_min=True, exclude_max=True)
+        grid = draw(st.lists(inside, min_size=1, max_size=30))
+        grid += draw(st.lists(st.sampled_from(grid), max_size=10))
+        bad_eps = draw(st.sampled_from([None] * 6 + [0.0, 1.0, -0.5, 1.5, math.nan]))
+        if bad_eps is not None:
+            grid.insert(draw(st.integers(0, len(grid))), bad_eps)
+        steps = sorted(draw(st.lists(st.floats(0.0, 1.0), max_size=6)))
+        fractions = st.fractions(0, 1, max_denominator=10**6)
+        level = st.one_of(st.just(0), fractions, st.floats(0.0, 1.0))
+        levels = sorted(draw(st.lists(level, min_size=len(steps) + 1, max_size=len(steps) + 1)))
+        if draw(st.integers(0, 9)) == 0:
+            levels = [0] * len(levels)
+        bad_tail = draw(st.sampled_from([None] * 6 + [-0.1, 1.5, Fraction(4, 3), math.nan]))
+        if bad_tail is not None:
+            levels[draw(st.integers(0, len(steps)))] = bad_tail
+        fresh = draw(st.booleans())
+
+        def cdf(eps):
+            value = levels[bisect.bisect_right(steps, eps)]
+            return Fraction(value) if fresh and isinstance(value, Fraction) else value
+
+        def outcome(call):
+            try:
+                return [value.hex() for value in call()]
+            except ValueError as exc:  # BoundedBeliefsError included
+                return type(exc), str(exc)
+
+        assert outcome(lambda: qn_bounds(ns, cdf, eps_grid=grid)) == outcome(
+            lambda: [reference_qn_bound(n, cdf, grid) for n in ns]
+        )
 
 
 def reference_qn_bound(n, cdf_given_s0, eps_grid):

@@ -17,6 +17,23 @@ def run_cli(*argv):
     return main(list(argv))
 
 
+def body_digest(capsys) -> str:
+    """sha256 of the captured output after its generator line, which names
+    the numpy version."""
+    generator, body = capsys.readouterr().out.split("\n", 1)
+    assert generator.startswith("# generator=")
+    return hashlib.sha256(body.encode()).hexdigest()
+
+
+#: An i.i.d. model whose lowest beliefs have tails of 10**-400 and 10**-800
+#: under S=0, positive but below the smallest float.
+UNDERFLOW_MODEL = {
+    "alphabet": ["a", "b", "c"],
+    "mu0": [str(Fraction(3, 4) - Fraction(1, 10**400)), "1/4", f"1/{10**400}"],
+    "mu1": ["1/4", str(Fraction(3, 4) - Fraction(1, 10**800)), f"1/{10**800}"],
+}
+
+
 class TestScenarioList:
     def test_lists_all_families(self, capsys):
         assert run_cli("scenario", "list") == 0
@@ -49,6 +66,21 @@ class TestBound:
 
     def test_missing_parameters_is_usage_error(self, capsys):
         assert run_cli("bound", "--n", "10") == 1
+
+    def test_bound_csv_is_unchanged(self, capsys):
+        assert run_cli("bound", "--scenario", "geometric_tail", "--n", "10,100,1000") == 0
+        assert body_digest(capsys) == (
+            "a24d82d6872ff1a209e2185baa02b568a725b1066922ae814b9e3921aebef749"
+        )
+
+    @pytest.mark.parametrize("command, extra", [("bound", {}), ("sweep", {"trials": 100})])
+    def test_tails_below_the_smallest_float_are_bounded(self, command, extra, tmp_path, capsys):
+        config = tmp_path / "underflow.json"
+        config.write_text(json.dumps(
+            {"scenario": "iid_custom", "params": {"model": UNDERFLOW_MODEL}, "n": [10], **extra}
+        ))
+        assert run_cli(command, "--config", str(config)) == 0
+        assert ",0.6897992329287744" in capsys.readouterr().out.splitlines()[2]
 
     @pytest.mark.parametrize("family", ["uncorrelated_tight", "two_bit"])
     def test_each_row_is_its_n_run_alone(self, family, capsys):
@@ -175,6 +207,18 @@ class TestSweep:
         data = json.loads(out_file.read_text())
         assert data["seed"] == 2  # flag wins over the config value
         assert data["rows"][0]["summary"]["trials"] == 100
+
+
+    def test_geometric_tail_csv_is_unchanged(self, capsys):
+        """Pins the qn column, which the verify CSV does not carry."""
+        code = run_cli(
+            "sweep", "--scenario", "geometric_tail", "--n", "4,10,30",
+            "--trials", "2000", "--seed", "3", "--format", "csv",
+        )
+        assert code == 0
+        assert body_digest(capsys) == (
+            "2bc164f98a40f2410b5f0280881a6c0c8f6119deb7ce183e4b7eb64ac22f081b"
+        )
 
 
 class TestVerify:

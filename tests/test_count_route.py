@@ -8,7 +8,7 @@ gives; no registry family builds a space or a partition to sample.
 The belief protocols' fixed points are checked, exactly, to be the pooled
 posterior on random digraphs too, from own-signal and from the senate's
 initial information.  The count vectors themselves
-(``bounds.count_vectors``) are checked against ``count_law``'s, and the one
+(``reference.count_vectors``) are checked against ``count_law``'s, and the one
 exact posterior kernel (``bounds.count_odds``) against ``count_posterior``."""
 
 import itertools
@@ -18,12 +18,12 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
-from reference import protocol_outcome_table, table_outcomes
+from reference import count_vectors, protocol_outcome_table, table_outcomes
 from test_engine import HUGE_ACCURACY, route_table
 from test_scenarios import _FixedDraws, kernel_rows
 
 from agreelab import dynamics, scenarios
-from agreelab.bounds import count_law, count_posterior, count_vectors
+from agreelab.bounds import count_law, count_posterior
 from agreelab.dynamics import (
     NETWORK_BELIEF,
     PUBLIC_ACTION,

@@ -10,9 +10,11 @@ from reference import partition_of_blocks
 
 from agreelab.bounds import (
     conditional_expectation_interval,
+    estimator_moments_by_counts,
     estimator_moments_enumerated,
     estimator_y,
     learning_bounds,
+    qn_bound,
 )
 from agreelab.dynamics import (
     NETWORK_BELIEF,
@@ -35,7 +37,13 @@ from agreelab.knowledge import (
     validate_partitions,
 )
 from agreelab.scenarios import iid_binary, parity, senate, two_bit, uncorrelated_tight
-from agreelab.signals import SignalModel, noise_to_signal_ratio, truncate_llr, truncated_model
+from agreelab.signals import (
+    SignalModel,
+    belief_tail_cdf,
+    noise_to_signal_ratio,
+    truncate_llr,
+    truncated_model,
+)
 
 BINARY_23 = SignalModel.binary(Fraction(2, 3))
 
@@ -50,13 +58,25 @@ BINARY_23 = SignalModel.binary(Fraction(2, 3))
         (estimator_y, (BINARY_23, [])),
         (Digraph, (-1, ())),
         (Digraph, (0, ())),
+        (BINARY_23.weight, (2, 0)),
+        (belief_tail_cdf, (BINARY_23, -1)),
+        (qn_bound, (2.5, lambda eps: Fraction(1, 2))),
+        (qn_bound, (True, lambda eps: Fraction(1, 2))),
+        (learning_bounds, (2.5, 1.0)),
+        (learning_bounds, (True, 1.0)),
+        (estimator_moments_enumerated, (BINARY_23, True)),
+        (estimator_moments_by_counts, (BINARY_23, 2.5)),
     ],
     ids=["bounds-inf", "bounds-nan", "truncate-nan", "interval-nan", "no-llrs",
-         "negative-digraph", "empty-digraph"],
+         "negative-digraph", "empty-digraph", "weight-state-2", "tail-cdf-state-minus-1",
+         "qn-fractional-n", "qn-boolean-n", "bounds-fractional-n", "bounds-boolean-n",
+         "moments-boolean-n", "moments-by-counts-fractional-n"],
 )
 def test_non_finite_or_empty_inputs_are_refused(call, args):
-    """Each passed the range checks: NaN fails every comparison, and an
-    empty input reached a division or a node it does not have."""
+    """Each passed the range checks: NaN fails every comparison, an empty
+    input reached a division or a node it does not have, a state other than
+    1 read mu0, a boolean agent count counted as 1, and a fractional one gave
+    a number or a ``TypeError``."""
     with pytest.raises(ValueError):
         call(*args)
 

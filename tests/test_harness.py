@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 from reference import protocol_outcome_table
 
-from agreelab.bounds import count_posterior
+from agreelab.bounds import count_posterior, qn_bound
 from agreelab.dynamics import (
     NETWORK_BELIEF,
     PUBLIC_ACTION,
@@ -24,12 +24,14 @@ from agreelab.harness import (
     aggregate_bound_checks,
     agreement_identity_checks,
     binary_noise_to_signal_exact,
+    chunk_streams,
     default_verification_suite,
     estimator_identity_checks,
     exact_pooled_summary,
     run_monte_carlo,
     senate_exact_summary,
     sweep_n,
+    tail_bound_checks,
     trial_rng,
     verify_report,
 )
@@ -52,7 +54,7 @@ from agreelab.scenarios import (
     two_bit,
     uncorrelated_tight,
 )
-from agreelab.signals import SignalModel
+from agreelab.signals import SignalModel, belief_tail_cdf
 
 BINARY_23 = SignalModel.binary(Fraction(2, 3))
 
@@ -350,6 +352,77 @@ class TestSweep:
             assert row.bound_report.action_bound > 0
             margin = 3 * row.summary.stderr
             assert row.summary.success_rate >= row.bound_report.action_bound - margin
+
+
+def spy(monkeypatch, owner, name) -> list:
+    """The arguments of every call of ``owner.name``, which still runs."""
+    calls, original = [], getattr(owner, name)
+
+    def recorded(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(owner, name, recorded)
+    return calls
+
+
+class TestBoundsOncePerModel:
+    def test_tail_checks_build_the_model_and_cdf_once(self, monkeypatch):
+        """Three agent counts share one model, one cdf and one bound call,
+        while each n still draws through its scenario's pooled sampler, and
+        the checks are those of a geometric_tail scenario built per n."""
+        from agreelab import harness
+
+        models = spy(monkeypatch, harness, "geometric_tail_model")
+        cdfs = spy(monkeypatch, harness, "belief_tail_cdf")
+        bound_calls = spy(monkeypatch, harness, "qn_bounds")
+        samplers = spy(monkeypatch, Scenario, "pooled_sampler")
+        checks = tail_bound_checks(8, Fraction(7, 10), (10, 50, 250), 1000, seed=5)
+        assert len(models) == len(cdfs) == len(bound_calls) == 1
+        assert [scenario.n for scenario, in samplers] == [10, 50, 250]
+        for n, check in zip((10, 50, 250), checks):
+            scenario = geometric_tail(n)
+            draw = scenario.pooled_sampler()
+            wrong = sum(
+                int(np.count_nonzero(draw(rng, size, force_state=0)[1] != 0))
+                for rng, size in chunk_streams(5, n, 1000)
+            )
+            assert check.observed == wrong / 1000
+            assert check.bound == qn_bound(n, belief_tail_cdf(scenario.marginal_model, 0))
+
+    def test_sweep_reads_one_tail_per_model(self, monkeypatch):
+        from agreelab import harness
+
+        cdfs = spy(monkeypatch, harness, "belief_tail_cdf")
+        table = sweep_n("iid_binary", (10, 20, 50, 100), 200, seed=1, params={"p": Fraction(2, 3)})
+        assert len(cdfs) == 1
+        cdf = belief_tail_cdf(BINARY_23, 0)
+        assert [row.qn for row in table.rows] == [qn_bound(n, cdf) for n in (10, 20, 50, 100)]
+
+    def test_sweep_reads_one_tail_per_distinct_model(self, monkeypatch):
+        """uncorrelated_tight's marginal model moves with n; a repeated n
+        reads its model's tail no second time."""
+        from agreelab import harness
+
+        cdfs = spy(monkeypatch, harness, "belief_tail_cdf")
+        n_values = (8, 16, 8, 24)
+        table = sweep_n("uncorrelated_tight", n_values, 200, seed=1)
+        models = {n: uncorrelated_tight(n).marginal_model for n in n_values}
+        assert len(cdfs) == len(set(models.values())) == 3
+        assert {model for model, _state in cdfs} == set(models.values())
+        assert {state for _model, state in cdfs} == {0}
+        for row in table.rows:
+            alone = sweep_n("uncorrelated_tight", (row.n,), 200, seed=1).rows[0]
+            assert (row.qn, row.bound_report) == (alone.qn, alone.bound_report)
+
+    def test_an_invalid_grid_fails_before_any_trial(self, monkeypatch):
+        from agreelab import harness
+
+        runs = spy(monkeypatch, harness, "run_monte_carlo")
+        with pytest.raises(ValueError, match="thresholds"):
+            sweep_n("iid_binary", (10, 20), 200, seed=1, params={"p": Fraction(2, 3)},
+                    eps_grid=(0.1, 1.5))
+        assert runs == []
 
 
 @pytest.mark.parametrize(
