@@ -54,10 +54,10 @@ class BoundReport:
     action_bound: float
 
 
-def _agent_count(n):
-    """``n``, refused unless it is an integer (numpy's included) of at least 1."""
-    if isinstance(n, bool) or not isinstance(n, numbers.Integral) or n < 1:
-        raise ValueError(f"agent count must be an integer of at least 1, got {n!r}")
+def _agent_count(n, least: int = 1):
+    """``n``, refused unless it is an integer (numpy's included) of at least ``least``."""
+    if isinstance(n, bool) or not isinstance(n, numbers.Integral) or n < least:
+        raise ValueError(f"agent count must be an integer of at least {least}, got {n!r}")
     return n
 
 
@@ -273,8 +273,7 @@ def count_law(model: SignalModel, n: int) -> tuple[int, Iterator[tuple]]:
     ``r_s``, ``l`` agents left, a mass steps exactly to ``w (l - c) r_s // (c + 1)``.
     At n = 0 the one row is the empty profile's.
     """
-    if n < 0:
-        raise ValueError("agent count must be non-negative")
+    _agent_count(n, 0)
     den, pairs = integer_weights(model)
     head = len(pairs) - 2
     (a0, a1), (b0, b1) = pairs[head:]

@@ -18,7 +18,7 @@ import math
 import sys
 from fractions import Fraction
 
-from .bounds import default_eps_grid, learning_bounds, qn_bound
+from .bounds import default_eps_grid, learning_bounds, qn_bounds
 from .dynamics import NETWORK_BELIEF, PUBLIC_ACTION, PUBLIC_BELIEF, PUBLIC_STATISTIC
 from .errors import AgreementLabError, EnumerationBudgetError
 from .harness import (
@@ -29,7 +29,7 @@ from .harness import (
     sweep_n,
 )
 from .scenarios import FAMILY_SIGNATURES, SCENARIO_FAMILIES, build_scenario
-from .signals import belief_tail_cdf, noise_to_signal_ratio
+from .signals import SignalModel, belief_tail_cdf, noise_to_signal_ratio
 
 PROTOCOL_ALIASES = {
     "public-belief": PUBLIC_BELIEF,
@@ -242,23 +242,28 @@ def _cmd_verify(s) -> int:
 
 def _cmd_bound(s) -> int:
     """One row per n, at ``--param D`` or else the D of the scenario built
-    at that n; with a scenario, its qn bound fills the last column."""
+    at that n; with a scenario, its qn bound fills the last column.  Every
+    row's scenario is built first, and D and qn are evaluated once per
+    distinct marginal model (one ``qn_bounds`` call over its n values)."""
     params = dict(s.params)
     given_d = params.pop("D", None)
     if not s.scenario and (given_d is None or params):
         raise AgreementLabError("bound needs --param D=... or --scenario, and without --scenario "
                                 f"it reads only --param D; got {sorted(s.params)}")
+    rows_of: dict[SignalModel, list[int]] = {}
+    for i, n in enumerate(s.n if s.scenario else ()):
+        scenario = build_scenario(s.scenario, n, **params)
+        if scenario.marginal_model is None:
+            raise AgreementLabError(f"{scenario.name} has no informative marginal model")
+        rows_of.setdefault(scenario.marginal_model, []).append(i)
+    ds, qns = [given_d] * len(s.n), [""] * len(s.n)
+    for model, rows in rows_of.items():
+        d = noise_to_signal_ratio(model) if given_d is None else given_d
+        tail = belief_tail_cdf(model, 0)
+        for i, qn in zip(rows, qn_bounds([s.n[i] for i in rows], tail, eps_grid=s.eps_grid)):
+            ds[i], qns[i] = d, repr(qn)
     lines = [f"# generator={RNG_VERSION}", "n,D,var_bound,action_bound,qn_bound"]
-    for n in s.n:
-        d, qn = given_d, ""
-        if s.scenario:
-            scenario = build_scenario(s.scenario, n, **params)
-            model = scenario.marginal_model
-            if model is None:
-                raise AgreementLabError(f"{scenario.name} has no informative marginal model")
-            if d is None:
-                d = noise_to_signal_ratio(model)
-            qn = repr(qn_bound(n, belief_tail_cdf(model, 0), eps_grid=s.eps_grid))
+    for n, d, qn in zip(s.n, ds, qns):
         try:
             d = float(d)
         except (TypeError, ValueError):

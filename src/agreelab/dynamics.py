@@ -171,8 +171,9 @@ def shared(fn: Callable, items: Sequence) -> list:
     return [done[id(x)] if id(x) in done else done.setdefault(id(x), fn(x)) for x in items]
 
 
-def fold_mean(terms: Iterable[tuple[np.ndarray, np.ndarray]], n: int):
-    """The exact mean over ``n`` of the fractions ``num / den`` in ``terms``.
+def fold_mean(terms: Iterable[tuple[np.ndarray, np.ndarray]], n):
+    """The exact mean over ``n`` of the fractions ``num / den`` in ``terms``;
+    ``n`` is one count, or a column of one per row.
 
     Each term is a ``(num, den)`` pair of equal-length columns.  They are
     folded left to right into one numerator and denominator, not reduced;
@@ -337,15 +338,16 @@ def run_protocol(
 # ---------------------------------------------------------------------------
 
 
-def decide_counts(model: SignalModel, n: int, kind: str, counts: np.ndarray):
-    """A protocol's outcome at each row of ``counts``, count vectors of n
+def decide_counts(model: SignalModel, kind: str, counts: np.ndarray):
+    """A protocol's outcome at each row of ``counts``, count vectors of
     conditionally i.i.d. signals from ``model`` over its support, each agent
-    first knowing its own signal.
+    first knowing its own signal; a row's agent count is its sum.
 
     Returns per row what the enumerated outcome table gives its profiles:
     the reported action's code in :data:`~agreelab.knowledge.ACTION_SETS`
     (``int8``) and the belief X (``float64``).  Each row is decided on its
-    own, so any subset of rows may be asked for, in any order.  Under
+    own, so any subset of rows, of any agent counts, may be asked for, in
+    any order; a row of no agents is refused with ``ValueError``.  Under
     public-action every public block is a product of one set of symbols per
     agent, and agents holding one symbol hold one set, so the outcome
     depends on the counts alone: :func:`_public_action_by_counts` reads it
@@ -381,15 +383,18 @@ def decide_counts(model: SignalModel, n: int, kind: str, counts: np.ndarray):
        strictly increasing in L, L is constant on A.  So ``v' = e^L`` and
        v is the pooled posterior ``w1 / (w0 + w1)`` at every profile.
     """
-    if kind == PUBLIC_ACTION:
-        return _public_action_by_counts(model, n, counts)
     if kind not in PROTOCOL_KINDS:
         raise ValueError(f"unknown protocol kind {kind!r}")
+    counts = np.asarray(counts)
+    if not counts.sum(axis=1).all():
+        raise ValueError("every row of counts needs at least one agent")
+    if kind == PUBLIC_ACTION:
+        return _public_action_by_counts(model, counts)
     o0, o1 = count_odds(model, counts)
     return action_codes(o1 - o0).astype(np.int8), (o1 / (o0 + o1)).astype(np.float64)
 
 
-def _public_action_by_counts(model: SignalModel, n: int, counts: np.ndarray):
+def _public_action_by_counts(model: SignalModel, counts: np.ndarray):
     """Public-action's fixed point on each row of ``counts`` (over the support).
 
     Each symbol present keeps a slot: its count and the set of symbols the
@@ -404,7 +409,8 @@ def _public_action_by_counts(model: SignalModel, n: int, counts: np.ndarray):
     own counts and intervals only, so each round steps just the rows whose
     intervals moved in the last, and a row is done when none of its
     intervals changes.  X is the mean of the holders' final beliefs, each
-    slot's weighted by its count, by :func:`fold_mean`.
+    slot's weighted by its count, by :func:`fold_mean` over the row's own
+    agent count.
     """
     _, pairs = integer_weights(model)
     k = len(pairs)
@@ -415,7 +421,7 @@ def _public_action_by_counts(model: SignalModel, n: int, counts: np.ndarray):
     z = np.maximum.accumulate(logs[1] - logs[0])  # sorted, each within its own error
     z_scale = float(logs.sum(axis=0).max())
     ordered = counts[:, order]
-    slots = min(n, k)
+    slots = min(int(ordered.sum(axis=1).max(initial=1)), k)
     own = np.argsort(ordered == 0, axis=1, kind="stable")[:, :slots]
     c = np.take_along_axis(ordered, own, axis=1)
     present = c > 0
@@ -467,7 +473,7 @@ def _public_action_by_counts(model: SignalModel, n: int, counts: np.ndarray):
     if split.any():
         at = tuple(counts[int(np.argmax(split))].tolist())
         raise AssertionError(f"fixed point of public-action left actions unequal at counts {at}")
-    # A holder believes a1 Q1 / (a1 Q1 + a0 Q0); X is the mean over the n agents.
+    # A holder believes a1 Q1 / (a1 Q1 + a0 Q0); X is the mean over the row's agents.
     spans = list(zip(lo.ravel().tolist(), hi.ravel().tolist()))
     m0, m1 = (
         np.array([p[h] - p[l] for l, h in spans], dtype=object).reshape(own.shape) for p in prefix
@@ -476,5 +482,5 @@ def _public_action_by_counts(model: SignalModel, n: int, counts: np.ndarray):
     q0, q1 = (np.prod(m**weights, axis=1)[:, None] // np.where(present, m, 1) for m in (m0, m1))
     num = np.array(a1, dtype=object)[own] * q1
     den = num + np.array(a0, dtype=object)[own] * q0
-    total, scale = fold_mean(zip((weights * num).T, den.T), n)
+    total, scale = fold_mean(zip((weights * num).T, den.T), weights.sum(axis=1))
     return act[:, 0].astype(np.int8), (total / scale).astype(np.float64)

@@ -22,7 +22,6 @@ import numpy as np
 from .bounds import (
     BoundReport,
     ExactSummary,
-    estimator_moments_by_counts,
     estimator_moments_enumerated,
     exact_pooled_summary,
     learning_bounds,
@@ -501,12 +500,7 @@ def estimator_identity_checks(
         d = noise_to_signal_ratio(model)
         dev_var = dev_cov = dev_vary = 0.0
         for n in n_values:
-            size = 2 * len(model.support) ** n
-            moments = (
-                estimator_moments_enumerated(model, n)
-                if size <= 2**18
-                else estimator_moments_by_counts(model, n)
-            )
+            moments = estimator_moments_enumerated(model, n)
             dev_var = max(dev_var, abs(moments.var_y_minus_s - d / (4 * n)))
             dev_cov = max(dev_cov, abs(moments.cov_s_y - 0.25))
             dev_vary = max(dev_vary, abs(moments.var_y - 0.25 * (1 + d / n)))

@@ -5,8 +5,8 @@ rational prior weights.  Sigma-algebras are represented as partitions of the
 positive-weight profiles, which is lossless on finite spaces; every
 "almost surely" clause becomes "on every positive-weight block".
 
-The engine runs on integers.  A space is its symbol matrix, one sorted row
-of alphabet ranks per profile (profile tuples are derived only on demand,
+The engine runs on integers.  A space is its symbol matrix, one row of
+alphabet indices per profile (profile tuples are derived only on demand,
 and :meth:`OutcomeSpace.position` finds one), and the two states' weights as
 integer numerators over one common denominator.  A partition is nothing but
 a vector of block labels over those rows, numbered by first occurrence, so
@@ -127,8 +127,8 @@ class OutcomeSpace:
     """Weighted enumeration of (state, profile) outcomes, in integer form.
 
     ``symbols`` has one row per positive-weight profile, each agent's signal
-    as its rank in ``alphabet``, the signal values in increasing order, and
-    the rows are sorted, so they sort like the profiles; ``w0`` / ``w1`` are
+    as its index in ``alphabet``, and the rows are in lexicographic order;
+    its column count is the agent count ``n``.  ``w0`` / ``w1`` are
     the two states' masses per profile, non-negative integer numerators over
     ``den`` with exactly ``den / 2`` on each state, and ``margin`` is
     ``w1 - w0``.  Each structure builds its own space in this form, the one
@@ -136,14 +136,14 @@ class OutcomeSpace:
     derived from it on first use, for exact laws and messages.
     """
 
-    def __init__(self, n: int, alphabet: Sequence, symbols: np.ndarray, den: int, w0, w1):
+    def __init__(self, alphabet: Sequence, symbols: np.ndarray, den: int, w0, w1):
         dtype = weight_dtype(den)
         w0, w1 = np.asarray(w0, dtype=dtype), np.asarray(w1, dtype=dtype)
         if w0.min(initial=0) < 0 or w1.min(initial=0) < 0:
             raise ValueError("outcome masses must be non-negative")
         if 2 * int(w0.sum()) != den or 2 * int(w1.sum()) != den:
             raise ValueError("each state must carry prior weight exactly 1/2")
-        self.n = n
+        self.n = symbols.shape[1]
         self.alphabet = tuple(alphabet)
         self.symbols = symbols
         self.den = den
@@ -152,22 +152,20 @@ class OutcomeSpace:
 
     @classmethod
     def iid(cls, model: SignalModel, n: int) -> "OutcomeSpace":
-        """Product space of n conditionally i.i.d. signals, weight
-        1/2 * prod mu_s."""
+        """Product space of n conditionally i.i.d. signals over
+        ``model.support``, weight 1/2 * prod mu_s."""
         den, pairs = integer_weights(model)
-        order = sorted(range(len(pairs)), key=lambda i: model.support[i])
         total = 2 * den**n
         dtype = weight_dtype(total)
         masses = []
-        for state in (0, 1):
-            per_symbol = np.array([pairs[i][state] for i in order], dtype=dtype)
+        for weights in zip(*pairs):
+            per_symbol = np.array(weights, dtype=dtype)
             w = np.ones(1, dtype=dtype)
             for _ in range(n):
                 w = np.multiply.outer(w, per_symbol).ravel()
             masses.append(w)
-        symbols = np.indices((len(order),) * n, dtype=np.min_scalar_type(len(order)))
-        symbols = symbols.reshape(n, -1).T
-        return cls(n, [model.support[i] for i in order], symbols, total, *masses)
+        symbols = np.indices((len(pairs),) * n, dtype=np.min_scalar_type(len(pairs)))
+        return cls(model.support, symbols.reshape(n, -1).T, total, *masses)
 
     @cached_property
     def margin(self) -> np.ndarray:
@@ -245,8 +243,8 @@ class Partition:
     """A partition of a space's positive-weight profiles, canonically ordered.
 
     ``labels[i]`` is the block of the profile at position ``i`` of
-    ``space``, blocks numbered by first occurrence (so by their least
-    profile).
+    ``space``, blocks numbered by first occurrence (so by their first
+    row).
     """
 
     __slots__ = ("space", "labels", "block_count")

@@ -9,7 +9,7 @@ marginal signal model used by the aggregate bounds.
 Every sampler returns a draw ``draw(rng, size, force_state=None)`` that
 makes ``size`` trials with a few vectorised calls and returns arrays of
 states, action codes (:data:`~agreelab.knowledge.ACTION_SETS`) and float
-beliefs X.  A profile draw reads them off the rows of symbol ranks that every
+beliefs X.  A profile draw reads them off the rows of symbols that every
 structure draws as ``signal_rows``, by the structure's ``trial_outcomes``:
 by counts for i.i.d. signals (:meth:`IidSignals.trial_outcomes`), and by
 closed-form fixed points for parity, flip and two-bit.
@@ -65,7 +65,7 @@ class Scenario:
         return self.structure.marginal_model(self.n)
 
     def profile_sampler(self, outcome: Callable[[np.ndarray], tuple]) -> Callable:
-        """Batch draw of (states, *``outcome`` of the drawn rows of symbol ranks)."""
+        """Batch draw of (states, *``outcome`` of the drawn rows of symbols)."""
         rows = self.structure.signal_rows
 
         def draw(rng, size, force_state=None):
@@ -126,24 +126,18 @@ class IidSignals:
         )
         return p / p.sum(axis=1, keepdims=True)
 
-    def _by_rank(self) -> np.ndarray:
-        """Each symbol rank's index in the support."""
-        support = self.model.support
-        return np.array(sorted(range(len(support)), key=lambda i: support[i]))
-
     def signal_rows(self, rng, states: np.ndarray, n: int) -> np.ndarray:
-        """Rows of n independent draws from mu_S, as ranks in the sorted
-        support, the alphabet of :meth:`OutcomeSpace.iid`."""
+        """Rows of n independent draws from mu_S, as indices in the support,
+        the alphabet of :meth:`OutcomeSpace.iid`."""
         p = self._probabilities()
-        rank = np.argsort(self._by_rank())
-        ranks = np.empty((len(states), n), dtype=np.int64)
+        symbols = np.empty((len(states), n), dtype=np.int64)
         for state in (0, 1):
             rows = states == state
-            ranks[rows] = rank[rng.choice(len(rank), size=(int(rows.sum()), n), p=p[state])]
-        return ranks
+            symbols[rows] = rng.choice(p.shape[1], size=(int(rows.sum()), n), p=p[state])
+        return symbols
 
     def count_rows(self, n: int) -> Callable[[np.ndarray], np.ndarray]:
-        """Map rows of symbol ranks, as :meth:`signal_rows` draws them, to the
+        """Map rows of symbols, as :meth:`signal_rows` draws them, to the
         index of their vector of counts over the support, in lexicographic
         order of the count vectors (:func:`~agreelab.bounds.count_law`'s).
 
@@ -152,21 +146,19 @@ class IidSignals:
         after it on later symbols.
         """
         k = len(self.model.support)
-        by_rank = self._by_rank()
         later = np.array(
             [[math.comb(left + k - i - 2, k - i - 2) if i < k - 1 else 0 for i in range(k)]
              for left in range(n + 1)],
             dtype=np.int64,
         )
 
-        def rows(ranks: np.ndarray) -> np.ndarray:
-            symbols = np.sort(by_rank[ranks], axis=1)
-            return later[np.arange(n, 0, -1), symbols].sum(axis=1)
+        def rows(symbols: np.ndarray) -> np.ndarray:
+            return later[np.arange(n, 0, -1), np.sort(symbols, axis=1)].sum(axis=1)
 
         return rows
 
     def trial_outcomes(self, n: int, kind: str) -> Callable:
-        """Protocol ``kind``'s (action codes, X) of rows of symbol ranks, by
+        """Protocol ``kind``'s (action codes, X) of rows of symbols, by
         their count vectors, each decided once per run.
 
         The outcome keeps one code and one X per vector of counts over the
@@ -176,19 +168,19 @@ class IidSignals:
         (:func:`~agreelab.dynamics.decide_counts`), counted off one drawn
         row each, so a run never decides more than the whole table.
         """
-        model, by_rank, rows = self.model, self._by_rank(), self.count_rows(n)
-        k = len(by_rank)
+        model, rows = self.model, self.count_rows(n)
+        k = len(model.support)
         size = math.comb(n + k - 1, k - 1)
         codes, xs = np.full(size, -1, dtype=np.int8), np.empty(size)  # -1: not yet decided
 
-        def outcome(ranks: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-            at = rows(ranks)
+        def outcome(symbols: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+            at = rows(symbols)
             fresh = np.flatnonzero(codes[at] < 0)
             new, first = np.unique(at[fresh], return_index=True)
             if len(new):
-                symbols = by_rank[ranks[fresh[first]]] + k * np.arange(len(new))[:, None]
-                counts = np.bincount(symbols.ravel(), minlength=k * len(new)).reshape(-1, k)
-                codes[new], xs[new] = decide_counts(model, n, kind, counts)
+                drawn = symbols[fresh[first]] + k * np.arange(len(new))[:, None]
+                counts = np.bincount(drawn.ravel(), minlength=k * len(new)).reshape(-1, k)
+                codes[new], xs[new] = decide_counts(model, kind, counts)
             return codes[at], xs[at]
 
         return outcome
@@ -230,7 +222,7 @@ class IidSignals:
                 ranked = counts[at]
                 starts = np.concatenate(([True], (ranked[1:] != ranked[:-1]).any(axis=1)))
                 group = np.cumsum(starts) - 1
-                codes, xs = decide_counts(model, n, PUBLIC_BELIEF, ranked[starts])
+                codes, xs = decide_counts(model, PUBLIC_BELIEF, ranked[starts])
                 actions[at], beliefs[at] = codes[group], xs[group]
             return states, actions, beliefs
 
@@ -252,7 +244,7 @@ class ParityBits:
     def outcome_space(self, n: int) -> OutcomeSpace:
         rows = np.indices((2,) * n, dtype=np.uint8).reshape(n, -1).T
         odd = rows.sum(axis=1, dtype=np.int64) % 2
-        return OutcomeSpace(n, (0, 1), rows, 2**n, 1 - odd, odd)
+        return OutcomeSpace((0, 1), rows, 2**n, 1 - odd, odd)
 
     def marginal_model(self, n: int) -> None:
         return None
@@ -266,8 +258,8 @@ class ParityBits:
         starts at belief 1/2, every announcement is constant and nothing
         refines, under every protocol and on any digraph."""
 
-        def outcome(ranks: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-            return np.full(len(ranks), TIE, dtype=np.int8), np.full(len(ranks), 0.5)
+        def outcome(symbols: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+            return np.full(len(symbols), TIE, dtype=np.int8), np.full(len(symbols), 0.5)
 
         return outcome
 
@@ -339,7 +331,7 @@ class ExchangeableFlip:
     def outcome_space(self, n: int) -> OutcomeSpace:
         rows, proxies = self.bit_rows(n)
         den, agree = self.agreement_masses(n, 2)
-        return OutcomeSpace(n, (0, 1), rows, den, agree[1 - proxies], agree[proxies])
+        return OutcomeSpace((0, 1), rows, den, agree[1 - proxies], agree[proxies])
 
     def marginal_model(self, n: int) -> SignalModel | None:
         a1 = Fraction(1, 4) + self.q / 2
@@ -413,8 +405,8 @@ class ExchangeableFlip:
         codes, xs = self.proxy_outcomes()
         high = self.ones_count(n, 1)
 
-        def outcome(ranks: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-            proxies = (ranks.sum(axis=1) == high).astype(np.intp)
+        def outcome(symbols: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+            proxies = (symbols.sum(axis=1) == high).astype(np.intp)
             return codes[proxies], xs[proxies]
 
         return outcome
@@ -463,7 +455,7 @@ class TwoBitCombo:
         den, agree = self.flip.agreement_masses(n, 2**n)
         masses = agree[(parities[:, None] == proxies).ravel()[order].astype(np.intp)]
         w0, w1 = np.where(states == 0, masses, 0), np.where(states == 1, masses, 0)
-        return OutcomeSpace(n, SIGNAL_PAIRS, symbols, den, w0, w1)
+        return OutcomeSpace(SIGNAL_PAIRS, symbols, den, w0, w1)
 
     def marginal_model(self, n: int) -> SignalModel | None:
         a1 = Fraction(1, 4) + self.flip.q / 2
@@ -475,13 +467,14 @@ class TwoBitCombo:
         return SignalModel(alphabet=SIGNAL_PAIRS, mu0=mu0, mu1=mu1)
 
     def signal_rows(self, rng, states: np.ndarray, n: int) -> np.ndarray:
-        """A signal (b1, b2) has rank 2*b1 + b2 among the four pairs."""
+        """A signal (b1, b2) is the symbol 2*b1 + b2, its index in
+        :data:`SIGNAL_PAIRS`."""
         first = _parity_bits(rng, states, n)
         return 2 * first + self.flip.signal_rows(rng, states, n)
 
     def trial_outcomes(self, n: int, kind: str) -> Callable:
-        """Every protocol's (action codes, X) of rows of symbol ranks: the
-        flip's on the second bits, ``ranks % 2``.
+        """Every protocol's (action codes, X) of rows of symbols: the flip's
+        on the second bits, ``symbols % 2``.
 
         Proof.  For n >= 2 an agent's first bit is independent of the state
         and all second bits, so an agent knowing it and a function of the
@@ -490,7 +483,7 @@ class TwoBitCombo:
         function of the second bits, and the partitions are the flip's, each
         crossed with the agent's first bit."""
         flip = self.flip.trial_outcomes(n, kind)
-        return lambda ranks: flip(ranks % 2)
+        return lambda symbols: flip(symbols % 2)
 
     def pooled_sampler(self, n: int) -> Callable:
         return _known_state_draw
@@ -555,7 +548,7 @@ class SenateStaged(IidSignals):
         binary signals, indexed by their number of ones: at ``senate_size``
         the committee's verdict and pooled belief."""
         ones = np.arange(n + 1)
-        return decide_counts(self.model, n, PUBLIC_BELIEF, np.column_stack((n - ones, ones)))
+        return decide_counts(self.model, PUBLIC_BELIEF, np.column_stack((n - ones, ones)))
 
     def trial_labels(self, space: OutcomeSpace) -> np.ndarray:
         """Trials are bucketed by the committee's own verdict: a split
@@ -577,8 +570,8 @@ class SenateStaged(IidSignals):
         else:
             pooling, xs = n, self.pooled_table(n)[1]
 
-        def outcome(ranks: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-            return verdicts[ranks[:, :m].sum(axis=1)], xs[ranks[:, :pooling].sum(axis=1)]
+        def outcome(symbols: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+            return verdicts[symbols[:, :m].sum(axis=1)], xs[symbols[:, :pooling].sum(axis=1)]
 
         return outcome
 

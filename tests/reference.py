@@ -51,7 +51,7 @@ def space_over(profiles, n: int) -> OutcomeSpace:
     alphabet = sorted({value for profile in profiles for value in profile})
     symbols = np.array([[alphabet.index(v) for v in p] for p in profiles], dtype=np.int64)
     masses = np.ones(len(profiles), dtype=np.int64)
-    return OutcomeSpace(n, alphabet, symbols.reshape(-1, n), 2 * len(profiles), masses, masses)
+    return OutcomeSpace(alphabet, symbols.reshape(-1, n), 2 * len(profiles), masses, masses)
 
 
 def partition_of_blocks(blocks) -> Partition:
@@ -96,7 +96,7 @@ def _keys(rows: np.ndarray, radix: int) -> np.ndarray:
 
 
 def locate(space, rows: np.ndarray) -> np.ndarray:
-    """Positions in ``space`` of rows of symbol ranks, as ``signal_rows``
+    """Positions in ``space`` of rows of symbols, as ``signal_rows``
     draws them; a row outside the space is an error."""
     keys, wanted = (_keys(r, len(space.alphabet)) for r in (space.symbols, rows))
     found = np.minimum(keys.searchsorted(wanted), len(keys) - 1)

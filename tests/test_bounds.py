@@ -552,6 +552,14 @@ class TestCountLaw:
         with pytest.raises(ValueError, match="whole numbers"):
             count_posterior(BINARY_23, counts)
 
+    def test_laws_take_zero_agents_and_numpy_counts(self):
+        """No agent leaves the prior's law, one empty row of mass 1/2 per
+        state; a numpy agent count is the integer it holds."""
+        denominator, rows = count_law(BINARY_23, 0)
+        assert (denominator, list(rows)) == (2, [((0, 0), 1, 1)])
+        assert likelihood_classes(BINARY_23, np.int64(0)) == (2, {(1, 1): 1})
+        assert exact_pooled_summary(BINARY_23, np.int64(3)) == exact_pooled_summary(BINARY_23, 3)
+
     @settings(max_examples=30, deadline=None)
     @given(model=rational_models(), n=st.integers(1, 6))
     def test_masses_total_one_and_give_the_posterior(self, model, n):

@@ -7,7 +7,8 @@ from types import SimpleNamespace
 
 import pytest
 
-from agreelab import dynamics, scenarios
+from agreelab import cli, dynamics, scenarios
+from agreelab.bounds import DEFAULT_EPS_GRID
 from agreelab.cli import build_parser, main
 from agreelab.knowledge import DEFAULT_ENUMERATION_BUDGET, OutcomeSpace
 from agreelab.scenarios import iid_binary
@@ -72,6 +73,21 @@ class TestBound:
         assert body_digest(capsys) == (
             "a24d82d6872ff1a209e2185baa02b568a725b1066922ae814b9e3921aebef749"
         )
+
+    def test_bound_reads_one_tail_per_model(self, monkeypatch, capsys):
+        """Three agent counts of one model build its cdf once and read it
+        once per point of the default grid, not once per n."""
+        cdfs, reads, original = [], [], cli.belief_tail_cdf
+
+        def counted(model, state):
+            cdfs.append((model, state))
+            cdf = original(model, state)
+            return lambda eps: reads.append(eps) or cdf(eps)
+
+        monkeypatch.setattr(cli, "belief_tail_cdf", counted)
+        assert run_cli("bound", "--scenario", "geometric_tail", "--n", "10,100,1000") == 0
+        assert len(cdfs) == 1
+        assert len(reads) == len(DEFAULT_EPS_GRID) == 512
 
     @pytest.mark.parametrize("command, extra", [("bound", {}), ("sweep", {"trials": 100})])
     def test_tails_below_the_smallest_float_are_bounded(self, command, extra, tmp_path, capsys):

@@ -40,6 +40,7 @@ from agreelab.scenarios import (
     SCENARIO_FAMILIES,
     IidSignals,
     geometric_tail,
+    geometric_tail_model,
     iid_binary,
     iid_custom,
     parity,
@@ -213,11 +214,11 @@ def test_lazy_outcomes_equal_the_full_table(model, n, seed):
     rng = np.random.default_rng(seed)
     batches = [rng.integers(len(model.support), size=(size, n)) for size in (1, 40, 40)]
     for kind in COUNT_ROUTE_KINDS:
-        codes, xs = decide_counts(model, n, kind, count_vectors(n, len(model.support)))
+        codes, xs = decide_counts(model, kind, count_vectors(n, len(model.support)))
         outcome = structure.trial_outcomes(n, kind)
-        for ranks in batches:
-            got_codes, got_xs = outcome(ranks)
-            at = rows(ranks)
+        for symbols in batches:
+            got_codes, got_xs = outcome(symbols)
+            at = rows(symbols)
             assert got_codes.tobytes() == codes[at].tobytes(), kind
             assert got_xs.tobytes() == xs[at].tobytes(), kind
 
@@ -229,16 +230,39 @@ def test_a_run_decides_each_count_vector_once(kind, monkeypatch):
     decided, calls = [], []
     decide = scenarios.decide_counts
 
-    def counted(model, n, kind, counts):
+    def counted(model, kind, counts):
         calls.append(len(counts))
         decided.extend(map(tuple, counts.tolist()))
-        return decide(model, n, kind, counts)
+        return decide(model, kind, counts)
 
     monkeypatch.setattr(scenarios, "decide_counts", counted)
     summary = run_monte_carlo(geometric_tail(3), kind, 2 * CHUNK_TRIALS + 1, seed=4)
     assert summary.trials == 2 * CHUNK_TRIALS + 1
     assert len(calls) > 1
     assert len(decided) == len(set(decided)) <= len(count_vectors(3, 16))
+
+
+@pytest.mark.parametrize(
+    "model",
+    [SignalModel.binary(Fraction(2, 3)), geometric_tail_model(3, Fraction(7, 10)), MIRRORED],
+    ids=["binary", "geometric_tail", "mirrored"],
+)
+def test_rows_of_mixed_agent_counts_decide_as_alone(model):
+    """A row's agent count is its own sum: rows of one to four agents,
+    decided in one call, give each row's one-row call, bit for bit."""
+    k = len(model.support)
+    rows = np.concatenate([count_vectors(n, k) for n in (3, 1, 4, 2)])
+    for kind in COUNT_ROUTE_KINDS:
+        codes, xs = decide_counts(model, kind, rows)
+        alone = [decide_counts(model, kind, row[None]) for row in rows]
+        assert codes.tolist() == [int(c[0]) for c, _ in alone], kind
+        assert xs.tobytes() == np.concatenate([x for _, x in alone]).tobytes(), kind
+
+
+@pytest.mark.parametrize("kind", COUNT_ROUTE_KINDS)
+def test_a_row_of_no_agents_is_refused(kind):
+    with pytest.raises(ValueError, match="at least one agent"):
+        decide_counts(MIRRORED, kind, np.array([[1, 0, 2, 0], [0, 0, 0, 0]]))
 
 
 @pytest.mark.parametrize("k", range(2, 17))
@@ -326,9 +350,13 @@ def test_the_kernel_decides_as_count_posterior(model, data):
     counts = data.draw(st.lists(st.integers(0, 10**4), min_size=k, max_size=k), label="counts")
     if data.draw(st.booleans(), label="palindrome"):
         counts = [max(a, b) for a, b in zip(counts, counts[::-1])]
+    if not any(counts):
+        with pytest.raises(ValueError, match="at least one agent"):
+            decide_counts(model, PUBLIC_BELIEF, np.array([counts]))
+        return
     rows = sorted(set(itertools.permutations(counts)))
     exact = [count_posterior(model, row) for row in rows]
-    codes, xs = decide_counts(model, sum(counts), PUBLIC_BELIEF, np.array(rows))
+    codes, xs = decide_counts(model, PUBLIC_BELIEF, np.array(rows))
     assert codes.tolist() == [action_code(x) for x in exact]
     assert xs.tolist() == [float(x) for x in exact]
     with pytest.MonkeyPatch.context() as patch:

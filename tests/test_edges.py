@@ -10,10 +10,13 @@ from reference import partition_of_blocks
 
 from agreelab.bounds import (
     conditional_expectation_interval,
+    count_law,
     estimator_moments_by_counts,
     estimator_moments_enumerated,
     estimator_y,
+    exact_pooled_summary,
     learning_bounds,
+    likelihood_classes,
     qn_bound,
 )
 from agreelab.dynamics import (
@@ -66,11 +69,19 @@ BINARY_23 = SignalModel.binary(Fraction(2, 3))
         (learning_bounds, (True, 1.0)),
         (estimator_moments_enumerated, (BINARY_23, True)),
         (estimator_moments_by_counts, (BINARY_23, 2.5)),
+        (count_law, (BINARY_23, True)),
+        (count_law, (BINARY_23, 2.5)),
+        (likelihood_classes, (BINARY_23, True)),
+        (likelihood_classes, (BINARY_23, 2.5)),
+        (exact_pooled_summary, (BINARY_23, True)),
+        (exact_pooled_summary, (BINARY_23, 2.5)),
     ],
     ids=["bounds-inf", "bounds-nan", "truncate-nan", "interval-nan", "no-llrs",
          "negative-digraph", "empty-digraph", "weight-state-2", "tail-cdf-state-minus-1",
          "qn-fractional-n", "qn-boolean-n", "bounds-fractional-n", "bounds-boolean-n",
-         "moments-boolean-n", "moments-by-counts-fractional-n"],
+         "moments-boolean-n", "moments-by-counts-fractional-n", "count-law-boolean-n",
+         "count-law-fractional-n", "classes-boolean-n", "classes-fractional-n",
+         "pooled-summary-boolean-n", "pooled-summary-fractional-n"],
 )
 def test_non_finite_or_empty_inputs_are_refused(call, args):
     """Each passed the range checks: NaN fails every comparison, an empty

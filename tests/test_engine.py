@@ -9,6 +9,7 @@ announced Fractions.
 
 import hashlib
 import itertools
+import json
 import re
 from fractions import Fraction
 
@@ -588,6 +589,37 @@ def test_simulate_csv_over_several_chunks_is_unchanged(protocol, capsys):
             "--trials", "40000", "--seed", "5", "--format", "csv"]
     assert main(argv) == 0
     assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == MULTI_CHUNK[protocol]
+
+
+#: An i.i.d. model in config form whose alphabet is unsorted and holds a
+#: symbol of zero weight, so its support (c, a, d, b) is in neither order.
+UNSORTED_MODEL = {
+    "alphabet": ["c", "z", "a", "d", "b"],
+    "mu0": ["1/2", "0", "1/4", "1/8", "1/8"],
+    "mu1": ["1/8", "0", "1/4", "1/6", "11/24"],
+}
+
+# sha256 of the unsorted model's CSVs at n = 6 over three chunks (40,000
+# trials, seed 3), as the draws numbered by rank in the sorted support
+# printed them: the counts, and so the CSVs, do not depend on the order.
+UNSORTED = {
+    "pooled": "701d3aa74cbee7874c85fbad69ca97025731a5dc78aa525905cfa7fe95b77819",
+    "public-belief": "b625428ddf3aaacba1e04da293995424f341198c09101b0f9287d7efc312d987",
+    "public-action": "ae8e391da1322e83c1a7d6ef0531ec3f3f40083b0be0e8d079eefab939dfa021",
+    "statistic": "ce9aacb0e15fb048616465626d9d870b3e8e62b8ae92abfe2c81c22bb67dc9c6",
+    "network": "e62b1900a8fcabfdafee1e30aca9d2294027e5f33919d08ea2bfaee83c61e569",
+}
+
+
+@pytest.mark.parametrize("protocol", list(UNSORTED))
+def test_simulate_csv_of_an_unsorted_alphabet_is_unchanged(protocol, tmp_path, capsys):
+    config = tmp_path / "unsorted.json"
+    config.write_text(json.dumps({"scenario": "iid_custom", "params": {"model": UNSORTED_MODEL},
+                                  "n": 6}))
+    argv = ["simulate", "--config", str(config), "--protocol", protocol,
+            "--trials", "40000", "--seed", "3", "--format", "csv"]
+    assert main(argv) == 0
+    assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == UNSORTED[protocol]
 
 
 # sha256 of the senate's CSVs at the top of the budget (``senate_size=9``,

@@ -97,9 +97,9 @@ class TestOutcomeSpaces:
 
     def test_state_marginals_enforced(self):
         with pytest.raises(ValueError):
-            OutcomeSpace(1, (0,), np.zeros((1, 1), dtype=np.uint8), 4, [1], [3])
+            OutcomeSpace((0,), np.zeros((1, 1), dtype=np.uint8), 4, [1], [3])
         with pytest.raises(ValueError):
-            OutcomeSpace(1, (0, 1), np.array([[0], [1]], dtype=np.uint8), 4, [3, -1], [1, 1])
+            OutcomeSpace((0, 1), np.array([[0], [1]], dtype=np.uint8), 4, [3, -1], [1, 1])
 
 
 def block_belief(space, partition, profile) -> Fraction:
@@ -316,8 +316,8 @@ class TestPartitionMechanics:
 
 
 class TestProfileIndexer:
-    """Symbols are ranks in the space's sorted alphabet, so rows sort like
-    the profiles and a batch of rows maps to profile positions by one
+    """Symbols are indices in the space's alphabet and the rows are in
+    lexicographic order, so a batch of rows maps to profile positions by one
     searchsorted (the reference's ``locate``); a profile tuple goes through
     the same lookup (``position``)."""
 

@@ -8,6 +8,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 from reference import locate, refine_by_announcement, structure_weights
+from test_engine import UNSORTED_MODEL
 
 from agreelab import dynamics
 from agreelab.bounds import count_posterior
@@ -229,10 +230,11 @@ class TestSpaceBuilders:
         ids=lambda scenario: scenario.name,
     )
     def test_iid_space_is_the_product_of_the_sorted_support(self, scenario):
-        """Negative symbols, a string alphabet whose zero-weight symbol is
-        left out, and the senate's binary signals."""
+        """The product in support order: negative symbols, an unsorted
+        string alphabet whose zero-weight symbol is left out, and the
+        senate's binary signals."""
         model, n = scenario.marginal_model, scenario.n
-        support = sorted(model.support)
+        support = list(model.support)
         space = scenario.outcome_space()
         assert space.alphabet == tuple(support)
         assert space.profiles == tuple(itertools.product(support, repeat=n))
@@ -241,6 +243,16 @@ class TestSpaceBuilders:
             space.profiles[0],
             space.profiles[-1],
         ]
+
+    def test_an_unsorted_support_is_laid_out_in_its_own_order(self):
+        """Rows are the lexicographic product of support indices, however
+        the alphabet is ordered, and each profile is found at its own row."""
+        model = SignalModel.from_config(UNSORTED_MODEL)
+        space = iid_custom(6, model).outcome_space()
+        k = len(model.support)
+        assert space.alphabet == model.support == ("c", "a", "d", "b")
+        assert space.symbols.tolist() == [list(p) for p in itertools.product(range(k), repeat=6)]
+        assert [space.position(p) for p in space.profiles] == list(range(k**6))
 
 
 class TestSenate:
@@ -398,7 +410,7 @@ class TestPooledSamplerTies:
         on a 2-core Xeon VM."""
         k = 1_000_000
         start = time.perf_counter()
-        codes, xs = decide_counts(self.MODEL, 3 * k, PUBLIC_BELIEF, np.array([[k, k, k]]))
+        codes, xs = decide_counts(self.MODEL, PUBLIC_BELIEF, np.array([[k, k, k]]))
         assert time.perf_counter() - start < 2
         assert (codes.tolist(), xs.tolist()) == ([TIE], [0.5])
 
@@ -408,6 +420,23 @@ class TestPooledSamplerTies:
         states, actions, beliefs = draw(_FixedDraws((1000, 1000, 1000)), 5)
         assert rechecked == [(1000, 1000, 1000)]
         assert actions.tolist() == [TIE] * 5 and beliefs.tolist() == [0.5] * 5
+
+    def test_the_error_bound_flags_a_tie_above_the_floor(self, monkeypatch):
+        """Likelihood ratios 2**-3200 and 2**6400 cancel on counts (2400,
+        1200), yet the float llr is about 1.9e-9: its terms near 6.7e6 are
+        each rounded.  Only the per-count error bound, not the fixed 1e-9
+        floor, sends the row to the exact recheck; the powers of two keep
+        that fast."""
+        q = 2**3200
+        x, y = Fraction(q * q - 1, q**3 - 1), Fraction(q - 1, q**3 - 1)
+        model = SignalModel(alphabet=("a", "b"), mu0=(x * q, y), mu1=(x, y * q * q))
+        rechecked = kernel_rows(monkeypatch)
+        start = time.perf_counter()
+        draw = iid_custom(3600, model).pooled_sampler()
+        states, actions, beliefs = draw(_FixedDraws((2400, 1200)), 2)
+        assert time.perf_counter() - start < 1
+        assert rechecked == [(2400, 1200)]
+        assert actions.tolist() == [TIE] * 2 and beliefs.tolist() == [0.5] * 2
 
     # Odds ratios 1 + 3e-12, 1 and 1 - 3e-12: every count vector of a few
     # agents is within the float margin, so each is rechecked, and counts
