@@ -340,24 +340,32 @@ def reduced_odds(model: SignalModel) -> list[tuple[int, int]]:
     ]
 
 
+def count_rows(model: SignalModel, counts) -> np.ndarray:
+    """``counts`` as an ``int64`` array of rows, each one count per symbol of
+    ``model.support``; ``ValueError`` unless it is two-dimensional, of that
+    width, non-negative and whole."""
+    rows = np.asarray(counts)
+    k = len(model.support)
+    if rows.ndim != 2 or rows.shape[1] != k or (rows < 0).any():
+        raise ValueError(f"need {k} non-negative counts, one per support symbol")
+    if rows.dtype.kind not in "iu" and (rows % 1 != 0).any():
+        raise ValueError("counts must be whole numbers")
+    return rows.astype(np.int64, copy=False)
+
+
 def count_odds(model: SignalModel, counts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """``(o0, o1)`` per row of ``counts``, each row one count per symbol of
-    ``model.support``: the products of the symbols' :func:`reduced_odds`
-    raised to their counts, as Python ints in object arrays.
+    """``(o0, o1)`` per row of ``counts`` (:func:`count_rows`): the products
+    of the symbols' :func:`reduced_odds` raised to their counts, as Python
+    ints in object arrays.
 
     A row's posterior is ``o1 / (o0 + o1)``, the rational of
     :func:`count_law`'s ``w1 / (w0 + w1)`` less the factors the two masses
     share (the multinomial coefficient and each symbol's ``gcd(a0, a1)**c``),
     so it stays cheap at large counts; the row is a tie iff ``o0 == o1``.
     """
-    odds = reduced_odds(model)
-    rows = np.asarray(counts)
-    if rows.ndim != 2 or rows.shape[1] != len(odds) or (rows < 0).any():
-        raise ValueError(f"need {len(odds)} non-negative counts, one per support symbol")
-    if rows.dtype.kind not in "iu" and (rows % 1 != 0).any():
-        raise ValueError("counts must be whole numbers")
-    powers = rows.astype(np.int64).astype(object)
-    return tuple(np.prod(np.array(a, dtype=object) ** powers, axis=1) for a in zip(*odds))
+    powers = count_rows(model, counts).astype(object)
+    odds = zip(*reduced_odds(model))
+    return tuple(np.prod(np.array(a, dtype=object) ** powers, axis=1) for a in odds)
 
 
 def count_posterior(model: SignalModel, counts: Sequence[int]) -> Fraction:
@@ -382,27 +390,66 @@ class ExactSummary:
         return self.tie + self.failure
 
 
+def belief_error_terms(classes: dict) -> dict[int, int]:
+    """The pooled belief error's terms from :func:`likelihood_classes`:
+    ``{d: num}`` with E[(X - S)^2] = sum(num / d) / ``denominator``.
+
+    With x = w1 / (w0 + w1), a row's error (x - S)^2 weighs
+    w0 x^2 + w1 (1 - x)^2 = w0 w1 / (w0 + w1), which is k o0 o1 / (o0 + o1)
+    on its class; classes are summed over each denominator d = o0 + o1.
+    """
+    terms: dict[int, int] = {}
+    for (o0, o1), k in classes.items():
+        terms[o0 + o1] = terms.get(o0 + o1, 0) + k * o0 * o1
+    return terms
+
+
+def _exact_msbe(denominator: int, terms: dict[int, int]) -> Fraction:
+    """sum(num / d) / ``denominator`` over :func:`belief_error_terms`, exact.
+    The Fractions are added in pairs, ``a + b``, round after round, which
+    keeps the partial sums' denominators small, unlike a running sum's lcm."""
+    errors = [Fraction(num, d) for d, num in terms.items()]
+    while len(errors) > 1:
+        odd = errors[-1:] if len(errors) % 2 else []
+        errors = [a + b for a, b in zip(errors[::2], errors[1::2])] + odd
+    return errors[0] / denominator
+
+
+def certified_msbe(denominator: int, terms: dict[int, int]) -> float:
+    """``float`` of the exact sum(num / d) / ``denominator`` over
+    :func:`belief_error_terms`, mostly without building that Fraction.
+
+    Scaled by 2^s, the floors' sum L = sum(num 2^s // d) is short of
+    2^s sum(num / d) by less than one per term, so the msbe lies in
+    [L, L + len(terms)) / (2^s denominator).  Python-int true division is
+    correctly rounded and rounding is monotone, so when both ends round to
+    one double, that double is the msbe's.  Otherwise the msbe lies at or
+    next to a rounding midpoint and the exact sum decides (Ziv's rounding
+    test).  The largest term exceeds 2^(t - 1), t its numerator's bits less
+    its denominator's, so s = 65 + bits(len(terms)) - t puts the bracket's
+    width below 2^-64 of the msbe.
+    """
+    top = max(num.bit_length() - d.bit_length() for d, num in terms.items())
+    s = max(0, 65 + len(terms).bit_length() - top)
+    low = sum((num << s) // d for d, num in terms.items())
+    scale = denominator << s
+    msbe = low / scale
+    if (low + len(terms)) / scale == msbe:
+        return msbe
+    return float(_exact_msbe(denominator, terms))
+
+
 def exact_pooled_summary(model: SignalModel, n: int) -> ExactSummary:
     """Exact law of the pooled-posterior action for n i.i.d. signals.
 
     The law is decided once per likelihood class (:func:`likelihood_classes`),
-    not per count vector; :func:`pooled_action_law` gives the action's law.
-    With x = w1 / (w0 + w1), a row's belief error (x - S)^2 weighs
-    w0 x^2 + w1 (1 - x)^2 = w0 w1 / (w0 + w1), which is k o0 o1 / (o0 + o1)
-    on its class; classes are summed over each denominator o0 + o1 first.
-    Those Fractions are added in pairs, ``a + b``, round after round, which
-    keeps the partial sums' denominators small, unlike a running sum's lcm.
+    not per count vector; :func:`pooled_action_law` gives the action's law
+    and :func:`belief_error_terms` the belief error's terms, summed exactly.
     """
     denominator, classes = likelihood_classes(model, n)
     success, tie, failure = pooled_action_law(denominator, classes)
-    by_sum: dict[int, int] = {}
-    for (o0, o1), k in classes.items():
-        by_sum[o0 + o1] = by_sum.get(o0 + o1, 0) + k * o0 * o1
-    errors = [Fraction(num, d) for d, num in by_sum.items()]
-    while len(errors) > 1:
-        odd = errors[-1:] if len(errors) % 2 else []
-        errors = [a + b for a, b in zip(errors[::2], errors[1::2])] + odd
-    return ExactSummary(success=success, tie=tie, failure=failure, msbe=errors[0] / denominator)
+    msbe = _exact_msbe(denominator, belief_error_terms(classes))
+    return ExactSummary(success=success, tie=tie, failure=failure, msbe=msbe)
 
 
 def estimator_moments_by_counts(model: SignalModel, n: int) -> EstimatorMoments:

@@ -30,7 +30,7 @@ from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
-from .bounds import count_odds, integer_weights
+from .bounds import count_odds, count_rows, integer_weights
 from .errors import ConnectivityError
 from .knowledge import (
     ACTION_SETS,
@@ -347,7 +347,9 @@ def decide_counts(model: SignalModel, kind: str, counts: np.ndarray):
     the reported action's code in :data:`~agreelab.knowledge.ACTION_SETS`
     (``int8``) and the belief X (``float64``).  Each row is decided on its
     own, so any subset of rows, of any agent counts, may be asked for, in
-    any order; a row of no agents is refused with ``ValueError``.  Under
+    any order.  Under every kind, rows that
+    :func:`~agreelab.bounds.count_rows` refuses (of the wrong width,
+    negative or fractional) and a row of no agents raise ``ValueError``.  Under
     public-action every public block is a product of one set of symbols per
     agent, and agents holding one symbol hold one set, so the outcome
     depends on the counts alone: :func:`_public_action_by_counts` reads it
@@ -385,7 +387,7 @@ def decide_counts(model: SignalModel, kind: str, counts: np.ndarray):
     """
     if kind not in PROTOCOL_KINDS:
         raise ValueError(f"unknown protocol kind {kind!r}")
-    counts = np.asarray(counts)
+    counts = count_rows(model, counts)
     if not counts.sum(axis=1).all():
         raise ValueError("every row of counts needs at least one agent")
     if kind == PUBLIC_ACTION:

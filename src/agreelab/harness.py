@@ -22,9 +22,13 @@ import numpy as np
 from .bounds import (
     BoundReport,
     ExactSummary,
+    belief_error_terms,
+    certified_msbe,
     estimator_moments_enumerated,
     exact_pooled_summary,
     learning_bounds,
+    likelihood_classes,
+    pooled_action_law,
     qn_bounds,
 )
 from .dynamics import (
@@ -34,11 +38,7 @@ from .dynamics import (
     announced_codes,
     fixed_point_partitions,
 )
-from .errors import (
-    AgreementLabError,
-    BoundedBeliefsError,
-    NonInformativeModelError,
-)
+from .errors import BoundedBeliefsError, NonInformativeModelError
 from .knowledge import (
     DEFAULT_ENUMERATION_BUDGET,
     TIE,
@@ -206,8 +206,7 @@ def senate_exact_summary(scenario: Scenario) -> ExactSummary:
     if not isinstance(structure, SenateStaged):
         raise TypeError("scenario is not a staged committee scenario")
     law = exact_pooled_summary(structure.model, structure.senate_size)
-    if not structure.deference_is_exact(law):
-        raise AgreementLabError("agents would not defer to the committee")
+    structure.check_deference((law.success, law.tie, law.failure))
     return law
 
 
@@ -456,23 +455,35 @@ def agreement_identity_checks(scenarios: Sequence[Scenario]) -> list[Check]:
     return checks
 
 
-def aggregate_bound_checks(
-    label: str,
-    d,
-    rows: Sequence[tuple[int, ExactSummary]],
-) -> list[Check]:
+def pooled_bound_rows(model: SignalModel, n_values: Iterable[int]) -> list[tuple]:
+    """``(n, not_learned, msbe)`` of the pooled action for each n, the rows
+    :func:`aggregate_bound_checks` reads: the exact not-learned mass of
+    :func:`~agreelab.bounds.pooled_action_law` and the belief error as
+    :func:`~agreelab.bounds.certified_msbe`, ``float`` of
+    :func:`exact_pooled_summary`'s msbe without that Fraction."""
+    rows = []
+    for n in n_values:
+        denominator, classes = likelihood_classes(model, n)
+        _success, tie, failure = pooled_action_law(denominator, classes)
+        rows.append((n, tie + failure, certified_msbe(denominator, belief_error_terms(classes))))
+    return rows
+
+
+def aggregate_bound_checks(label: str, d, rows: Sequence[tuple]) -> list[Check]:
     """Exact wrong-action and belief-variance bounds for a given D.
 
-    ``d`` may be a Fraction for end-to-end exact comparisons.  Rows whose
-    action bound is non-positive are marked vacuous, never failed.
+    Each row is ``(n, not_learned, msbe)``, as :func:`pooled_bound_rows`
+    gives them or read off an :class:`ExactSummary`; both are compared as
+    floats.  ``d`` may be a Fraction for end-to-end exact comparisons.  Rows
+    whose action bound is non-positive are marked vacuous, never failed.
     """
     checks = []
-    for n, summary in rows:
+    for n, not_learned, msbe in rows:
         err_bound = 4 * Fraction(d) / (n + Fraction(d))
         checks.append(
             _bounded_check(
                 name=f"wrong-action-bound[{label}, n={n}]",
-                observed=summary.not_learned,
+                observed=not_learned,
                 bound=err_bound,
                 vacuous=err_bound >= 1,
                 detail="exact action-error mass vs 4D/(n+D)",
@@ -482,7 +493,7 @@ def aggregate_bound_checks(
         checks.append(
             _bounded_check(
                 name=f"belief-variance-bound[{label}, n={n}]",
-                observed=summary.msbe,
+                observed=msbe,
                 bound=var_bound,
                 detail="exact E[(X-S)^2] vs D/(n+D)",
             )
@@ -612,13 +623,15 @@ def example_invariant_checks() -> list[Check]:
         )
     )
 
-    # committee: deference holds and the error law ignores the agent count
-    summaries = {n: senate_exact_summary(senate(n)) for n in (200, 400, 800)}
-    spread = max(
-        abs(float(a.failure - b.failure))
-        for a in summaries.values()
-        for b in summaries.values()
-    )
+    # committee: deference holds and the error law ignores the agent count;
+    # only the verdict's law is read, so no belief error is built
+    failures = []
+    for n in (200, 400, 800):
+        committee = senate(n).structure
+        success, tie, failure = committee.action_law()
+        committee.check_deference((success, tie, failure))
+        failures.append(failure)
+    spread = max(abs(float(a - b)) for a in failures for b in failures)
     checks.append(
         _bounded_check(
             "committee-error-ignores-population", spread, 0.0,
@@ -641,7 +654,7 @@ def default_verification_suite(
     acc = Fraction(2, 3)
     d_exact = binary_noise_to_signal_exact(acc)
     model = SignalModel.binary(acc)
-    rows = [(n, exact_pooled_summary(model, n)) for n in (10, 20, 50, 100, 200)]
+    rows = pooled_bound_rows(model, (10, 20, 50, 100, 200))
     checks += aggregate_bound_checks("iid_binary(2/3)", d_exact, rows)
     checks += estimator_identity_checks(
         [("binary(2/3)", model), ("binary(0.6)", SignalModel.binary(Fraction(3, 5)))],

@@ -25,7 +25,7 @@ from typing import Callable
 
 import numpy as np
 
-from .bounds import ExactSummary, likelihood_classes, pooled_action_law, reduced_odds
+from .bounds import likelihood_classes, pooled_action_law, reduced_odds
 from .dynamics import PUBLIC_ACTION, PUBLIC_BELIEF, decide_counts
 from .errors import AgreementLabError, ScenarioParameterError
 from .knowledge import (
@@ -517,27 +517,29 @@ class SenateStaged(IidSignals):
 
     # -- exact committee arithmetic -------------------------------------
 
-    def deference_is_exact(self, law: ExactSummary | None = None) -> bool:
+    def action_law(self) -> tuple[Fraction, Fraction, Fraction]:
+        """``(success, tie, failure)`` of the committee's verdict: the pooled
+        action's law (:func:`~agreelab.bounds.pooled_action_law`) of its
+        ``senate_size`` signals, with no belief error built."""
+        return pooled_action_law(*likelihood_classes(self.model, self.senate_size))
+
+    def deference_is_exact(self, law: tuple[Fraction, Fraction, Fraction] | None = None) -> bool:
         """True when a lone opposing signal can never flip the committee's
         verdict: the posterior given (committee action, worst own bit) stays
         strictly on the committee's side.  By state symmetry P(verdict 1 |
         S=1) and P(verdict 1 | S=0) are the committee's exact success and
-        failure probabilities.  ``law`` is the committee's pooled law
-        (``exact_pooled_summary`` of its ``senate_size`` signals); without
-        it only the action's law is built, never the belief error."""
-        if law is None:
-            classes = likelihood_classes(self.model, self.senate_size)
-            success, _tie, failure = pooled_action_law(*classes)
-        else:
-            success, failure = law.success, law.failure
+        failure probabilities.  ``law`` is :meth:`action_law`'s triple,
+        built when not given."""
+        success, _tie, failure = self.action_law() if law is None else law
         acc = self.accuracy
         return success * (1 - acc) > failure * acc
 
-    def check_deference(self) -> None:
-        """Refuse public-action on a committee the other agents would not
-        defer to: its verdict is then not the fixed point's action, in budget
-        or past it."""
-        if not self.deference_is_exact():
+    def check_deference(self, law: tuple[Fraction, Fraction, Fraction] | None = None) -> None:
+        """Refuse public-action, or the committee's exact law, on a committee
+        the other agents would not defer to: its verdict is then not the
+        fixed point's action, in budget or past it.  ``law`` is passed on to
+        :meth:`deference_is_exact`."""
+        if not self.deference_is_exact(law):
             raise ScenarioParameterError(
                 "committee too weak: agents would not defer, analytic fixed "
                 "point unavailable"

@@ -13,11 +13,14 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+from agreelab import bounds
 from agreelab.bounds import (
     EstimatorMoments,
     ExactSummary,
     _moments,
     _standardized_terms,
+    belief_error_terms,
+    certified_msbe,
     conditional_expectation_interval,
     count_law,
     count_posterior,
@@ -43,6 +46,7 @@ from agreelab.knowledge import (
     outcome_space_iid,
     pooled_posterior,
 )
+from agreelab.scenarios import geometric_tail_model
 from agreelab.signals import (
     SignalModel,
     belief_from_llr,
@@ -759,6 +763,87 @@ class TestLikelihoodClasses:
         and so every rounding step are unchanged."""
         moments = estimator_moments_by_counts(model, n)
         assert (moments.mean, moments.var_y_minus_s, moments.cov_s_y, moments.var_y) == recorded
+
+
+N_MATRIX = (*range(1, 61), 200, 400)
+# The exact msbe sums one Fraction per likelihood class, so a model whose
+# classes are its count vectors is checked only where that sum is cheap:
+# the skewed model's took 32 s at n = 200, and geometric_tail_model(K) has
+# 2K symbols, so C(n + 2K - 1, 2K - 1) count vectors; each K stops at
+# 3,003 or fewer.
+CERTIFIED_CASES = {
+    "binary(3/5)": (SignalModel.binary(Fraction(3, 5)), N_MATRIX),
+    "binary(2/3)": (BINARY_23, N_MATRIX),
+    "ternary": (
+        SignalModel(
+            (0, 1, 2),
+            (Fraction(1, 2), Fraction(1, 3), Fraction(1, 6)),
+            (Fraction(1, 6), Fraction(1, 3), Fraction(1, 2)),
+        ),
+        N_MATRIX,
+    ),
+    "skewed": (
+        SignalModel(
+            ("a", "b", "c"),
+            (Fraction(1, 2), Fraction(1, 3), Fraction(1, 6)),
+            (Fraction(1, 6), Fraction(1, 4), Fraction(7, 12)),
+        ),
+        range(1, 61),
+    ),
+    **{
+        f"geometric_tail({depth})": (
+            geometric_tail_model(depth, Fraction(7, 10)),
+            range(1, top + 1),
+        )
+        for depth, top in ((3, 10), (4, 6), (5, 5), (6, 4), (7, 4), (8, 3))
+    },
+}
+
+
+class TestCertifiedMsbe:
+    """The belief error as a certified float, against the exact Fraction."""
+
+    @pytest.mark.parametrize("case", list(CERTIFIED_CASES))
+    def test_equals_the_exact_msbe_as_a_float(self, case):
+        model, n_values = CERTIFIED_CASES[case]
+        for n in n_values:
+            denominator, classes = likelihood_classes(model, n)
+            certified = certified_msbe(denominator, belief_error_terms(classes))
+            assert certified == float(exact_pooled_summary(model, n).msbe), n
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        denominator=st.integers(1, 2**300),
+        terms=st.dictionaries(st.integers(1, 2**300), st.integers(0, 2**400), min_size=1),
+    )
+    def test_any_terms_round_as_their_exact_sum(self, denominator, terms):
+        exact = sum(Fraction(num, d) for d, num in terms.items()) / denominator
+        assert certified_msbe(denominator, terms) == float(exact)
+
+    @pytest.mark.parametrize(
+        "terms, rounded",
+        [
+            # 1 + 2^-53, halfway between 1 and 1 + 2^-52: down to the even 1
+            ({2**53: 2**53 + 1}, 1.0),
+            # 1/3 + (2^54 + 9) / (3 * 2^53) = 1 + 3 * 2^-53, halfway between
+            # 1 + 2^-52 and 1 + 2^-51, neither floor exact: up to the even one
+            ({3: 1, 3 * 2**53: 2**54 + 9}, 1 + 2**-51),
+        ],
+        ids=["down", "up"],
+    )
+    def test_a_rounding_midpoint_takes_the_exact_sum(self, monkeypatch, terms, rounded):
+        """The bracket's ends round apart, to either side of the midpoint,
+        so neither end alone is the rounded sum: the exact sum decides."""
+        exact_sums = []
+        exact_msbe = bounds._exact_msbe
+
+        def counted(denominator, terms):
+            exact_sums.append(terms)
+            return exact_msbe(denominator, terms)
+
+        monkeypatch.setattr(bounds, "_exact_msbe", counted)
+        assert certified_msbe(1, terms) == rounded
+        assert exact_sums == [terms]
 
 
 class TestMonotoneCorrelationStep:

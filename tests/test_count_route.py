@@ -26,6 +26,7 @@ from agreelab import dynamics, scenarios
 from agreelab.bounds import count_law, count_posterior
 from agreelab.dynamics import (
     NETWORK_BELIEF,
+    PROTOCOL_KINDS,
     PUBLIC_ACTION,
     PUBLIC_BELIEF,
     PUBLIC_STATISTIC,
@@ -263,6 +264,23 @@ def test_rows_of_mixed_agent_counts_decide_as_alone(model):
 def test_a_row_of_no_agents_is_refused(kind):
     with pytest.raises(ValueError, match="at least one agent"):
         decide_counts(MIRRORED, kind, np.array([[1, 0, 2, 0], [0, 0, 0, 0]]))
+
+
+@pytest.mark.parametrize("kind", PROTOCOL_KINDS)
+@pytest.mark.parametrize(
+    "rows, message",
+    [
+        ([[-1, 3]], "non-negative counts"),
+        ([[1.5, 0.5]], "whole numbers"),
+        ([[1, 1, 1]], "one per support symbol"),
+    ],
+    ids=["negative", "fractional", "wrong-length"],
+)
+def test_rows_that_are_not_counts_are_refused(kind, rows, message):
+    """Each row sums to two agents, so only the count check can refuse it,
+    and public-action, which reads no odds, must refuse it too."""
+    with pytest.raises(ValueError, match=message):
+        decide_counts(SignalModel.binary(Fraction(2, 3)), kind, np.array(rows))
 
 
 @pytest.mark.parametrize("k", range(2, 17))

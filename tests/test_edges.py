@@ -30,7 +30,7 @@ from agreelab.dynamics import (
     run_protocol,
 )
 from agreelab.errors import NullConditioningError, ScenarioParameterError
-from agreelab.harness import run_monte_carlo
+from agreelab.harness import run_monte_carlo, senate_exact_summary
 from agreelab.knowledge import (
     belief_function,
     outcome_space_iid,
@@ -227,6 +227,11 @@ class TestWeakCommittee:
         scenario = senate(5, senate_size=1, accuracy=Fraction(2, 3))
         with pytest.raises(ScenarioParameterError):
             scenario.structure.action_trial_sampler(5)
+
+    def test_exact_summary_refuses(self):
+        scenario = senate(5, senate_size=1, accuracy=Fraction(2, 3))
+        with pytest.raises(ScenarioParameterError, match="would not defer"):
+            senate_exact_summary(scenario)
 
     def test_monte_carlo_refuses_in_budget_too(self):
         """The count route reports the committee's verdict, as the analytic

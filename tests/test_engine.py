@@ -639,7 +639,9 @@ SENATE_RUNS = {
 }
 
 
-@pytest.mark.parametrize("n,protocol", list(SENATE_AT_SCALE), ids="-".join)
+@pytest.mark.parametrize(
+    "n,protocol", list(SENATE_AT_SCALE), ids=["-".join(k) for k in SENATE_AT_SCALE]
+)
 def test_senate_csv_is_unchanged(n, protocol, capsys):
     argv = ["simulate", "--scenario", "senate", "--n", n, "--protocol", protocol, "--format", "csv"]
     assert main(argv + SENATE_RUNS[n].split()) == 0

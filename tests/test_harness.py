@@ -28,6 +28,7 @@ from agreelab.harness import (
     default_verification_suite,
     estimator_identity_checks,
     exact_pooled_summary,
+    pooled_bound_rows,
     run_monte_carlo,
     senate_exact_summary,
     sweep_n,
@@ -508,14 +509,14 @@ class TestVerification:
 
     def test_corrupted_noise_ratio_fails_bound_checks(self):
         """A sufficiently understated D must flip the exact bound checks."""
-        rows = [(10, exact_pooled_summary(BINARY_23, 10))]
+        rows = pooled_bound_rows(BINARY_23, (10,))
         honest = aggregate_bound_checks("iid", binary_noise_to_signal_exact(Fraction(2, 3)), rows)
         assert all(c.status in ("pass", "vacuous") for c in honest)
         corrupted = aggregate_bound_checks("iid", Fraction(1, 2), rows)
         assert any(c.status == "fail" for c in corrupted)
 
     def test_vacuous_rows_never_fail(self):
-        rows = [(2, exact_pooled_summary(BINARY_23, 2))]
+        rows = pooled_bound_rows(BINARY_23, (2,))
         checks = aggregate_bound_checks("iid", Fraction(8), rows)
         action_check = [c for c in checks if c.name.startswith("wrong-action")][0]
         assert action_check.status == "vacuous"
@@ -523,13 +524,39 @@ class TestVerification:
     def test_report_serialization(self):
         report = verify_report(
             aggregate_bound_checks(
-                "iid", Fraction(8), [(50, exact_pooled_summary(BINARY_23, 50))]
+                "iid", Fraction(8), pooled_bound_rows(BINARY_23, (50,))
             )
         )
         data = report.to_dict()
         assert data["checks"][0]["name"].startswith("wrong-action-bound")
         csv = report.to_csv()
         assert csv.splitlines()[1].startswith("name,status,observed")
+
+    def test_certified_rows_check_as_the_exact_laws(self):
+        """verify's rows (the exact not-learned mass and the certified msbe)
+        give the checks that exact_pooled_summary's Fractions give."""
+        n_values = (10, 20, 50, 100, 200)
+        d = binary_noise_to_signal_exact(Fraction(2, 3))
+        exact = [
+            (n, law.not_learned, law.msbe)
+            for n in n_values
+            for law in (exact_pooled_summary(BINARY_23, n),)
+        ]
+        rows = pooled_bound_rows(BINARY_23, n_values)
+        assert [r[:2] for r in rows] == [r[:2] for r in exact]
+        assert aggregate_bound_checks("iid", d, rows) == aggregate_bound_checks("iid", d, exact)
+
+    def test_verify_builds_no_exact_msbe(self, monkeypatch):
+        """The bound rows' msbe is certified without its Fraction, and the
+        committee check reads the verdict's law alone."""
+        from agreelab import bounds, harness
+
+        def refused(*args):
+            raise AssertionError("verify built an exact msbe")
+
+        monkeypatch.setattr(bounds, "_exact_msbe", refused)
+        monkeypatch.setattr(harness, "exact_pooled_summary", refused)
+        assert default_verification_suite(seed=3, trials=1000).passed
 
 
 class TestTrialSummaryShape:
