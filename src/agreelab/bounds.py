@@ -4,15 +4,14 @@ Everything here is a pure function of a signal model and an agent count: the
 normalized mean-log-likelihood estimator of the state, the variance and
 action bounds it implies, the low-belief fraction statistic with its tail
 bound, a conditional version of Chebyshev's inequality, and the exact law of
-the symbol counts (:func:`count_law`).  The estimator's moments read its rows
-in blocks; the pooled action's law reads them summed per likelihood class
+the symbol counts (:func:`count_law`), in blocks; the estimator's moments read
+them as arrays, the pooled action's law their masses summed per likelihood class
 (:func:`likelihood_classes`), since a count vector's action and belief depend
 on it only through its likelihood ratio.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 import numbers
 from dataclasses import dataclass
@@ -35,9 +34,13 @@ from .signals import SignalModel, llr_conditional_moments, log_likelihood_ratio
 #: agent about doubles both.
 DEFAULT_ENUMERATION_BUDGET = 2**22
 
-#: Rows (or profiles) the estimator moments read at a time; larger blocks were no faster
-#: on the ternary n = 150 moments and raised peak RSS (4,096 rows: +4.4 MB against +0.4 MB).
-MOMENT_BLOCK = 256
+#: Rows in a :func:`count_law` block (profiles in an enumerated one).  Ternary n = 150 moments
+#: took 17.6 ms at 256 rows, 14.6-15.6 ms at 512-4,096; ``exact_laws`` peak RSS rose 0.1-0.2 MB
+#: at 512 and 0.3 MB at 1,024 over the per-row law (2-core Xeon VM; README has the table).
+BLOCK_ROWS = 512
+
+#: Most points :func:`default_eps_grid` builds; ``bound`` took 0.10 s at 2**16, 1.6 s at 10**6.
+MAX_EPS_GRID_POINTS = 2**16
 
 
 @dataclass(frozen=True)
@@ -54,10 +57,10 @@ class BoundReport:
     action_bound: float
 
 
-def _agent_count(n, least: int = 1):
+def _agent_count(n, least: int = 1, what: str = "agent count"):
     """``n``, refused unless it is an integer (numpy's included) of at least ``least``."""
     if isinstance(n, bool) or not isinstance(n, numbers.Integral) or n < least:
-        raise ValueError(f"agent count must be an integer of at least {least}, got {n!r}")
+        raise ValueError(f"{what} must be an integer of at least {least}, got {n!r}")
     return n
 
 
@@ -76,8 +79,8 @@ def estimator_y(model: SignalModel, llrs: Sequence[float]) -> float:
     Each term maps E[z|S=0] to 0 and E[z|S=1] to 1, so the estimator is
     unbiased for the state.  Terms add left to right, unlike ``sum`` on 3.12+.
     """
-    if len(llrs) < 1:
-        raise ValueError("need at least one log-likelihood ratio")
+    if len(llrs) < 1 or not all(map(math.isfinite, llrs)):
+        raise ValueError("need at least one log-likelihood ratio, each finite")
     m0, m1, _, _ = llr_conditional_moments(model)
     gap = m1 - m0
     if gap == 0:
@@ -87,17 +90,17 @@ def estimator_y(model: SignalModel, llrs: Sequence[float]) -> float:
 
 def k_statistic(beliefs: Sequence, eps) -> float:
     """Fraction of agents whose private belief lies strictly below eps."""
-    if len(beliefs) < 1:
-        raise ValueError("need at least one belief")
+    if len(beliefs) < 1 or math.isnan(eps):
+        raise ValueError("need at least one belief and a threshold that is a number")
     return sum(1 for b in beliefs if b < eps) / len(beliefs)
 
 
 def default_eps_grid(lo: float = 1e-6, hi: float = 0.5, points: int = 512) -> tuple[float, ...]:
-    """Log-spaced thresholds in (lo, hi]."""
+    """Log-spaced thresholds in (lo, hi], from 1 to :data:`MAX_EPS_GRID_POINTS` of them."""
     if not (0 < lo < hi < 1):
         raise ValueError("grid endpoints must satisfy 0 < lo < hi < 1")
-    if points < 1:
-        raise ValueError("grid needs at least one point")
+    if _agent_count(points, what="grid point count") > MAX_EPS_GRID_POINTS:
+        raise ValueError(f"grid needs at most {MAX_EPS_GRID_POINTS} points, got {points}")
     if points == 1:
         return (lo,)
     step = (math.log(hi) - math.log(lo)) / (points - 1)
@@ -164,8 +167,8 @@ def conditional_expectation_interval(
     Cauchy-Schwarz consequence for conditioning on an event of probability
     P(A) > 0.
     """
-    if not variance >= 0:
-        raise ValueError("variance must be non-negative")
+    if not math.isfinite(mean) or not variance >= 0:
+        raise ValueError("mean must be finite and variance non-negative")
     if p_event == 0:
         raise NullConditioningError("cannot condition on a zero-probability event")
     if not 0 < p_event <= 1:
@@ -196,11 +199,6 @@ def _standardized_terms(model: SignalModel) -> dict:
     }
 
 
-def _blocks(items: Iterator) -> Iterator[list]:
-    """Lists of the next :data:`MOMENT_BLOCK` items until ``items`` runs out."""
-    return iter(lambda: list(itertools.islice(items, MOMENT_BLOCK)), [])
-
-
 def _moments(n: int, blocks: Iterable[tuple[np.ndarray, ...]]) -> EstimatorMoments:
     """Estimator moments from blocks of (probability, state, Y) arrays over the
     law's points.  ``np.cumsum`` adds left to right, carried across blocks,
@@ -219,7 +217,7 @@ def _moments(n: int, blocks: Iterable[tuple[np.ndarray, ...]]) -> EstimatorMomen
 def estimator_moments_enumerated(model: SignalModel, n: int) -> EstimatorMoments:
     """Estimator moments by brute-force enumeration of all signal profiles.
 
-    Each block of :data:`MOMENT_BLOCK` profiles is a set of symbol-index
+    Each block of :data:`BLOCK_ROWS` profiles is a set of symbol-index
     columns, unravelled from the profiles' flat indices in
     ``itertools.product`` order.  Weights are products of integer masses
     (object arrays, so exact) over ``2 * den**n``, divided as Python ints
@@ -233,16 +231,15 @@ def estimator_moments_enumerated(model: SignalModel, n: int) -> EstimatorMoments
         raise EnumerationBudgetError(
             f"enumeration of {2 * profiles} outcomes is too large; use counts"
         )
-    terms = _standardized_terms(model)
-    values = np.array([terms[s] for s in model.support])
+    values = np.array(list(_standardized_terms(model).values()))
     den, pairs = integer_weights(model)
     total = 2 * den**n
     masses = np.array(pairs, dtype=object)
 
     def blocks():
         for state in (0, 1):
-            for start in range(0, profiles, MOMENT_BLOCK):
-                flat = np.arange(start, min(start + MOMENT_BLOCK, profiles))
+            for start in range(0, profiles, BLOCK_ROWS):
+                flat = np.arange(start, min(start + BLOCK_ROWS, profiles))
                 columns = np.unravel_index(flat, (k,) * n)
                 w, y = 1, 0.0
                 for column in columns:
@@ -263,20 +260,21 @@ def integer_weights(model: SignalModel) -> tuple[int, list[tuple[int, int]]]:
 def count_law(model: SignalModel, n: int) -> tuple[int, Iterator[tuple]]:
     """Exact joint law of the state and the symbol counts of n i.i.d. signals.
 
-    Returns ``(denominator, rows)``.  ``rows`` yields ``(counts, w0, w1)``
-    for every vector of counts over ``model.support``, in lexicographic
-    order; ``w_s`` is the integer mass of (counts, S=s) over
-    ``denominator = 2 * den**n``.  The posterior of a count vector is
-    ``Fraction(w1, w0 + w1)``, a tie iff ``w0 == w1``.  Rows are generated
-    depth first, each prefix carrying its two masses down, the last two
-    symbols in one loop; from count ``c`` to ``c + 1`` of a symbol of weight
-    ``r_s``, ``l`` agents left, a mass steps exactly to ``w (l - c) r_s // (c + 1)``.
-    At n = 0 the one row is the empty profile's.
+    Returns ``(denominator, blocks)``, each block ``(counts, w0, w1)`` for up
+    to :data:`BLOCK_ROWS` count vectors over ``model.support``: an ``int64``
+    row each, in lexicographic order across the blocks, and lists of their
+    integer masses, ``w_s`` that of (counts, S=s) over ``2 * den**n``.  The
+    posterior of a count vector is ``Fraction(w1, w0 + w1)``, a tie iff ``w0 == w1``.
+    Rows are generated depth first, each prefix carrying its two masses down,
+    the last two symbols in one loop, cut where a block fills; from count ``c``
+    to ``c + 1`` of a symbol of weight ``r_s``, ``l`` agents left, a mass steps
+    exactly to ``w (l - c) r_s // (c + 1)``.  At n = 0 the one row is the empty profile's.
     """
     _agent_count(n, 0)
     den, pairs = integer_weights(model)
     head = len(pairs) - 2
     (a0, a1), (b0, b1) = pairs[head:]
+    step = np.array([0] * head + [1, -1])
 
     def prefixes(i, left, prefix, w0, w1):
         if i == head:
@@ -287,15 +285,32 @@ def count_law(model: SignalModel, n: int) -> tuple[int, Iterator[tuple]]:
             yield from prefixes(i + 1, left - c, prefix + (c,), w0, w1)
             w0, w1 = w0 * (left - c) * r0 // (c + 1), w1 * (left - c) * r1 // (c + 1)
 
-    def rows():
+    def counts(runs):
+        """Each ``(first row, size)`` run's rows: the first, ``step`` added row by row."""
+        firsts, sizes = zip(*runs)
+        offsets = np.arange(sum(sizes)) - np.repeat(np.cumsum(sizes) - sizes, sizes)
+        return np.repeat(np.array(firsts, dtype=np.int64), sizes, axis=0) + np.outer(offsets, step)
+
+    def blocks():
+        runs, w0s, w1s = [], [], []
         for prefix, left, w0, w1 in prefixes(0, n, (), 1, 1):
             w0, w1 = w0 * b0**left, w1 * b1**left
-            for c in range(left + 1):
-                rest = left - c
-                yield prefix + (c, rest), w0, w1
-                w0, w1 = w0 * (rest * a0) // ((c + 1) * b0), w1 * (rest * a1) // ((c + 1) * b1)
+            stop = 0
+            while stop <= left:
+                start, stop = stop, min(left + 1, stop + BLOCK_ROWS - len(w0s))
+                runs.append((prefix + (start, left - start), stop - start))
+                for c in range(start, stop):
+                    w0s.append(w0)
+                    w1s.append(w1)
+                    rest = left - c
+                    w0, w1 = w0 * (rest * a0) // ((c + 1) * b0), w1 * (rest * a1) // ((c + 1) * b1)
+                if len(w0s) == BLOCK_ROWS:
+                    yield counts(runs), w0s, w1s
+                    runs, w0s, w1s = [], [], []
+        if runs:
+            yield counts(runs), w0s, w1s
 
-    return 2 * den**n, rows()
+    return 2 * den**n, blocks()
 
 
 def likelihood_classes(model: SignalModel, n: int) -> tuple[int, dict[tuple[int, int], int]]:
@@ -307,12 +322,13 @@ def likelihood_classes(model: SignalModel, n: int) -> tuple[int, dict[tuple[int,
     ``k``.  A row's pooled action and belief depend on it only through its
     class.
     """
-    denominator, rows = count_law(model, n)
+    denominator, blocks = count_law(model, n)
     classes: dict[tuple[int, int], int] = {}
-    for _counts, w0, w1 in rows:
-        k = math.gcd(w0, w1)
-        key = (w0 // k, w1 // k)
-        classes[key] = classes.get(key, 0) + k
+    for _counts, w0s, w1s in blocks:
+        for w0, w1 in zip(w0s, w1s):
+            k = math.gcd(w0, w1)
+            key = (w0 // k, w1 // k)
+            classes[key] = classes.get(key, 0) + k
     return denominator, classes
 
 
@@ -455,22 +471,20 @@ def exact_pooled_summary(model: SignalModel, n: int) -> ExactSummary:
 def estimator_moments_by_counts(model: SignalModel, n: int) -> EstimatorMoments:
     """Estimator moments via the multinomial distribution of symbol counts.
 
-    Reaches the agent counts the enumeration route cannot.  Each mass is an
-    integer ratio, whose true division is correctly rounded.  Rows are read
-    in blocks, each row's Y summed left to right over its symbols as arrays.
+    Reaches the agent counts the enumeration route cannot.  Each block of the
+    law gives Y, its count columns summed left to right, and its masses as
+    object arrays of Python ints, whose true division is correctly rounded.
     """
     _agent_count(n)
-    terms = _standardized_terms(model)
-    values = [terms[s] for s in model.support]
-    denominator, rows = count_law(model, n)
+    values = list(_standardized_terms(model).values())
+    denominator, law = count_law(model, n)
 
     def blocks():
-        for block in _blocks(rows):
-            counts, w0, w1 = zip(*block)
+        for counts, w0, w1 in law:
             y = 0.0
-            for column, v in zip(zip(*counts), values):
-                y = y + np.array(column, dtype=float) * v
-            wf = [w / denominator for pair in zip(w0, w1) for w in pair]
-            yield np.array(wf), np.tile((0.0, 1.0), len(block)), np.repeat(y / n, 2)
+            for column, v in zip(counts.T, values):
+                y = y + column * v
+            wf = (np.array((w0, w1), dtype=object).T / denominator).astype(float)
+            yield wf.ravel(), np.tile((0.0, 1.0), len(y)), np.repeat(y / n, 2)
 
     return _moments(n, blocks())

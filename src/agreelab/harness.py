@@ -623,19 +623,20 @@ def example_invariant_checks() -> list[Check]:
         )
     )
 
-    # committee: deference holds and the error law ignores the agent count;
-    # only the verdict's law is read, so no belief error is built
-    failures = []
-    for n in (200, 400, 800):
-        committee = senate(n).structure
-        success, tie, failure = committee.action_law()
-        committee.check_deference((success, tie, failure))
-        failures.append(failure)
-    spread = max(abs(float(a - b)) for a in failures for b in failures)
+    # committee: deference holds and the verdict's law is the binomial tail
+    # of its m votes, positive whatever n; no belief error is built
+    committee = senate(200).structure
+    law = committee.action_law()
+    committee.check_deference(law)
+    m, p = committee.senate_size, committee.accuracy
+    a, b, d = p.numerator, p.denominator - p.numerator, p.denominator**m
+    votes = [math.comb(m, j) * a**j * b ** (m - j) for j in range(m + 1)]  # j votes right, over d
+    tail = (sum(votes[m // 2 + 1 :]), votes[m // 2] * (m % 2 == 0), sum(votes[: (m + 1) // 2]))
+    off = sum(abs(float(x - Fraction(t, d))) for x, t in zip(law, tail)) + (0 if law[2] > 0 else 1)
     checks.append(
         _bounded_check(
-            "committee-error-ignores-population", spread, 0.0,
-            detail="exact failure probability identical across n=200,400,800",
+            "committee-law-is-binomial-tail", off, 0.0,
+            detail=f"exact law of {m} votes at {p} equals the binomial tails; failure > 0",
         )
     )
     return checks

@@ -105,6 +105,16 @@ def locate(space, rows: np.ndarray) -> np.ndarray:
     return found
 
 
+def law_rows(blocks) -> list:
+    """``count_law``'s blocks read back as one ``(counts tuple, w0, w1)`` per
+    count vector, in the law's order."""
+    return [
+        (tuple(counts), w0, w1)
+        for block, w0s, w1s in blocks
+        for counts, w0, w1 in zip(block.tolist(), w0s, w1s)
+    ]
+
+
 def count_vectors(n: int, k: int) -> np.ndarray:
     """Every vector of ``k`` non-negative counts summing to ``n``, one ``int64``
     row each, in ``count_law``'s (lexicographic) order, the rows of

@@ -5,6 +5,8 @@ import functools
 import itertools
 import math
 import operator
+import sys
+import tracemalloc
 import warnings
 from fractions import Fraction
 
@@ -13,8 +15,12 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+from reference import law_rows
+
 from agreelab import bounds
 from agreelab.bounds import (
+    BLOCK_ROWS,
+    MAX_EPS_GRID_POINTS,
     EstimatorMoments,
     ExactSummary,
     _moments,
@@ -559,17 +565,17 @@ class TestCountLaw:
     def test_laws_take_zero_agents_and_numpy_counts(self):
         """No agent leaves the prior's law, one empty row of mass 1/2 per
         state; a numpy agent count is the integer it holds."""
-        denominator, rows = count_law(BINARY_23, 0)
-        assert (denominator, list(rows)) == (2, [((0, 0), 1, 1)])
+        denominator, blocks = count_law(BINARY_23, 0)
+        assert (denominator, law_rows(blocks)) == (2, [((0, 0), 1, 1)])
         assert likelihood_classes(BINARY_23, np.int64(0)) == (2, {(1, 1): 1})
         assert exact_pooled_summary(BINARY_23, np.int64(3)) == exact_pooled_summary(BINARY_23, 3)
 
     @settings(max_examples=30, deadline=None)
     @given(model=rational_models(), n=st.integers(1, 6))
     def test_masses_total_one_and_give_the_posterior(self, model, n):
-        denominator, rows = count_law(model, n)
+        denominator, blocks = count_law(model, n)
         total = 0
-        for counts, w0, w1 in rows:
+        for counts, w0, w1 in law_rows(blocks):
             assert sum(counts) == n
             total += w0 + w1
             assert count_posterior(model, counts) == Fraction(w1, w0 + w1)
@@ -705,10 +711,10 @@ class TestLikelihoodClasses:
     @example(law=(raw_model((1, 2), (2, 1), (3, 3)), 40))
     def test_classes_equal_the_per_row_law(self, law):
         model, n = law
-        denominator, rows = count_law(model, n)
+        denominator, blocks = count_law(model, n)
         want_denominator, want_rows = reference_count_law(model, n)
         assert denominator == want_denominator
-        assert list(rows) == list(want_rows)
+        assert law_rows(blocks) == list(want_rows)
         assert exact_pooled_summary(model, n) == reference_pooled_summary(model, n)
 
     @settings(max_examples=40, deadline=None)
@@ -763,6 +769,56 @@ class TestLikelihoodClasses:
         and so every rounding step are unchanged."""
         moments = estimator_moments_by_counts(model, n)
         assert (moments.mean, moments.var_y_minus_s, moments.cov_s_y, moments.var_y) == recorded
+
+
+# The smallest ternary agent count whose law fills a block and spills
+# into the next, runs of the last two symbols crossing the boundary.
+TERNARY_PAST_A_BLOCK = next(n for n in itertools.count() if (n + 1) * (n + 2) // 2 > BLOCK_ROWS)
+
+
+class TestCountLawBlocks:
+    """``count_law``'s blocks against the per-row reference law."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(law=colliding_laws())
+    @example(law=(BINARY_23, 0))
+    @example(law=(BINARY_23, BLOCK_ROWS - 2))
+    @example(law=(BINARY_23, BLOCK_ROWS - 1))
+    @example(law=(BINARY_23, BLOCK_ROWS))
+    @example(law=(BINARY_23, 3 * BLOCK_ROWS + 5))
+    @example(law=(raw_model((1, 2), (1, 1), (2, 1)), TERNARY_PAST_A_BLOCK))
+    def test_blocks_are_the_per_row_law(self, law):
+        """Binary at n = BLOCK_ROWS - 2 .. BLOCK_ROWS has one block less one
+        row, one block and one block plus one row; at 3 * BLOCK_ROWS + 5 its
+        one run of the last two symbols spans four blocks."""
+        model, n = law
+        denominator, blocks = count_law(model, n)
+        blocks = list(blocks)
+        want_denominator, want_rows = reference_count_law(model, n)
+        assert denominator == want_denominator
+        assert law_rows(blocks) == list(want_rows)
+        sizes = [len(counts) for counts, _, _ in blocks]
+        assert sizes[:-1] == [BLOCK_ROWS] * (len(sizes) - 1) and 1 <= sizes[-1] <= BLOCK_ROWS
+        for counts, w0, w1 in blocks:
+            assert counts.dtype == np.int64 and counts.shape[1] == len(model.support)
+            assert len(w0) == len(w1) == len(counts)
+
+    def test_a_long_run_is_held_a_block_at_a_time(self):
+        """Binary at n = 8 * BLOCK_ROWS is one run of the last two symbols.
+        Beyond the classes it returns, ``likelihood_classes`` holds at most
+        two blocks of masses at once (the one it reads and the one being
+        built), two a row, each below den**n = 3**n; with the run left in
+        one block it held over three times that bound."""
+        n = 8 * BLOCK_ROWS
+        mass_bytes = sys.getsizeof(3**n)
+        tracemalloc.start()
+        try:
+            classes = likelihood_classes(BINARY_23, n)
+            current, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(classes[1]) == n + 1
+        assert peak - current < 4 * BLOCK_ROWS * mass_bytes
 
 
 N_MATRIX = (*range(1, 61), 200, 400)
@@ -892,3 +948,14 @@ class TestGridConstruction:
             default_eps_grid(0.5, 0.1, 10)
         with pytest.raises(ValueError):
             default_eps_grid(1e-6, 0.5, 0)
+
+    @pytest.mark.parametrize("points", [True, 2.5, MAX_EPS_GRID_POINTS + 1])
+    def test_refuses_a_point_count_that_is_not_whole_or_over_the_cap(self, points):
+        """A boolean counted as one point and 2.5 raised ``TypeError``;
+        with no cap, 10^6 points took 1.6 s and 130 MB in ``bound``."""
+        with pytest.raises(ValueError, match="grid point count must be an integer|at most 65536"):
+            default_eps_grid(1e-6, 0.5, points)
+
+    def test_the_cap_is_the_last_size_built(self):
+        assert MAX_EPS_GRID_POINTS == 2**16
+        assert len(default_eps_grid(1e-6, 0.5, MAX_EPS_GRID_POINTS)) == MAX_EPS_GRID_POINTS

@@ -259,7 +259,7 @@ class TestVerify:
         generator, body = capsys.readouterr().out.split("\n", 1)
         assert generator.startswith("# generator=")
         assert hashlib.sha256(body.encode()).hexdigest() == (
-            "514919dd28e0fa0bf4f0e4ed10253a32a5cc138a20bff3da39970c1326560faf"
+            "fa436fe9f960c598648252e9e1c154250984d110ec45ba89c876619b19e62e71"
         )
 
 
@@ -391,6 +391,9 @@ class TestExitCodes:
             (("sweep", "--config",
               '{"scenario": "geometric_tail", "n": [10], "trials": 10, "eps_grid": []}'),
              "--eps-grid"),
+            # One point past the cap (2**16); with no cap 10**6 points took 1.6 s and 130 MB.
+            (("bound", "--scenario", "geometric_tail", "--n", "10", "--eps-grid", "1e-6:0.5:65537"),
+             "grid needs at most 65536 points"),
         ],
     )
     def test_unparseable_input_exits_1(self, argv, message, tmp_path, monkeypatch, capsys):

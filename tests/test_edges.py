@@ -15,6 +15,7 @@ from agreelab.bounds import (
     estimator_moments_enumerated,
     estimator_y,
     exact_pooled_summary,
+    k_statistic,
     learning_bounds,
     likelihood_classes,
     qn_bound,
@@ -75,19 +76,24 @@ BINARY_23 = SignalModel.binary(Fraction(2, 3))
         (likelihood_classes, (BINARY_23, 2.5)),
         (exact_pooled_summary, (BINARY_23, True)),
         (exact_pooled_summary, (BINARY_23, 2.5)),
+        (conditional_expectation_interval, (math.nan, 1.0, 0.5)),
+        (k_statistic, ([0.1, 0.2], math.nan)),
+        (estimator_y, (BINARY_23, [math.nan])),
     ],
     ids=["bounds-inf", "bounds-nan", "truncate-nan", "interval-nan", "no-llrs",
          "negative-digraph", "empty-digraph", "weight-state-2", "tail-cdf-state-minus-1",
          "qn-fractional-n", "qn-boolean-n", "bounds-fractional-n", "bounds-boolean-n",
          "moments-boolean-n", "moments-by-counts-fractional-n", "count-law-boolean-n",
          "count-law-fractional-n", "classes-boolean-n", "classes-fractional-n",
-         "pooled-summary-boolean-n", "pooled-summary-fractional-n"],
+         "pooled-summary-boolean-n", "pooled-summary-fractional-n", "interval-nan-mean",
+         "k-statistic-nan-eps", "estimator-y-nan-llr"],
 )
 def test_non_finite_or_empty_inputs_are_refused(call, args):
     """Each passed the range checks: NaN fails every comparison, an empty
     input reached a division or a node it does not have, a state other than
     1 read mu0, a boolean agent count counted as 1, and a fractional one gave
-    a number or a ``TypeError``."""
+    a number or a ``TypeError``.  A NaN mean gave the interval (nan, nan), a
+    NaN threshold a fraction of 0 and a NaN ratio an estimate of nan."""
     with pytest.raises(ValueError):
         call(*args)
 

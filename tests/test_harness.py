@@ -27,6 +27,7 @@ from agreelab.harness import (
     chunk_streams,
     default_verification_suite,
     estimator_identity_checks,
+    example_invariant_checks,
     exact_pooled_summary,
     pooled_bound_rows,
     run_monte_carlo,
@@ -47,6 +48,7 @@ from agreelab.knowledge import (
 )
 from agreelab.scenarios import (
     Scenario,
+    SenateStaged,
     geometric_tail,
     iid_binary,
     iid_custom,
@@ -557,6 +559,25 @@ class TestVerification:
         monkeypatch.setattr(bounds, "_exact_msbe", refused)
         monkeypatch.setattr(harness, "exact_pooled_summary", refused)
         assert default_verification_suite(seed=3, trials=1000).passed
+
+
+COMMITTEE_LAWS = {
+    "exact": lambda s, t, f: (s, t, f),
+    "off-by-1e-9": lambda s, t, f: (s - Fraction(1, 10**9), t, f + Fraction(1, 10**9)),
+    "never-wrong": lambda s, t, f: (s + f, t, Fraction(0)),
+}
+
+
+@pytest.mark.parametrize("law", list(COMMITTEE_LAWS))
+def test_committee_row_checks_the_law_against_the_binomial_tail(law, monkeypatch):
+    """The committee's verdict law is set against the binomial tail of its
+    100 votes at 2/3, so a law off by 10^-9, or one that never errs, fails
+    the row; three builds of one law could only agree with each other."""
+    exact = SenateStaged.action_law
+    monkeypatch.setattr(SenateStaged, "action_law", lambda self: COMMITTEE_LAWS[law](*exact(self)))
+    (row,) = [c for c in example_invariant_checks() if c.name == "committee-law-is-binomial-tail"]
+    assert row.status == ("pass" if law == "exact" else "fail")
+    assert (row.observed == 0.0) == (law == "exact")
 
 
 class TestTrialSummaryShape:
