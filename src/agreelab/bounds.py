@@ -90,8 +90,8 @@ def estimator_y(model: SignalModel, llrs: Sequence[float]) -> float:
 
 def k_statistic(beliefs: Sequence, eps) -> float:
     """Fraction of agents whose private belief lies strictly below eps."""
-    if len(beliefs) < 1 or math.isnan(eps):
-        raise ValueError("need at least one belief and a threshold that is a number")
+    if len(beliefs) < 1 or math.isnan(eps) or any(math.isnan(b) for b in beliefs):
+        raise ValueError("need at least one belief, and beliefs and a threshold that are numbers")
     return sum(1 for b in beliefs if b < eps) / len(beliefs)
 
 
@@ -167,8 +167,8 @@ def conditional_expectation_interval(
     Cauchy-Schwarz consequence for conditioning on an event of probability
     P(A) > 0.
     """
-    if not math.isfinite(mean) or not variance >= 0:
-        raise ValueError("mean must be finite and variance non-negative")
+    if not math.isfinite(mean) or not 0 <= variance < math.inf:
+        raise ValueError("mean and variance must be finite and variance non-negative")
     if p_event == 0:
         raise NullConditioningError("cannot condition on a zero-probability event")
     if not 0 < p_event <= 1:

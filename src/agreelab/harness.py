@@ -40,7 +40,6 @@ from .dynamics import (
 )
 from .errors import BoundedBeliefsError, NonInformativeModelError
 from .knowledge import (
-    DEFAULT_ENUMERATION_BUDGET,
     TIE,
     action_codes,
     block_sums,
@@ -54,7 +53,8 @@ from .signals import SignalModel, belief_tail_cdf, noise_to_signal_ratio
 #: Trials per stream; a run of T trials draws ceil(T / CHUNK_TRIALS) chunks.
 CHUNK_TRIALS = 2**14
 
-RNG_VERSION = f"philox4x64/seedseq/seed-n-chunk{CHUNK_TRIALS}/numpy-{np.__version__}"
+#: Names the draws: chunk streams, and one statistic per structure for every mode.
+RNG_VERSION = f"philox4x64/seedseq/seed-n-chunk{CHUNK_TRIALS}/statistic/numpy-{np.__version__}"
 
 POOLED = "pooled"
 MODES = (POOLED,) + PROTOCOL_KINDS
@@ -137,13 +137,13 @@ def run_monte_carlo(scenario: Scenario, mode: str, trials: int, seed: int) -> Tr
     ``mode`` is either ``pooled`` (the full-information posterior stands in
     for the agreement outcome, which belief-announcement dynamics provably
     reach for conditionally independent signals) or a protocol kind, which
-    the structure's ``trial_outcomes`` decides from the drawn rows with no
-    space built: by count vector on i.i.d. signals, each distinct one once
-    per run (the senate from its two full count tables), and in closed form
-    on parity, flip and two-bit.  The pair budget gates it; past it the
-    senate's public-action has its analytic fixed point.  Each branch is one
-    draw of (states, action codes, X), in chunks keyed by (seed, n, chunk),
-    so the run is deterministic given the seed.
+    the structure's ``trial_outcomes`` decides from its drawn statistic with
+    no space built: by count vector on i.i.d. signals, each distinct one
+    once per run (the senate by its two tallies), and in closed form on
+    parity, flip and two-bit.  The pair budget gates every protocol request
+    but the senate's public-action, whose fixed point is analytic at any n.
+    Each branch is one draw of (states, action codes, X), in chunks keyed by
+    (seed, n, chunk), so the run is deterministic given the seed.
     """
     if trials < 1:
         raise ValueError("need at least one trial")
@@ -153,14 +153,9 @@ def run_monte_carlo(scenario: Scenario, mode: str, trials: int, seed: int) -> Tr
     structure = scenario.structure
     if mode == POOLED:
         draw = scenario.pooled_sampler()
-    elif (
-        mode == PUBLIC_ACTION
-        and isinstance(structure, SenateStaged)
-        and structure.pair_count(scenario.n) > DEFAULT_ENUMERATION_BUDGET
-    ):
-        draw = structure.action_trial_sampler(scenario.n)
     else:
-        check_pair_budget(structure.pair_count(scenario.n), scenario.name)
+        if mode != PUBLIC_ACTION or not isinstance(structure, SenateStaged):
+            check_pair_budget(structure.pair_count(scenario.n), scenario.name)
         draw = scenario.profile_sampler(structure.trial_outcomes(scenario.n, mode))
 
     successes = ties = resolved_hits = 0

@@ -9,10 +9,15 @@ marginal signal model used by the aggregate bounds.
 Every sampler returns a draw ``draw(rng, size, force_state=None)`` that
 makes ``size`` trials with a few vectorised calls and returns arrays of
 states, action codes (:data:`~agreelab.knowledge.ACTION_SETS`) and float
-beliefs X.  A profile draw reads them off the rows of symbols that every
-structure draws as ``signal_rows``, by the structure's ``trial_outcomes``:
-by counts for i.i.d. signals (:meth:`IidSignals.trial_outcomes`), and by
-closed-form fixed points for parity, flip and two-bit.
+beliefs X.  Each structure draws one statistic per trial,
+``draw_statistic(rng, states, n)``, the one its outcomes read, and its
+``trial_outcomes`` maps it to (action codes, X): the symbol counts of
+i.i.d. signals (:meth:`IidSignals.trial_outcomes`), the committee's and the
+others' ones for the senate, the hidden proxy bit for flip and two-bit, and
+nothing for parity.  Flip's pooled sampler draws that same proxy bit; the
+pooled samplers of i.i.d. signals and of the senate draw the symbol counts
+with one multinomial call per state instead, so their tallies differ from
+the protocol runs' draw for draw.
 """
 
 from __future__ import annotations
@@ -65,12 +70,12 @@ class Scenario:
         return self.structure.marginal_model(self.n)
 
     def profile_sampler(self, outcome: Callable[[np.ndarray], tuple]) -> Callable:
-        """Batch draw of (states, *``outcome`` of the drawn rows of symbols)."""
-        rows = self.structure.signal_rows
+        """Batch draw of (states, *``outcome`` of the structure's drawn statistic)."""
+        statistic = self.structure.draw_statistic
 
         def draw(rng, size, force_state=None):
             states = _draw_states(rng, size, force_state)
-            return states, *outcome(rows(rng, states, self.n))
+            return states, *outcome(statistic(rng, states, self.n))
 
         return draw
 
@@ -90,13 +95,6 @@ def _known_state_draw(rng, size: int, force_state=None):
     """Pooled draw of a structure whose full profile reveals the state."""
     states = _draw_states(rng, size, force_state)
     return states, states.astype(np.int8), states.astype(float)
-
-
-def _parity_bits(rng, states: np.ndarray, n: int) -> np.ndarray:
-    """Rows of n uniform bits conditioned on their parity being the state."""
-    head = rng.integers(0, 2, size=(len(states), n - 1))
-    last = (states + head.sum(axis=1)) % 2
-    return np.column_stack([head, last])
 
 
 # ---------------------------------------------------------------------------
@@ -126,67 +124,63 @@ class IidSignals:
         )
         return p / p.sum(axis=1, keepdims=True)
 
-    def signal_rows(self, rng, states: np.ndarray, n: int) -> np.ndarray:
-        """Rows of n independent draws from mu_S, as indices in the support,
-        the alphabet of :meth:`OutcomeSpace.iid`."""
+    def draw_statistic(self, rng, states: np.ndarray, n: int) -> np.ndarray:
+        """Each trial's counts over the support, in its order, of n
+        independent draws from mu_S: one categorical call per state draws
+        the rows of symbols, which are then counted."""
         p = self._probabilities()
-        symbols = np.empty((len(states), n), dtype=np.int64)
+        k = p.shape[1]
+        counts = np.empty((len(states), k), dtype=np.int64)
         for state in (0, 1):
             rows = states == state
-            symbols[rows] = rng.choice(p.shape[1], size=(int(rows.sum()), n), p=p[state])
-        return symbols
-
-    def count_rows(self, n: int) -> Callable[[np.ndarray], np.ndarray]:
-        """Map rows of symbols, as :meth:`signal_rows` draws them, to the
-        index of their vector of counts over the support, in lexicographic
-        order of the count vectors (:func:`~agreelab.bounds.count_law`'s).
-
-        A profile's row is the number of count vectors before its own: taken
-        in support order, each agent adds those that put it and every agent
-        after it on later symbols.
-        """
-        k = len(self.model.support)
-        later = np.array(
-            [[math.comb(left + k - i - 2, k - i - 2) if i < k - 1 else 0 for i in range(k)]
-             for left in range(n + 1)],
-            dtype=np.int64,
-        )
-
-        def rows(symbols: np.ndarray) -> np.ndarray:
-            return later[np.arange(n, 0, -1), np.sort(symbols, axis=1)].sum(axis=1)
-
-        return rows
+            size = int(rows.sum())
+            symbols = rng.choice(k, size=(size, n), p=p[state]) + k * np.arange(size)[:, None]
+            counts[rows] = np.bincount(symbols.ravel(), minlength=k * size).reshape(size, k)
+        return counts
 
     def trial_outcomes(self, n: int, kind: str) -> Callable:
-        """Protocol ``kind``'s (action codes, X) of rows of symbols, by
-        their count vectors, each decided once per run.
+        """Protocol ``kind``'s (action codes, X) of rows of counts, as
+        :meth:`draw_statistic` draws them, each count vector decided once
+        per run.
 
         The outcome keeps one code and one X per vector of counts over the
-        support, in lexicographic order (``comb(n + k - 1, k - 1)`` rows for
-        k symbols, at most the pair budget).  Each batch decides
-        only the distinct count vectors it draws that no earlier batch did
-        (:func:`~agreelab.dynamics.decide_counts`), counted off one drawn
-        row each, so a run never decides more than the whole table.
+        support, at its rank in lexicographic order (``count_law``'s), so
+        ``comb(n + k - 1, k - 1)`` rows for k symbols, at most the pair
+        budget.  A vector's rank is the number of vectors before it.  Let
+        ``T[i, m] = comb(m + k - 1 - i, k - 1 - i)`` count the vectors of m
+        agents over symbols i and later.  With ``left`` agents not counted
+        on the symbols before i, the vectors that agree up to i and put
+        fewer agents on it number ``T[i, left] - T[i, left - c_i]`` (the
+        hockey-stick identity), and the rank sums these over i.  Each batch
+        decides only the distinct count vectors it draws that no earlier
+        batch did (:func:`~agreelab.dynamics.decide_counts`), so a run never
+        decides more than the whole table.
         """
-        model, rows = self.model, self.count_rows(n)
+        model = self.model
         k = len(model.support)
-        size = math.comb(n + k - 1, k - 1)
+        # T flat, its row i from i * (n + 1), so that each term is one take.
+        vectors = np.array(
+            [math.comb(m + k - 1 - i, k - 1 - i) for i in range(k) for m in range(n + 1)],
+            dtype=np.int64,
+        )
+        rows = np.arange(k) * (n + 1)
+        size = int(vectors[n])
         codes, xs = np.full(size, -1, dtype=np.int8), np.empty(size)  # -1: not yet decided
 
-        def outcome(symbols: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-            at = rows(symbols)
+        def outcome(counts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+            after = rows + n - np.cumsum(counts, axis=1)
+            at = vectors.take(after + counts).sum(axis=1) - vectors.take(after).sum(axis=1)
             fresh = np.flatnonzero(codes[at] < 0)
             new, first = np.unique(at[fresh], return_index=True)
             if len(new):
-                drawn = symbols[fresh[first]] + k * np.arange(len(new))[:, None]
-                counts = np.bincount(drawn.ravel(), minlength=k * len(new)).reshape(-1, k)
-                codes[new], xs[new] = decide_counts(model, kind, counts)
+                codes[new], xs[new] = decide_counts(model, kind, counts[fresh[first]])
             return codes[at], xs[at]
 
         return outcome
 
     def pooled_sampler(self, n: int) -> Callable:
-        """Sample symbol counts and decide the pooled outcome from them.
+        """Sample symbol counts, one multinomial call per state, and decide
+        the pooled outcome from them.
 
         The sign of the summed log-likelihood ratio is taken in floats and
         re-checked exactly whenever the float margin is too small to be
@@ -249,19 +243,20 @@ class ParityBits:
     def marginal_model(self, n: int) -> None:
         return None
 
-    signal_rows = staticmethod(_parity_bits)
+    def draw_statistic(self, rng, states: np.ndarray, n: int) -> np.ndarray:
+        """Nothing: no outcome reads the bits, so none is drawn; one empty
+        row per trial."""
+        return np.empty((len(states), 0), dtype=np.int64)
 
     def trial_outcomes(self, n: int, kind: str) -> Callable:
-        """Every protocol's (action codes, X) of rows of bits: a tie and 1/2.
+        """Every protocol's (action codes, X) of every trial: a tie and 1/2.
 
         Proof.  Any n - 1 bits are independent of the state, so each agent
         starts at belief 1/2, every announcement is constant and nothing
         refines, under every protocol and on any digraph."""
-
-        def outcome(symbols: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-            return np.full(len(symbols), TIE, dtype=np.int8), np.full(len(symbols), 0.5)
-
-        return outcome
+        return lambda nothing: (
+            np.full(len(nothing), TIE, dtype=np.int8), np.full(len(nothing), 0.5)
+        )
 
     def pooled_sampler(self, n: int) -> Callable:
         return _known_state_draw
@@ -368,18 +363,11 @@ class ExchangeableFlip:
             )
         return worst
 
-    def draw_proxies(self, rng, states: np.ndarray) -> np.ndarray:
-        """The hidden proxy bit of each trial: the state w.p. q."""
+    def draw_statistic(self, rng, states: np.ndarray, n: int) -> np.ndarray:
+        """The hidden proxy bit of each trial: the state w.p. q.  The
+        profile, the bit on a uniformly random ``ones_count(n, 1)`` agents
+        and its complement on the others, is not drawn."""
         return np.where(rng.random(len(states)) < float(self.q), states, 1 - states)
-
-    def signal_rows(self, rng, states: np.ndarray, n: int) -> np.ndarray:
-        """Rows of signals given the states: each trial's proxy bit on a
-        uniformly random subset of ``ones_count(n, 1)`` agents, its
-        complement on the others."""
-        column = self.draw_proxies(rng, states)[:, None]
-        subset = np.arange(n) < self.ones_count(n, 1)
-        inside = rng.permuted(np.tile(subset, (len(states), 1)), axis=1)
-        return np.where(inside, column, 1 - column)
 
     def proxy_outcomes(self) -> tuple[np.ndarray, np.ndarray]:
         """Action codes and beliefs P(S = 1 | proxy bit), 1 - q and q, by the bit."""
@@ -387,8 +375,8 @@ class ExchangeableFlip:
         return np.array([action_code(b) for b in beliefs], dtype=np.int8), np.array(beliefs, float)
 
     def trial_outcomes(self, n: int, kind: str) -> Callable:
-        """Every protocol's (action codes, X) of rows of bits: the
-        :meth:`proxy_outcomes` of the proxy bit pi, 1 where the row has
+        """Every protocol's (action codes, X) of the hidden proxy bits pi:
+        their :meth:`proxy_outcomes`.  A profile's pi is 1 where it has
         ``ones_count(n, 1)`` ones.
 
         Proof.  S depends on the profile only through pi, so any belief is
@@ -403,13 +391,7 @@ class ExchangeableFlip:
         P(pi = 0, A).  With a = u (a + c), ac = 0: u is pi on A.
         """
         codes, xs = self.proxy_outcomes()
-        high = self.ones_count(n, 1)
-
-        def outcome(symbols: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-            proxies = (symbols.sum(axis=1) == high).astype(np.intp)
-            return codes[proxies], xs[proxies]
-
-        return outcome
+        return lambda proxies: (codes[proxies], xs[proxies])
 
     def pooled_sampler(self, n: int) -> Callable:
         """The pooled posterior depends on the profile only through its
@@ -419,7 +401,7 @@ class ExchangeableFlip:
 
         def draw(rng, size, force_state=None):
             states = _draw_states(rng, size, force_state)
-            proxies = self.draw_proxies(rng, states)
+            proxies = self.draw_statistic(rng, states, n)
             return states, codes[proxies], beliefs[proxies]
 
         return draw
@@ -466,15 +448,14 @@ class TwoBitCombo:
         mu0 = (half * a1, half * (1 - a1), half * a1, half * (1 - a1))
         return SignalModel(alphabet=SIGNAL_PAIRS, mu0=mu0, mu1=mu1)
 
-    def signal_rows(self, rng, states: np.ndarray, n: int) -> np.ndarray:
-        """A signal (b1, b2) is the symbol 2*b1 + b2, its index in
-        :data:`SIGNAL_PAIRS`."""
-        first = _parity_bits(rng, states, n)
-        return 2 * first + self.flip.signal_rows(rng, states, n)
+    def draw_statistic(self, rng, states: np.ndarray, n: int) -> np.ndarray:
+        """The flip's hidden proxy bit of the second bits; the first bits
+        are not drawn."""
+        return self.flip.draw_statistic(rng, states, n)
 
     def trial_outcomes(self, n: int, kind: str) -> Callable:
-        """Every protocol's (action codes, X) of rows of symbols: the flip's
-        on the second bits, ``symbols % 2``.
+        """Every protocol's (action codes, X) of the second bits' proxy bits:
+        the flip's.  A signal (b1, b2) is the symbol 2*b1 + b2.
 
         Proof.  For n >= 2 an agent's first bit is independent of the state
         and all second bits, so an agent knowing it and a function of the
@@ -482,8 +463,7 @@ class TwoBitCombo:
         alone.  By induction over the rounds every announcement is then a
         function of the second bits, and the partitions are the flip's, each
         crossed with the agent's first bit."""
-        flip = self.flip.trial_outcomes(n, kind)
-        return lambda symbols: flip(symbols % 2)
+        return self.flip.trial_outcomes(n, kind)
 
     def pooled_sampler(self, n: int) -> Callable:
         return _known_state_draw
@@ -559,48 +539,32 @@ class SenateStaged(IidSignals):
         m = self.senate_size
         return self.pooled_table(m)[0][space.symbols[:, :m].sum(axis=1)]
 
+    def draw_statistic(self, rng, states: np.ndarray, n: int) -> np.ndarray:
+        """Each trial's ones among the committee's signals, then among the
+        other agents': one binomial call each."""
+        acc = float(self.accuracy)
+        p_one = np.where(states == 1, acc, 1.0 - acc)
+        m = self.senate_size
+        return np.column_stack((rng.binomial(m, p_one), rng.binomial(n - m, p_one)))
+
     def trial_outcomes(self, n: int, kind: str) -> Callable:
-        """The committee's verdict and X: under public-action its pooled
-        belief, as on the analytic route; under a belief protocol the pooled
-        posterior of all n signals, where every agent ends as its partition
-        refines its own signal (:func:`~agreelab.dynamics.decide_counts`).
-        Public-action needs a committee the others defer to."""
-        m = pooling = self.senate_size
-        verdicts, xs = self.pooled_table(m)
+        """The committee's verdict and X of each trial's two tallies: under
+        public-action its pooled belief, at any n; under a belief protocol
+        the pooled posterior of all n signals, where every agent ends as its
+        partition refines its own signal
+        (:func:`~agreelab.dynamics.decide_counts`).
+
+        Under public-action the committee's action is already measurable for
+        every agent, so on a committee the others defer to (which it needs)
+        the fixed point is immediate and common.  A split committee is
+        uninformative and the continued announcements aggregate the
+        remaining signals instead, but its trials count as ties."""
+        verdicts, committee = self.pooled_table(self.senate_size)
         if kind == PUBLIC_ACTION:
             self.check_deference()
-        else:
-            pooling, xs = n, self.pooled_table(n)[1]
-
-        def outcome(symbols: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-            return verdicts[symbols[:, :m].sum(axis=1)], xs[symbols[:, :pooling].sum(axis=1)]
-
-        return outcome
-
-    def action_trial_sampler(self, n: int) -> Callable:
-        """Batch draw of the public-action fixed point via the staged structure.
-
-        The committee's action is already measurable for every agent, so on
-        non-split committees the fixed point is immediate and common; a split
-        committee is uninformative and the continued announcements aggregate
-        the remaining signals instead.  Trials report the committee's verdict
-        and, as X, its pooled belief, from a binomial draw of its tally; the
-        other agents' tally is drawn after it, unread, so each chunk's stream
-        stays as it was.
-        """
-        self.check_deference()
-        m = self.senate_size
-        acc = float(self.accuracy)
-        verdicts, committee = self.pooled_table(m)
-
-        def draw(rng, size, force_state=None):
-            states = _draw_states(rng, size, force_state)
-            p_one = np.where(states == 1, acc, 1.0 - acc)
-            ones = rng.binomial(m, p_one)
-            rng.binomial(n - m, p_one)
-            return states, verdicts[ones], committee[ones]
-
-        return draw
+            return lambda ones: (verdicts[ones[:, 0]], committee[ones[:, 0]])
+        everyone = self.pooled_table(n)[1]
+        return lambda ones: (verdicts[ones[:, 0]], everyone[ones.sum(axis=1)])
 
 
 # ---------------------------------------------------------------------------

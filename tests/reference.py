@@ -8,7 +8,9 @@ weights are defined here pair by pair, as Fractions.  The per-agent protocol
 loop refines and announces once per agent, never sharing work between
 agents that hold equal partitions, and tabulates outcomes from Fractions.
 The exact engine's outcome table per profile, with its agreement check, is
-the oracle of the Monte Carlo path's ``trial_outcomes``.
+the oracle of the Monte Carlo path's ``trial_outcomes``: grouped by the
+statistic that each structure draws (``profile_statistics``), it must be
+one outcome per statistic, and that outcome the structure's.
 """
 
 import itertools
@@ -34,6 +36,7 @@ from agreelab.dynamics import (
 from agreelab.errors import AgreementLabError, NullConditioningError
 from agreelab.knowledge import (
     ACTION_SETS,
+    TIE,
     OutcomeSpace,
     Partition,
     action_code,
@@ -41,7 +44,7 @@ from agreelab.knowledge import (
     dense_codes,
     joint_codes,
 )
-from agreelab.scenarios import ExchangeableFlip, ParityBits, TwoBitCombo
+from agreelab.scenarios import ExchangeableFlip, IidSignals, ParityBits, SenateStaged, TwoBitCombo
 
 
 def space_over(profiles, n: int) -> OutcomeSpace:
@@ -96,8 +99,8 @@ def _keys(rows: np.ndarray, radix: int) -> np.ndarray:
 
 
 def locate(space, rows: np.ndarray) -> np.ndarray:
-    """Positions in ``space`` of rows of symbols, as ``signal_rows``
-    draws them; a row outside the space is an error."""
+    """Positions in ``space`` of rows of symbols; a row outside the space
+    is an error."""
     keys, wanted = (_keys(r, len(space.alphabet)) for r in (space.symbols, rows))
     found = np.minimum(keys.searchsorted(wanted), len(keys) - 1)
     if not np.array_equal(keys[found], wanted):
@@ -118,7 +121,7 @@ def law_rows(blocks) -> list:
 def count_vectors(n: int, k: int) -> np.ndarray:
     """Every vector of ``k`` non-negative counts summing to ``n``, one ``int64``
     row each, in ``count_law``'s (lexicographic) order, the rows of
-    ``IidSignals.count_rows``.  Built a symbol at a time: each prefix with
+    ``IidSignals.trial_outcomes``' table.  Built a symbol at a time: each prefix with
     ``left`` agents unassigned is repeated ``left + 1`` times, followed by
     the counts ``0..left``."""
     rows = np.zeros((1, 0), dtype=np.int64)
@@ -169,13 +172,85 @@ def protocol_outcome_table(scenario, kind, space) -> tuple[np.ndarray, np.ndarra
     return actions, np.array([float(m) for m in means])[codes]
 
 
-def table_outcomes(space, codes: np.ndarray, xs: np.ndarray):
-    """Rows of symbol ranks to (action codes, X), read off the table
-    ``codes, xs`` over ``space`` at the rows' positions: the enumerated
-    stand-in for a structure's ``trial_outcomes``."""
+def profile_statistics(scenario, space) -> np.ndarray:
+    """Per profile of ``space``, the statistic that its structure's
+    ``draw_statistic`` draws, in the same shape: the symbol counts over the
+    alphabet for i.i.d. signals, the committee's ones and the others' ones
+    for the senate, the proxy bit (a one-count of 3n/4, of the second bits
+    for two-bit) for flip and two-bit, and an empty row for parity."""
+    structure, n = scenario.structure, scenario.n
+    symbols = space.symbols.astype(np.int64)
+    if isinstance(structure, SenateStaged):
+        m = structure.senate_size
+        return np.column_stack((symbols[:, :m].sum(axis=1), symbols[:, m:].sum(axis=1)))
+    if isinstance(structure, IidSignals):
+        return np.column_stack([(symbols == s).sum(axis=1) for s in range(len(space.alphabet))])
+    if isinstance(structure, ParityBits):
+        return np.empty((len(symbols), 0), dtype=np.int64)
+    if isinstance(structure, TwoBitCombo):
+        structure, symbols = structure.flip, symbols % 2
+    if isinstance(structure, ExchangeableFlip):
+        return (symbols.sum(axis=1) == structure.ones_count(n, 1)).astype(np.int64)
+    raise TypeError(f"no statistic for {type(structure).__name__}")
 
-    def outcome(ranks: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        at = locate(space, ranks)
+
+def trial_table(scenario, kind, space) -> tuple[np.ndarray, np.ndarray]:
+    """Per profile of ``space``, the action code and X a Monte Carlo trial
+    reports: ``protocol_outcome_table``'s, except that the senate reports
+    its committee's verdict, and under public-action its pooled belief as
+    X, both read off a member's initial partition.  Where the committee is
+    not split, the engine's common action under public-action must be the
+    verdict, since the other agents defer to it."""
+    codes, xs = protocol_outcome_table(scenario, kind, space)
+    if not isinstance(scenario.structure, SenateStaged):
+        return codes, xs
+    committee = scenario.initial_partitions(space)[0]
+    labels, values = block_beliefs(space, committee)
+    beliefs = [values[c] for c in labels[committee.labels].tolist()]
+    verdicts = np.array([action_code(b) for b in beliefs], dtype=np.int8)
+    if kind == PUBLIC_ACTION:
+        decided = verdicts != TIE
+        assert np.array_equal(codes[decided], verdicts[decided]), scenario.name
+        xs = np.array([float(b) for b in beliefs])
+    return verdicts, xs
+
+
+def trial_law(space, codes: np.ndarray) -> tuple[Fraction, Fraction, Fraction]:
+    """``(success, tie, failure)`` of per-profile action codes under the
+    space's exact masses: success where the code is the state's singleton."""
+    mass = {}
+    for state, weights in enumerate((space.w0, space.w1)):
+        for code, w in zip(codes.tolist(), weights.tolist()):
+            outcome = "tie" if code == TIE else ACTION_SETS[code] == {state}
+            mass[outcome] = mass.get(outcome, 0) + int(w)
+    return tuple(Fraction(mass.get(k, 0), space.den) for k in (True, "tie", False))
+
+
+def by_statistic(statistics: np.ndarray, codes: np.ndarray, xs: np.ndarray):
+    """The per-profile table ``codes, xs`` grouped by the profiles'
+    ``statistics``: the distinct statistics, in the shape drawn, with the
+    code and X of each.  Profiles of one statistic whose codes or X differ
+    raise ``AssertionError``, as the statistic would then not decide the
+    outcome."""
+    groups: dict = {}
+    for i, row in enumerate(statistics.reshape(len(statistics), -1).tolist()):
+        groups.setdefault(tuple(row), []).append(i)
+    for members in groups.values():
+        assert len(set(codes[members].tolist())) == 1, "codes differ within a statistic"
+        assert len({x.tobytes() for x in xs[members]}) == 1, "X differs within a statistic"
+    first = [members[0] for members in groups.values()]
+    return statistics[first], codes[first], xs[first]
+
+
+def table_outcomes(statistics: np.ndarray, codes: np.ndarray, xs: np.ndarray):
+    """Rows of statistics to (action codes, X), read off the distinct
+    ``statistics`` and their ``codes, xs`` (``by_statistic``'s): the
+    enumerated stand-in for a structure's ``trial_outcomes``."""
+    rows = statistics.reshape(len(statistics), -1).tolist()
+    index = {tuple(row): i for i, row in enumerate(rows)}
+
+    def outcome(drawn: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        at = [index[tuple(row)] for row in drawn.reshape(len(drawn), -1).tolist()]
         return codes[at], xs[at]
 
     return outcome

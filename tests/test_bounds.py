@@ -721,10 +721,14 @@ class TestLikelihoodClasses:
     @given(law=colliding_laws())
     @example(law=(BINARY_23, 255))
     @example(law=(BINARY_23, 256))
+    @example(law=(BINARY_23, 511))
+    @example(law=(BINARY_23, 512))
     @example(law=(raw_model((1, 2), (1, 1), (2, 1)), 22))
     def test_moments_equal_the_per_row_law(self, law):
         """Block-wise sums are the per-row sums, float for float; binary at
-        n = 255 and 256 has 256 and 257 rows, ternary at n = 22 has 276."""
+        n = 255 and 256 has 256 and 257 rows, at n = 511 and 512 one full
+        block of ``BLOCK_ROWS`` = 512 rows, then one block and one row, and
+        ternary at n = 22 has 276."""
         model, n = law
         assert estimator_moments_by_counts(model, n) == reference_moments_by_counts(model, n)
 

@@ -1,10 +1,15 @@
 """Every protocol on i.i.d. signals, decided once per count vector
-(``dynamics.decide_counts``), and on parity, flip and two-bit in
-closed form, against the enumerated engine's per-profile outcome table
-(``reference.protocol_outcome_table``): equal action codes and bit-equal X
-everywhere.  A Monte Carlo run decides only the count vectors it draws,
-each once (``IidSignals.trial_outcomes``), and gives what the full table
-gives; no registry family builds a space or a partition to sample.
+(``dynamics.decide_counts``), on the senate by its two tallies, and on
+parity, flip and two-bit in closed form, against the enumerated engine's
+per-profile outcome table (``reference.protocol_outcome_table``, as trials
+report it: ``reference.trial_table``).  Grouped by the statistic that each
+structure draws (``reference.profile_statistics``), the table holds one
+outcome per statistic, and the structure's ``trial_outcomes`` of that
+statistic gives its action code and bit-equal X, and each structure's
+tallies lie in a binomial acceptance region of its exact law.  A Monte
+Carlo run decides only the count vectors it draws, each once
+(``IidSignals.trial_outcomes``), and gives what the full table gives; no
+registry family builds a space or a partition to sample.
 The belief protocols' fixed points are checked, exactly, to be the pooled
 posterior on random digraphs too, from own-signal and from the senate's
 initial information.  The count vectors themselves
@@ -12,14 +17,23 @@ initial information.  The count vectors themselves
 exact posterior kernel (``bounds.count_odds``) against ``count_posterior``."""
 
 import itertools
+import math
 from fractions import Fraction
 
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
-from reference import count_vectors, law_rows, protocol_outcome_table, table_outcomes
-from test_engine import HUGE_ACCURACY, route_table
+from reference import (
+    by_statistic,
+    count_vectors,
+    law_rows,
+    profile_statistics,
+    table_outcomes,
+    trial_law,
+    trial_table,
+)
+from test_engine import HUGE_ACCURACY, UNSORTED_MODEL
 from test_scenarios import _FixedDraws, kernel_rows
 
 from agreelab import dynamics, scenarios
@@ -92,10 +106,13 @@ TIED_BY_THE_ERROR_BOUND = SignalModel(
 
 
 def assert_route_equals_the_table(scenario):
+    """Under each protocol, the enumerated table grouped by statistic is one
+    outcome per statistic, and ``trial_outcomes`` of each statistic is it."""
     space = scenario.outcome_space()
+    statistics = profile_statistics(scenario, space)
     for kind in COUNT_ROUTE_KINDS:
-        codes, xs = route_table(scenario, kind)
-        want_codes, want_xs = protocol_outcome_table(scenario, kind, space)
+        drawn, want_codes, want_xs = by_statistic(statistics, *trial_table(scenario, kind, space))
+        codes, xs = scenario.structure.trial_outcomes(scenario.n, kind)(drawn)
         assert codes.tolist() == want_codes.tolist(), kind
         assert xs.tobytes() == want_xs.tobytes(), kind
 
@@ -125,7 +142,8 @@ def test_closed_forms_tally_as_the_enumerated_route(scenario, kind, monkeypatch)
     whether the closed form or the engine's table decides them."""
     want = run_monte_carlo(scenario, kind, CHUNK_TRIALS + 1, seed=9).to_csv()
     space = scenario.outcome_space()
-    table = table_outcomes(space, *protocol_outcome_table(scenario, kind, space))
+    grouped = by_statistic(profile_statistics(scenario, space), *trial_table(scenario, kind, space))
+    table = table_outcomes(*grouped)
     monkeypatch.setattr(type(scenario.structure), "trial_outcomes", lambda self, n, kind: table)
     assert run_monte_carlo(scenario, kind, CHUNK_TRIALS + 1, seed=9).to_csv() == want
 
@@ -153,6 +171,24 @@ def test_random_models_equal_the_table(model, n):
     ids=lambda s: s.name,
 )
 def test_named_scenarios_equal_the_table(scenario):
+    assert_route_equals_the_table(scenario)
+
+
+@pytest.mark.parametrize(
+    "scenario",
+    [
+        senate(3, 2, Fraction(3, 4)),
+        senate(5, 2),
+        senate(5, 3),
+        senate(6, 4, Fraction(3, 5)),
+        senate(8, 5),
+        iid_custom(4, UNSORTED_MODEL),
+    ],
+    ids=lambda s: f"{s.name}-{getattr(s.structure, 'senate_size', 'support')}",
+)
+def test_tallies_and_unsorted_supports_equal_the_table(scenario):
+    """The senate's trials are its committee's verdict, read off its two
+    tallies; an unsorted support is counted in its own order."""
     assert_route_equals_the_table(scenario)
 
 
@@ -198,11 +234,27 @@ def test_belief_protocols_end_at_the_pooled_posterior(drawn, data):
 @settings(max_examples=40, deadline=None)
 @given(model=tie_prone_models(), n=st.integers(1, 4))
 def test_count_rows_find_each_profiles_counts(model, n):
+    """Every profile's counts find a row of the table of their own: over all
+    profiles, each of ``count_law``'s count vectors is decided once, and
+    each profile gets its own vector's outcome."""
     rows = [counts for counts, _, _ in law_rows(count_law(model, n)[1])]
     space = OutcomeSpace.iid(model, n)
-    found = IidSignals(model).count_rows(n)(space.symbols)
-    for profile, row in zip(space.profiles, found.tolist()):
-        assert rows[row] == tuple(profile.count(s) for s in model.support)
+    counts = profile_statistics(iid_custom(n, model), space)
+    assert counts.tolist() == [[p.count(s) for s in model.support] for p in space.profiles]
+    with pytest.MonkeyPatch.context() as patch:
+        decided = []
+        decide = scenarios.decide_counts
+
+        def counted(model, kind, counts):
+            decided.extend(map(tuple, counts.tolist()))
+            return decide(model, kind, counts)
+
+        patch.setattr(scenarios, "decide_counts", counted)
+        codes, xs = IidSignals(model).trial_outcomes(n, PUBLIC_ACTION)(counts)
+    assert sorted(decided) == sorted(rows)
+    want_codes, want_xs = decide_counts(model, PUBLIC_ACTION, counts)
+    assert codes.tobytes() == want_codes.tobytes()
+    assert xs.tobytes() == want_xs.tobytes()
 
 
 @settings(max_examples=60, deadline=None)
@@ -211,15 +263,14 @@ def test_lazy_outcomes_equal_the_full_table(model, n, seed):
     """Batch after batch, the outcome that decides each drawn count vector
     once gives the full table's codes and bit-equal X at the batch's rows."""
     structure = IidSignals(model)
-    rows = structure.count_rows(n)
+    vectors = count_vectors(n, len(model.support))
     rng = np.random.default_rng(seed)
-    batches = [rng.integers(len(model.support), size=(size, n)) for size in (1, 40, 40)]
+    batches = [rng.integers(len(vectors), size=size) for size in (1, 40, 40)]
     for kind in COUNT_ROUTE_KINDS:
-        codes, xs = decide_counts(model, kind, count_vectors(n, len(model.support)))
+        codes, xs = decide_counts(model, kind, vectors)
         outcome = structure.trial_outcomes(n, kind)
-        for symbols in batches:
-            got_codes, got_xs = outcome(symbols)
-            at = rows(symbols)
+        for at in batches:
+            got_codes, got_xs = outcome(vectors[at])
             assert got_codes.tobytes() == codes[at].tobytes(), kind
             assert got_xs.tobytes() == xs[at].tobytes(), kind
 
@@ -387,3 +438,70 @@ def test_the_kernel_decides_as_count_posterior(model, data):
     for row, x, belief in zip(rows, exact, beliefs.tolist()):
         if row in rechecked:
             assert belief == float(x)
+
+
+def acceptance_region(trials: int, p: Fraction, alpha: float) -> tuple[int, int]:
+    """The two-sided acceptance region ``[lo, hi]`` of a binomial count of
+    ``trials`` at probability ``p``, at level ``alpha``: each tail outside it
+    has mass at most ``alpha / 2``."""
+    if p in (0, 1):
+        return (0, 0) if p == 0 else (trials, trials)
+    log_p, log_q = math.log(p), math.log1p(-float(p))
+    pmf = [
+        math.exp(math.lgamma(trials + 1) - math.lgamma(k + 1) - math.lgamma(trials - k + 1)
+                 + k * log_p + (trials - k) * log_q)
+        for k in range(trials + 1)
+    ]
+    lo, below = 0, pmf[0]
+    while below <= alpha / 2:
+        lo += 1
+        below += pmf[lo]
+    hi, above = trials, pmf[trials]
+    while above <= alpha / 2:
+        hi -= 1
+        above += pmf[hi]
+    return lo, hi
+
+
+def test_the_acceptance_region_has_its_level():
+    lo, hi = acceptance_region(100, Fraction(1, 2), 0.05)
+    assert (lo, hi) == (40, 60)  # P(X <= 39) = 0.0176, P(X <= 40) = 0.0284
+    assert acceptance_region(10, Fraction(0), 0.05) == (0, 0)
+    assert acceptance_region(10, Fraction(1), 0.05) == (10, 10)
+
+
+#: Monte Carlo trials per structure and protocol, and the level of each of
+#: the four counts checked per run.
+LAW_TRIALS, LAW_ALPHA = 4000, 1e-5
+
+
+@pytest.mark.parametrize("kind", COUNT_ROUTE_KINDS)
+@pytest.mark.parametrize(
+    "scenario",
+    [
+        iid_binary(6, Fraction(2, 3)),
+        geometric_tail(2),
+        iid_custom(5, MIRRORED),
+        parity(4),
+        uncorrelated_tight(8),
+        two_bit(4),
+        senate(5, 2),
+    ],
+    ids=lambda s: s.name,
+)
+def test_tallies_lie_in_the_acceptance_region_of_the_exact_law(scenario, kind):
+    """Successes, ties, failures and the tie-resolved hits of a run each lie
+    in the two-sided binomial acceptance region of the enumerated engine's
+    exact law, as trials report it."""
+    space = scenario.outcome_space()
+    success, tie, failure = trial_law(space, trial_table(scenario, kind, space)[0])
+    summary = run_monte_carlo(scenario, kind, LAW_TRIALS, seed=12)
+    hits = round(summary.success_rate * LAW_TRIALS)
+    for name, count, p in (
+        ("successes", summary.successes, success),
+        ("ties", summary.ties, tie),
+        ("failures", summary.failures, failure),
+        ("resolved hits", hits, success + tie / 2),
+    ):
+        lo, hi = acceptance_region(LAW_TRIALS, p, LAW_ALPHA)
+        assert lo <= count <= hi, (name, count, float(p))

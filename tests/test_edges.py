@@ -79,6 +79,8 @@ BINARY_23 = SignalModel.binary(Fraction(2, 3))
         (conditional_expectation_interval, (math.nan, 1.0, 0.5)),
         (k_statistic, ([0.1, 0.2], math.nan)),
         (estimator_y, (BINARY_23, [math.nan])),
+        (k_statistic, ([math.nan, 0.1], 0.5)),
+        (conditional_expectation_interval, (0.0, math.inf, 0.5)),
     ],
     ids=["bounds-inf", "bounds-nan", "truncate-nan", "interval-nan", "no-llrs",
          "negative-digraph", "empty-digraph", "weight-state-2", "tail-cdf-state-minus-1",
@@ -86,14 +88,17 @@ BINARY_23 = SignalModel.binary(Fraction(2, 3))
          "moments-boolean-n", "moments-by-counts-fractional-n", "count-law-boolean-n",
          "count-law-fractional-n", "classes-boolean-n", "classes-fractional-n",
          "pooled-summary-boolean-n", "pooled-summary-fractional-n", "interval-nan-mean",
-         "k-statistic-nan-eps", "estimator-y-nan-llr"],
+         "k-statistic-nan-eps", "estimator-y-nan-llr", "k-statistic-nan-belief",
+         "interval-infinite-variance"],
 )
 def test_non_finite_or_empty_inputs_are_refused(call, args):
     """Each passed the range checks: NaN fails every comparison, an empty
     input reached a division or a node it does not have, a state other than
     1 read mu0, a boolean agent count counted as 1, and a fractional one gave
     a number or a ``TypeError``.  A NaN mean gave the interval (nan, nan), a
-    NaN threshold a fraction of 0 and a NaN ratio an estimate of nan."""
+    NaN threshold a fraction of 0, a NaN ratio an estimate of nan, a NaN
+    belief a fraction that skipped it (0.5 of two beliefs) and an infinite
+    variance the interval (-inf, inf)."""
     with pytest.raises(ValueError):
         call(*args)
 
@@ -230,9 +235,11 @@ class TestWeakCommittee:
         assert not scenario.structure.deference_is_exact()
 
     def test_analytic_sampler_refuses(self):
-        scenario = senate(5, senate_size=1, accuracy=Fraction(2, 3))
-        with pytest.raises(ScenarioParameterError):
-            scenario.structure.action_trial_sampler(5)
+        """Public-action's outcome of the committee's tally, at any n."""
+        for n in (5, 40):
+            scenario = senate(n, senate_size=1, accuracy=Fraction(2, 3))
+            with pytest.raises(ScenarioParameterError):
+                scenario.structure.trial_outcomes(n, PUBLIC_ACTION)
 
     def test_exact_summary_refuses(self):
         scenario = senate(5, senate_size=1, accuracy=Fraction(2, 3))
@@ -240,8 +247,8 @@ class TestWeakCommittee:
             senate_exact_summary(scenario)
 
     def test_monte_carlo_refuses_in_budget_too(self):
-        """The count route reports the committee's verdict, as the analytic
-        sampler does, so it refuses the same committees."""
+        """Trials report the committee's verdict in budget as past it, so
+        both refuse the same committees."""
         scenario = senate(5, senate_size=1, accuracy=Fraction(2, 3))
         with pytest.raises(ScenarioParameterError):
             run_monte_carlo(scenario, PUBLIC_ACTION, 200, seed=3)

@@ -21,6 +21,7 @@ from reference import (
     blocks_of,
     partition_of_blocks,
     posterior_belief,
+    profile_statistics,
     protocol_outcome_table,
     space_over,
     structure_weights,
@@ -458,9 +459,10 @@ def table_digest(profiles, codes, beliefs) -> str:
 
 def route_table(scenario, kind):
     """The action codes and X of the structure's ``trial_outcomes`` per
-    profile of the scenario's space, in the order of its sorted profiles."""
+    profile of the scenario's space, in the order of its sorted profiles:
+    of each profile's statistic, as the structure draws it."""
     outcome = scenario.structure.trial_outcomes(scenario.n, kind)
-    return outcome(scenario.outcome_space().symbols)
+    return outcome(profile_statistics(scenario, scenario.outcome_space()))
 
 
 @pytest.mark.parametrize(
@@ -489,6 +491,14 @@ def test_count_route_gives_the_recorded_tables(name, kind):
     assert table_digest(profiles, *route_table(scenario, kind)) == OUTCOME_TABLES[(name, kind)]
 
 
+def body_digest(capsys) -> str:
+    """sha256 of the captured output after its generator line, which must
+    name the current ``RNG_VERSION``."""
+    generator, body = capsys.readouterr().out.split("\n", 1)
+    assert generator == f"# generator={RNG_VERSION}"
+    return hashlib.sha256(body.encode()).hexdigest()
+
+
 # The CSVs ``simulate`` prints under the current RNG_VERSION.
 HEADER = (
     "# generator={}\n"
@@ -499,7 +509,7 @@ IID8_ROW = (
     "0.1219279762543443,7\n"
 )
 SENATE12_ROW = (
-    "senate(12),12,{},1000,847,0,153,0.847,0.011383804285035824,0.08448607036507373,7\n"
+    "senate(12),12,{},1000,868,0,132,0.868,0.010704017937204702,0.08024735197478158,7\n"
 )
 GOLDEN = {
     ("iid_binary", "8", "public-belief"): IID8_ROW.format("public-belief"),
@@ -517,14 +527,14 @@ GOLDEN = {
     # The structures whose draws no other pin covers: parity, flip, two-bit
     # and the senate.
     ("parity", "3", "public-belief"): (
-        "parity(3),3,public-belief,1000,0,1000,0,0.478,0.015796075461962062,0.25,7\n"
+        "parity(3),3,public-belief,1000,0,1000,0,0.513,0.015806043148112688,0.25,7\n"
     ),
     ("uncorrelated_tight", "8", "public-action"): (
         "uncorrelated_tight(8),8,public-action,1000,889,0,111,0.889,"
         "0.00993373041711924,0.09880078285596405,7\n"
     ),
     ("two_bit", "4", "public-belief"): (
-        "two_bit(4),4,public-belief,1000,0,1000,0,0.512,0.01580683396509244,0.25,7\n"
+        "two_bit(4),4,public-belief,1000,0,1000,0,0.491,0.015808826648426505,0.25,7\n"
     ),
     ("senate", "12", "public-belief"): SENATE12_ROW.format("public-belief"),
     ("senate", "12", "statistic"): SENATE12_ROW.format("public-statistic"),
@@ -541,14 +551,14 @@ def test_simulate_csv_is_unchanged(family, n, protocol, capsys):
     assert capsys.readouterr().out == HEADER.format(RNG_VERSION) + GOLDEN[(family, n, protocol)]
 
 
-# sha256 of the CSVs of the largest geometric_tail in budget (2**21 pairs),
-# as the enumerated engine printed them (13-19 s each on a 2-core Xeon VM).
+# sha256, below the generator line, of the CSVs of the largest geometric_tail
+# in budget (2**21 pairs), as the enumerated engine printed them (13-19 s
+# each on a 2-core Xeon VM; network 18 s and 448 MB).
 AT_SCALE = {
-    "public-belief": "3987aa5c3d1ddc52a04b72cb76e53e2bb3744032bc012ad33c69575538f68656",
-    "public-action": "00648fef48604a9bfd977c046f615a5325e6c27ef13ecedf82d50aba409b477a",
-    "statistic": "898ad3bb51ef7fe1a55b4ca471cdddde2f8acdfd45ef539a500e84870073dc21",
-    # Recorded from the enumerated engine (18 s, 448 MB on a 2-core Xeon VM).
-    "network": "d73fa148959274c9573906f208ed8767f975148f467cbc9a5a5f1d7f7a7cec19",
+    "public-belief": "7d64e55f5fdfdf775a447d9e5cd882a79643818d3f7d4cadf0732e9a4664d686",
+    "public-action": "916342f1cb326fe42d505eb98c30a024e4b899acfb493d3ab47bdccfdcde200e",
+    "statistic": "da96a295a9ea22a8842c278228e2475aa4f6ef51d145016e4556b409b84a918e",
+    "network": "1900a0c81a692e94928f3a9d1de52491146600c59d7f4d0fdeeb888be058fffc",
 }
 
 
@@ -557,29 +567,29 @@ def test_simulate_csv_at_the_top_of_the_budget_is_unchanged(protocol, capsys):
     argv = ["simulate", "--scenario", "geometric_tail", "--n", "5", "--protocol", protocol,
             "--trials", "1000", "--seed", "5", "--format", "csv"]
     assert main(argv) == 0
-    assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == AT_SCALE[protocol]
+    assert body_digest(capsys) == AT_SCALE[protocol]
 
 
 def test_simulate_csv_of_the_largest_int64_space_is_unchanged(capsys):
     """iid_binary(21), 2**22 pairs, as the enumerated engine printed its
     public-statistic and network-belief CSVs (6.8 s and 1.2 GB, 6.2 s and
-    825 MB on a 2-core Xeon VM)."""
+    825 MB on a 2-core Xeon VM), below the generator line."""
     for protocol, digest in (
-        ("statistic", "6ba06ceceee68375361e08b9533509a91612b2a1c9c7439df6f0b75a1c57b503"),
-        ("network", "30e1a9be0ebf18b04246381a4669515a9a34c278fa8ceaee598d462e986d6637"),
+        ("statistic", "a79f40c6f2cbe2e0ebcc7e723063214009fe222705dd6785dee0d1cc6e9cbec5"),
+        ("network", "108e83e82bb94c9ae27871b742540f056ea39a0194b413bc5cbb86c20637301f"),
     ):
         argv = ["simulate", "--scenario", "iid_binary", "--param", "p=2/3", "--n", "21",
                 "--protocol", protocol, "--trials", "1000", "--seed", "5", "--format", "csv"]
         assert main(argv) == 0
-        assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest, protocol
+        assert body_digest(capsys) == digest, protocol
 
 
-# sha256 of geometric_tail(4)'s CSVs over three chunks (40,000 trials, seed
-# 5), as the full count table printed them: later chunks reuse the count
-# vectors that earlier chunks decided.
+# sha256, below the generator line, of geometric_tail(4)'s CSVs over three
+# chunks (40,000 trials, seed 5), as the full count table printed them: later
+# chunks reuse the count vectors that earlier chunks decided.
 MULTI_CHUNK = {
-    "public-action": "3673078b8c1ba242adc9454c3a23e134b39331f02ee7c4e79f8818324ac46bb3",
-    "network": "cc2c1721fd1145a69e41811eeafcc6e789252789f7a42a0b670f972ecba6b287",
+    "public-action": "3818713503d7fbd7239a8bfb613c99ee1d4c84df2893fca1442bf20d12b132aa",
+    "network": "46f902b159a0c47635efa644f9f3fce2985af858e265e51bc6ba3e5fbf9cd800",
 }
 
 
@@ -588,7 +598,7 @@ def test_simulate_csv_over_several_chunks_is_unchanged(protocol, capsys):
     argv = ["simulate", "--scenario", "geometric_tail", "--n", "4", "--protocol", protocol,
             "--trials", "40000", "--seed", "5", "--format", "csv"]
     assert main(argv) == 0
-    assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == MULTI_CHUNK[protocol]
+    assert body_digest(capsys) == MULTI_CHUNK[protocol]
 
 
 #: An i.i.d. model in config form whose alphabet is unsorted and holds a
@@ -599,15 +609,16 @@ UNSORTED_MODEL = {
     "mu1": ["1/8", "0", "1/4", "1/6", "11/24"],
 }
 
-# sha256 of the unsorted model's CSVs at n = 6 over three chunks (40,000
-# trials, seed 3), as the draws numbered by rank in the sorted support
-# printed them: the counts, and so the CSVs, do not depend on the order.
+# sha256, below the generator line, of the unsorted model's CSVs at n = 6
+# over three chunks (40,000 trials, seed 3), as the draws numbered by rank in
+# the sorted support printed them: the counts, and so the CSVs, do not depend
+# on the order.
 UNSORTED = {
-    "pooled": "701d3aa74cbee7874c85fbad69ca97025731a5dc78aa525905cfa7fe95b77819",
-    "public-belief": "b625428ddf3aaacba1e04da293995424f341198c09101b0f9287d7efc312d987",
-    "public-action": "ae8e391da1322e83c1a7d6ef0531ec3f3f40083b0be0e8d079eefab939dfa021",
-    "statistic": "ce9aacb0e15fb048616465626d9d870b3e8e62b8ae92abfe2c81c22bb67dc9c6",
-    "network": "e62b1900a8fcabfdafee1e30aca9d2294027e5f33919d08ea2bfaee83c61e569",
+    "pooled": "7dfc64c7ef282e1a3c0512942488ff95dc1ef0b596336672ff5b49a608d6435d",
+    "public-belief": "c917e556bb9ca4b9638931cabb34f2861e85112cbc44a0003042206ef2e142c3",
+    "public-action": "46c1ece3f452dce244dc9aef2cb4ba07f173119e44e9bb4d0cd3ec1daf265c82",
+    "statistic": "2d39a4aadb407b47ed249dd236cb9dae590a59581b85fac9db0a99e111030120",
+    "network": "2c38eb22b3afebd4ee0b94e87e6c9e6449a941012de5e9a33e84bc1ba6f9ff27",
 }
 
 
@@ -619,19 +630,18 @@ def test_simulate_csv_of_an_unsorted_alphabet_is_unchanged(protocol, tmp_path, c
     argv = ["simulate", "--config", str(config), "--protocol", protocol,
             "--trials", "40000", "--seed", "3", "--format", "csv"]
     assert main(argv) == 0
-    assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == UNSORTED[protocol]
+    assert body_digest(capsys) == UNSORTED[protocol]
 
 
-# sha256 of the senate's CSVs at the top of the budget (``senate_size=9``,
-# n = 21, 2**22 pairs), as the enumerated engine printed them (4.2-6.0 s and
-# 538-778 MB each on a 2-core Xeon VM), and of public-action over the budget,
-# as the analytic route printed it.
+# sha256, below the generator line, of the senate's CSVs at the top of the
+# budget (``senate_size=9``, n = 21, 2**22 pairs) and of public-action past
+# it.
 SENATE_AT_SCALE = {
-    ("21", "public-belief"): "22e5bba44585ab748ae9cc96cd9fb553ecd57009df05d8459ba211a0911bb474",
-    ("21", "public-action"): "405ed42a6ca979013ef4d2e054973e1a889629855f458294237f35ec759f89ff",
-    ("21", "statistic"): "aac6ae5384f636bf330a32782dddd8a73936fdf36e058935ed6e869adcbf1261",
-    ("21", "network"): "025f427332bf2eb775507123401f962c2306b3a8d69a7ddfa329e1ffbdf5d776",
-    ("400", "public-action"): "1ec92cd18a3bc8004507f024d579ce602f2c9396e1a1221f71d24b02bac3dad2",
+    ("21", "public-belief"): "7d60b18077130c0ad22160ddf5e2144b236113ecc5d7af69a4a65701bdc2ebdd",
+    ("21", "public-action"): "3008a87679198854b5a74ac1d8cbef0b5b0dabd9438671a9446889970ef3a7b9",
+    ("21", "statistic"): "e13b594ca7f8a4c57bd161ef429d1b0e397434fc1204689e4a8085d7150048ca",
+    ("21", "network"): "42a4da7366998b0e2229bb12c2d1750ca792c31b9bf5e6ecbd2dc1b7b2a890c6",
+    ("400", "public-action"): "27bdf4356de3f6a206904e1e04017b48d6789df320ad1a36b3da554f4cb96690",
 }
 SENATE_RUNS = {
     "21": "--param senate_size=9 --trials 1000 --seed 5",
@@ -645,8 +655,39 @@ SENATE_RUNS = {
 def test_senate_csv_is_unchanged(n, protocol, capsys):
     argv = ["simulate", "--scenario", "senate", "--n", n, "--protocol", protocol, "--format", "csv"]
     assert main(argv + SENATE_RUNS[n].split()) == 0
-    digest = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
-    assert digest == SENATE_AT_SCALE[(n, protocol)]
+    assert body_digest(capsys) == SENATE_AT_SCALE[(n, protocol)]
+
+
+# sha256, below the generator line, of the senate's n = 21 CSVs (as in
+# ``SENATE_RUNS``) as the enumerated engine printed them, its trials drawn as
+# rows of n signals, one categorical call per state.
+SENATE_ENUMERATED = {
+    "public-belief": "f6c12fca0f4a99f09c834c47e3c4519b4599eaf8ebe3b0a00f82da8f1c02e892",
+    "public-action": "4c86ba2cecc5e289cacf51f225f9c908047aeda606c3e3e9e7bc42362f424911",
+    "statistic": "95acabf47b6ef05379fbd085b72ae084a265da6a8959f2b32b06acec96e6dddd",
+    "network": "eab0ec9c96abf9de63ffbda0506aa21b8834b4ae0693f45cf76185b8bb931834",
+}
+
+
+def tallies_of_rows(structure, rng, states, n):
+    """The committee's and the others' ones of rows of n signals drawn as
+    the enumerated engine's CSVs drew them."""
+    symbols = np.empty((len(states), n), dtype=np.int64)
+    for state in (0, 1):
+        rows = states == state
+        symbols[rows] = rng.choice(2, size=(int(rows.sum()), n), p=structure._probabilities()[state])
+    m = structure.senate_size
+    return np.column_stack((symbols[:, :m].sum(axis=1), symbols[:, m:].sum(axis=1)))
+
+
+@pytest.mark.parametrize("protocol", list(SENATE_ENUMERATED))
+def test_senate_tallies_reprint_the_enumerated_csv(protocol, monkeypatch, capsys):
+    """At the top of the budget, the senate's ``trial_outcomes`` of the two
+    tallies of the rows the enumerated engine decided print its CSVs."""
+    monkeypatch.setattr(SenateStaged, "draw_statistic", tallies_of_rows)
+    argv = ["simulate", "--scenario", "senate", "--n", "21", "--protocol", protocol, "--format", "csv"]
+    assert main(argv + SENATE_RUNS["21"].split()) == 0
+    assert body_digest(capsys) == SENATE_ENUMERATED[protocol]
 
 
 # ---------------------------------------------------------------------------

@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from reference import protocol_outcome_table
+from reference import profile_statistics, protocol_outcome_table
 
 from agreelab.bounds import count_posterior, qn_bound
 from agreelab.dynamics import (
@@ -295,7 +295,8 @@ class TestExactSummaries:
         belief, so the table's exact belief error is the committee law's."""
         scenario = senate(n, senate_size=m)
         space = scenario.outcome_space()
-        _codes, xs = scenario.structure.trial_outcomes(n, PUBLIC_ACTION)(space.symbols)
+        statistics = profile_statistics(scenario, space)
+        _codes, xs = scenario.structure.trial_outcomes(n, PUBLIC_ACTION)(statistics)
         model = scenario.structure.model
         exact = [count_posterior(model, (m - sum(p[:m]), sum(p[:m]))) for p in space.profiles]
         assert xs.tolist() == [float(x) for x in exact]

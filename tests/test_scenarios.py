@@ -7,7 +7,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from reference import locate, refine_by_announcement, structure_weights
+from reference import profile_statistics, refine_by_announcement, structure_weights
 from test_engine import UNSORTED_MODEL
 
 from agreelab import dynamics
@@ -146,14 +146,14 @@ class TestUncorrelatedTight:
         assert wrong == 1 - q
 
     def test_profile_sampler_hits_the_two_classes(self):
+        """The profile sampler hands the outcome each trial's proxy bit, the
+        class of one-count 6 or 2 its profile lies in, and draws both."""
         scenario = uncorrelated_tight(8)
-        space = scenario.outcome_space()
-        draw = scenario.profile_sampler(lambda rows: (locate(space, rows),))
-        rng = np.random.default_rng(0)
-        _states, index = draw(rng, 50)
-        for i in index.tolist():
-            profile = space.profiles[i]
-            assert sum(profile) in (2, 6)
+        draw = scenario.profile_sampler(lambda proxies: (proxies,))
+        states, proxies = draw(np.random.default_rng(0), 50)
+        classes = {scenario.structure.ones_count(8, bit) for bit in proxies.tolist()}
+        assert classes == {2, 6}
+        assert np.count_nonzero(proxies == states) > 25
 
 
 class TestTwoBit:
@@ -293,17 +293,21 @@ class TestSenate:
         assert senate(200).structure.deference_is_exact()
 
     def test_analytic_trials_match_engine_labels(self):
-        """The large-n sampler and the in-budget table report, per committee
-        tally, its verdict and its pooled belief as X."""
+        """The in-budget table of every profile and the draws past the
+        budget report, per committee tally, its verdict and its pooled
+        belief as X."""
         scenario = senate(6, senate_size=2, accuracy=Fraction(2, 3))
         structure = scenario.structure
         exact = {
             (action_code(b), float(b))
             for b in (count_posterior(structure.model, (2 - ones, ones)) for ones in range(3))
         }
-        table = structure.trial_outcomes(6, PUBLIC_ACTION)(scenario.outcome_space().symbols)
+        statistics = profile_statistics(scenario, scenario.outcome_space())
+        table = structure.trial_outcomes(6, PUBLIC_ACTION)(statistics)
         assert set(zip(*(a.tolist() for a in table))) == exact
-        _states, verdicts, xs = structure.action_trial_sampler(6)(np.random.default_rng(1), 200)
+        large = senate(40, senate_size=2, accuracy=Fraction(2, 3))
+        draw = large.profile_sampler(large.structure.trial_outcomes(40, PUBLIC_ACTION))
+        _states, verdicts, xs = draw(np.random.default_rng(1), 200)
         assert set(zip(verdicts.tolist(), xs.tolist())) == exact
 
     def test_tally_posterior_is_exact(self):
