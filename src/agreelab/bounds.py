@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import math
 import numbers
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Iterable, Iterator, Sequence
@@ -313,23 +314,26 @@ def count_law(model: SignalModel, n: int) -> tuple[int, Iterator[tuple]]:
     return 2 * den**n, blocks()
 
 
-def likelihood_classes(model: SignalModel, n: int) -> tuple[int, dict[tuple[int, int], int]]:
+def likelihood_classes(model: SignalModel, n: int) -> tuple[int, dict[tuple[int, int], int], list]:
     """:func:`count_law`'s rows summed per likelihood class.
 
-    Returns ``(denominator, {(o0, o1): K})``.  A row's class is its
+    Returns ``(denominator, {(o0, o1): K}, firsts)``.  A row's class is its
     likelihood ratio ``w1/w0`` in lowest terms ``o1/o0``, so the row's masses
-    are ``w_s = k * o_s`` with ``k = gcd(w0, w1)``; ``K`` sums the rows'
-    ``k``.  A row's pooled action and belief depend on it only through its
-    class.
+    are ``w_s = k * o_s`` with ``k = gcd(w0, w1)``; ``K`` sums the rows' ``k``.
+    ``firsts`` holds each class's first count row, in the classes' order.  A
+    row's pooled action and belief depend on it only through its class.
     """
     denominator, blocks = count_law(model, n)
-    classes: dict[tuple[int, int], int] = {}
-    for _counts, w0s, w1s in blocks:
-        for w0, w1 in zip(w0s, w1s):
+    classes, firsts = {}, []
+    for counts, w0s, w1s in blocks:
+        for row, w0, w1 in zip(counts.tolist(), w0s, w1s):
             k = math.gcd(w0, w1)
             key = (w0 // k, w1 // k)
-            classes[key] = classes.get(key, 0) + k
-    return denominator, classes
+            total = classes.get(key, 0)
+            if not total:
+                firsts.append(row)
+            classes[key] = total + k
+    return denominator, classes, firsts
 
 
 def pooled_action_law(denominator: int, classes: dict) -> tuple[Fraction, Fraction, Fraction]:
@@ -349,23 +353,42 @@ def pooled_action_law(denominator: int, classes: dict) -> tuple[Fraction, Fracti
 def reduced_odds(model: SignalModel) -> list[tuple[int, int]]:
     """Each support symbol's ``(a0, a1)`` of :func:`integer_weights` over
     their gcd: the symbol's likelihood ratio ``a1/a0`` in lowest terms."""
-    return [
-        (a0 // g, a1 // g)
-        for a0, a1 in integer_weights(model)[1]
-        for g in (math.gcd(a0, a1),)
-    ]
+    pairs = integer_weights(model)[1]
+    return [(a0 // math.gcd(a0, a1), a1 // math.gcd(a0, a1)) for a0, a1 in pairs]
+
+
+def odds_basis(model: SignalModel) -> tuple[list[int], list[list[int]]]:
+    """``(basis, E)``: pairwise coprime integers above 1 whose powers make up each
+    :func:`reduced_odds` integer, and each symbol's ``a1/a0`` as exponents over them.
+    Gcds alone build it: two members that share ``g`` become ``g`` and their quotients."""
+    odds = reduced_odds(model)
+    basis, todo = [], [a for pair in odds for a in pair]
+    while todo:
+        a = todo.pop()
+        b = next((b for b in basis if math.gcd(a, b) > 1), None)
+        if b:
+            g = math.gcd(a, b)
+            basis.remove(b)
+            todo += (g, a // g, b // g)
+        elif a > 1:
+            basis.append(a)
+
+    def exponent(a, p):
+        return next(e for e in range(a.bit_length()) if a % p ** (e + 1))
+
+    return basis, [[exponent(a1, p) - exponent(a0, p) for p in basis] for a0, a1 in odds]
 
 
 def count_rows(model: SignalModel, counts) -> np.ndarray:
     """``counts`` as an ``int64`` array of rows, each one count per symbol of
     ``model.support``; ``ValueError`` unless it is two-dimensional, of that
-    width, non-negative and whole."""
+    width, non-negative, whole, not boolean and below 2**63."""
     rows = np.asarray(counts)
     k = len(model.support)
-    if rows.ndim != 2 or rows.shape[1] != k or (rows < 0).any():
+    if rows.ndim != 2 or rows.shape[1] != k or rows.dtype.kind == "b" or (rows < 0).any():
         raise ValueError(f"need {k} non-negative counts, one per support symbol")
-    if rows.dtype.kind not in "iu" and (rows % 1 != 0).any():
-        raise ValueError("counts must be whole numbers")
+    if rows.dtype.kind != "i" and ((rows % 1 != 0).any() or (rows >= 2**63).any()):
+        raise ValueError("counts must be whole numbers below 2**63")
     return rows.astype(np.int64, copy=False)
 
 
@@ -455,16 +478,33 @@ def certified_msbe(denominator: int, terms: dict[int, int]) -> float:
     return float(_exact_msbe(denominator, terms))
 
 
+def _summation_keys(model: SignalModel, firsts: list) -> Iterator[tuple]:
+    """Each class's key ``(y, g & -g, g)`` from its first count row ``c``: over
+    :func:`odds_basis` its odds are ``x = c E = g y``, ``g = gcd(x)``, with ``y``'s
+    first non-zero entry positive so that a class and its mirror share it.  Its
+    term's denominator is ``A**g + B**g``, ``A`` and ``B`` fixed by ``y``."""
+    basis, rows = odds_basis(model)
+    columns, zero = list(zip(*rows)), [0] * len(basis)
+    for c in firsts:
+        x = [sum(map(operator.mul, c, column)) for column in columns]
+        g = math.gcd(*x)
+        h = -g if x < zero else g or 1
+        yield [v // h for v in x], g & -g, g
+
+
 def exact_pooled_summary(model: SignalModel, n: int) -> ExactSummary:
     """Exact law of the pooled-posterior action for n i.i.d. signals.
 
     The law is decided once per likelihood class (:func:`likelihood_classes`),
     not per count vector; :func:`pooled_action_law` gives the action's law
-    and :func:`belief_error_terms` the belief error's terms, summed exactly.
+    and :func:`belief_error_terms` the belief error's terms, summed exactly
+    in :func:`_summation_keys` order: ``A**h + B**h`` divides ``A**g + B**g`` when
+    ``g / h`` is odd, so terms sharing large factors meet while their sums are small.
     """
-    denominator, classes = likelihood_classes(model, n)
+    denominator, classes, firsts = likelihood_classes(model, n)
     success, tie, failure = pooled_action_law(denominator, classes)
-    msbe = _exact_msbe(denominator, belief_error_terms(classes))
+    order = sorted(zip(_summation_keys(model, firsts), classes.items()), key=operator.itemgetter(0))
+    msbe = _exact_msbe(denominator, belief_error_terms(dict(item for _key, item in order)))
     return ExactSummary(success=success, tie=tie, failure=failure, msbe=msbe)
 
 

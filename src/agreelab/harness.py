@@ -458,7 +458,7 @@ def pooled_bound_rows(model: SignalModel, n_values: Iterable[int]) -> list[tuple
     :func:`exact_pooled_summary`'s msbe without that Fraction."""
     rows = []
     for n in n_values:
-        denominator, classes = likelihood_classes(model, n)
+        denominator, classes, _firsts = likelihood_classes(model, n)
         _success, tie, failure = pooled_action_law(denominator, classes)
         rows.append((n, tie + failure, certified_msbe(denominator, belief_error_terms(classes))))
     return rows

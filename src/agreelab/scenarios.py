@@ -501,7 +501,7 @@ class SenateStaged(IidSignals):
         """``(success, tie, failure)`` of the committee's verdict: the pooled
         action's law (:func:`~agreelab.bounds.pooled_action_law`) of its
         ``senate_size`` signals, with no belief error built."""
-        return pooled_action_law(*likelihood_classes(self.model, self.senate_size))
+        return pooled_action_law(*likelihood_classes(self.model, self.senate_size)[:2])
 
     def deference_is_exact(self, law: tuple[Fraction, Fraction, Fraction] | None = None) -> bool:
         """True when a lone opposing signal can never flip the committee's

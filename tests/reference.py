@@ -10,7 +10,9 @@ agents that hold equal partitions, and tabulates outcomes from Fractions.
 The exact engine's outcome table per profile, with its agreement check, is
 the oracle of the Monte Carlo path's ``trial_outcomes``: grouped by the
 statistic that each structure draws (``profile_statistics``), it must be
-one outcome per statistic, and that outcome the structure's.
+one outcome per statistic, and that outcome the structure's.  The count
+law is rebuilt row by row, each multinomial coefficient and mass product
+from scratch, and the pooled law decided one count vector at a time.
 """
 
 import itertools
@@ -20,6 +22,7 @@ from fractions import Fraction
 
 import numpy as np
 
+from agreelab.bounds import ExactSummary, integer_weights
 from agreelab.dynamics import (
     NETWORK_BELIEF,
     PUBLIC_ACTION,
@@ -423,3 +426,56 @@ def per_agent_outcome_table(scenario, kind, space):
             xs.append(float(beliefs[0]))
         codes.append(actions.pop())
     return codes, xs
+
+
+def reference_count_law(model, n):
+    """The per-row count law: every count vector in lexicographic order, its
+    multinomial coefficient and mass products rebuilt over all symbols."""
+    den, pairs = integer_weights(model)
+
+    def count_vectors(total, bins):
+        if bins == 1:
+            yield (total,)
+            return
+        for first in range(total + 1):
+            for rest in count_vectors(total - first, bins - 1):
+                yield (first,) + rest
+
+    def multinomial_coefficient(counts):
+        out, remaining = 1, sum(counts)
+        for c in counts:
+            out *= math.comb(remaining, c)
+            remaining -= c
+        return out
+
+    def rows():
+        for counts in count_vectors(n, len(pairs)):
+            w0 = w1 = multinomial_coefficient(counts)
+            for (a0, a1), c in zip(pairs, counts):
+                w0 *= a0**c
+                w1 *= a1**c
+            yield counts, w0, w1
+
+    return 2 * den**n, rows()
+
+
+def reference_pooled_summary(model, n):
+    """The pooled law decided one count vector at a time."""
+    denominator, rows = reference_count_law(model, n)
+    success = tie = failure = 0
+    errors = []
+    for _counts, w0, w1 in rows:
+        if w0 == w1:
+            tie += w0 + w1
+        else:
+            success += max(w0, w1)
+            failure += min(w0, w1)
+        errors.append(Fraction(w0 * w1, w0 + w1))
+    while len(errors) > 1:
+        errors = [sum(errors[i : i + 2]) for i in range(0, len(errors), 2)]
+    return ExactSummary(
+        success=Fraction(success, denominator),
+        tie=Fraction(tie, denominator),
+        failure=Fraction(failure, denominator),
+        msbe=errors[0] / denominator,
+    )

@@ -15,7 +15,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from reference import law_rows
+from reference import law_rows, reference_count_law, reference_pooled_summary
 
 from agreelab import bounds
 from agreelab.bounds import (
@@ -23,25 +23,30 @@ from agreelab.bounds import (
     MAX_EPS_GRID_POINTS,
     EstimatorMoments,
     ExactSummary,
+    _exact_msbe,
     _moments,
     _standardized_terms,
+    _summation_keys,
     belief_error_terms,
     certified_msbe,
     conditional_expectation_interval,
     count_law,
+    count_odds,
     count_posterior,
+    count_rows,
     default_eps_grid,
     estimator_moments_by_counts,
     estimator_moments_enumerated,
     estimator_y,
     exact_pooled_summary,
-    integer_weights,
     k_statistic,
     learning_bounds,
     likelihood_classes,
+    odds_basis,
     pooled_action_law,
     qn_bound,
     qn_bounds,
+    reduced_odds,
 )
 from agreelab.errors import BoundedBeliefsError, EnumerationBudgetError
 from agreelab.knowledge import (
@@ -562,12 +567,34 @@ class TestCountLaw:
         with pytest.raises(ValueError, match="whole numbers"):
             count_posterior(BINARY_23, counts)
 
+    @pytest.mark.parametrize(
+        "counts",
+        [
+            np.array([[2**63, 1]], dtype=np.uint64),
+            np.array([[2.0**63, 1.0]]),
+            [[2**64, 1]],
+            np.array([[True, False]]),
+        ],
+        ids=["uint64", "float", "python-int", "bool"],
+    )
+    def test_counts_past_int64_and_booleans_are_refused(self, counts):
+        """Cast to ``int64`` unchecked, uint64 and float counts of 2**63 wrap
+        to negative rows (the floats with numpy's cast warning), giving the
+        odds (0.0, 2.0); a Python int past 2**64 raises OverflowError; and
+        booleans pass as 1 and 0."""
+        with pytest.raises(ValueError):
+            count_odds(BINARY_23, counts)
+
+    def test_the_largest_int64_count_is_kept(self):
+        top = np.array([[2**63 - 1, 0]], dtype=np.uint64)
+        assert count_rows(BINARY_23, top).tolist() == [[2**63 - 1, 0]]
+
     def test_laws_take_zero_agents_and_numpy_counts(self):
         """No agent leaves the prior's law, one empty row of mass 1/2 per
         state; a numpy agent count is the integer it holds."""
         denominator, blocks = count_law(BINARY_23, 0)
         assert (denominator, law_rows(blocks)) == (2, [((0, 0), 1, 1)])
-        assert likelihood_classes(BINARY_23, np.int64(0)) == (2, {(1, 1): 1})
+        assert likelihood_classes(BINARY_23, np.int64(0)) == (2, {(1, 1): 1}, [[0, 0]])
         assert exact_pooled_summary(BINARY_23, np.int64(3)) == exact_pooled_summary(BINARY_23, 3)
 
     @settings(max_examples=30, deadline=None)
@@ -580,37 +607,6 @@ class TestCountLaw:
             total += w0 + w1
             assert count_posterior(model, counts) == Fraction(w1, w0 + w1)
         assert total == denominator
-
-
-def reference_count_law(model, n):
-    """The per-row count law: every count vector in lexicographic order, its
-    multinomial coefficient and mass products rebuilt over all symbols."""
-    den, pairs = integer_weights(model)
-
-    def count_vectors(total, bins):
-        if bins == 1:
-            yield (total,)
-            return
-        for first in range(total + 1):
-            for rest in count_vectors(total - first, bins - 1):
-                yield (first,) + rest
-
-    def multinomial_coefficient(counts):
-        out, remaining = 1, sum(counts)
-        for c in counts:
-            out *= math.comb(remaining, c)
-            remaining -= c
-        return out
-
-    def rows():
-        for counts in count_vectors(n, len(pairs)):
-            w0 = w1 = multinomial_coefficient(counts)
-            for (a0, a1), c in zip(pairs, counts):
-                w0 *= a0**c
-                w1 *= a1**c
-            yield counts, w0, w1
-
-    return 2 * den**n, rows()
 
 
 def reference_moments(n, points):
@@ -648,28 +644,6 @@ def reference_moments_by_counts(model, n):
             yield w1 / denominator, 1, y / n
 
     return reference_moments(n, points())
-
-
-def reference_pooled_summary(model, n):
-    """The pooled law decided one count vector at a time."""
-    denominator, rows = reference_count_law(model, n)
-    success = tie = failure = 0
-    errors = []
-    for _counts, w0, w1 in rows:
-        if w0 == w1:
-            tie += w0 + w1
-        else:
-            success += max(w0, w1)
-            failure += min(w0, w1)
-        errors.append(Fraction(w0 * w1, w0 + w1))
-    while len(errors) > 1:
-        errors = [sum(errors[i : i + 2]) for i in range(0, len(errors), 2)]
-    return ExactSummary(
-        success=Fraction(success, denominator),
-        tie=Fraction(tie, denominator),
-        failure=Fraction(failure, denominator),
-        msbe=errors[0] / denominator,
-    )
 
 
 def raw_model(*pairs):
@@ -735,10 +709,10 @@ class TestLikelihoodClasses:
     def test_collisions_are_summed(self):
         """Counts (2, 0, 38) and (0, 1, 39) of ratios 2, 4 and 1 share one
         class, and 3:1 beside 1:3 reduces its shared factor."""
-        denominator, classes = likelihood_classes(raw_model((1, 2), (1, 4), (1, 1)), 40)
+        denominator, classes, _firsts = likelihood_classes(raw_model((1, 2), (1, 4), (1, 1)), 40)
         assert len(classes) < math.comb(42, 2)
         assert all(math.gcd(o0, o1) == 1 for o0, o1 in classes)
-        denominator, classes = likelihood_classes(raw_model((3, 1), (1, 3)), 4)
+        denominator, classes, _firsts = likelihood_classes(raw_model((3, 1), (1, 3)), 4)
         assert set(classes) == {(81, 1), (9, 1), (1, 1), (1, 9), (1, 81)}
         success, tie, failure = pooled_action_law(denominator, classes)
         assert tie == Fraction(2 * 6 * 3**2, 2 * 4**4)
@@ -773,6 +747,70 @@ class TestLikelihoodClasses:
         and so every rounding step are unchanged."""
         moments = estimator_moments_by_counts(model, n)
         assert (moments.mean, moments.var_y_minus_s, moments.cov_s_y, moments.var_y) == recorded
+
+
+# The four-symbol model whose classes rarely collide (3,202 classes, each its
+# own denominator, at n = 40), and a binary model whose odds 3/2 and 2/3 give
+# a basis of two primes.
+DISTINCT_CLASSES = raw_model((1, 2), (4, 6), (3, 3), (9, 2))
+BINARY_35 = SignalModel.binary(Fraction(3, 5))
+
+
+class TestSummationOrder:
+    """The belief error's terms, summed in the order of their shared factors."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(model=rational_models())
+    @example(model=DISTINCT_CLASSES)
+    @example(model=raw_model((2, 6), (4, 6), (6, 2), (9, 4)))
+    def test_the_basis_is_coprime_and_rebuilds_each_odds(self, model):
+        basis, rows = odds_basis(model)
+        assert all(p > 1 for p in basis)
+        assert all(math.gcd(p, q) == 1 for p, q in itertools.combinations(basis, 2))
+        for (a0, a1), row in zip(reduced_odds(model), rows, strict=True):
+            odds = math.prod(Fraction(p) ** e for p, e in zip(basis, row, strict=True))
+            assert odds == Fraction(a1, a0)
+
+    @pytest.mark.parametrize(
+        "model, n",
+        [(BINARY_23, 9), (BINARY_35, 8), (raw_model((1, 2), (2, 1), (2, 8), (8, 2), (3, 3)), 8)],
+        ids=["binary(2/3)", "binary(3/5)", "ratios 2, 1/2, 4, 1/4, 1"],
+    )
+    def test_a_key_is_its_class_up_to_the_mirror(self, model, n):
+        """``y`` and ``g`` rebuild the class's odds or their inverse, and a
+        class and its mirror (o1, o0), where both occur, get one key."""
+        basis, _rows = odds_basis(model)
+        _denominator, classes, firsts = likelihood_classes(model, n)
+        keys = dict(zip(classes, _summation_keys(model, firsts), strict=True))
+        for (o0, o1), (y, _two_adic, g) in keys.items():
+            odds = math.prod(Fraction(p) ** (g * e) for p, e in zip(basis, y))
+            assert Fraction(o1, o0) in (odds, 1 / odds)
+            assert next((e for e in y if e), 1) > 0
+        mirrored = [(o0, o1) for o0, o1 in classes if (o1, o0) in classes]
+        assert len(mirrored) > 1
+        assert all(keys[o0, o1] == keys[o1, o0] for o0, o1 in mirrored)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        denominator=st.integers(1, 2**64),
+        terms=st.dictionaries(
+            st.integers(1, 2**80), st.integers(0, 2**100), min_size=1, max_size=12
+        ),
+        data=st.data(),
+    )
+    def test_the_exact_sum_is_one_fraction_in_any_order(self, denominator, terms, data):
+        shuffled = dict(data.draw(st.permutations(list(terms.items()))))
+        exact = sum(Fraction(num, d) for d, num in terms.items()) / denominator
+        assert _exact_msbe(denominator, shuffled) == _exact_msbe(denominator, terms) == exact
+
+    @pytest.mark.parametrize(
+        "model, n_values",
+        [(DISTINCT_CLASSES, range(1, 13)), (BINARY_35, range(1, 41))],
+        ids=["four symbols", "binary(3/5)"],
+    )
+    def test_the_summary_is_the_per_row_reference(self, model, n_values):
+        for n in n_values:
+            assert exact_pooled_summary(model, n) == reference_pooled_summary(model, n), n
 
 
 # The smallest ternary agent count whose law fills a block and spills
@@ -867,7 +905,7 @@ class TestCertifiedMsbe:
     def test_equals_the_exact_msbe_as_a_float(self, case):
         model, n_values = CERTIFIED_CASES[case]
         for n in n_values:
-            denominator, classes = likelihood_classes(model, n)
+            denominator, classes, _firsts = likelihood_classes(model, n)
             certified = certified_msbe(denominator, belief_error_terms(classes))
             assert certified == float(exact_pooled_summary(model, n).msbe), n
 

@@ -561,6 +561,21 @@ class TestVerification:
         monkeypatch.setattr(harness, "exact_pooled_summary", refused)
         assert default_verification_suite(seed=3, trials=1000).passed
 
+    def test_verify_builds_no_summation_order(self, monkeypatch):
+        """Only the exact msbe sums its terms in order; the certified bound
+        rows and the committee's law build neither the basis nor the keys."""
+        from agreelab import bounds
+
+        def refused(*args):
+            raise AssertionError("built the exact msbe's summation order")
+
+        monkeypatch.setattr(bounds, "_summation_keys", refused)
+        monkeypatch.setattr(bounds, "odds_basis", refused)
+        assert len(pooled_bound_rows(BINARY_23, (10, 200))) == 2
+        assert sum(senate(400).structure.action_law()) == 1
+        with pytest.raises(AssertionError, match="summation order"):
+            exact_pooled_summary(BINARY_23, 10)
+
 
 COMMITTEE_LAWS = {
     "exact": lambda s, t, f: (s, t, f),
