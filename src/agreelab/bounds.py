@@ -382,10 +382,16 @@ def odds_basis(model: SignalModel) -> tuple[list[int], list[list[int]]]:
 def count_rows(model: SignalModel, counts) -> np.ndarray:
     """``counts`` as an ``int64`` array of rows, each one count per symbol of
     ``model.support``; ``ValueError`` unless it is two-dimensional, of that
-    width, non-negative, whole, not boolean and below 2**63."""
+    width, non-negative, whole, below 2**63 and made of numbers, none boolean.
+    Only a list or an object array is looked at item by item: numpy casts a
+    boolean among integers to 0 or 1, and any other array's dtype tells."""
     rows = np.asarray(counts)
     k = len(model.support)
-    if rows.ndim != 2 or rows.shape[1] != k or rows.dtype.kind == "b" or (rows < 0).any():
+    if not isinstance(counts, np.ndarray) or rows.dtype.kind == "O":
+        items = np.asarray(counts, dtype=object).flat
+        if not all(isinstance(x, numbers.Real) and not isinstance(x, bool) for x in items):
+            raise ValueError("counts must be real numbers, not booleans")
+    if rows.ndim != 2 or rows.shape[1] != k or rows.dtype.kind not in "iufO" or (rows < 0).any():
         raise ValueError(f"need {k} non-negative counts, one per support symbol")
     if rows.dtype.kind != "i" and ((rows % 1 != 0).any() or (rows >= 2**63).any()):
         raise ValueError("counts must be whole numbers below 2**63")

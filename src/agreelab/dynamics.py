@@ -9,7 +9,9 @@ was announced; one with as many blocks as that is the public object itself,
 and each distinct object announces and refines once (:func:`shared`).
 Action sets are decided by the sign of each block's summed margin.  Every
 exact mean of beliefs, announced or reported as X, is folded by
-:func:`fold_mean`, in Python-int object arrays once it leaves ``int64``.
+:func:`fold_mean`, in Python-int object arrays once it leaves ``int64``;
+public-action's X on count vectors is first bracketed in ``longdouble`` and
+folded only where the bracket leaves its rounding in doubt.
 
 For conditionally i.i.d. signals every protocol is also decided from count
 vectors alone, with no space built: :func:`decide_counts` decides any rows
@@ -59,6 +61,10 @@ PROTOCOL_KINDS = (PUBLIC_BELIEF, PUBLIC_ACTION, PUBLIC_STATISTIC, NETWORK_BELIEF
 #: Belief combinations averaged per batch on the Python-int path, which
 #: bounds the object-array temporaries.
 MEAN_BLOCK = 2**14
+
+#: Significand bits of ``np.longdouble`` (64 on x86-64, 53 where it is a
+#: double), in which public-action's X is bracketed before any exact fold.
+LONGDOUBLE_BITS = np.finfo(np.longdouble).nmant + 1
 
 
 @dataclass(frozen=True)
@@ -177,7 +183,10 @@ def fold_mean(terms: Iterable[tuple[np.ndarray, np.ndarray]], n):
 
     Each term is a ``(num, den)`` pair of equal-length columns.  They are
     folded left to right into one numerator and denominator, not reduced;
-    object arrays of Python ints keep every digit.
+    object arrays of Python ints keep every digit.  It averages the agents'
+    beliefs in :func:`mean_beliefs`, and public-action's holders' beliefs
+    on the rows of counts whose ``longdouble`` bracket is in doubt
+    (:func:`_mean_belief_bracket`).
     """
     (num, den), *rest = terms
     for a, b in rest:
@@ -411,8 +420,13 @@ def _public_action_by_counts(model: SignalModel, counts: np.ndarray):
     own counts and intervals only, so each round steps just the rows whose
     intervals moved in the last, and a row is done when none of its
     intervals changes.  X is the mean of the holders' final beliefs, each
-    slot's weighted by its count, by :func:`fold_mean` over the row's own
-    agent count.
+    slot's weighted by its count.  :func:`_mean_belief_bracket` computes it
+    in ``longdouble`` from each set's and symbol's truncated odds, with a
+    proven error bound, and keeps the double where the whole bracket rounds
+    to it; the other rows (the bracket straddles a rounding boundary, or a
+    value leaves ``longdouble``'s normal range) are folded exactly by
+    :func:`fold_mean` over the row's own agent count.  Either way X is
+    correctly rounded.
     """
     _, pairs = integer_weights(model)
     k = len(pairs)
@@ -476,13 +490,91 @@ def _public_action_by_counts(model: SignalModel, counts: np.ndarray):
         at = tuple(counts[int(np.argmax(split))].tolist())
         raise AssertionError(f"fixed point of public-action left actions unequal at counts {at}")
     # A holder believes a1 Q1 / (a1 Q1 + a0 Q0); X is the mean over the row's agents.
-    spans = list(zip(lo.ravel().tolist(), hi.ravel().tolist()))
-    m0, m1 = (
-        np.array([p[h] - p[l] for l, h in spans], dtype=object).reshape(own.shape) for p in prefix
-    )
-    weights = c.astype(object)
-    q0, q1 = (np.prod(m**weights, axis=1)[:, None] // np.where(present, m, 1) for m in (m0, m1))
-    num = np.array(a1, dtype=object)[own] * q1
-    den = num + np.array(a0, dtype=object)[own] * q0
+    keys, inverse = np.unique(lo * (k + 1) + hi, return_inverse=True)
+    masses = [[p[h] - p[l] for p in prefix] for l, h in (divmod(key, k + 1) for key in keys.tolist())]
+    inverse = inverse.reshape(own.shape)
+    rho, tau = (_truncated_ratios(ratios) for ratios in (masses, zip(a0, a1)))
+    xs, settled = _mean_belief_bracket(rho[inverse], tau[own], c)
+    doubt = np.flatnonzero(~settled)
+    m0, m1 = (np.array(m, dtype=object)[inverse[doubt]] for m in zip(*masses))
+    weights, held = c[doubt].astype(object), present[doubt]
+    q0, q1 = (np.prod(m**weights, axis=1)[:, None] // np.where(held, m, 1) for m in (m0, m1))
+    num = np.array(a1, dtype=object)[own[doubt]] * q1
+    den = num + np.array(a0, dtype=object)[own[doubt]] * q0
     total, scale = fold_mean(zip((weights * num).T, den.T), weights.sum(axis=1))
-    return act[:, 0].astype(np.int8), (total / scale).astype(np.float64)
+    xs[doubt] = (total / scale).astype(np.float64)
+    return act[:, 0].astype(np.int8), xs
+
+
+def _truncated_ratios(pairs: Iterable[tuple[int, int]]) -> np.ndarray:
+    """``num / den`` of each pair of positive ints, truncated to
+    :data:`LONGDOUBLE_BITS` bits, as a ``longdouble``: short of it by less
+    than ``2**(1 - LONGDOUBLE_BITS)`` of itself where that is a normal ``longdouble``."""
+    bits, shifted = LONGDOUBLE_BITS, []
+    for num, den in pairs:
+        s = bits + den.bit_length() - num.bit_length()
+        q = (num << s) // den if s >= 0 else num // (den << -s)
+        shifted.append((q >> 1, s - 1) if q >> bits else (q, s))
+    q, s = zip(*shifted)
+    with np.errstate(all="ignore"):
+        return np.ldexp(np.array(q, dtype=object).astype(np.longdouble), -np.array(s))
+
+
+def _normal(values: np.ndarray) -> np.ndarray:
+    """Where ``values`` are finite and at least twice ``longdouble``'s
+    smallest normal: a rounding to such a value errs by at most its half ulp."""
+    limits = np.finfo(np.longdouble)
+    return (values >= 2 * limits.smallest_normal) & (values <= limits.max)
+
+
+def _mean_belief_bracket(rho, tau, c) -> tuple[np.ndarray, np.ndarray]:
+    """Public-action's X per row from ``longdouble``s, and where it is certified.
+
+    Per slot, ``rho`` is m0 / m1 of its set's masses and ``tau`` a0 / a1 of
+    its own symbol, each from :func:`_truncated_ratios`, and ``c`` is its
+    count.  With ``rho**c`` taken by squaring over the bits of c and P the
+    product of the slots' powers, a holder's odds are ``u = tau P / rho``,
+    its belief ``b = 1 / (1 + u)``, and ``X = sum(c b) / n``.  The bound is
+    ``E = K eps X`` with ``K = 3n + 2 slots + 8`` and ``eps = 2**(1 - p)``,
+    p = :data:`LONGDOUBLE_BITS`.  Returns ``X - E`` as a ``float64``, and
+    where it is certified: ``X + E`` rounds to the same double, which is
+    then the exact X's.
+
+    Proof.  Say a computed value has weight w when it is the exact one times
+    a factor in ``[1 - w r, 1 / (1 - w r)]``, r = 2^-p the unit roundoff.
+    Weights add over products and quotients and multiply under powers, and
+    a rounding to a normal value adds 1; a truncated ratio has weight 2.  In
+    ``rho**c`` the input's error is raised to c, the t-th squaring's
+    rounding to ``floor(c / 2^t)``, and popcount(c) - 1 products add 1 each:
+    at most 3c - 1 in all.  So P, the slots' cumulative product, has weight
+    at most 3n + slots - 2, and u, with tau, rho and two roundings,
+    3n + slots + 4.  As ``1 + u (1 + θ) = (1 + u)(1 + θ u / (1 + u))``, b
+    has u's weight plus its two roundings.  A sum of positive terms has its
+    terms' largest weight plus the additions a term goes through, at most
+    slots - 1 in any order; with ``c b`` and ``/ n``, X has weight at most
+    ``K - 1``.  So the exact X lies within ``(K - 1) r / (1 - (K - 1) r)``
+    of the computed X, less than E less the roundings of ``X - E`` and
+    ``X + E`` while ``K eps <= 2^-10``, and rounding is monotone: when both
+    ends round to one double, so does the exact X (Ziv's rounding test, as
+    in :func:`~agreelab.bounds.certified_msbe`).  A row is certified only
+    where its powers, their cumulative products, its holders' rho, tau,
+    ``tau P``, u and b, and E (so X too) are normal: a normal power had
+    only normal squarings, as they move monotonically away from 1.
+    """
+    with np.errstate(all="ignore"):
+        power, base, e = np.ones_like(rho), rho, c
+        while e.any():
+            power = np.where(e & 1, power * base, power)
+            base, e = base * base, e >> 1
+        partial = np.cumprod(power, axis=1)
+        odds = tau * partial[:, -1:]
+        u = odds / rho
+        b = 1 / (1 + u)
+        n = c.sum(axis=1).astype(np.longdouble)
+        x = (c * b).sum(axis=1) / n
+        bound = (3 * n + 2 * c.shape[1] + 8) * np.ldexp(np.longdouble(1), 1 - LONGDOUBLE_BITS)
+        error = bound * x
+        low, high = (x - error).astype(np.float64), (x + error).astype(np.float64)
+    held = np.logical_and.reduce([_normal(v) for v in (rho, tau, odds, u, b)]) | (c == 0)
+    in_range = (held & _normal(power) & _normal(partial)).all(axis=1)
+    return low, in_range & _normal(error) & (bound <= 2**-10) & (low == high)

@@ -585,6 +585,17 @@ class TestCountLaw:
         with pytest.raises(ValueError):
             count_odds(BINARY_23, counts)
 
+    @pytest.mark.parametrize(
+        "counts",
+        [[[True, 2]], [[2, np.True_]], np.array([[True, 2]], dtype=object), [["a", 1]], [["1", 2]]],
+        ids=["bool-in-list", "numpy-bool-in-list", "bool-in-object-array", "letter", "digit-string"],
+    )
+    def test_counts_mixing_booleans_or_strings_are_refused(self, counts):
+        """numpy casts a boolean among integers to 1, so ``[[True, 2]]`` gave
+        the odds of (1, 2); a string row escaped as numpy's ``UFuncTypeError``."""
+        with pytest.raises(ValueError, match="real numbers"):
+            count_odds(BINARY_23, counts)
+
     def test_the_largest_int64_count_is_kept(self):
         top = np.array([[2**63 - 1, 0]], dtype=np.uint64)
         assert count_rows(BINARY_23, top).tolist() == [[2**63 - 1, 0]]

@@ -440,6 +440,72 @@ def test_the_kernel_decides_as_count_posterior(model, data):
             assert belief == float(x)
 
 
+def bracketed(model, rows, patch, certify=None):
+    """Public-action's codes and X on ``rows``, and the rows whose X the
+    ``longdouble`` bracket certified; ``certify`` replaces its verdicts."""
+    bracket, verdicts = dynamics._mean_belief_bracket, []
+
+    def spy(*args):
+        xs, settled = bracket(*args)
+        verdicts.append(settled if certify is None else certify(settled))
+        return xs, verdicts[-1]
+
+    patch.setattr(dynamics, "_mean_belief_bracket", spy)
+    codes, xs = decide_counts(model, PUBLIC_ACTION, rows)
+    return codes, xs, np.concatenate(verdicts)
+
+
+@settings(max_examples=40, deadline=None)
+@given(model=tie_prone_models(), n=st.integers(1, 12))
+def test_the_bracket_gives_the_exact_folds_x(model, n):
+    """On every count vector of n agents, X from the certified bracket is
+    the exact fold's, bit for bit, ties included."""
+    rows = count_vectors(n, len(model.support))
+    with pytest.MonkeyPatch.context() as patch:
+        codes, xs, settled = bracketed(model, rows, patch)
+        exact_codes, exact_xs, _ = bracketed(model, rows, patch, np.zeros_like)
+    assert settled.any() or dynamics.LONGDOUBLE_BITS < 64
+    assert codes.tolist() == exact_codes.tolist()
+    assert xs.tobytes() == exact_xs.tobytes()
+
+
+@settings(max_examples=20, deadline=None)
+@given(model=tie_prone_models(), n=st.integers(1, 12))
+def test_a_double_precision_bracket_settles_nothing(model, n):
+    """Where ``longdouble`` is only a double, the bound is wider than a
+    double's ulp: every row falls back to the exact fold, with the same bytes."""
+    rows = count_vectors(n, len(model.support))
+    with pytest.MonkeyPatch.context() as patch:
+        codes, xs, _ = bracketed(model, rows, patch)
+        patch.setattr(dynamics, "LONGDOUBLE_BITS", np.finfo(np.float64).nmant + 1)
+        double_codes, double_xs, settled = bracketed(model, rows, patch)
+    assert not settled.any()
+    assert codes.tobytes() == double_codes.tobytes()
+    assert xs.tobytes() == double_xs.tobytes()
+
+
+def test_an_overflowing_power_falls_back(monkeypatch):
+    """At counts (2 10^4, 1) of a binary model the holders' odds reach
+    2^20000, past ``longdouble``'s range: the row goes to the exact fold,
+    with no ``RuntimeWarning`` on the way."""
+    model = SignalModel.binary(Fraction(2, 3))
+    rows = np.array([[20000, 1], [1, 20000], [2, 1]])
+    codes, xs, settled = bracketed(model, rows, monkeypatch)
+    assert settled[:2].tolist() == [False, False]
+    exact_codes, exact_xs, _ = bracketed(model, rows, monkeypatch, np.zeros_like)
+    assert (codes.tolist(), xs.tobytes()) == (exact_codes.tolist(), exact_xs.tobytes())
+
+
+@pytest.mark.skipif(np.finfo(np.longdouble).nmant < 63, reason="longdouble has no extended precision")
+def test_the_bracket_settles_most_rows(monkeypatch):
+    """With a 64-bit significand the bracket settles at least 90% of
+    ``geometric_tail(3)``'s 816 count vectors, so that a bound loose enough to
+    send every row to the exact fold fails here, not only in the benchmark."""
+    rows = count_vectors(3, 16)
+    _, _, settled = bracketed(geometric_tail_model(8, Fraction(7, 10)), rows, monkeypatch)
+    assert len(rows) == 816 and settled.sum() >= 0.9 * 816
+
+
 def acceptance_region(trials: int, p: Fraction, alpha: float) -> tuple[int, int]:
     """The two-sided acceptance region ``[lo, hi]`` of a binomial count of
     ``trials`` at probability ``p``, at level ``alpha``: each tail outside it
