@@ -61,7 +61,6 @@ from .harness import (
     senate_exact_summary,
     sweep_n,
     trial_rng,
-    verify_report,
 )
 from .knowledge import (
     ACTION_BOTH,

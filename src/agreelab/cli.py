@@ -16,6 +16,7 @@ import functools
 import json
 import math
 import sys
+from dataclasses import asdict
 from fractions import Fraction
 
 from .bounds import default_eps_grid, learning_bounds, qn_bounds
@@ -24,6 +25,7 @@ from .errors import AgreementLabError, EnumerationBudgetError
 from .harness import (
     POOLED,
     RNG_VERSION,
+    csv_text,
     default_verification_suite,
     run_monte_carlo,
     sweep_n,
@@ -203,7 +205,7 @@ def _write_result(settings, result, text: str) -> None:
     """Write ``result`` as JSON or CSV, as the ``format`` setting asks, or
     else ``text``, to the ``out`` path or stdout."""
     if settings.format == "json":
-        text = json.dumps(result.to_dict(), indent=2, default=str) + "\n"
+        text = json.dumps(asdict(result), indent=2, default=str) + "\n"
     elif settings.format == "csv":
         text = result.to_csv()
     _write_output(text, settings.out)
@@ -256,13 +258,13 @@ def _cmd_bound(s) -> int:
         if scenario.marginal_model is None:
             raise AgreementLabError(f"{scenario.name} has no informative marginal model")
         rows_of.setdefault(scenario.marginal_model, []).append(i)
-    ds, qns = [given_d] * len(s.n), [""] * len(s.n)
+    ds, qns = [given_d] * len(s.n), [None] * len(s.n)
     for model, rows in rows_of.items():
         d = noise_to_signal_ratio(model) if given_d is None else given_d
         tail = belief_tail_cdf(model, 0)
         for i, qn in zip(rows, qn_bounds([s.n[i] for i in rows], tail, eps_grid=s.eps_grid)):
-            ds[i], qns[i] = d, repr(qn)
-    lines = [f"# generator={RNG_VERSION}", "n,D,var_bound,action_bound,qn_bound"]
+            ds[i], qns[i] = d, qn
+    table = []
     for n, d, qn in zip(s.n, ds, qns):
         try:
             d = float(d)
@@ -271,8 +273,9 @@ def _cmd_bound(s) -> int:
         if not 0 < d < math.inf:
             raise AgreementLabError(f"D must be positive and finite, got {d!r}")
         report = learning_bounds(n, d)
-        lines.append(f"{n},{report.d!r},{report.var_bound!r},{report.action_bound!r},{qn}")
-    _write_output("\n".join(lines) + "\n", s.out)
+        table.append((n, report.d, report.var_bound, report.action_bound, qn))
+    header = ("n", "D", "var_bound", "action_bound", "qn_bound")
+    _write_output(csv_text(f"generator={RNG_VERSION}", header, table), s.out)
     return 0
 
 

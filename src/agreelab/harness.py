@@ -13,8 +13,9 @@ size, not by the trial count.
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field, fields
 from fractions import Fraction
+from operator import attrgetter
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -73,11 +74,19 @@ def chunk_streams(seed: int, n: int, trials: int):
         yield trial_rng(seed, n, chunk), min(CHUNK_TRIALS, trials - start)
 
 
-def csv_cell(value: str) -> str:
-    """Quote a CSV field when it contains separators (RFC 4180)."""
-    if any(ch in value for ch in (",", '"', "\n")):
-        return '"' + value.replace('"', '""') + '"'
-    return value
+def csv_text(comment: str, header: Sequence[str], rows: Iterable[Sequence]) -> str:
+    """The CSV of every CLI report: a ``# comment`` line, the header, one line
+    per row.  ``None`` is an empty cell, a float prints as its ``repr``, and
+    a cell holding a comma, a quote or a newline is quoted (RFC 4180)."""
+    import csv  # only when a CSV is written, so importing the CLI stays cheap
+    import io
+
+    out = io.StringIO()
+    out.write(f"# {comment}\n")
+    writer = csv.writer(out, lineterminator="\n")
+    writer.writerow(header)
+    writer.writerows(rows)
+    return out.getvalue()
 
 
 @dataclass
@@ -114,21 +123,14 @@ class TrialSummary:
     def failure_rate(self) -> float:
         return self.failures / self.trials
 
-    @property
-    def tie_rate(self) -> float:
-        return self.ties / self.trials
-
-    def to_dict(self) -> dict:
-        return asdict(self)
-
     def to_csv(self) -> str:
-        return (
-            f"# generator={self.rng}\n"
-            "scenario,n,mode,trials,successes,ties,failures,success_rate,stderr,msbe,seed\n"
-            f"{csv_cell(self.scenario)},{self.n},{self.mode},{self.trials},{self.successes},"
-            f"{self.ties},{self.failures},{self.success_rate!r},{self.stderr!r},{self.msbe!r},"
-            f"{self.seed}\n"
+        return csv_text(
+            f"generator={self.rng}", SUMMARY_COLUMNS, [attrgetter(*SUMMARY_COLUMNS)(self)]
         )
+
+
+#: A summary's CSV columns: every field but ``rng``, which the comment line names.
+SUMMARY_COLUMNS = tuple(f.name for f in fields(TrialSummary) if f.name != "rng")
 
 
 def run_monte_carlo(scenario: Scenario, mode: str, trials: int, seed: int) -> TrialSummary:
@@ -221,8 +223,8 @@ def binary_noise_to_signal_exact(accuracy) -> Fraction:
 class SweepRow:
     n: int
     summary: TrialSummary
-    bound_report: BoundReport | None
-    qn: float | None
+    bounds: BoundReport | None
+    qn_bound: float | None
 
 
 @dataclass
@@ -231,57 +233,24 @@ class SweepTable:
     mode: str
     trials: int
     seed: int
-    rows: list[SweepRow] = field(default_factory=list)
     rng: str = RNG_VERSION
-
-    CSV_HEADER = (
-        "n,trials,successes,ties,failures,success_rate,stderr,msbe,"
-        "D,var_bound,action_bound,qn_bound,seed"
-    )
+    rows: list[SweepRow] = field(default_factory=list)
 
     def to_csv(self) -> str:
-        lines = [
-            f"# generator={self.rng} family={self.family} mode={self.mode} seed={self.seed}",
-            self.CSV_HEADER,
-        ]
+        """One line per row: n, the summary's tallies, D, the two bounds of
+        D, qn and the seed; a row without a model leaves D to qn blank."""
+        tallies = SUMMARY_COLUMNS[3:10]
+        read_tallies = attrgetter(*tallies)
+        rows = []
         for row in self.rows:
-            s = row.summary
-            b = row.bound_report
-            cells = [
-                str(row.n),
-                str(s.trials),
-                str(s.successes),
-                str(s.ties),
-                str(s.failures),
-                repr(s.success_rate),
-                repr(s.stderr),
-                repr(s.msbe),
-                repr(b.d) if b else "",
-                repr(b.var_bound) if b else "",
-                repr(b.action_bound) if b else "",
-                repr(row.qn) if row.qn is not None else "",
-                str(s.seed),
-            ]
-            lines.append(",".join(cells))
-        return "\n".join(lines) + "\n"
-
-    def to_dict(self) -> dict:
-        return {
-            "family": self.family,
-            "mode": self.mode,
-            "trials": self.trials,
-            "seed": self.seed,
-            "rng": self.rng,
-            "rows": [
-                {
-                    "n": row.n,
-                    "summary": row.summary.to_dict(),
-                    "bounds": asdict(row.bound_report) if row.bound_report else None,
-                    "qn_bound": row.qn,
-                }
-                for row in self.rows
-            ],
-        }
+            s, b = row.summary, row.bounds
+            bounds = (b.d, b.var_bound, b.action_bound) if b else (None, None, None)
+            rows.append((row.n, *read_tallies(s), *bounds, row.qn_bound, s.seed))
+        return csv_text(
+            f"generator={self.rng} family={self.family} mode={self.mode} seed={self.seed}",
+            ("n", *tallies, "D", "var_bound", "action_bound", "qn_bound", "seed"),
+            rows,
+        )
 
 
 def sweep_n(
@@ -319,9 +288,9 @@ def sweep_n(
         for i, n, qn in zip(rows, ns, qns):
             columns[i] = (None if d is None else learning_bounds(n, d), qn)
     table = SweepTable(family=family, mode=mode, trials=trials, seed=seed)
-    for scenario, (bound_report, qn) in zip(scenarios, columns):
+    for scenario, (bounds, qn) in zip(scenarios, columns):
         summary = run_monte_carlo(scenario, mode, trials, seed)
-        table.rows.append(SweepRow(n=scenario.n, summary=summary, bound_report=bound_report, qn=qn))
+        table.rows.append(SweepRow(n=scenario.n, summary=summary, bounds=bounds, qn_bound=qn))
     return table
 
 
@@ -346,14 +315,11 @@ class Check:
     margin: float
     detail: str = ""
 
-    def to_dict(self) -> dict:
-        return asdict(self)
-
 
 @dataclass
 class VerificationReport:
-    checks: list[Check] = field(default_factory=list)
     rng: str = RNG_VERSION
+    checks: list[Check] = field(default_factory=list)
 
     @property
     def failures(self) -> list[Check]:
@@ -379,25 +345,9 @@ class VerificationReport:
         )
         return "\n".join(lines) + "\n"
 
-    def to_dict(self) -> dict:
-        return {"rng": self.rng, "checks": [c.to_dict() for c in self.checks]}
-
     def to_csv(self) -> str:
-        lines = [
-            f"# generator={self.rng}",
-            "name,status,observed,bound,tolerance,margin,detail",
-        ]
-        for c in self.checks:
-            lines.append(
-                f"{csv_cell(c.name)},{c.status},{c.observed!r},{c.bound!r},"
-                f"{c.tolerance!r},{c.margin!r},{csv_cell(c.detail)}"
-            )
-        return "\n".join(lines) + "\n"
-
-
-def verify_report(checks: Iterable[Check]) -> VerificationReport:
-    """Assemble checks into a report; failures are content, not errors."""
-    return VerificationReport(checks=list(checks))
+        columns = [f.name for f in fields(Check)]
+        return csv_text(f"generator={self.rng}", columns, map(attrgetter(*columns), self.checks))
 
 
 def _bounded_check(name, observed, bound, tolerance=0.0, detail="", vacuous=False):
@@ -664,4 +614,4 @@ def default_verification_suite(
         seed=seed,
     )
     checks += example_invariant_checks()
-    return verify_report(checks)
+    return VerificationReport(checks=checks)

@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable
@@ -71,13 +72,7 @@ class Scenario:
 
     def profile_sampler(self, outcome: Callable[[np.ndarray], tuple]) -> Callable:
         """Batch draw of (states, *``outcome`` of the structure's drawn statistic)."""
-        statistic = self.structure.draw_statistic
-
-        def draw(rng, size, force_state=None):
-            states = _draw_states(rng, size, force_state)
-            return states, *outcome(statistic(rng, states, self.n))
-
-        return draw
+        return statistic_draw(self.structure, self.n, outcome)
 
     def pooled_sampler(self) -> Callable:
         """Batch draw of (states, pooled action codes, pooled beliefs)."""
@@ -89,6 +84,18 @@ def _draw_states(rng, size: int, force_state) -> np.ndarray:
     if force_state is None:
         return rng.integers(0, 2, size=size)
     return np.full(size, force_state, dtype=np.int64)
+
+
+def statistic_draw(structure, n: int, outcome: Callable[[np.ndarray], tuple]) -> Callable:
+    """Batch draw of (states, *``outcome`` of the statistic that
+    ``structure.draw_statistic`` draws for them at ``n`` agents)."""
+    statistic = structure.draw_statistic
+
+    def draw(rng, size, force_state=None):
+        states = _draw_states(rng, size, force_state)
+        return states, *outcome(statistic(rng, states, n))
+
+    return draw
 
 
 def _known_state_draw(rng, size: int, force_state=None):
@@ -396,15 +403,9 @@ class ExchangeableFlip:
     def pooled_sampler(self, n: int) -> Callable:
         """The pooled posterior depends on the profile only through its
         proxy bit, which the profile's one-count reveals, so each trial
-        draws the proxy bit and reports its :meth:`proxy_outcomes`."""
-        codes, beliefs = self.proxy_outcomes()
-
-        def draw(rng, size, force_state=None):
-            states = _draw_states(rng, size, force_state)
-            proxies = self.draw_statistic(rng, states, n)
-            return states, codes[proxies], beliefs[proxies]
-
-        return draw
+        draws the proxy bit and reports its :meth:`proxy_outcomes`, as the
+        protocol runs do."""
+        return statistic_draw(self, n, self.trial_outcomes(n, PUBLIC_BELIEF))
 
 
 # ---------------------------------------------------------------------------
@@ -647,6 +648,10 @@ def senate(n: int, senate_size: int = 100, accuracy=Fraction(2, 3)) -> Scenario:
     )
 
 
+#: The deepest geometric tail whose largest weight e^(K/2) is a finite float.
+MAX_TAIL_DEPTH = int(2 * math.log(sys.float_info.max))
+
+
 def geometric_tail_model(depth: int, ratio) -> SignalModel:
     """Mirrored geometric model with log-likelihood ratios +-1 .. +-depth.
 
@@ -657,6 +662,10 @@ def geometric_tail_model(depth: int, ratio) -> SignalModel:
     """
     if depth < 1:
         raise ScenarioParameterError("tail depth must be at least 1")
+    if depth > MAX_TAIL_DEPTH:
+        raise ScenarioParameterError(
+            f"tail depth must be at most {MAX_TAIL_DEPTH}, past which e^(K/2) overflows a float"
+        )
     r = as_weight(ratio)
     if not 0 < r < 1:
         raise ScenarioParameterError("tail ratio must lie in (0, 1)")

@@ -104,28 +104,12 @@ class SignalModel:
             raise NonInformativeModelError("accuracy 1/2 carries no information")
         return SignalModel(alphabet=(0, 1), mu0=(p, 1 - p), mu1=(1 - p, p))
 
-    def to_config(self) -> dict:
-        """Config-file form: alphabet as strings, weights as num/den strings."""
-        return {
-            "alphabet": [str(s) for s in self.alphabet],
-            "mu0": [f"{w.numerator}/{w.denominator}" for w in self.mu0],
-            "mu1": [f"{w.numerator}/{w.denominator}" for w in self.mu1],
-        }
-
     @staticmethod
     def from_config(data: dict) -> "SignalModel":
         return SignalModel(
             alphabet=tuple(data["alphabet"]),
             mu0=tuple(Fraction(w) for w in data["mu0"]),
             mu1=tuple(Fraction(w) for w in data["mu1"]),
-        )
-
-    def relabelled(self, mapping: dict) -> "SignalModel":
-        """Consistently rename symbols; weights are untouched."""
-        return SignalModel(
-            alphabet=tuple(mapping[s] for s in self.alphabet),
-            mu0=self.mu0,
-            mu1=self.mu1,
         )
 
 

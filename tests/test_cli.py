@@ -1,6 +1,7 @@
 """Command-line surface: subcommands, config files, exit codes, outputs."""
 
 import hashlib
+import io
 import json
 from fractions import Fraction
 from types import SimpleNamespace
@@ -10,7 +11,8 @@ import pytest
 from agreelab import cli, dynamics, scenarios
 from agreelab.bounds import DEFAULT_EPS_GRID
 from agreelab.cli import build_parser, main
-from agreelab.knowledge import DEFAULT_ENUMERATION_BUDGET, OutcomeSpace
+from agreelab.harness import PASS, RNG_VERSION, Check, VerificationReport
+from agreelab.knowledge import DEFAULT_ENUMERATION_BUDGET, OutcomeSpace, own_signal_partitions
 from agreelab.scenarios import iid_binary
 
 
@@ -291,6 +293,98 @@ class TestCsvQuoting:
         rows = list(csv.reader(body.splitlines()))
         assert rows[1][0] == "iid_binary(10, 2/3)"
 
+    def test_verify_detail_with_separators_reads_back(self):
+        import csv
+
+        detail = 'exact, "quoted"\nsecond line'
+        report = VerificationReport(checks=[
+            Check("odd,name", PASS, observed=0.1, bound=0.5, tolerance=0.0, margin=0.4,
+                  detail=detail),
+        ])
+        generator, body = report.to_csv().split("\n", 1)
+        assert generator == f"# generator={RNG_VERSION}"
+        (row,) = csv.DictReader(io.StringIO(body))
+        assert row == {
+            "name": "odd,name", "status": PASS, "observed": "0.1", "bound": "0.5",
+            "tolerance": "0.0", "margin": "0.4", "detail": detail,
+        }
+
+
+
+def report_digest(text: str) -> str:
+    """sha256 of a whole report, with ``RNG_VERSION`` (which names the numpy
+    version) replaced by a fixed token."""
+    return hashlib.sha256(text.replace(RNG_VERSION, "<rng>").encode()).hexdigest()
+
+
+#: sha256 (:func:`report_digest`) of what each command prints: the reports
+#: of ``simulate``, ``sweep`` and ``verify`` in text, CSV and JSON, and two
+#: ``bound`` tables.
+REPORT_DIGESTS = {
+    "simulate --scenario iid_binary --param p=2/3 --n 7 --trials 3000 --seed 4":
+        "f9315caeddc5371fcdfbf2d6de2829f8b08b3e5da2195024e55229286bb03a10",
+    "simulate --scenario iid_binary --param p=2/3 --n 7 --trials 3000 --seed 4 --format csv":
+        "2e060c4c9cf1926766ff8de136e7984a2abcf9306b39d775e77d59f57dfd0c66",
+    "simulate --scenario iid_binary --param p=2/3 --n 7 --trials 3000 --seed 4 --format json":
+        "5105d5fcdc8c4637f8a87df67613815fc7aee78da5730d9aa922d222c1ab991a",
+    "simulate --scenario senate --param senate_size=9 --n 12 --protocol public-action --trials 500":
+        "764091c4b52ee9a5f50ab6d68fb968ddf8ab83f1d35499260b18676fe33cbe20",
+    "simulate --scenario senate --param senate_size=9 --n 12 --protocol public-action --trials 500 --format csv":
+        "d07ecfd9ae21f8d690819e145271a9227aa40c7997a640d722d8a60859443dcf",
+    "simulate --scenario senate --param senate_size=9 --n 12 --protocol public-action --trials 500 --format json":
+        "ed6db857c6cd72c1de4631320bb46e39825b093e1bb23e7bb398f8508407ce8a",
+    "simulate --scenario parity --n 3 --protocol statistic --trials 500":
+        "02ad1206d8df58bad5f48662f7daa1093aa05e9552a1e3b16754aab16e600720",
+    "simulate --scenario parity --n 3 --protocol statistic --trials 500 --format csv":
+        "73d64cb1ae87ae90fe9fb876413763c03ffbdb7fc7b60ae99c3ef1f5de04219a",
+    "simulate --scenario parity --n 3 --protocol statistic --trials 500 --format json":
+        "af73beb0d836e0c1768dfec1f4343b31035c3e058ef93720f9a33e8b771bba3c",
+    "sweep --scenario iid_binary --param p=2/3 --n 10,20,50 --trials 2000 --seed 3":
+        "415f1c8006bb589c66a82a495b39675d8f7a9e2d37f4b03cf087ca2cc1d06408",
+    "sweep --scenario iid_binary --param p=2/3 --n 10,20,50 --trials 2000 --seed 3 --format csv":
+        "415f1c8006bb589c66a82a495b39675d8f7a9e2d37f4b03cf087ca2cc1d06408",
+    "sweep --scenario iid_binary --param p=2/3 --n 10,20,50 --trials 2000 --seed 3 --format json":
+        "6146721b0ee41f4eb4c32e88619b070cbe4ae2b6c36bc6a2bed01d833a22ba5b",
+    "sweep --scenario parity --n 2,3 --trials 100":
+        "cf78175cb6e1889849d2fcfc63b618415ecf5d03c94f0e5939903077e4e2fec8",
+    "sweep --scenario parity --n 2,3 --trials 100 --format csv":
+        "cf78175cb6e1889849d2fcfc63b618415ecf5d03c94f0e5939903077e4e2fec8",
+    "sweep --scenario parity --n 2,3 --trials 100 --format json":
+        "0384e94f030ba8b2fb62025adaff0ee44fb92b496cd284480272abfd01c1766e",
+    "sweep --scenario uncorrelated_tight --n 4,8 --protocol network --trials 100":
+        "c437f6702d544801d1a07a2303d6e5e19bbbf79010daf838f4a610c31c5a2e6c",
+    "sweep --scenario uncorrelated_tight --n 4,8 --protocol network --trials 100 --format csv":
+        "c437f6702d544801d1a07a2303d6e5e19bbbf79010daf838f4a610c31c5a2e6c",
+    "sweep --scenario uncorrelated_tight --n 4,8 --protocol network --trials 100 --format json":
+        "f03c79ced06f5359aaaf9b30564121fc17289acddb4931017730a299e2b775ab",
+    "verify --seed 1 --trials 4000":
+        "bbc8af782f522b78b18bb57479353d86d0a68f89fa9a4001aa112e883ce7d22b",
+    "verify --seed 1 --trials 4000 --format csv":
+        "06456c68837ef1d0e36df9e0ef50318a06a7f48d1cd8b273e1adbacd542e83a0",
+    "verify --seed 1 --trials 4000 --format json":
+        "3d75ea42d57248df9d06ce888a01b0da8bac7fd614324d28318183beebaaf53c",
+    "bound --n 10,100 --param D=8":
+        "bf293df50ddd285e9f173a449822a8db534383d473a28f0f54435ffc5c7eb3d1",
+    "bound --scenario geometric_tail --n 10,1000":
+        "1f95d618e829b340a91a62e1586a13626e7f57e6ad3e0b55bc3259caa73028ac",
+}
+
+
+class TestReportBytes:
+    @pytest.mark.parametrize("command", list(REPORT_DIGESTS))
+    def test_report_is_unchanged(self, command, capsys):
+        assert run_cli(*command.split()) == 0
+        assert report_digest(capsys.readouterr().out) == REPORT_DIGESTS[command]
+
+    def test_protocol_trace_csv_is_unchanged(self):
+        space = iid_binary(3, Fraction(2, 3)).outcome_space()
+        result = dynamics.run_protocol(
+            dynamics.PUBLIC_BELIEF, space, own_signal_partitions(space), (1, 0, 1)
+        )
+        assert report_digest(result.trace.to_csv()) == (
+            "728f23dc7fad8c4c7c7f2d1313894118d9c9cb727efa53f469932c9b7eacc17c"
+        )
+
 
 #: The flags each subcommand reads; ``--config`` sets the same settings.
 READS = {
@@ -362,6 +456,9 @@ class TestExitCodes:
             (("bound", "--n", "10", "--param", "D=8", "--param", "p=2/3"), "reads only --param D"),
             (("bound", "--scenario", "geometric_tail", "--param", "k=6", "--n", "10"), "'k'"),
             (("simulate", "--scenario", "geometric_tail", "--param", "k=6", "--n", "2"), "'k'"),
+            # A tail deep enough that e^(K/2) overflows a float.
+            (("bound", "--scenario", "geometric_tail", "--param", "K=1500", "--n", "10"),
+             "tail depth must be at most 1419"),
             # A committee size that is not an integer.
             (("simulate", "--scenario", "senate", "--param", "senate_size=9/2", "--n", "6",
               "--protocol", "network"), "committee size must be a positive integer"),
@@ -420,10 +517,12 @@ class TestExitCodes:
 
     def test_verification_failures_exit_2(self, monkeypatch):
         from agreelab import cli
-        from agreelab.harness import FAIL, Check, verify_report
+        from agreelab.harness import FAIL
 
         failed = Check("forced", FAIL, observed=1.0, bound=0.0, tolerance=0.0, margin=-1.0)
-        monkeypatch.setattr(cli, "default_verification_suite", lambda **kw: verify_report([failed]))
+        monkeypatch.setattr(
+            cli, "default_verification_suite", lambda **kw: VerificationReport(checks=[failed])
+        )
         assert run_cli("verify", "--format", "csv") == 2
 
     @pytest.mark.parametrize("error", [KeyError("internal"), ValueError("internal")])

@@ -538,6 +538,16 @@ GOLDEN = {
     ),
     ("senate", "12", "public-belief"): SENATE12_ROW.format("public-belief"),
     ("senate", "12", "statistic"): SENATE12_ROW.format("public-statistic"),
+    # The pooled draws of the same four structures.
+    ("parity", "3", "pooled"): "parity(3),3,pooled,1000,1000,0,0,1.0,0.0,0.0,7\n",
+    ("uncorrelated_tight", "8", "pooled"): (
+        "uncorrelated_tight(8),8,pooled,1000,889,0,111,0.889,"
+        "0.00993373041711924,0.09880078285596405,7\n"
+    ),
+    ("two_bit", "4", "pooled"): "two_bit(4),4,pooled,1000,1000,0,0,1.0,0.0,0.0,7\n",
+    ("senate", "12", "pooled"): (
+        "senate(12),12,pooled,1000,830,99,71,0.887,0.010011543337567888,0.08368389524010754,7\n"
+    ),
 }
 GOLDEN_PARAMS = {"iid_binary": ["--param", "p=2/3"], "senate": ["--param", "senate_size=9"]}
 

@@ -2,6 +2,7 @@
 
 import csv
 import math
+from dataclasses import asdict
 from fractions import Fraction
 
 import numpy as np
@@ -21,6 +22,7 @@ from agreelab.harness import (
     CHUNK_TRIALS,
     POOLED,
     TrialSummary,
+    VerificationReport,
     aggregate_bound_checks,
     agreement_identity_checks,
     binary_noise_to_signal_exact,
@@ -35,7 +37,6 @@ from agreelab.harness import (
     sweep_n,
     tail_bound_checks,
     trial_rng,
-    verify_report,
 )
 from agreelab.knowledge import (
     ACTION_BOTH,
@@ -154,7 +155,7 @@ class TestBatchedAgainstExactLaws:
     def against(self, summary, exact) -> None:
         trials = summary.trials
         self.near(summary.success_rate, exact.success + exact.tie / 2, trials)
-        self.near(summary.tie_rate, exact.tie, trials)
+        self.near(summary.ties / trials, exact.tie, trials)
         self.near(summary.failure_rate, exact.failure, trials)
 
     @pytest.mark.parametrize("n", [10, 20, 50, 100])
@@ -315,8 +316,8 @@ class TestSweep:
     def test_rows_and_columns(self):
         table = sweep_n("iid_binary", (10, 20), 500, seed=4, params={"p": Fraction(2, 3)})
         assert [row.n for row in table.rows] == [10, 20]
-        assert all(row.bound_report is not None for row in table.rows)
-        assert all(row.bound_report.d == pytest.approx(8.0, abs=1e-9) for row in table.rows)
+        assert all(row.bounds is not None for row in table.rows)
+        assert all(row.bounds.d == pytest.approx(8.0, abs=1e-9) for row in table.rows)
         csv = table.to_csv()
         lines = csv.split("\n")
         assert lines[0].startswith("# generator=philox4x64")
@@ -331,8 +332,8 @@ class TestSweep:
 
     def test_parity_rows_have_no_bound_columns(self):
         table = sweep_n("parity", (2, 3), 100, seed=0, mode=PUBLIC_BELIEF)
-        assert all(row.bound_report is None for row in table.rows)
-        assert all(row.qn is None for row in table.rows)
+        assert all(row.bounds is None for row in table.rows)
+        assert all(row.qn_bound is None for row in table.rows)
 
     def test_senate_error_flat_across_rows(self):
         table = sweep_n(
@@ -353,9 +354,9 @@ class TestSweep:
             params={"p": Fraction(2, 3)},
         )
         for row in table.rows:
-            assert row.bound_report.action_bound > 0
+            assert row.bounds.action_bound > 0
             margin = 3 * row.summary.stderr
-            assert row.summary.success_rate >= row.bound_report.action_bound - margin
+            assert row.summary.success_rate >= row.bounds.action_bound - margin
 
 
 def spy(monkeypatch, owner, name) -> list:
@@ -401,7 +402,7 @@ class TestBoundsOncePerModel:
         table = sweep_n("iid_binary", (10, 20, 50, 100), 200, seed=1, params={"p": Fraction(2, 3)})
         assert len(cdfs) == 1
         cdf = belief_tail_cdf(BINARY_23, 0)
-        assert [row.qn for row in table.rows] == [qn_bound(n, cdf) for n in (10, 20, 50, 100)]
+        assert [row.qn_bound for row in table.rows] == [qn_bound(n, cdf) for n in (10, 20, 50, 100)]
 
     def test_sweep_reads_one_tail_per_distinct_model(self, monkeypatch):
         """uncorrelated_tight's marginal model moves with n; a repeated n
@@ -417,7 +418,7 @@ class TestBoundsOncePerModel:
         assert {state for _model, state in cdfs} == {0}
         for row in table.rows:
             alone = sweep_n("uncorrelated_tight", (row.n,), 200, seed=1).rows[0]
-            assert (row.qn, row.bound_report) == (alone.qn, alone.bound_report)
+            assert (row.qn_bound, row.bounds) == (alone.qn_bound, alone.bounds)
 
     def test_an_invalid_grid_fails_before_any_trial(self, monkeypatch):
         from agreelab import harness
@@ -525,12 +526,12 @@ class TestVerification:
         assert action_check.status == "vacuous"
 
     def test_report_serialization(self):
-        report = verify_report(
-            aggregate_bound_checks(
+        report = VerificationReport(
+            checks=aggregate_bound_checks(
                 "iid", Fraction(8), pooled_bound_rows(BINARY_23, (50,))
             )
         )
-        data = report.to_dict()
+        data = asdict(report)
         assert data["checks"][0]["name"].startswith("wrong-action-bound")
         csv = report.to_csv()
         assert csv.splitlines()[1].startswith("name,status,observed")
@@ -599,7 +600,7 @@ def test_committee_row_checks_the_law_against_the_binomial_tail(law, monkeypatch
 class TestTrialSummaryShape:
     def test_to_dict_roundtrip(self):
         summary = run_monte_carlo(iid_binary(10, Fraction(2, 3)), POOLED, 100, seed=0)
-        data = summary.to_dict()
+        data = asdict(summary)
         assert data["scenario"] == "iid_binary(10, 2/3)"
         assert data["trials"] == 100
         assert data["rng"].startswith("philox4x64")

@@ -28,6 +28,7 @@ from agreelab.knowledge import (
     pooled_posterior,
 )
 from agreelab.scenarios import (
+    MAX_TAIL_DEPTH,
     build_scenario,
     flip_accuracy,
     geometric_tail,
@@ -345,6 +346,15 @@ class TestGeometricTail:
         with pytest.raises(ScenarioParameterError):
             geometric_tail_model(3, Fraction(3, 2))
 
+    def test_depth_whose_weight_overflows_is_refused(self):
+        """e^(K/2) is a float up to K = 1419; one deeper is refused."""
+        assert MAX_TAIL_DEPTH == 1419
+        math.exp(MAX_TAIL_DEPTH / 2)
+        with pytest.raises(OverflowError):
+            math.exp((MAX_TAIL_DEPTH + 1) / 2)
+        with pytest.raises(ScenarioParameterError, match="at most 1419"):
+            geometric_tail_model(MAX_TAIL_DEPTH + 1, Fraction(7, 10))
+
     def test_scenario_carries_the_model(self):
         scenario = geometric_tail(10, depth=4, ratio=Fraction(7, 10))
         assert scenario.marginal_model is not None
@@ -509,8 +519,11 @@ class TestCustomModel:
             (Fraction(1, 2), Fraction(1, 3), Fraction(1, 6)),
             (Fraction(1, 6), Fraction(1, 3), Fraction(1, 2)),
         )
-        data = model.to_config()
-        assert data["mu0"] == ["1/2", "1/3", "1/6"]
+        data = {
+            "alphabet": ["lo", "mid", "hi"],
+            "mu0": ["1/2", "1/3", "1/6"],
+            "mu1": ["1/6", "1/3", "1/2"],
+        }
         assert SignalModel.from_config(data) == model
 
     def test_scenario_from_config_form(self):

@@ -201,7 +201,7 @@ class TestNoiseToSignalRatio:
         rng = __import__("numpy").random.default_rng(11)
         model = random_rational_model(rng, size=4)
         mapping = {0: "d", 1: "a", 2: "c", 3: "b"}
-        relabelled = model.relabelled(mapping)
+        relabelled = SignalModel(tuple(mapping[s] for s in model.alphabet), model.mu0, model.mu1)
         assert noise_to_signal_ratio(model) == pytest.approx(
             noise_to_signal_ratio(relabelled), abs=1e-12
         )
