@@ -12,6 +12,8 @@ on it only through its likelihood ratio.
 
 from __future__ import annotations
 
+import functools
+import itertools
 import math
 import numbers
 import operator
@@ -59,10 +61,11 @@ class BoundReport:
 
 
 def _agent_count(n, least: int = 1, what: str = "agent count"):
-    """``n``, refused unless it is an integer (numpy's included) of at least ``least``."""
+    """``n`` as a Python int, refused unless it is an integer (numpy's included)
+    of at least ``least``."""
     if isinstance(n, bool) or not isinstance(n, numbers.Integral) or n < least:
         raise ValueError(f"{what} must be an integer of at least {least}, got {n!r}")
-    return n
+    return int(n)
 
 
 def learning_bounds(n: int, d: float) -> BoundReport:
@@ -225,7 +228,7 @@ def estimator_moments_enumerated(model: SignalModel, n: int) -> EstimatorMoments
     (correctly rounded); Y adds its columns left to right from 0.0.
     Independent of the count-vector route, so the two check each other.
     """
-    _agent_count(n)
+    n = _agent_count(n)
     k = len(model.support)
     profiles = k**n
     if 2 * profiles > DEFAULT_ENUMERATION_BUDGET:
@@ -271,7 +274,7 @@ def count_law(model: SignalModel, n: int) -> tuple[int, Iterator[tuple]]:
     to ``c + 1`` of a symbol of weight ``r_s``, ``l`` agents left, a mass steps
     exactly to ``w (l - c) r_s // (c + 1)``.  At n = 0 the one row is the empty profile's.
     """
-    _agent_count(n, 0)
+    n = _agent_count(n, 0)
     den, pairs = integer_weights(model)
     head = len(pairs) - 2
     (a0, a1), (b0, b1) = pairs[head:]
@@ -449,15 +452,46 @@ def belief_error_terms(classes: dict) -> dict[int, int]:
     return terms
 
 
+def _pairwise_sum(fractions: list[Fraction]) -> Fraction:
+    """The Fractions added in pairs, ``a + b``, round after round, which keeps
+    the partial sums' denominators small, unlike a running sum's lcm."""
+    while len(fractions) > 1:
+        odd = fractions[-1:] if len(fractions) % 2 else []
+        fractions = [a + b for a, b in zip(fractions[::2], fractions[1::2])] + odd
+    return fractions[0]
+
+
 def _exact_msbe(denominator: int, terms: dict[int, int]) -> Fraction:
-    """sum(num / d) / ``denominator`` over :func:`belief_error_terms`, exact.
-    The Fractions are added in pairs, ``a + b``, round after round, which
-    keeps the partial sums' denominators small, unlike a running sum's lcm."""
-    errors = [Fraction(num, d) for d, num in terms.items()]
-    while len(errors) > 1:
-        odd = errors[-1:] if len(errors) % 2 else []
-        errors = [a + b for a, b in zip(errors[::2], errors[1::2])] + odd
-    return errors[0] / denominator
+    """sum(num / d) / ``denominator`` over :func:`belief_error_terms`, exact,
+    the terms added by :func:`_pairwise_sum`."""
+    return _pairwise_sum([Fraction(num, d) for d, num in terms.items()]) / denominator
+
+
+if hasattr(Fraction, "_from_coprime_ints"):  # Python 3.12+
+    _coprime_fraction = Fraction._from_coprime_ints
+elif "_normalize" in Fraction.__new__.__code__.co_varnames:  # Python 3.10 and 3.11
+
+    def _coprime_fraction(numerator: int, denominator: int) -> Fraction:
+        """``Fraction(numerator, denominator)`` of coprime Python ints,
+        ``denominator`` positive, built without the constructor's gcd."""
+        return Fraction(numerator, denominator, _normalize=False)
+
+else:
+    _coprime_fraction = Fraction
+
+
+def _add_coprime_odd_parts(a: Fraction, b: Fraction) -> Fraction:
+    """``a + b`` of positive Fractions whose denominators ``da`` and ``db``
+    have a power of two for gcd ``g``, so ``g`` is read off their low bits.
+    As in ``Fraction``'s own add, ``t = a.numerator (db / g) + b.numerator (da / g)``
+    over ``da db / g`` shares nothing with ``da / g`` or ``db / g``, so the
+    sum reduces by ``gcd(t, g)``, the lower of ``t``'s and ``g``'s powers of two."""
+    da, db = a.denominator, b.denominator
+    shift = min(da & -da, db & -db).bit_length() - 1
+    s = da >> shift
+    t = a.numerator * (db >> shift) + b.numerator * s
+    v = min(shift, (t & -t).bit_length() - 1)
+    return _coprime_fraction(t >> v, s * (db >> v))
 
 
 def certified_msbe(denominator: int, terms: dict[int, int]) -> float:
@@ -504,13 +538,34 @@ def exact_pooled_summary(model: SignalModel, n: int) -> ExactSummary:
     The law is decided once per likelihood class (:func:`likelihood_classes`),
     not per count vector; :func:`pooled_action_law` gives the action's law
     and :func:`belief_error_terms` the belief error's terms, summed exactly
-    in :func:`_summation_keys` order: ``A**h + B**h`` divides ``A**g + B**g`` when
-    ``g / h`` is odd, so terms sharing large factors meet while their sums are small.
+    by their :func:`_summation_keys` ``(y, g & -g, g)``.
+
+    In one direction ``y`` a term's denominator is ``A**g + B**g``, ``A`` and
+    ``B`` coprime.  ``A**h + B**h`` divides it when ``g / h`` is odd, so each
+    group ``(y, g & -g)`` is summed by :func:`_pairwise_sum` in ``g`` order,
+    where terms sharing large factors meet while their sums are small.  Two
+    groups of one direction share no odd factor: an odd prime ``p`` dividing
+    ``A**g + B**g`` divides neither ``A`` nor ``B``, and ``(A/B)**g = -1``
+    mod ``p``, so the order of ``A/B`` mod ``p`` divides ``2g`` but not
+    ``g``, and its 2-adic valuation is that of ``g`` plus one; no ``p`` can
+    do so for ``g`` and ``h`` of different valuations.  The group sums'
+    denominators, and so their running sum's, then share only a power of
+    two, and one direction's groups are added smallest first by
+    :func:`_add_coprime_odd_parts`, with no gcd of the large denominators.
+    The directions are added by :func:`_pairwise_sum`.
     """
     denominator, classes, firsts = likelihood_classes(model, n)
     success, tie, failure = pooled_action_law(denominator, classes)
     order = sorted(zip(_summation_keys(model, firsts), classes.items()), key=operator.itemgetter(0))
-    msbe = _exact_msbe(denominator, belief_error_terms(dict(item for _key, item in order)))
+    directions = []
+    for _y, direction in itertools.groupby(order, key=lambda item: item[0][0]):
+        groups = []
+        for _two_adic, group in itertools.groupby(direction, key=lambda item: item[0][1]):
+            terms = belief_error_terms(dict(item for _key, item in group))
+            groups.append(_pairwise_sum([Fraction(num, d) for d, num in terms.items()]))
+        groups.sort(key=operator.attrgetter("denominator"))
+        directions.append(functools.reduce(_add_coprime_odd_parts, groups))
+    msbe = _pairwise_sum(directions) / denominator
     return ExactSummary(success=success, tie=tie, failure=failure, msbe=msbe)
 
 

@@ -201,13 +201,15 @@ def _write_output(text: str, out_path):
         sys.stdout.write(text)
 
 
-def _write_result(settings, result, text: str) -> None:
+def _write_result(settings, result, to_text) -> None:
     """Write ``result`` as JSON or CSV, as the ``format`` setting asks, or
-    else ``text``, to the ``out`` path or stdout."""
+    else as ``to_text()``, called only then, to the ``out`` path or stdout."""
     if settings.format == "json":
         text = json.dumps(asdict(result), indent=2, default=str) + "\n"
     elif settings.format == "csv":
         text = result.to_csv()
+    else:
+        text = to_text()
     _write_output(text, settings.out)
 
 
@@ -216,15 +218,14 @@ def _cmd_simulate(s) -> int:
         raise AgreementLabError(f"simulate runs one n, got {s.n}; use sweep for several")
     scenario = build_scenario(s.scenario, s.n[0], **s.params)
     summary = run_monte_carlo(scenario, s.protocol, s.trials, s.seed)
-    _write_result(
-        s, summary,
+    _write_result(s, summary, lambda: (
         f"{summary.scenario} mode={summary.mode} trials={summary.trials} "
         f"seed={summary.seed}\n"
         f"  successes={summary.successes} ties={summary.ties} "
         f"failures={summary.failures}\n"
         f"  success_rate={summary.success_rate:.6f} "
-        f"(stderr {summary.stderr:.6f}) msbe={summary.msbe:.6g}\n",
-    )
+        f"(stderr {summary.stderr:.6f}) msbe={summary.msbe:.6g}\n"
+    ))
     return 0
 
 
@@ -232,13 +233,13 @@ def _cmd_sweep(s) -> int:
     table = sweep_n(
         s.scenario, s.n, s.trials, s.seed, mode=s.protocol, params=s.params, eps_grid=s.eps_grid
     )
-    _write_result(s, table, table.to_csv())
+    _write_result(s, table, table.to_csv)
     return 0
 
 
 def _cmd_verify(s) -> int:
     report = default_verification_suite(seed=s.seed, trials=s.trials)
-    _write_result(s, report, report.to_text())
+    _write_result(s, report, report.to_text)
     return 0 if report.passed else 2
 
 

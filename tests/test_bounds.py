@@ -1,6 +1,7 @@
 """Estimator identities, aggregate bounds, tail bounds, Chebyshev tools."""
 
 import bisect
+import collections
 import functools
 import itertools
 import math
@@ -608,6 +609,14 @@ class TestCountLaw:
         assert likelihood_classes(BINARY_23, np.int64(0)) == (2, {(1, 1): 1}, [[0, 0]])
         assert exact_pooled_summary(BINARY_23, np.int64(3)) == exact_pooled_summary(BINARY_23, 3)
 
+    def test_a_numpy_agent_count_takes_python_int_masses(self):
+        """At n = 60 the masses pass 2**63; an ``int64`` count must not
+        carry them into numpy integers, which would wrap."""
+        denominator, blocks = count_law(BINARY_23, np.int64(60))
+        assert type(denominator) is int
+        assert all(type(w) is int for _counts, w0s, w1s in blocks for w in w0s + w1s)
+        assert exact_pooled_summary(BINARY_23, np.int64(60)) == exact_pooled_summary(BINARY_23, 60)
+
     @settings(max_examples=30, deadline=None)
     @given(model=rational_models(), n=st.integers(1, 6))
     def test_masses_total_one_and_give_the_posterior(self, model, n):
@@ -813,6 +822,50 @@ class TestSummationOrder:
         shuffled = dict(data.draw(st.permutations(list(terms.items()))))
         exact = sum(Fraction(num, d) for d, num in terms.items()) / denominator
         assert _exact_msbe(denominator, shuffled) == _exact_msbe(denominator, terms) == exact
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        a=st.integers(1, 40),
+        b=st.integers(1, 40),
+        g=st.integers(1, 40),
+        h=st.integers(1, 40),
+        numerators=st.tuples(st.integers(1, 2**64), st.integers(1, 2**64)),
+    )
+    @example(a=3, b=1, g=1, h=2, numerators=(1, 1))
+    @example(a=2, b=1, g=3, h=6, numerators=(3, 5))
+    def test_groups_of_one_direction_share_only_a_power_of_two(self, a, b, g, h, numerators):
+        """For coprime A, B and g, h of different 2-adic valuations,
+        gcd(A**g + B**g, A**h + B**h) is a power of two, and fractions over
+        the two add without a gcd of their denominators, to the same sum."""
+        assume(math.gcd(a, b) == 1 and g & -g != h & -h)
+        dg, dh = a**g + b**g, a**h + b**h
+        common = math.gcd(dg, dh)
+        assert common & (common - 1) == 0
+        x, y = Fraction(numerators[0], dg), Fraction(numerators[1], dh)
+        assert bounds._add_coprime_odd_parts(x, y) == x + y
+
+    def test_the_coprime_constructor_gives_plain_normalized_fractions(self):
+        made = bounds._coprime_fraction(4, 15)
+        total = bounds._add_coprime_odd_parts(Fraction(1, 6), Fraction(1, 10))
+        for fraction in (made, total):
+            assert type(fraction) is Fraction
+            assert type(fraction.numerator) is int and type(fraction.denominator) is int
+            assert (fraction.numerator, fraction.denominator) == (4, 15)
+
+    @pytest.mark.parametrize("n", [6, 7, 12])
+    def test_the_grouped_sum_is_the_plain_sum(self, n):
+        """Symbols of odds 2, 3 and 1/6 over the basis {2, 3}: the classes
+        span several directions, some with several 2-adic groups, and the
+        count vector (k, k, k) is a tie when n = 3k."""
+        model = raw_model((5, 10), (5, 15), (18, 3))
+        denominator, classes, firsts = likelihood_classes(model, n)
+        keys = {(tuple(y), two_adic) for y, two_adic, _g in _summation_keys(model, firsts)}
+        directions = collections.Counter(y for y, _two_adic in keys)
+        assert len(directions) > 2 and max(directions.values()) > 1
+        assert ((1, 1) in classes) == (n % 3 == 0)
+        terms = belief_error_terms(classes)
+        plain = sum(Fraction(num, d) for d, num in terms.items()) / denominator
+        assert exact_pooled_summary(model, n).msbe == plain
 
     @pytest.mark.parametrize(
         "model, n_values",

@@ -11,7 +11,7 @@ import pytest
 from agreelab import cli, dynamics, scenarios
 from agreelab.bounds import DEFAULT_EPS_GRID
 from agreelab.cli import build_parser, main
-from agreelab.harness import PASS, RNG_VERSION, Check, VerificationReport
+from agreelab.harness import PASS, RNG_VERSION, Check, SweepTable, VerificationReport
 from agreelab.knowledge import DEFAULT_ENUMERATION_BUDGET, OutcomeSpace, own_signal_partitions
 from agreelab.scenarios import iid_binary
 
@@ -375,6 +375,32 @@ class TestReportBytes:
     def test_report_is_unchanged(self, command, capsys):
         assert run_cli(*command.split()) == 0
         assert report_digest(capsys.readouterr().out) == REPORT_DIGESTS[command]
+
+    def test_a_format_builds_no_text_report(self, monkeypatch, capsys):
+        """Under ``--format csv`` the text report is never built, and the
+        CSV is the pinned one."""
+        command = "verify --seed 1 --trials 4000 --format csv"
+
+        def refused(report):
+            raise AssertionError("text report built under --format csv")
+
+        monkeypatch.setattr(VerificationReport, "to_text", refused)
+        assert run_cli(*command.split()) == 0
+        assert report_digest(capsys.readouterr().out) == REPORT_DIGESTS[command]
+
+    def test_sweep_renders_its_csv_once(self, monkeypatch, capsys):
+        command = "sweep --scenario parity --n 2,3 --trials 100 --format csv"
+        rendered = []
+        to_csv = SweepTable.to_csv
+
+        def counted(table):
+            rendered.append(table)
+            return to_csv(table)
+
+        monkeypatch.setattr(SweepTable, "to_csv", counted)
+        assert run_cli(*command.split()) == 0
+        assert report_digest(capsys.readouterr().out) == REPORT_DIGESTS[command]
+        assert len(rendered) == 1
 
     def test_protocol_trace_csv_is_unchanged(self):
         space = iid_binary(3, Fraction(2, 3)).outcome_space()
