@@ -339,12 +339,16 @@ def likelihood_classes(model: SignalModel, n: int) -> tuple[int, dict[tuple[int,
     return denominator, classes, firsts
 
 
-def pooled_action_law(denominator: int, classes: dict) -> tuple[Fraction, Fraction, Fraction]:
-    """``(success, tie, failure)`` of the pooled action from
-    :func:`likelihood_classes`: each class is right on its heavier state's
-    mass, wrong on the lighter one and a tie when the two are equal."""
+def pooled_action_law(
+    denominator: int, classes: Iterable[tuple[tuple[int, int], int]]
+) -> tuple[Fraction, Fraction, Fraction]:
+    """``(success, tie, failure)`` of the pooled action from ``((o0, o1), K)``
+    items, as in :func:`likelihood_classes`' ``classes.items()``: each class
+    is right on its heavier state's mass, wrong on the lighter one and a tie
+    when the two are equal.  The pairs need not be in lowest terms:
+    :func:`count_law`'s rows, each of multiplicity 1, give the same sums."""
     success = tie = failure = 0
-    for (o0, o1), k in classes.items():
+    for (o0, o1), k in classes:
         if o0 == o1:
             tie += k * (o0 + o1)
         else:
@@ -555,7 +559,7 @@ def exact_pooled_summary(model: SignalModel, n: int) -> ExactSummary:
     The directions are added by :func:`_pairwise_sum`.
     """
     denominator, classes, firsts = likelihood_classes(model, n)
-    success, tie, failure = pooled_action_law(denominator, classes)
+    success, tie, failure = pooled_action_law(denominator, classes.items())
     order = sorted(zip(_summation_keys(model, firsts), classes.items()), key=operator.itemgetter(0))
     directions = []
     for _y, direction in itertools.groupby(order, key=lambda item: item[0][0]):

@@ -409,7 +409,7 @@ def pooled_bound_rows(model: SignalModel, n_values: Iterable[int]) -> list[tuple
     rows = []
     for n in n_values:
         denominator, classes, _firsts = likelihood_classes(model, n)
-        _success, tie, failure = pooled_action_law(denominator, classes)
+        _success, tie, failure = pooled_action_law(denominator, classes.items())
         rows.append((n, tie + failure, certified_msbe(denominator, belief_error_terms(classes))))
     return rows
 

@@ -12,7 +12,9 @@ the oracle of the Monte Carlo path's ``trial_outcomes``: grouped by the
 statistic that each structure draws (``profile_statistics``), it must be
 one outcome per statistic, and that outcome the structure's.  The count
 law is rebuilt row by row, each multinomial coefficient and mass product
-from scratch, and the pooled law decided one count vector at a time.
+from scratch, and the pooled law decided one count vector at a time.  The
+i.i.d. count draw is ``Generator.choice``'s rows of symbols, counted; the
+geometric tail's weights are built as Fractions, one weight at a time.
 """
 
 import itertools
@@ -479,3 +481,29 @@ def reference_pooled_summary(model, n):
         failure=Fraction(failure, denominator),
         msbe=errors[0] / denominator,
     )
+
+
+def reference_iid_counts(p: np.ndarray, rng, states: np.ndarray, n: int) -> np.ndarray:
+    """Each trial's counts over the k symbols of n draws, the row
+    ``p[state]`` of probabilities: one ``rng.choice`` per state draws rows
+    of symbols, and one row-offset ``bincount`` counts them."""
+    k = p.shape[1]
+    counts = np.empty((len(states), k), dtype=np.int64)
+    for state in (0, 1):
+        rows = states == state
+        size = int(rows.sum())
+        symbols = rng.choice(k, size=(size, n), p=p[state]) + k * np.arange(size)[:, None]
+        counts[rows] = np.bincount(symbols.ravel(), minlength=k * size).reshape(size, k)
+    return counts
+
+
+def reference_geometric_tail(depth: int, ratio: Fraction) -> tuple[tuple, tuple, tuple]:
+    """``(alphabet, mu0, mu1)`` of the geometric tail: the weight of k under
+    state 1 is ratio^|k| times the exact value of the float e^(k/2), as a
+    Fraction, over their sum; state 0 mirrors k to -k."""
+    symbols = [k for k in range(-depth, depth + 1) if k != 0]
+    raw = {k: ratio ** abs(k) * Fraction(math.exp(k / 2.0)) for k in symbols}
+    total = sum(raw.values())
+    mu1 = tuple(raw[k] / total for k in symbols)
+    mu0 = tuple(raw[-k] / total for k in symbols)
+    return tuple(symbols), mu0, mu1

@@ -734,7 +734,7 @@ class TestLikelihoodClasses:
         assert all(math.gcd(o0, o1) == 1 for o0, o1 in classes)
         denominator, classes, _firsts = likelihood_classes(raw_model((3, 1), (1, 3)), 4)
         assert set(classes) == {(81, 1), (9, 1), (1, 1), (1, 9), (1, 81)}
-        success, tie, failure = pooled_action_law(denominator, classes)
+        success, tie, failure = pooled_action_law(denominator, classes.items())
         assert tie == Fraction(2 * 6 * 3**2, 2 * 4**4)
         assert success + tie + failure == 1
 

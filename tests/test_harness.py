@@ -214,14 +214,14 @@ class TestRunMonteCarlo:
 
         expected = exact_pooled_summary(BINARY_23, 100)
         calls = []
-        classes = bounds.likelihood_classes
+        law = bounds.count_law
 
         def counted(model, n):
             calls.append(n)
-            return classes(model, n)
+            return law(model, n)
 
-        monkeypatch.setattr(bounds, "likelihood_classes", counted)
-        monkeypatch.setattr(scenarios, "likelihood_classes", counted)
+        monkeypatch.setattr(bounds, "count_law", counted)
+        monkeypatch.setattr(scenarios, "count_law", counted)
         assert senate_exact_summary(senate(400)) == expected
         assert calls == [100]
 

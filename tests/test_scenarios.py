@@ -7,11 +7,19 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from reference import profile_statistics, refine_by_announcement, structure_weights
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+from reference import (
+    profile_statistics,
+    reference_geometric_tail,
+    reference_iid_counts,
+    refine_by_announcement,
+    structure_weights,
+)
 from test_engine import UNSORTED_MODEL
 
 from agreelab import dynamics
-from agreelab.bounds import count_posterior
+from agreelab.bounds import count_posterior, likelihood_classes, pooled_action_law
 from agreelab.dynamics import PUBLIC_ACTION, PUBLIC_BELIEF, decide_counts
 from agreelab.errors import ScenarioParameterError
 from agreelab.harness import senate_exact_summary
@@ -29,6 +37,7 @@ from agreelab.knowledge import (
 )
 from agreelab.scenarios import (
     MAX_TAIL_DEPTH,
+    IidSignals,
     build_scenario,
     flip_accuracy,
     geometric_tail,
@@ -42,6 +51,7 @@ from agreelab.scenarios import (
 )
 from agreelab.signals import (
     SignalModel,
+    as_weight,
     belief_range,
     log_likelihood_ratio,
     private_belief,
@@ -311,6 +321,15 @@ class TestSenate:
         _states, verdicts, xs = draw(np.random.default_rng(1), 200)
         assert set(zip(verdicts.tolist(), xs.tolist())) == exact
 
+    @pytest.mark.parametrize("accuracy", [Fraction(2, 3), Fraction(3, 5)])
+    def test_committee_law_is_the_likelihood_classes_law(self, accuracy):
+        """Counting each row of the count law as its own class gives the
+        law of the reduced likelihood classes, at every committee size."""
+        for m in range(1, 302):
+            structure = senate(m + 1, senate_size=m, accuracy=accuracy).structure
+            denominator, classes, _firsts = likelihood_classes(structure.model, m)
+            assert structure.action_law() == pooled_action_law(denominator, classes.items())
+
     def test_tally_posterior_is_exact(self):
         structure = senate(200).structure
         verdicts, beliefs = structure.pooled_table(structure.senate_size)
@@ -355,6 +374,25 @@ class TestGeometricTail:
         with pytest.raises(ScenarioParameterError, match="at most 1419"):
             geometric_tail_model(MAX_TAIL_DEPTH + 1, Fraction(7, 10))
 
+    @settings(max_examples=100, deadline=None)
+    @given(
+        depth=st.integers(1, 24),
+        ratio=st.one_of(
+            st.fractions(0, 1, max_denominator=10**6).filter(lambda r: 0 < r < 1),
+            st.floats(1e-9, 1, exclude_max=True),
+        ),
+    )
+    def test_weights_over_one_denominator_are_the_fraction_weights(self, depth, ratio):
+        model = geometric_tail_model(depth, ratio)
+        expected = reference_geometric_tail(depth, as_weight(ratio))
+        assert (model.alphabet, model.mu0, model.mu1) == expected
+
+    @pytest.mark.parametrize("ratio", [Fraction(7, 10), 0.123])
+    def test_deep_weights_are_the_fraction_weights(self, ratio):
+        model = geometric_tail_model(200, ratio)
+        expected = reference_geometric_tail(200, as_weight(ratio))
+        assert (model.alphabet, model.mu0, model.mu1) == expected
+
     def test_scenario_carries_the_model(self):
         scenario = geometric_tail(10, depth=4, ratio=Fraction(7, 10))
         assert scenario.marginal_model is not None
@@ -371,6 +409,42 @@ class TestIidBinary:
     def test_marginal_model(self):
         scenario = iid_binary(3, Fraction(2, 3))
         assert scenario.marginal_model.weight(1, 1) == Fraction(2, 3)
+
+
+@st.composite
+def positive_models(draw):
+    """Models of 2 to 16 symbols, every weight positive in both states."""
+    k = draw(st.integers(2, 16))
+    weights = st.lists(st.integers(1, 10**6), min_size=k, max_size=k)
+    w0, w1 = draw(weights), draw(weights)
+    mu0 = tuple(Fraction(w, sum(w0)) for w in w0)
+    mu1 = tuple(Fraction(w, sum(w1)) for w in w1)
+    assume(mu0 != mu1)
+    return SignalModel(alphabet=tuple(range(k)), mu0=mu0, mu1=mu1)
+
+
+class TestIidCountDraw:
+    """``IidSignals.draw_statistic`` cuts the uniforms that ``choice`` draws."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        model=positive_models(),
+        n=st.integers(1, 30),
+        states=st.one_of(
+            st.lists(st.integers(0, 1), max_size=300),
+            st.builds(lambda state, size: [state] * size, st.integers(0, 1), st.integers(0, 300)),
+        ),
+        seed=st.integers(0, 2**32),
+    )
+    def test_counts_are_the_choice_draws_counted(self, model, n, states, seed):
+        structure = IidSignals(model)
+        states = np.array(states, dtype=np.int64)
+        drawn, reference = np.random.default_rng(seed), np.random.default_rng(seed)
+        counts = structure.draw_statistic(drawn, states, n)
+        expected = reference_iid_counts(structure._probabilities(), reference, states, n)
+        assert counts.dtype == expected.dtype
+        assert np.array_equal(counts, expected)
+        assert drawn.random() == reference.random()
 
 
 class _FixedDraws:
