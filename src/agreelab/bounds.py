@@ -100,7 +100,9 @@ def k_statistic(beliefs: Sequence, eps) -> float:
 
 
 def default_eps_grid(lo: float = 1e-6, hi: float = 0.5, points: int = 512) -> tuple[float, ...]:
-    """Log-spaced thresholds in (lo, hi], from 1 to :data:`MAX_EPS_GRID_POINTS` of them."""
+    """Log-spaced thresholds in [lo, hi], from 1 to :data:`MAX_EPS_GRID_POINTS` of
+    them; each point is clamped there, since ``exp`` of a log can round past
+    either end."""
     if not (0 < lo < hi < 1):
         raise ValueError("grid endpoints must satisfy 0 < lo < hi < 1")
     if _agent_count(points, what="grid point count") > MAX_EPS_GRID_POINTS:
@@ -108,7 +110,7 @@ def default_eps_grid(lo: float = 1e-6, hi: float = 0.5, points: int = 512) -> tu
     if points == 1:
         return (lo,)
     step = (math.log(hi) - math.log(lo)) / (points - 1)
-    return tuple(math.exp(math.log(lo) + i * step) for i in range(points))
+    return tuple(min(hi, max(lo, math.exp(math.log(lo) + i * step))) for i in range(points))
 
 
 #: :func:`default_eps_grid` at its defaults, built once: the grid

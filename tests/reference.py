@@ -14,7 +14,9 @@ one outcome per statistic, and that outcome the structure's.  The count
 law is rebuilt row by row, each multinomial coefficient and mass product
 from scratch, and the pooled law decided one count vector at a time.  The
 i.i.d. count draw is ``Generator.choice``'s rows of symbols, counted; the
-geometric tail's weights are built as Fractions, one weight at a time.
+geometric tail's weights are built as Fractions, one weight at a time.  The
+i.i.d. pooled draw is kept as it was before its tie screen: every row's
+log-odds a row sum, and every row's error bound read.
 """
 
 import itertools
@@ -24,7 +26,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from agreelab.bounds import ExactSummary, integer_weights
+from agreelab.bounds import ExactSummary, integer_weights, reduced_odds
 from agreelab.dynamics import (
     NETWORK_BELIEF,
     PUBLIC_ACTION,
@@ -34,6 +36,7 @@ from agreelab.dynamics import (
     ProtocolRound,
     ProtocolTrace,
     announced_codes,
+    decide_counts,
     fixed_point_partitions,
     mean_beliefs,
     shared,
@@ -50,6 +53,7 @@ from agreelab.knowledge import (
     joint_codes,
 )
 from agreelab.scenarios import ExchangeableFlip, IidSignals, ParityBits, SenateStaged, TwoBitCombo
+from agreelab.signals import belief_from_llr
 
 
 def space_over(profiles, n: int) -> OutcomeSpace:
@@ -507,3 +511,37 @@ def reference_geometric_tail(depth: int, ratio: Fraction) -> tuple[tuple, tuple,
     mu1 = tuple(raw[k] / total for k in symbols)
     mu0 = tuple(raw[-k] / total for k in symbols)
     return tuple(symbols), mu0, mu1
+
+
+def reference_pooled_draw(model, n: int):
+    """``IidSignals(model).pooled_sampler(n)`` as it was before the tie
+    screen: each row's log-odds and error bound are row sums over all rows."""
+    p = IidSignals(model)._probabilities()
+    logs = np.array([[math.log(a) for a in pair] for pair in reduced_odds(model)])
+    z = logs[:, 1] - logs[:, 0]
+    error_scale = (len(logs) + 2) * np.finfo(float).eps * np.abs(logs).sum(axis=1)
+
+    def draw(rng, size, force_state=None):
+        if force_state is None:
+            states = rng.integers(0, 2, size=size)
+        else:
+            states = np.full(size, force_state, dtype=np.int64)
+        counts = np.empty((size, len(logs)), dtype=np.int64)
+        for state in (0, 1):
+            rows = states == state
+            counts[rows] = rng.multinomial(n, p[state], size=int(rows.sum()))
+        llr = (counts * z).sum(axis=1)
+        beliefs = belief_from_llr(llr)
+        actions = (llr > 0).astype(np.int8)
+        flagged = np.abs(llr) <= np.maximum(1e-9, (counts * error_scale).sum(axis=1))
+        if flagged.any():
+            at = np.flatnonzero(flagged)
+            at = at[np.lexsort(counts[at].T)]
+            ranked = counts[at]
+            starts = np.concatenate(([True], (ranked[1:] != ranked[:-1]).any(axis=1)))
+            group = np.cumsum(starts) - 1
+            codes, xs = decide_counts(model, PUBLIC_BELIEF, ranked[starts])
+            actions[at], beliefs[at] = codes[group], xs[group]
+        return states, actions, beliefs
+
+    return draw

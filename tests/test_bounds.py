@@ -1049,6 +1049,24 @@ class TestGridConstruction:
         assert grid[-1] == pytest.approx(0.5)
         assert all(a < b for a, b in zip(grid, grid[1:]))
 
+    @settings(max_examples=300, deadline=None)
+    @given(
+        ends=st.tuples(*[st.floats(0, 1, exclude_min=True, exclude_max=True)] * 2).filter(
+            lambda ends: ends[0] != ends[1]
+        ),
+        points=st.integers(1, 600),
+    )
+    @example(ends=(1e-6, 0.3), points=512)
+    @example(ends=(1e-9, 0.9999999999999999), points=3)
+    def test_every_point_lies_in_its_ends(self, ends, points):
+        """``exp`` of the log-spaced points overshot: ``1e-6:0.3`` ended at
+        0.30000000000000004, and a ``hi`` just below 1 ended at 1.0."""
+        lo, hi = sorted(ends)
+        grid = default_eps_grid(lo, hi, points)
+        assert len(grid) == points
+        assert all(lo <= eps <= hi for eps in grid)
+        assert grid[0] == pytest.approx(lo) and grid[-1] == pytest.approx(hi if points > 1 else lo)
+
     def test_validation(self):
         with pytest.raises(ValueError):
             default_eps_grid(0.5, 0.1, 10)

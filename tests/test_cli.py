@@ -70,6 +70,15 @@ class TestBound:
     def test_missing_parameters_is_usage_error(self, capsys):
         assert run_cli("bound", "--n", "10") == 1
 
+    def test_a_grid_that_ends_just_below_one(self, capsys):
+        """The grid's last point rounded to 1.0, and ``qn_bounds`` refused
+        it: the command exited 4 with a traceback."""
+        with pytest.raises(SystemExit) as exit_:
+            cli.entry(["bound", "--scenario", "geometric_tail", "--n", "10",
+                       "--eps-grid", "1e-9:0.9999999999999999:3"])
+        assert exit_.value.code == 0
+        assert capsys.readouterr().err == ""
+
     def test_bound_csv_is_unchanged(self, capsys):
         assert run_cli("bound", "--scenario", "geometric_tail", "--n", "10,100,1000") == 0
         assert body_digest(capsys) == (
@@ -410,6 +419,35 @@ class TestReportBytes:
         assert report_digest(result.trace.to_csv()) == (
             "728f23dc7fad8c4c7c7f2d1313894118d9c9cb727efa53f469932c9b7eacc17c"
         )
+
+
+# sha256, below the generator line, of pooled CSVs over three chunks (40,000
+# trials, seed 5) as the draw that read every row's tie bound printed them:
+# two symbols, 16 symbols, and the near-even model, whose every row at n = 30
+# is within the tie screen.
+POOLED_MULTI_CHUNK = {
+    "sweep --scenario iid_binary --param p=2/3 --n 100,1000":
+        "26fde4bebdcd51d6d77fc2f911dd594872cf2bb27ad437c41854c64b708b6dfa",
+    "sweep --scenario geometric_tail --n 4,30,250":
+        "6c7426c356057c4144914d5ba73e58a0093c98c5da71c21a9bb59ad7b54bee9e",
+    "simulate --protocol pooled --config {near_even}":
+        "7a14c3135c3568f99e7720963092bae06b2d63f69f77ae3ac23155934b3e97bc",
+}
+NEAR_EVEN_MODEL = {
+    "alphabet": ["a", "b", "c"],
+    "mu0": ["1/3", "1/3", "1/3"],
+    "mu1": ["1000000000003/3000000000000", "1/3", "999999999997/3000000000000"],
+}
+
+
+@pytest.mark.parametrize("command", list(POOLED_MULTI_CHUNK))
+def test_pooled_csv_over_several_chunks_is_unchanged(command, tmp_path, capsys):
+    config = tmp_path / "near_even.json"
+    config.write_text(json.dumps({"scenario": "iid_custom", "params": {"model": NEAR_EVEN_MODEL},
+                                  "n": 30}))
+    argv = command.format(near_even=config).split()
+    assert run_cli(*argv, "--trials", "40000", "--seed", "5", "--format", "csv") == 0
+    assert body_digest(capsys) == POOLED_MULTI_CHUNK[command]
 
 
 #: The flags each subcommand reads; ``--config`` sets the same settings.

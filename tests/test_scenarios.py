@@ -7,12 +7,13 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from reference import (
     profile_statistics,
     reference_geometric_tail,
     reference_iid_counts,
+    reference_pooled_draw,
     refine_by_announcement,
     structure_weights,
 )
@@ -38,6 +39,8 @@ from agreelab.knowledge import (
 from agreelab.scenarios import (
     MAX_TAIL_DEPTH,
     IidSignals,
+    _row_log_odds,
+    _tie_screen,
     build_scenario,
     flip_accuracy,
     geometric_tail,
@@ -509,18 +512,22 @@ class TestPooledSamplerTies:
         assert rechecked == [(1000, 1000, 1000)]
         assert actions.tolist() == [TIE] * 5 and beliefs.tolist() == [0.5] * 5
 
+    # Likelihood ratios 2**-3200 and 2**6400: counts (2m, m) are an exact tie.
+    POWERS = SignalModel(
+        alphabet=("a", "b"),
+        mu0=(Fraction(2**6400 - 1, 2**9600 - 1) * 2**3200, Fraction(2**3200 - 1, 2**9600 - 1)),
+        mu1=(Fraction(2**6400 - 1, 2**9600 - 1), Fraction(2**3200 - 1, 2**9600 - 1) * 2**6400),
+    )
+
     def test_the_error_bound_flags_a_tie_above_the_floor(self, monkeypatch):
         """Likelihood ratios 2**-3200 and 2**6400 cancel on counts (2400,
         1200), yet the float llr is about 1.9e-9: its terms near 6.7e6 are
         each rounded.  Only the per-count error bound, not the fixed 1e-9
         floor, sends the row to the exact recheck; the powers of two keep
         that fast."""
-        q = 2**3200
-        x, y = Fraction(q * q - 1, q**3 - 1), Fraction(q - 1, q**3 - 1)
-        model = SignalModel(alphabet=("a", "b"), mu0=(x * q, y), mu1=(x, y * q * q))
         rechecked = kernel_rows(monkeypatch)
         start = time.perf_counter()
-        draw = iid_custom(3600, model).pooled_sampler()
+        draw = iid_custom(3600, self.POWERS).pooled_sampler()
         states, actions, beliefs = draw(_FixedDraws((2400, 1200)), 2)
         assert time.perf_counter() - start < 1
         assert rechecked == [(2400, 1200)]
@@ -568,6 +575,114 @@ class TestPooledSamplerTies:
                 assert belief == float(x)
             else:
                 assert belief == pytest.approx(float(x), rel=1e-12)
+
+
+#: Models whose rows at and beside an exact tie every draw should reach,
+#: each with its tie at n = 3m.
+TIE_MODELS = [
+    (TestPooledSamplerTies.MODEL, lambda m: (m, m, m)),
+    (TestPooledSamplerTies.NEAR_EVEN, lambda m: (m, m, m)),
+    (TestPooledSamplerTies.POWERS, lambda m: (2 * m, m)),
+]
+
+
+@st.composite
+def pooled_draw_cases(draw):
+    """(model, n, a maker of equal sources, size, force_state): models of 2
+    to 16 symbols or one with exact ties, and sources that are a seeded
+    generator or ``_FixedDraws`` of rows that sum to n, with the model's tie
+    and its neighbours among them."""
+    tied = draw(st.sampled_from([None, *TIE_MODELS]))
+    if tied is None:
+        model, n = draw(positive_models()), draw(st.integers(1, 10**4))
+    else:
+        model, n = tied[0], 3 * draw(st.integers(1, 3333))
+    size, force_state = draw(st.integers(0, 300)), draw(st.sampled_from([None, 0, 1]))
+    if draw(st.booleans()):
+        seed = draw(st.integers(0, 2**32))
+        return model, n, lambda: np.random.default_rng(seed), size, force_state
+    k = len(model.support)
+    cuts = st.lists(st.integers(0, n), min_size=k - 1, max_size=k - 1).map(sorted)
+    rows = [tuple(np.diff([0, *c, n]).tolist())
+            for c in draw(st.lists(cuts, min_size=1, max_size=20))]
+    if tied is not None:
+        tie = tied[1](n // 3)
+        shifted = (tie[0] + 1, *tie[1:-1], tie[-1] - 1)
+        rows += draw(st.lists(st.sampled_from([tie, shifted]), max_size=4))
+    rows = draw(st.permutations(rows))
+    return model, n, lambda: _FixedDraws(rows), size, force_state
+
+
+class TestPooledDrawScreen:
+    """The i.i.d. pooled draw with its tie screen and two-symbol add is the
+    draw that read every row's bound (``reference_pooled_draw``), bit for bit."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(case=pooled_draw_cases())
+    # The ties above the 1e-9 floor that only the per-row bound flags.
+    @example(case=(TestPooledSamplerTies.POWERS, 3600,
+                   lambda: _FixedDraws([(2400, 1200), (2401, 1199)]), 5, None))
+    @example(case=(TestPooledSamplerTies.MODEL, 9 * 10**7,
+                   lambda: _FixedDraws([(3 * 10**7,) * 3]), 3, 1))
+    def test_draw_is_the_unscreened_draw(self, case):
+        model, n, source, size, force_state = case
+        states, actions, beliefs = IidSignals(model).pooled_sampler(n)(source(), size, force_state)
+        expected = reference_pooled_draw(model, n)(source(), size, force_state)
+        assert np.array_equal(states, expected[0])
+        assert actions.dtype == expected[1].dtype and np.array_equal(actions, expected[1])
+        assert beliefs.tobytes() == expected[2].tobytes()
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        error_scale=st.lists(st.floats(0, 1e-6), min_size=1, max_size=16),
+        n=st.integers(1, 10**6),
+        data=st.data(),
+    )
+    def test_the_screen_is_at_least_every_rows_bound(self, error_scale, n, data):
+        error_scale = np.array(error_scale)
+        k = len(error_scale)
+        cuts = st.lists(st.integers(0, n), min_size=k - 1, max_size=k - 1).map(sorted)
+        rows = [np.diff([0, *c, n]) for c in data.draw(st.lists(cuts, min_size=1, max_size=20))]
+        # All n agents on the symbol of the largest scale, the largest bound.
+        rows.append(np.where(np.arange(k) == error_scale.argmax(), n, 0))
+        bounds = np.maximum(1e-9, (np.array(rows) * error_scale).sum(axis=1))
+        assert (bounds <= _tie_screen(error_scale, n)).all()
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        counts=st.lists(st.tuples(st.integers(0, 10**4), st.integers(0, 10**4)), max_size=50),
+        # A model's log-likelihood ratios: never -0.0, and not both negative.
+        z=st.tuples(*[st.floats(-1e300, 1e300).map(lambda v: v + 0.0)] * 2).filter(
+            lambda z: max(z) >= 0
+        ),
+    )
+    @example(counts=[(0, 5), (0, 0), (3, 0)], z=(-1.0, 0.0))
+    @example(counts=[(5, 0), (0, 0), (0, 2)], z=(0.0, -2.0))
+    def test_two_symbol_log_odds_are_the_row_sum(self, counts, z):
+        """Signed zeros included: a count of 0 on a negative z is a -0.0 term."""
+        counts, z = np.array(counts, dtype=np.int64).reshape(-1, 2), np.array(z)
+        assert _row_log_odds(counts, z).tobytes() == (counts * z).sum(axis=1).tobytes()
+
+
+class TestForcedState:
+    @pytest.mark.parametrize("force_state", [2, -1, 0.5, "1", np.int64(2)])
+    def test_only_none_zero_or_one(self, force_state):
+        """With ``force_state=2`` the pooled draw left its count rows
+        unwritten and stalled in the exact recheck."""
+        scenario = iid_binary(5, Fraction(2, 3))
+        draws = [
+            scenario.pooled_sampler(),
+            scenario.profile_sampler(scenario.structure.trial_outcomes(5, PUBLIC_ACTION)),
+        ]
+        for draw in draws:
+            with pytest.raises(ValueError, match="force_state must be None, 0 or 1"):
+                draw(np.random.default_rng(0), 10, force_state)
+
+    @pytest.mark.parametrize("force_state", [0, 1, np.int64(1)])
+    def test_a_forced_state_is_every_trials_state(self, force_state):
+        draw = iid_binary(5, Fraction(2, 3)).pooled_sampler()
+        states, _, _ = draw(np.random.default_rng(0), 10, force_state)
+        assert states.tolist() == [force_state] * 10
 
 
 class TestRegistry:
