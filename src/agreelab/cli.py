@@ -268,6 +268,8 @@ def _cmd_bound(s) -> int:
     table = []
     for n, d, qn in zip(s.n, ds, qns):
         try:
+            if isinstance(d, bool):
+                raise TypeError(d)
             d = float(d)
         except (TypeError, ValueError):
             raise AgreementLabError(f"D expects a number, got {d!r}") from None

@@ -38,6 +38,7 @@ from .dynamics import (
     PUBLIC_BELIEF,
     announced_codes,
     fixed_point_partitions,
+    run_protocol,
 )
 from .errors import BoundedBeliefsError, NonInformativeModelError
 from .knowledge import (
@@ -48,7 +49,17 @@ from .knowledge import (
     is_common_knowledge,
     reduced_ratios,
 )
-from .scenarios import IidSignals, Scenario, SenateStaged, build_scenario, geometric_tail_model
+from .scenarios import (
+    IidSignals,
+    Scenario,
+    SenateStaged,
+    build_scenario,
+    geometric_tail_model,
+    iid_binary,
+    parity,
+    senate,
+    uncorrelated_tight,
+)
 from .signals import SignalModel, belief_tail_cdf, noise_to_signal_ratio
 
 #: Trials per stream; a run of T trials draws ceil(T / CHUNK_TRIALS) chunks.
@@ -144,8 +155,9 @@ def run_monte_carlo(scenario: Scenario, mode: str, trials: int, seed: int) -> Tr
     once per run (the senate by its two tallies), and in closed form on
     parity, flip and two-bit.  The pair budget gates every protocol request
     but the senate's public-action, whose fixed point is analytic at any n.
-    Each branch is one draw of (states, action codes, X), in chunks keyed by
-    (seed, n, chunk), so the run is deterministic given the seed.
+    Each chunk's stream, keyed by (seed, n, chunk), draws the states, then
+    the branch's (action codes, X) for them, then the tie coins, so the run
+    is deterministic given the seed.
     """
     if trials < 1:
         raise ValueError("need at least one trial")
@@ -163,7 +175,8 @@ def run_monte_carlo(scenario: Scenario, mode: str, trials: int, seed: int) -> Tr
     successes = ties = resolved_hits = 0
     msbe_total = 0.0
     for rng, size in chunk_streams(seed, scenario.n, trials):
-        states, actions, x = draw(rng, size)
+        states = rng.integers(0, 2, size=size)
+        actions, x = draw(rng, states)
         coins = rng.integers(0, 2, size=size)
         right = actions == states
         tied = actions == TIE
@@ -491,10 +504,10 @@ def tail_bound_checks(
     """Empirical wrong-action rate given S=0 against the lower-tail bound.
 
     The model, its tail cdf and the bounds (one ``qn_bounds`` call) are built
-    once; each n's :class:`Scenario` wraps the one structure to draw trials,
-    conditioned on state 0, from the (seed, n, chunk) streams.  The rate must
-    stay below the bound plus three binomial standard errors, and must not
-    increase with n beyond the same allowance.
+    once; each n's :class:`Scenario` wraps the one structure to draw trials
+    of state 0 from the (seed, n, chunk) streams, which draw no states.  The
+    rate must stay below the bound plus three binomial standard errors, and
+    must not increase with n beyond the same allowance.
     """
     structure = IidSignals(geometric_tail_model(depth, ratio))
     bounds = qn_bounds(n_values, belief_tail_cdf(structure.model, 0))
@@ -503,7 +516,7 @@ def tail_bound_checks(
         draw = Scenario(f"geometric_tail({n}, K={depth})", n, structure).pooled_sampler()
         wrong = 0
         for rng, size in chunk_streams(seed, n, trials):
-            _states, actions, _x = draw(rng, size, force_state=0)
+            actions, _x = draw(rng, np.zeros(size, dtype=np.int64))
             wrong += int(np.count_nonzero(actions != 0))
         rate = wrong / trials
         sigma = math.sqrt(max(rate * (1 - rate), 1.0 / trials) / trials)
@@ -531,9 +544,6 @@ def tail_bound_checks(
 
 def example_invariant_checks() -> list[Check]:
     """Structural invariants of the example scenarios, mostly exact."""
-    from .dynamics import run_protocol
-    from .scenarios import parity, senate, uncorrelated_tight
-
     checks = []
 
     # parity: no refinement, common belief one half, pooled degenerate
@@ -591,8 +601,6 @@ def default_verification_suite(
     seed: int = 20240601, trials: int = 20_000
 ) -> VerificationReport:
     """The desk-scale suite behind the ``verify`` command."""
-    from .scenarios import iid_binary
-
     checks: list[Check] = []
     checks += agreement_identity_checks(
         [iid_binary(2, Fraction(2, 3)), iid_binary(3, Fraction(2, 3))]

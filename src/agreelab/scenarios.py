@@ -6,18 +6,19 @@ for the exact engine, straight into the integer form, and exposes batch
 samplers for the Monte Carlo path and, where it exists, the per-agent
 marginal signal model used by the aggregate bounds.
 
-Every sampler returns a draw ``draw(rng, size, force_state=None)`` that
-makes ``size`` trials with a few vectorised calls and returns arrays of
-states, action codes (:data:`~agreelab.knowledge.ACTION_SETS`) and float
-beliefs X.  Each structure draws one statistic per trial,
-``draw_statistic(rng, states, n)``, the one its outcomes read, and its
-``trial_outcomes`` maps it to (action codes, X): the symbol counts of
-i.i.d. signals (:meth:`IidSignals.trial_outcomes`), the committee's and the
-others' ones for the senate, the hidden proxy bit for flip and two-bit, and
-nothing for parity.  Flip's pooled sampler draws that same proxy bit; the
-pooled samplers of i.i.d. signals and of the senate draw the symbol counts
-with one multinomial call per state instead, so their tallies differ from
-the protocol runs' draw for draw.
+Every sampler returns a draw ``draw(rng, states)`` that makes one trial per
+given state with a few vectorised calls and returns arrays of action codes
+(:data:`~agreelab.knowledge.ACTION_SETS`) and float beliefs X; the caller
+draws the states (:func:`~agreelab.harness.run_monte_carlo` draws each
+chunk's states, then the draw, then the tie coins).  Each structure draws
+one statistic per trial, ``draw_statistic(rng, states, n)``, the one its
+outcomes read, and its ``trial_outcomes`` maps it to (action codes, X): the
+symbol counts of i.i.d. signals (:meth:`IidSignals.trial_outcomes`), the
+committee's and the others' ones for the senate, the hidden proxy bit for
+flip and two-bit, and nothing for parity.  Flip's pooled sampler draws that
+same proxy bit; the pooled samplers of i.i.d. signals and of the senate draw
+the symbol counts with one multinomial call per state instead, so their
+tallies differ from the protocol runs' draw for draw.
 """
 
 from __future__ import annotations
@@ -71,39 +72,34 @@ class Scenario:
         return self.structure.marginal_model(self.n)
 
     def profile_sampler(self, outcome: Callable[[np.ndarray], tuple]) -> Callable:
-        """Batch draw of (states, *``outcome`` of the structure's drawn statistic)."""
+        """``draw(rng, states)``: ``outcome`` of the statistic drawn for ``states``."""
         return statistic_draw(self.structure, self.n, outcome)
 
     def pooled_sampler(self) -> Callable:
-        """Batch draw of (states, pooled action codes, pooled beliefs)."""
+        """``draw(rng, states)``: pooled action codes and beliefs for ``states``."""
         return self.structure.pooled_sampler(self.n)
 
 
-def _draw_states(rng, size: int, force_state) -> np.ndarray:
-    """``size`` fair states, or ``force_state`` (0 or 1) repeated."""
-    if force_state is None:
-        return rng.integers(0, 2, size=size)
-    if force_state not in (0, 1):
-        raise ValueError(f"force_state must be None, 0 or 1, got {force_state!r}")
-    return np.full(size, force_state, dtype=np.int64)
-
-
 def statistic_draw(structure, n: int, outcome: Callable[[np.ndarray], tuple]) -> Callable:
-    """Batch draw of (states, *``outcome`` of the statistic that
-    ``structure.draw_statistic`` draws for them at ``n`` agents)."""
+    """``draw(rng, states)``: ``outcome`` of the statistic that
+    ``structure.draw_statistic`` draws for ``states`` at ``n`` agents."""
     statistic = structure.draw_statistic
-
-    def draw(rng, size, force_state=None):
-        states = _draw_states(rng, size, force_state)
-        return states, *outcome(statistic(rng, states, n))
-
-    return draw
+    return lambda rng, states: outcome(statistic(rng, states, n))
 
 
-def _known_state_draw(rng, size: int, force_state=None):
-    """Pooled draw of a structure whose full profile reveals the state."""
-    states = _draw_states(rng, size, force_state)
-    return states, states.astype(np.int8), states.astype(float)
+def _known_state_draw(rng, states: np.ndarray):
+    """Pooled draw where the full profile reveals the state: the state itself."""
+    return states.astype(np.int8), states.astype(float)
+
+
+def _state_rows(states: np.ndarray):
+    """``(state, mask, size)`` of state 0's trials, then state 1's.  Refuses
+    any other state before any draw: its rows would be left unwritten."""
+    masks = [states == state for state in (0, 1)]
+    sizes = [int(mask.sum()) for mask in masks]
+    if sum(sizes) != len(states):
+        raise ValueError("every trial's state must be 0 or 1")
+    return zip((0, 1), masks, sizes)
 
 
 # ---------------------------------------------------------------------------
@@ -170,9 +166,7 @@ class IidSignals:
         p = self._probabilities()
         k = p.shape[1]
         counts = np.empty((len(states), k), dtype=np.int64)
-        for state in (0, 1):
-            rows = states == state
-            size = int(rows.sum())
+        for state, rows, size in _state_rows(states):
             cut = p[state].cumsum()
             cut /= cut[-1]
             # The uniforms are used inside one expression and freed there:
@@ -255,12 +249,10 @@ class IidSignals:
         error_scale = (len(logs) + 2) * np.finfo(float).eps * np.abs(logs).sum(axis=1)
         screen = _tie_screen(error_scale, n)
 
-        def draw(rng, size, force_state=None):
-            states = _draw_states(rng, size, force_state)
-            counts = np.empty((size, len(logs)), dtype=np.int64)
-            for state in (0, 1):
-                rows = states == state
-                counts[rows] = rng.multinomial(n, p[state], size=int(rows.sum()))
+        def draw(rng, states):
+            counts = np.empty((len(states), len(logs)), dtype=np.int64)
+            for state, rows, size in _state_rows(states):
+                counts[rows] = rng.multinomial(n, p[state], size=size)
             llr = _row_log_odds(counts, z)
             beliefs = belief_from_llr(llr)
             actions = (llr > 0).astype(np.int8)
@@ -273,7 +265,7 @@ class IidSignals:
                 group = np.cumsum(starts) - 1
                 codes, xs = decide_counts(model, PUBLIC_BELIEF, ranked[starts])
                 actions[at], beliefs[at] = codes[group], xs[group]
-            return states, actions, beliefs
+            return actions, beliefs
 
         return draw
 
@@ -489,12 +481,11 @@ class TwoBitCombo:
         return OutcomeSpace(SIGNAL_PAIRS, symbols, den, w0, w1)
 
     def marginal_model(self, n: int) -> SignalModel | None:
-        a1 = Fraction(1, 4) + self.flip.q / 2
-        if a1 == Fraction(1, 2):
+        """The flip's marginal model, each weight halved over the uniform first bit."""
+        flip = self.flip.marginal_model(n)
+        if flip is None:
             return None
-        half = Fraction(1, 2)
-        mu1 = (half * (1 - a1), half * a1, half * (1 - a1), half * a1)
-        mu0 = (half * a1, half * (1 - a1), half * a1, half * (1 - a1))
+        mu0, mu1 = ([w / 2 for w in mu * 2] for mu in (flip.mu0, flip.mu1))
         return SignalModel(alphabet=SIGNAL_PAIRS, mu0=mu0, mu1=mu1)
 
     def draw_statistic(self, rng, states: np.ndarray, n: int) -> np.ndarray:
@@ -652,8 +643,6 @@ def uncorrelated_tight(n: int) -> Scenario:
     """The pairwise-independent flip family that meets the aggregate bound."""
     if n % 4 != 0:
         raise ScenarioParameterError("agent count must be divisible by 4")
-    if n < 4:
-        raise ScenarioParameterError("flip accuracy is imaginary for n < 4")
     q = flip_accuracy(n)
     structure = ExchangeableFlip(q=q)
     structure.verify_uncorrelated(n)
@@ -686,7 +675,7 @@ def two_bit(n: int) -> Scenario:
 
 def senate(n: int, senate_size: int = 100, accuracy=Fraction(2, 3)) -> Scenario:
     """A committee pools its signals; its action is public knowledge."""
-    if not isinstance(senate_size, int) or senate_size < 1:
+    if not isinstance(senate_size, int) or isinstance(senate_size, bool) or senate_size < 1:
         raise ScenarioParameterError(f"committee size must be a positive integer, got {senate_size}")
     if n <= senate_size:
         raise ScenarioParameterError("need more agents than committee members")
@@ -716,8 +705,8 @@ def geometric_tail_model(depth: int, ratio) -> SignalModel:
     the common denominator b^depth max(q): a^|k| b^(depth - |k|) p_k
     (max(q) / q_k), each divided by their total once.
     """
-    if depth < 1:
-        raise ScenarioParameterError("tail depth must be at least 1")
+    if isinstance(depth, bool) or depth < 1:
+        raise ScenarioParameterError(f"tail depth must be an integer of at least 1, got {depth}")
     if depth > MAX_TAIL_DEPTH:
         raise ScenarioParameterError(
             f"tail depth must be at most {MAX_TAIL_DEPTH}, past which e^(K/2) overflows a float"

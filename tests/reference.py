@@ -515,18 +515,15 @@ def reference_geometric_tail(depth: int, ratio: Fraction) -> tuple[tuple, tuple,
 
 def reference_pooled_draw(model, n: int):
     """``IidSignals(model).pooled_sampler(n)`` as it was before the tie
-    screen: each row's log-odds and error bound are row sums over all rows."""
+    screen: each row's log-odds and error bound are row sums over all rows.
+    Like it, it draws the given states' counts and returns (action codes, X)."""
     p = IidSignals(model)._probabilities()
     logs = np.array([[math.log(a) for a in pair] for pair in reduced_odds(model)])
     z = logs[:, 1] - logs[:, 0]
     error_scale = (len(logs) + 2) * np.finfo(float).eps * np.abs(logs).sum(axis=1)
 
-    def draw(rng, size, force_state=None):
-        if force_state is None:
-            states = rng.integers(0, 2, size=size)
-        else:
-            states = np.full(size, force_state, dtype=np.int64)
-        counts = np.empty((size, len(logs)), dtype=np.int64)
+    def draw(rng, states):
+        counts = np.empty((len(states), len(logs)), dtype=np.int64)
         for state in (0, 1):
             rows = states == state
             counts[rows] = rng.multinomial(n, p[state], size=int(rows.sum()))
@@ -542,6 +539,6 @@ def reference_pooled_draw(model, n: int):
             group = np.cumsum(starts) - 1
             codes, xs = decide_counts(model, PUBLIC_BELIEF, ranked[starts])
             actions[at], beliefs[at] = codes[group], xs[group]
-        return states, actions, beliefs
+        return actions, beliefs
 
     return draw

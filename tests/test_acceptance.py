@@ -309,7 +309,7 @@ def test_criterion_8_unbounded_beliefs_learn_at_the_tail_rate():
         sampler = scenario.pooled_sampler()
         wrong = 0
         for rng, size in chunk_streams(8_800 + i, n, trials):
-            _states, actions, _x = sampler(rng, size, force_state=0)
+            actions, _x = sampler(rng, np.zeros(size, dtype=np.int64))
             wrong += int(np.count_nonzero(actions != ACTION_SETS.index(ACTION_ZERO)))
         rate = wrong / trials
         sigma = math.sqrt(max(rate * (1 - rate), 1.0 / trials) / trials)

@@ -9,11 +9,12 @@ from types import SimpleNamespace
 import pytest
 
 from agreelab import cli, dynamics, scenarios
-from agreelab.bounds import DEFAULT_EPS_GRID
+from agreelab.bounds import DEFAULT_EPS_GRID, qn_bounds
 from agreelab.cli import build_parser, main
 from agreelab.harness import PASS, RNG_VERSION, Check, SweepTable, VerificationReport
 from agreelab.knowledge import DEFAULT_ENUMERATION_BUDGET, OutcomeSpace, own_signal_partitions
 from agreelab.scenarios import iid_binary
+from agreelab.signals import belief_tail_cdf
 
 
 def run_cli(*argv):
@@ -78,6 +79,17 @@ class TestBound:
                        "--eps-grid", "1e-9:0.9999999999999999:3"])
         assert exit_.value.code == 0
         assert capsys.readouterr().err == ""
+
+    def test_a_threshold_list_from_a_config_is_the_grid(self, tmp_path, capsys):
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"eps_grid": [0.01, 0.1]}))
+        assert run_cli("bound", "--scenario", "geometric_tail", "--n", "10,100",
+                       "--config", str(config)) == 0
+        model = scenarios.geometric_tail(10).marginal_model
+        expected = qn_bounds([10, 100], belief_tail_cdf(model, 0), eps_grid=(0.01, 0.1))
+        assert expected != qn_bounds([10, 100], belief_tail_cdf(model, 0))
+        rows = capsys.readouterr().out.splitlines()[2:]
+        assert [row.split(",")[4] for row in rows] == [repr(qn) for qn in expected]
 
     def test_bound_csv_is_unchanged(self, capsys):
         assert run_cli("bound", "--scenario", "geometric_tail", "--n", "10,100,1000") == 0
@@ -235,6 +247,30 @@ class TestSweep:
         assert data["seed"] == 2  # flag wins over the config value
         assert data["rows"][0]["summary"]["trials"] == 100
 
+
+    def test_a_grid_below_every_belief_leaves_qn_blank(self, capsys):
+        """A private belief of the binary model is 1/3 or 2/3, so its lower
+        tail vanishes on the whole grid, up to 1e-3, and ``qn_bounds``
+        raises ``BoundedBeliefsError``: qn is blank, and D stays."""
+        assert run_cli("sweep", "--scenario", "iid_binary", "--param", "p=2/3", "--n", "10,20",
+                       "--trials", "100", "--eps-grid", "1e-6:1e-3:8") == 0
+        rows = [row.split(",") for row in capsys.readouterr().out.splitlines()[2:]]
+        assert [(row[8], row[11]) for row in rows] == [("8.0", "")] * 2
+
+    def test_a_model_no_float_tells_apart_leaves_d_blank(self, tmp_path, capsys):
+        """Weights 10**-400 apart are equal as floats: D is not informative,
+        and the D to qn columns stay blank while the trials still run."""
+        tiny = Fraction(1, 10**400)
+        model = {"alphabet": ["a", "b"], "mu0": ["1/2", "1/2"],
+                 "mu1": [str(Fraction(1, 2) + tiny), str(Fraction(1, 2) - tiny)]}
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps(
+            {"scenario": "iid_custom", "params": {"model": model}, "n": [3, 5], "trials": 100}
+        ))
+        assert run_cli("sweep", "--config", str(config)) == 0
+        rows = [row.split(",") for row in capsys.readouterr().out.splitlines()[2:]]
+        assert [row[1] for row in rows] == ["100", "100"]
+        assert [row[8:12] for row in rows] == [["", "", "", ""]] * 2
 
     def test_geometric_tail_csv_is_unchanged(self, capsys):
         """Pins the qn column, which the verify CSV does not carry."""
@@ -552,6 +588,19 @@ class TestExitCodes:
             (("sweep", "--config",
               '{"scenario": "geometric_tail", "n": [10], "trials": 10, "eps_grid": []}'),
              "--eps-grid"),
+            # Booleans where a number is read: JSON ``true`` was taken as 1.
+            (("simulate", "--config", '{"scenario": "senate", "params": {"senate_size": true}, '
+              '"n": 5, "protocol": "public-action"}'), "committee size must be a positive integer"),
+            (("simulate", "--n", "3", "--config",
+              '{"scenario": "geometric_tail", "params": {"K": true}}'),
+             "tail depth must be an integer of at least 1, got True"),
+            (("bound", "--n", "10", "--config", '{"params": {"D": true}}'),
+             "D expects a number, got True"),
+            (("bound", "--n", "10", "--config", '{"params": {"D": "abc"}}'),
+             "D expects a number, got 'abc'"),
+            (("bound", "--scenario", "uncorrelated_tight", "--n", "4"),
+             "uncorrelated_tight(4) has no informative marginal model"),
+            (("bound", "--n", "10", "--param", "p"), "--param expects key=value, got 'p'"),
             # One point past the cap (2**16); with no cap 10**6 points took 1.6 s and 130 MB.
             (("bound", "--scenario", "geometric_tail", "--n", "10", "--eps-grid", "1e-6:0.5:65537"),
              "grid needs at most 65536 points"),

@@ -432,7 +432,7 @@ def test_the_kernel_decides_as_count_posterior(model, data):
     with pytest.MonkeyPatch.context() as patch:
         rechecked = kernel_rows(patch)
         draw = IidSignals(model).pooled_sampler(sum(counts))
-        _, actions, beliefs = draw(_FixedDraws(rows), len(rows))
+        actions, beliefs = draw(_FixedDraws(rows), np.ones(len(rows), dtype=np.int64))
     assert actions.tolist() == [action_code(x) for x in exact]
     assert {row for row, x in zip(rows, exact) if x == Fraction(1, 2)} <= set(rechecked)
     for row, x, belief in zip(rows, exact, beliefs.tolist()):

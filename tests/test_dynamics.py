@@ -2,6 +2,7 @@
 
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from agreelab.dynamics import (
@@ -10,6 +11,7 @@ from agreelab.dynamics import (
     PUBLIC_BELIEF,
     PUBLIC_STATISTIC,
     Digraph,
+    decide_counts,
     fixed_point_partitions,
     run_protocol,
 )
@@ -179,6 +181,25 @@ class TestNetworkProtocol:
             assert result.trace.rounds_to_fixed_point == 0
             assert result.beliefs == (posterior,)
             assert result.beliefs_common_knowledge
+
+    @pytest.mark.parametrize("edge", [(0, 0), (0, 3), (-1, 2)])
+    def test_invalid_edges_are_refused(self, edge):
+        with pytest.raises(ValueError, match="invalid edge"):
+            Digraph(3, ((0, 1), edge))
+
+    def test_a_digraph_of_another_size_is_refused(self):
+        space = outcome_space_iid(BINARY_23, 3)
+        with pytest.raises(ValueError, match="digraph size must match"):
+            fixed_point_partitions(
+                NETWORK_BELIEF, space, own_signal_partitions(space), network=Digraph.ring(4)
+            )
+
+    def test_unknown_kinds_are_refused(self):
+        space = outcome_space_iid(BINARY_23, 2)
+        with pytest.raises(ValueError, match="unknown protocol kind 'pooled'"):
+            fixed_point_partitions("pooled", space, own_signal_partitions(space))
+        with pytest.raises(ValueError, match="unknown protocol kind 'pooled'"):
+            decide_counts(BINARY_23, "pooled", np.array([[1, 1]]))
 
     def test_disconnected_digraph_rejected(self):
         space = outcome_space_iid(BINARY_23, 3)

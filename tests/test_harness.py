@@ -205,6 +205,12 @@ class TestRunMonteCarlo:
         summary = run_monte_carlo(iid_binary(100, Fraction(2, 3)), POOLED, 10_000, seed=3)
         assert summary.success_rate >= 76 / 108
 
+    def test_refuses_no_trials_and_unknown_modes(self):
+        with pytest.raises(ValueError, match="at least one trial"):
+            run_monte_carlo(parity(3), POOLED, 0, seed=0)
+        with pytest.raises(ValueError, match="unknown mode 'public_belief'"):
+            run_monte_carlo(parity(3), "public_belief", 10, seed=0)
+
     def test_over_budget_protocol_raises(self):
         with pytest.raises(EnumerationBudgetError):
             run_monte_carlo(iid_binary(40, Fraction(2, 3)), PUBLIC_BELIEF, 10, seed=0)
@@ -307,6 +313,10 @@ class TestExactSummaries:
         )
         assert msbe == senate_exact_summary(scenario).msbe
 
+    def test_senate_summary_refuses_a_non_committee(self):
+        with pytest.raises(TypeError, match="not a staged committee"):
+            senate_exact_summary(iid_binary(5, Fraction(2, 3)))
+
     def test_binary_noise_ratio_closed_form(self):
         assert binary_noise_to_signal_exact(Fraction(2, 3)) == 8
         assert binary_noise_to_signal_exact(Fraction(3, 4)) == 3
@@ -389,7 +399,7 @@ class TestBoundsOncePerModel:
             scenario = geometric_tail(n)
             draw = scenario.pooled_sampler()
             wrong = sum(
-                int(np.count_nonzero(draw(rng, size, force_state=0)[1] != 0))
+                int(np.count_nonzero(draw(rng, np.zeros(size, dtype=np.int64))[0] != 0))
                 for rng, size in chunk_streams(5, n, 1000)
             )
             assert check.observed == wrong / 1000

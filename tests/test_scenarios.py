@@ -1,5 +1,6 @@
 """Scenario constructors: the benchmark families and their structure."""
 
+import hashlib
 import itertools
 import math
 import time
@@ -23,7 +24,7 @@ from agreelab import dynamics
 from agreelab.bounds import count_posterior, likelihood_classes, pooled_action_law
 from agreelab.dynamics import PUBLIC_ACTION, PUBLIC_BELIEF, decide_counts
 from agreelab.errors import ScenarioParameterError
-from agreelab.harness import senate_exact_summary
+from agreelab.harness import senate_exact_summary, trial_rng
 from agreelab.knowledge import (
     ACTION_BOTH,
     ACTION_ONE,
@@ -164,7 +165,9 @@ class TestUncorrelatedTight:
         class of one-count 6 or 2 its profile lies in, and draws both."""
         scenario = uncorrelated_tight(8)
         draw = scenario.profile_sampler(lambda proxies: (proxies,))
-        states, proxies = draw(np.random.default_rng(0), 50)
+        rng = np.random.default_rng(0)
+        states = rng.integers(0, 2, size=50)
+        (proxies,) = draw(rng, states)
         classes = {scenario.structure.ones_count(8, bit) for bit in proxies.tolist()}
         assert classes == {2, 6}
         assert np.count_nonzero(proxies == states) > 25
@@ -276,6 +279,12 @@ class TestSenate:
         with pytest.raises(ScenarioParameterError):
             senate(5, senate_size=5)
 
+    def test_a_boolean_committee_size_is_refused(self):
+        """A JSON ``true`` was read as a committee of one, and public-action
+        then failed deep in the bounds with a traceback."""
+        with pytest.raises(ScenarioParameterError, match="positive integer, got True"):
+            senate(5, senate_size=True)
+
     def test_initial_information(self):
         scenario = senate(5, senate_size=2, accuracy=Fraction(2, 3))
         space = scenario.outcome_space()
@@ -321,7 +330,7 @@ class TestSenate:
         assert set(zip(*(a.tolist() for a in table))) == exact
         large = senate(40, senate_size=2, accuracy=Fraction(2, 3))
         draw = large.profile_sampler(large.structure.trial_outcomes(40, PUBLIC_ACTION))
-        _states, verdicts, xs = draw(np.random.default_rng(1), 200)
+        verdicts, xs = draw(np.random.default_rng(1), np.arange(200) % 2)
         assert set(zip(verdicts.tolist(), xs.tolist())) == exact
 
     @pytest.mark.parametrize("accuracy", [Fraction(2, 3), Fraction(3, 5)])
@@ -367,6 +376,13 @@ class TestGeometricTail:
             geometric_tail_model(0, Fraction(1, 2))
         with pytest.raises(ScenarioParameterError):
             geometric_tail_model(3, Fraction(3, 2))
+
+    def test_a_boolean_depth_is_refused(self):
+        """A JSON ``true`` built a depth-1 model named ``K=True``."""
+        with pytest.raises(ScenarioParameterError, match="integer of at least 1, got True"):
+            geometric_tail_model(True, Fraction(7, 10))
+        with pytest.raises(ScenarioParameterError, match="got True"):
+            build_scenario("geometric_tail", 3, K=True)
 
     def test_depth_whose_weight_overflows_is_refused(self):
         """e^(K/2) is a float up to K = 1419; one deeper is refused."""
@@ -426,22 +442,21 @@ def positive_models(draw):
     return SignalModel(alphabet=tuple(range(k)), mu0=mu0, mu1=mu1)
 
 
+#: Batches of up to 300 trial states: mixed, or all one state.
+batch_states = st.one_of(
+    st.lists(st.integers(0, 1), max_size=300),
+    st.builds(lambda state, size: [state] * size, st.integers(0, 1), st.integers(0, 300)),
+).map(lambda states: np.array(states, dtype=np.int64))
+
+
 class TestIidCountDraw:
     """``IidSignals.draw_statistic`` cuts the uniforms that ``choice`` draws."""
 
     @settings(max_examples=200, deadline=None)
-    @given(
-        model=positive_models(),
-        n=st.integers(1, 30),
-        states=st.one_of(
-            st.lists(st.integers(0, 1), max_size=300),
-            st.builds(lambda state, size: [state] * size, st.integers(0, 1), st.integers(0, 300)),
-        ),
-        seed=st.integers(0, 2**32),
-    )
+    @given(model=positive_models(), n=st.integers(1, 30), states=batch_states,
+           seed=st.integers(0, 2**32))
     def test_counts_are_the_choice_draws_counted(self, model, n, states, seed):
         structure = IidSignals(model)
-        states = np.array(states, dtype=np.int64)
         drawn, reference = np.random.default_rng(seed), np.random.default_rng(seed)
         counts = structure.draw_statistic(drawn, states, n)
         expected = reference_iid_counts(structure._probabilities(), reference, states, n)
@@ -451,14 +466,11 @@ class TestIidCountDraw:
 
 
 class _FixedDraws:
-    """Stands in for a generator: state 1 for every trial of a batch, then
-    the given symbol counts, one row repeated or the rows in turn."""
+    """Stands in for a generator: the given symbol counts, one row repeated
+    or the rows in turn."""
 
     def __init__(self, counts):
         self.counts = np.array(counts, dtype=np.int64)
-
-    def integers(self, low, high, size):
-        return np.ones(size, dtype=np.int64)
 
     def multinomial(self, n, pvals, size):
         return np.resize(self.counts, (size, self.counts.shape[-1]))
@@ -491,9 +503,8 @@ class TestPooledSamplerTies:
         sign and report {1} with belief 0.5000000005."""
         k = 30_000_000
         draw = iid_custom(3 * k, self.MODEL).pooled_sampler()
-        states, actions, beliefs = draw(_FixedDraws((k, k, k)), 1)
-        state, x, action = int(states[0]), float(beliefs[0]), ACTION_SETS[actions[0]]
-        assert (state, x, action) == (1, 0.5, ACTION_BOTH)
+        actions, beliefs = draw(_FixedDraws((k, k, k)), np.ones(1, dtype=np.int64))
+        assert (float(beliefs[0]), ACTION_SETS[actions[0]]) == (0.5, ACTION_BOTH)
 
     def test_decide_counts_finds_the_tie_at_large_counts(self):
         """The reduced odds at counts (10^6, 10^6, 10^6) are powers of two;
@@ -508,7 +519,7 @@ class TestPooledSamplerTies:
     def test_ties_are_rechecked_once_per_distinct_count_vector(self, monkeypatch):
         rechecked = kernel_rows(monkeypatch)
         draw = iid_custom(3000, self.MODEL).pooled_sampler()
-        states, actions, beliefs = draw(_FixedDraws((1000, 1000, 1000)), 5)
+        actions, beliefs = draw(_FixedDraws((1000, 1000, 1000)), np.ones(5, dtype=np.int64))
         assert rechecked == [(1000, 1000, 1000)]
         assert actions.tolist() == [TIE] * 5 and beliefs.tolist() == [0.5] * 5
 
@@ -528,7 +539,7 @@ class TestPooledSamplerTies:
         rechecked = kernel_rows(monkeypatch)
         start = time.perf_counter()
         draw = iid_custom(3600, self.POWERS).pooled_sampler()
-        states, actions, beliefs = draw(_FixedDraws((2400, 1200)), 2)
+        actions, beliefs = draw(_FixedDraws((2400, 1200)), np.ones(2, dtype=np.int64))
         assert time.perf_counter() - start < 1
         assert rechecked == [(2400, 1200)]
         assert actions.tolist() == [TIE] * 2 and beliefs.tolist() == [0.5] * 2
@@ -566,7 +577,7 @@ class TestPooledSamplerTies:
         rechecked once, and each row gets its own vector's exact outcome."""
         calls = kernel_rows(monkeypatch)
         draw = iid_custom(sum(rows[0]), model).pooled_sampler()
-        _, actions, beliefs = draw(_FixedDraws(rows), len(rows))
+        actions, beliefs = draw(_FixedDraws(rows), np.ones(len(rows), dtype=np.int64))
         assert sorted(calls) == rechecked
         exact = [count_posterior(model, row) for row in rows]
         assert actions.tolist() == [action_code(x) for x in exact]
@@ -588,19 +599,19 @@ TIE_MODELS = [
 
 @st.composite
 def pooled_draw_cases(draw):
-    """(model, n, a maker of equal sources, size, force_state): models of 2
-    to 16 symbols or one with exact ties, and sources that are a seeded
-    generator or ``_FixedDraws`` of rows that sum to n, with the model's tie
-    and its neighbours among them."""
+    """(model, n, a maker of equal sources, states): models of 2 to 16
+    symbols or one with exact ties, and sources that are a seeded generator
+    or ``_FixedDraws`` of rows that sum to n, with the model's tie and its
+    neighbours among them."""
     tied = draw(st.sampled_from([None, *TIE_MODELS]))
     if tied is None:
         model, n = draw(positive_models()), draw(st.integers(1, 10**4))
     else:
         model, n = tied[0], 3 * draw(st.integers(1, 3333))
-    size, force_state = draw(st.integers(0, 300)), draw(st.sampled_from([None, 0, 1]))
+    states = draw(batch_states)
     if draw(st.booleans()):
         seed = draw(st.integers(0, 2**32))
-        return model, n, lambda: np.random.default_rng(seed), size, force_state
+        return model, n, lambda: np.random.default_rng(seed), states
     k = len(model.support)
     cuts = st.lists(st.integers(0, n), min_size=k - 1, max_size=k - 1).map(sorted)
     rows = [tuple(np.diff([0, *c, n]).tolist())
@@ -610,7 +621,7 @@ def pooled_draw_cases(draw):
         shifted = (tie[0] + 1, *tie[1:-1], tie[-1] - 1)
         rows += draw(st.lists(st.sampled_from([tie, shifted]), max_size=4))
     rows = draw(st.permutations(rows))
-    return model, n, lambda: _FixedDraws(rows), size, force_state
+    return model, n, lambda: _FixedDraws(rows), states
 
 
 class TestPooledDrawScreen:
@@ -621,16 +632,15 @@ class TestPooledDrawScreen:
     @given(case=pooled_draw_cases())
     # The ties above the 1e-9 floor that only the per-row bound flags.
     @example(case=(TestPooledSamplerTies.POWERS, 3600,
-                   lambda: _FixedDraws([(2400, 1200), (2401, 1199)]), 5, None))
+                   lambda: _FixedDraws([(2400, 1200), (2401, 1199)]), np.ones(5, dtype=np.int64)))
     @example(case=(TestPooledSamplerTies.MODEL, 9 * 10**7,
-                   lambda: _FixedDraws([(3 * 10**7,) * 3]), 3, 1))
+                   lambda: _FixedDraws([(3 * 10**7,) * 3]), np.ones(3, dtype=np.int64)))
     def test_draw_is_the_unscreened_draw(self, case):
-        model, n, source, size, force_state = case
-        states, actions, beliefs = IidSignals(model).pooled_sampler(n)(source(), size, force_state)
-        expected = reference_pooled_draw(model, n)(source(), size, force_state)
-        assert np.array_equal(states, expected[0])
-        assert actions.dtype == expected[1].dtype and np.array_equal(actions, expected[1])
-        assert beliefs.tobytes() == expected[2].tobytes()
+        model, n, source, states = case
+        actions, beliefs = IidSignals(model).pooled_sampler(n)(source(), states)
+        expected = reference_pooled_draw(model, n)(source(), states)
+        assert actions.dtype == expected[0].dtype and np.array_equal(actions, expected[0])
+        assert beliefs.tobytes() == expected[1].tobytes()
 
     @settings(max_examples=200, deadline=None)
     @given(
@@ -664,25 +674,46 @@ class TestPooledDrawScreen:
         assert _row_log_odds(counts, z).tobytes() == (counts * z).sum(axis=1).tobytes()
 
 
-class TestForcedState:
-    @pytest.mark.parametrize("force_state", [2, -1, 0.5, "1", np.int64(2)])
-    def test_only_none_zero_or_one(self, force_state):
-        """With ``force_state=2`` the pooled draw left its count rows
-        unwritten and stalled in the exact recheck."""
+class TestGivenStates:
+    @pytest.mark.parametrize("states", [[2], [0, -1, 1], [0.5, 1.0], [1, 1, 0, 2]])
+    def test_a_state_outside_0_and_1_is_refused_before_any_draw(self, states):
+        """Both i.i.d. draws: the pooled draw, and ``draw_statistic``'s
+        counts through the profile sampler.  A state of 2 once left the
+        pooled draw's count rows unwritten, and it stalled in the exact
+        recheck.  No generator is given, so any draw before the refusal
+        would fail otherwise."""
         scenario = iid_binary(5, Fraction(2, 3))
-        draws = [
-            scenario.pooled_sampler(),
-            scenario.profile_sampler(scenario.structure.trial_outcomes(5, PUBLIC_ACTION)),
-        ]
-        for draw in draws:
-            with pytest.raises(ValueError, match="force_state must be None, 0 or 1"):
-                draw(np.random.default_rng(0), 10, force_state)
+        outcome = scenario.structure.trial_outcomes(5, PUBLIC_ACTION)
+        for draw in (scenario.pooled_sampler(), scenario.profile_sampler(outcome)):
+            with pytest.raises(ValueError, match="every trial's state must be 0 or 1"):
+                draw(None, np.array(states))
 
-    @pytest.mark.parametrize("force_state", [0, 1, np.int64(1)])
-    def test_a_forced_state_is_every_trials_state(self, force_state):
-        draw = iid_binary(5, Fraction(2, 3)).pooled_sampler()
-        states, _, _ = draw(np.random.default_rng(0), 10, force_state)
-        assert states.tolist() == [force_state] * 10
+    @pytest.mark.parametrize(
+        "scenario, kind, digest",
+        [
+            (geometric_tail(50), None,
+             "defcfef6fa50de0598db05a1a48643de6a882d094841aa5ac0eb98004cd22f8c"),
+            (iid_binary(7, Fraction(2, 3)), None,
+             "00ce0689ead0d50fbc910fdb7c049bc8076308832c65a579d0d292d17fed2a25"),
+            (geometric_tail(5), PUBLIC_BELIEF,
+             "0ffad02efd9ea9b3c33689b3bb77842f7e91dd8dfceee15499b509bc98f99d78"),
+            (iid_binary(7, Fraction(2, 3)), PUBLIC_ACTION,
+             "e7c089f41292360d77194b8aa3e87538e7dc5ec513ee28a8b5bab9672b53076c"),
+        ],
+        ids=["pooled-tail", "pooled-binary", "belief-tail", "action-binary"],
+    )
+    def test_an_all_zero_batch_draws_what_force_state_0_drew(self, scenario, kind, digest):
+        """sha256 of the action codes' bytes, then the beliefs', of 3,000
+        trials from ``trial_rng(5, 1, 0)``, recorded when each draw drew its
+        own states and ``force_state=0`` made them all 0.  A ``kind`` of None
+        is the pooled draw."""
+        if kind is None:
+            draw = scenario.pooled_sampler()
+        else:
+            draw = scenario.profile_sampler(scenario.structure.trial_outcomes(scenario.n, kind))
+        actions, beliefs = draw(trial_rng(5, 1, 0), np.zeros(3000, dtype=np.int64))
+        assert (actions.dtype, beliefs.dtype) == (np.int8, np.float64)
+        assert hashlib.sha256(actions.tobytes() + beliefs.tobytes()).hexdigest() == digest
 
 
 class TestRegistry:
